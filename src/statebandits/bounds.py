@@ -28,8 +28,8 @@ from scipy.special import ndtr
 
 from .divergence import PsiFamily, psi_star
 from .env import Environment, gaps, state_counts
-from .errors import ConfigurationError, ScheduleError
-from .strategies import SRSchedule
+from .errors import ConfigurationError
+from .strategies import SRSchedule, sr_counts
 
 __all__ = [
     "BoundReport",
@@ -37,9 +37,7 @@ __all__ = [
     "thm1_bound",
     "thm2_bounds",
     "thm3_bounds",
-    "sr_counts",
     "thm4_bounds",
-    "write_bound_reports",
 ]
 
 
@@ -160,34 +158,6 @@ def thm3_bounds(
     )
 
 
-def sr_counts(state_sequence, schedule: SRSchedule, K: int, S: int | None = None) -> np.ndarray:
-    """Evenly-allocated per-arm pull counts n_{s,k} through each phase.
-
-    Entry [s, k-1] accumulates floor(phase-k visits to s / active arms in
-    phase k); this is exactly the table a successive-elimination run reports.
-    States that are never visited keep all-zero rows. ``S`` defaults to the
-    largest state in the sequence plus one.
-    """
-    if schedule.K != K:
-        raise ScheduleError(f"schedule is for {schedule.K} arms, got K={K}", field="t_k")
-    if schedule.n > len(state_sequence):
-        raise ScheduleError(
-            f"schedule horizon {schedule.n} exceeds sequence length {len(state_sequence)}", field="t_k"
-        )
-    if S is None:
-        S = int(max(state_sequence)) + 1
-    seq = np.asarray(state_sequence[: schedule.n])
-    table = np.zeros((S, K - 1), dtype=np.int64)
-    carried = np.zeros(S, dtype=np.int64)
-    t_prev = 0
-    for k, t_k in enumerate(schedule.t_k, start=1):
-        visits = np.bincount(seq[t_prev:t_k], minlength=S)
-        carried = carried + visits // (K + 1 - k)
-        table[:, k - 1] = carried
-        t_prev = t_k
-    return table
-
-
 def _elimination_ordering(best: int, delta: np.ndarray) -> list[int]:
     rest = [i for i in range(len(delta)) if i != best]
     rest.sort(key=lambda i: (delta[i], i))
@@ -235,14 +205,3 @@ def thm4_bounds(
         _report("thm4.2", total(g.j_star), digest),
         _report("thm4.1", total(g.j_hat_star), digest),
     )
-
-
-def write_bound_reports(reports, path, n: int, K: int, S: int, min_state_visits: int) -> None:
-    """CSV rows: name,raw,clamped,n,K,S,min_state_visits."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "raw", "clamped", "n", "K", "S", "min_state_visits"])
-        for r in reports:
-            writer.writerow([r.name, repr(r.raw_value), repr(r.clamped_value), n, K, S, min_state_visits])

@@ -26,7 +26,6 @@ __all__ = [
     "make_state_sequence",
     "instantiate",
     "pull",
-    "sigma_count",
     "state_counts",
     "gaps",
     "save_environment",
@@ -34,6 +33,7 @@ __all__ = [
 ]
 
 REWARD_FAMILIES = ("bernoulli", "truncated_gaussian")
+STATE_MODES = ("iid_uniform", "round_robin", "blocks")
 
 
 @dataclass(frozen=True)
@@ -154,16 +154,9 @@ def pull(env: Environment, arm: int, t: int, rng: np.random.Generator) -> float:
     return float(np.clip(draw, 0.0, 1.0))
 
 
-def sigma_count(state_sequence, s: int, t: int) -> int:
-    """Number of visits to state ``s`` among the first ``t`` steps (inclusive)."""
-    if t < 0 or t > len(state_sequence):
-        raise ValidationError(f"t {t} outside [0, {len(state_sequence)}]", field="t")
-    return int(sum(1 for x in state_sequence[:t] if x == s))
-
-
 def state_counts(state_sequence, S: int, n: int | None = None) -> np.ndarray:
     """Visit counts per state over the first ``n`` steps (default: all)."""
-    seq = np.asarray(state_sequence[: len(state_sequence) if n is None else n])
+    seq = np.asarray(state_sequence[: len(state_sequence) if n is None else n], dtype=np.int64)
     return np.bincount(seq, minlength=S)
 
 

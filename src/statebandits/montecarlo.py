@@ -4,9 +4,9 @@ pseudo-regret, with closed-form bounds evaluated alongside.
 Estimators exploit the fact that the rotation strategies are
 reward-independent (uniform rotation always, successive elimination within a
 phase given the active set): per-cell reward sums are Binomial draws, which
-lets whole run batches be sampled at once. The step-by-step loops in
-``strategies`` remain the reference implementations; exact-enumeration tests
-pin the two paths to the same distribution.
+lets whole run batches be sampled at once. Pull counts, recommendation,
+elimination and optimism-index play all come from ``strategies``;
+exact-enumeration tests pin the batched sampling to the same distribution.
 
 Parallelism is per environment only. Every random quantity derives from
 (master_seed, env_index, ...) substreams, so results are byte-identical for
@@ -16,6 +16,7 @@ any worker count.
 from __future__ import annotations
 
 import csv
+import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,11 +24,16 @@ import numpy as np
 from scipy.stats import binomtest
 
 from .bounds import thm1_bound, thm2_bounds, thm3_bounds, thm4_bounds
-from .divergence import BOUNDED_UNIT, PsiFamily, psi_star_inv
-from .env import Environment, EnvironmentSpec, gaps, instantiate, make_state_sequence, state_counts
-from .errors import ConfigurationError, RecommendationError
+from .divergence import BOUNDED_UNIT, PsiFamily
+from .env import (
+    STATE_MODES, Environment, EnvironmentSpec, gaps, instantiate, make_state_sequence, state_counts,
+)
+from .errors import ConfigurationError
 from .rng import substream
-from .strategies import SRSchedule, sr_schedule
+from .strategies import (
+    SRSchedule, _eba_pick, cell_means, eliminate, optimism_play, phase_visits, rotation_counts,
+    sr_schedule,
+)
 
 __all__ = [
     "SweepConfig",
@@ -40,8 +46,11 @@ __all__ = [
     "tightness_sweep",
     "sr_compare",
     "estimate_pseudoregret",
+    "write_table",
     "write_sweep_csv",
     "write_sr_csv",
+    "write_trace_csv",
+    "write_bound_reports",
     "TIGHTNESS_HEADER",
     "SR_HEADER",
 ]
@@ -64,6 +73,8 @@ class SweepConfig:
 
     ``horizon=None`` means 50*K*S per environment. Ranges are inclusive for
     K and S; sigma2 is drawn uniformly from (sigma2_min, sigma2_max].
+    Rewards must be Bernoulli: the batched estimators sample Binomial cell
+    sums.
     """
 
     num_envs: int = 200
@@ -92,6 +103,10 @@ class SweepConfig:
             raise ConfigurationError("need 0 <= sigma2_min < sigma2_max")
         if self.horizon is not None and self.horizon < 1:
             raise ConfigurationError("horizon must be positive")
+        if self.reward_family != "bernoulli":
+            raise ConfigurationError(f"reward_family must be 'bernoulli', got {self.reward_family!r}")
+        if self.state_mode not in STATE_MODES:
+            raise ConfigurationError(f"state_mode must be one of {STATE_MODES}, got {self.state_mode!r}")
 
 
 def random_env(config: SweepConfig, env_index: int) -> EnvironmentSpec:
@@ -128,87 +143,36 @@ class BAIEstimate:
     runs: int
 
 
-def _uniform_cell_counts(env: Environment, n: int) -> np.ndarray:
-    """Per-(arm, state) pull counts of the uniform rotation after n steps.
-
-    Arm a is pulled on the visits whose rank is congruent to a mod K, so it
-    gets floor(V/K) pulls plus one when 1 <= a <= V mod K.
-    """
-    K, S = env.spec.K, env.spec.S
-    visits = state_counts(env.spec.state_sequence, S, n)
-    counts = np.empty((K, S), dtype=np.int64)
-    counts[0] = visits // K
-    counts[1:] = visits // K + (np.arange(1, K)[:, None] <= (visits % K)[None, :])
-    return counts
-
-
 def _binomial_cell_means(counts, m, runs, rng):
     """Sample per-run cell means: Binomial(counts, m)/counts, NaN where 0."""
-    K, S = counts.shape
-    means = np.full((runs, K, S), np.nan)
-    for a in range(K):
-        for s in range(S):
-            if counts[a, s] > 0:
-                draws = rng.binomial(counts[a, s], m[a, s], size=runs)
-                means[:, a, s] = draws / counts[a, s]
-    return means
-
-
-def _eba_pick(means: np.ndarray) -> np.ndarray:
-    """Per-run recommendation: best average of defined cell means."""
-    if np.any(np.all(np.isnan(means[0]), axis=1)):
-        bad = int(np.flatnonzero(np.all(np.isnan(means[0]), axis=1))[0])
-        raise RecommendationError(f"arm {bad} has no pulls in any state")
-    scores = np.nanmean(means, axis=2)
-    return np.argmax(scores, axis=1)
-
-
-def _sr_phase_visits(seq: np.ndarray, schedule: SRSchedule, S: int) -> np.ndarray:
-    out = np.zeros((len(schedule.t_k), S), dtype=np.int64)
-    t_prev = 0
-    for k, t_k in enumerate(schedule.t_k):
-        out[k] = np.bincount(seq[t_prev:t_k], minlength=S)
-        t_prev = t_k
-    return out
+    sums = np.zeros((runs,) + counts.shape)
+    for a, s in zip(*np.nonzero(counts)):
+        sums[:, a, s] = rng.binomial(counts[a, s], m[a, s], size=runs)
+    return cell_means(counts, sums, np.nan)
 
 
 def _sr_sample(env: Environment, schedule: SRSchedule, runs: int, rng) -> np.ndarray:
     """Per-run surviving arm of successive elimination, sampled phase-wise.
 
-    Within a phase the rotation gives rank r (over the ascending active
-    list) floor(V/A) pulls plus one for ranks 1..V mod A; rewards per
-    (rank, state) cell are Binomial. Rejection drops the active arm with the
-    lowest sum of per-state means (unpulled cells 0, ties to lowest index).
+    Within a phase each (rotation rank, state) cell of the active arms gets
+    its ``rotation_counts`` pulls at once, with a Binomial reward sum; at the
+    boundary ``eliminate`` drops an arm by its sum of per-state means
+    (unpulled cells 0).
     """
-    spec = env.spec
-    K, S = spec.K, spec.S
-    seq = np.asarray(spec.state_sequence[: schedule.n])
-    visits = _sr_phase_visits(seq, schedule, S)
-    m = env.m
+    K, S = env.spec.K, env.spec.S
     active = np.tile(np.arange(K), (runs, 1))
     counts = np.zeros((runs, K, S), dtype=np.int64)
     sums = np.zeros((runs, K, S))
     rows = np.arange(runs)
-    for k in range(1, K):
-        A = K + 1 - k
+    for k, visits in enumerate(phase_visits(env.spec.state_sequence, schedule.t_k, S), start=1):
+        pulls = rotation_counts(visits, K + 1 - k)
         for s in range(S):
-            V = int(visits[k - 1, s])
-            q, rem = divmod(V, A)
-            for rank in range(A):
-                n_rs = q + (1 if 1 <= rank <= rem else 0)
-                if n_rs == 0:
-                    continue
+            for rank in np.flatnonzero(pulls[:, s]):
+                n_rs = int(pulls[rank, s])
                 arms = active[:, rank]
-                draws = rng.binomial(n_rs, m[arms, s])
                 counts[rows, arms, s] += n_rs
-                sums[rows, arms, s] += draws
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-        scores = means.sum(axis=2)
-        active_mask = np.zeros((runs, K), dtype=bool)
-        np.put_along_axis(active_mask, active, True, axis=1)
-        drop = np.argmin(np.where(active_mask, scores, np.inf), axis=1)
-        keep = active != drop[:, None]
-        active = active[keep].reshape(runs, A - 1)
+                sums[rows, arms, s] += rng.binomial(n_rs, env.m[arms, s])
+        active, _ = eliminate(cell_means(counts, sums, 0.0).sum(axis=2), active)
     return active[:, 0]
 
 
@@ -228,15 +192,18 @@ def estimate_bai(env: Environment, strategy: str, runs: int, n: int | None = Non
     ``strategy`` is ``uniform_eba``, ``sr_uniform`` or ``sr_reference``.
     Randomness derives from (env.spec.seed, "bai", strategy); successive
     elimination strategies share a stream root so that identical schedules
-    replay identical draws.
+    replay identical draws. Cell reward sums are sampled as Binomials, so the
+    environment's rewards must be Bernoulli.
     """
     spec = env.spec
     n = spec.horizon if n is None else n
     if not 1 <= n <= spec.horizon:
         raise ConfigurationError(f"n {n} outside [1, {spec.horizon}]")
+    if spec.reward_family != "bernoulli":
+        raise ConfigurationError(f"estimate_bai needs bernoulli rewards, got {spec.reward_family!r}")
     if strategy == "uniform_eba":
         rng = substream(spec.seed, "bai", "uniform_eba")
-        counts = _uniform_cell_counts(env, n)
+        counts = rotation_counts(state_counts(spec.state_sequence, spec.S, n), spec.K)
         picks = _eba_pick(_binomial_cell_means(counts, env.m, runs, rng))
     elif strategy in ("sr_uniform", "sr_reference"):
         schedule = sr_schedule(strategy.removeprefix("sr_"), spec.K, n)
@@ -422,47 +389,23 @@ def estimate_pseudoregret(
 ) -> RegretCurve:
     """Monte Carlo pseudo-regret of the optimism-index strategy.
 
-    All runs are advanced in lockstep; run r consumes the substream
-    (spec.seed, r, "rewards") one variate per step, so a single run matches
-    the scalar loop in ``strategies`` exactly.
+    All runs are advanced in lockstep by ``optimism_play``; run r consumes
+    the substream (spec.seed, r, "rewards") one variate per step, so a single
+    run matches ``run_sb_ucb`` on that stream exactly.
     """
     spec = env.spec
     checkpoints = tuple(sorted(int(c) for c in checkpoints))
     if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > spec.horizon:
         raise ConfigurationError(f"checkpoints must lie in [1, {spec.horizon}]")
-    if not alpha > 2:
-        raise ConfigurationError(f"alpha must exceed 2, got {alpha}")
-    n_max = checkpoints[-1]
-    variates = np.empty((runs, n_max))
-    for r in range(runs):
-        stream = substream(spec.seed, r, "rewards")
-        if spec.reward_family == "bernoulli":
-            variates[r] = stream.random(n_max)
-        else:
-            variates[r] = stream.standard_normal(n_max)
-    m = env.m
-    m_star = m.max(axis=0)
+    streams = [substream(spec.seed, r, "rewards") for r in range(runs)]
+    m_star = env.m.max(axis=0)
     counts = np.zeros((runs, spec.K, spec.S), dtype=np.int64)
     sums = np.zeros((runs, spec.K, spec.S))
     regret = np.zeros(runs)
-    rows = np.arange(runs)
     out_mean, out_se = [], []
     check = set(checkpoints)
-    for t in range(1, n_max + 1):
-        s = spec.state_sequence[t - 1]
-        C = counts[:, :, s]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            score = sums[:, :, s] / C + psi_star_inv(family, alpha * np.log(t) / C)
-        score = np.where(C == 0, np.inf, score)
-        choice = np.argmax(score, axis=1)
-        mean_c = m[choice, s]
-        if spec.reward_family == "bernoulli":
-            reward = (variates[:, t - 1] < mean_c).astype(float)
-        else:
-            reward = np.clip(mean_c + np.sqrt(spec.reward_sigma2) * variates[:, t - 1], 0.0, 1.0)
-        counts[rows, choice, s] += 1
-        sums[rows, choice, s] += reward
-        regret += m_star[s] - mean_c
+    for t, s, _, mean in optimism_play(env, alpha, family, streams, checkpoints[-1], counts, sums):
+        regret += m_star[s] - mean
         if t in check:
             mu_hat, se = _mean_se(regret)
             out_mean.append(mu_hat)
@@ -477,19 +420,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def write_table(header, rows, path, fmt: str = "csv") -> None:
+    """Write ``rows`` (sequences aligned with ``header``) to ``path``.
+
+    ``csv`` writes a header line and floats in repr form; ``json`` writes a
+    sorted-key array of objects.
+    """
+    with open(path, "w", newline="" if fmt == "csv" else None, encoding="utf-8") as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
+        else:
+            json.dump([dict(zip(header, row)) for row in rows], fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def record_rows(records, header) -> list[list]:
+    """Table rows of dataclass records: the fields named in ``header``."""
+    return [[getattr(rec, name) for name in header] for rec in records]
+
+
 def write_sweep_csv(records, path) -> None:
     """Write tightness rows with the pinned 18-column header."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIGHTNESS_HEADER)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, name)) for name in TIGHTNESS_HEADER])
+    write_table(TIGHTNESS_HEADER, record_rows(records, TIGHTNESS_HEADER), path)
 
 
 def write_sr_csv(records, path) -> None:
     """Write schedule-comparison rows with the pinned 8-column header."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SR_HEADER)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, name)) for name in SR_HEADER])
+    write_table(SR_HEADER, record_rows(records, SR_HEADER), path)
+
+
+def write_trace_csv(steps, path) -> None:
+    """Write per-pull records with header t,state,arm,reward,phase."""
+    rows = [(t, state, arm, float(reward), phase) for t, state, arm, reward, phase in steps]
+    write_table(["t", "state", "arm", "reward", "phase"], rows, path)
+
+
+def write_bound_reports(reports, path, n: int, K: int, S: int, min_state_visits: int) -> None:
+    """CSV rows: name,raw,clamped,n,K,S,min_state_visits."""
+    rows = [(r.name, r.raw_value, r.clamped_value, n, K, S, min_state_visits) for r in reports]
+    write_table(["name", "raw", "clamped", "n", "K", "S", "min_state_visits"], rows, path)

@@ -5,33 +5,40 @@ statistics (for cumulative reward), deterministic uniform rotation, and
 phased successive elimination (for best-arm identification). Recommendation
 is by empirical best state-average. All tie-breaks are toward the lowest arm
 index, and forced exploration always picks the lowest-index unpulled arm.
+
+Each rule is written once: the step-by-step runs here and the batched
+estimators in ``montecarlo`` share the count, recommendation, elimination and
+index functions, and ``run_sb_ucb`` is the lockstep engine with one run.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .divergence import PsiFamily, psi_star_inv
-from .env import Environment, pull, sigma_count
+from .env import Environment, pull
 from .errors import ConfigurationError, RecommendationError, ScheduleError
 
 __all__ = [
     "PullStats",
+    "cell_means",
     "sb_ucb_select",
-    "uniform_select",
+    "optimism_play",
+    "rotation_counts",
     "eba_recommend",
+    "eliminate",
     "log_bar",
     "SRSchedule",
     "sr_schedule",
+    "phase_visits",
+    "sr_counts",
     "SRResult",
     "successive_rejects",
     "run_uniform_eba",
     "run_sb_ucb",
-    "write_trace_csv",
 ]
 
 
@@ -54,18 +61,29 @@ class PullStats:
     @property
     def means(self) -> np.ndarray:
         """Per-cell sample means; cells with no pulls are NaN."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.counts > 0, self.sums / np.maximum(self.counts, 1), np.nan)
+        return cell_means(self.counts, self.sums, np.nan)
 
     def update(self, arm: int, state: int, reward: float) -> None:
         self.counts[arm, state] += 1
         self.sums[arm, state] += reward
 
-    def copy(self) -> "PullStats":
-        out = PullStats(self.K, self.S)
-        out.counts = self.counts.copy()
-        out.sums = self.sums.copy()
-        return out
+
+def cell_means(counts: np.ndarray, sums: np.ndarray, fill: float) -> np.ndarray:
+    """Per-cell sample means, ``fill`` where a cell has no pulls."""
+    return np.where(counts > 0, sums / np.maximum(counts, 1), fill)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not alpha > 2:
+        raise ConfigurationError(f"alpha must exceed 2, got {alpha}")
+
+
+def _optimism_index(counts, sums, t: int, alpha: float, family: PsiFamily) -> np.ndarray:
+    """Sample mean plus the inverted-conjugate bonus on alpha*ln(t)/count;
+    an arm never pulled scores +inf, so argmax plays it first."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        score = sums / counts + psi_star_inv(family, alpha * np.log(t) / counts)
+    return np.where(counts == 0, np.inf, score)
 
 
 def sb_ucb_select(stats: PullStats, state: int, t: int, alpha: float, family: PsiFamily) -> int:
@@ -76,29 +94,59 @@ def sb_ucb_select(stats: PullStats, state: int, t: int, alpha: float, family: Ps
     bonus on alpha*ln(t)/count wins, ties to the lowest index. alpha must
     exceed 2 for the associated regret guarantee to hold.
     """
-    if not alpha > 2:
-        raise ConfigurationError(f"alpha must exceed 2, got {alpha}")
+    _check_alpha(alpha)
     if not 0 <= state < stats.S:
         raise ConfigurationError(f"state {state} outside [0, {stats.S})")
-    counts = stats.counts[:, state]
-    unpulled = np.flatnonzero(counts == 0)
-    if unpulled.size:
-        return int(unpulled[0])
-    means = stats.sums[:, state] / counts
-    bonus = psi_star_inv(family, alpha * math.log(t) / counts)
-    return int(np.argmax(means + bonus))
+    return int(np.argmax(_optimism_index(stats.counts[:, state], stats.sums[:, state], t, alpha, family)))
 
 
-def uniform_select(state_sequence, t: int, K: int) -> int:
-    """Deterministic rotation: the visit rank of the current state, mod K.
+def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n: int, counts, sums):
+    """Play the optimism-index rule for n steps, one run per stream, in lockstep.
 
-    The rank counts visits up to and including time ``t``, so per-(arm,
-    state) pull counts after any horizon differ by at most one.
+    Run r draws its n reward variates from ``streams[r]`` up front, the values
+    n calls of ``pull`` would draw. ``counts`` and ``sums`` of shape (runs, K,
+    S) are updated in place. Yields (t, state, choice, mean) per step, the
+    chosen arms and their local means being (runs,) arrays.
     """
-    if K < 1:
-        raise ConfigurationError("need K >= 1")
-    s = state_sequence[t - 1]
-    return sigma_count(state_sequence, s, t) % K
+    _check_alpha(alpha)
+    spec = env.spec
+    variates = np.empty((len(streams), n))
+    for r, stream in enumerate(streams):
+        variates[r] = stream.random(n) if spec.reward_family == "bernoulli" else stream.standard_normal(n)
+    rows = np.arange(len(streams))
+    scale = np.sqrt(spec.reward_sigma2)
+    for t in range(1, n + 1):
+        s = spec.state_sequence[t - 1]
+        choice = np.argmax(_optimism_index(counts[:, :, s], sums[:, :, s], t, alpha, family), axis=1)
+        mean = env.m[choice, s]
+        if spec.reward_family == "bernoulli":
+            reward = (variates[:, t - 1] < mean).astype(float)
+        else:
+            reward = np.clip(mean + scale * variates[:, t - 1], 0.0, 1.0)
+        counts[rows, choice, s] += 1
+        sums[rows, choice, s] += reward
+        yield t, s, choice, mean
+
+
+def rotation_counts(visits, A: int) -> np.ndarray:
+    """Pulls per (rank, state) when each state's visits rotate over A ranks.
+
+    The v-th visit to a state goes to rank v mod A, so after V visits rank r
+    holds floor(V/A) pulls plus one when 1 <= r <= V mod A. Per-state counts
+    therefore differ by at most one. Returns shape (A, len(visits)).
+    """
+    q, rem = np.divmod(np.asarray(visits, dtype=np.int64), A)
+    ranks = np.arange(A)[:, None]
+    return q + ((1 <= ranks) & (ranks <= rem))
+
+
+def _eba_pick(means: np.ndarray) -> np.ndarray:
+    """``eba_recommend`` for each run of (runs, K, S) cell means, NaN where
+    unpulled; the runs share one pull pattern, so the first run is checked."""
+    unpulled = np.flatnonzero(np.all(np.isnan(means[0]), axis=1))
+    if unpulled.size:
+        raise RecommendationError(f"arm {int(unpulled[0])} has no pulls in any state")
+    return np.argmax(np.nanmean(means, axis=2), axis=1)
 
 
 def eba_recommend(stats: PullStats) -> int:
@@ -107,13 +155,20 @@ def eba_recommend(stats: PullStats) -> int:
     States with no pulls for an arm are left out of that arm's average. An
     arm with no pulls at all cannot be scored and raises RecommendationError.
     """
-    totals = stats.counts.sum(axis=1)
-    if np.any(totals == 0):
-        bad = int(np.flatnonzero(totals == 0)[0])
-        raise RecommendationError(f"arm {bad} has no pulls in any state")
-    means = stats.means
-    scores = np.nanmean(means, axis=1)
-    return int(np.argmax(scores))
+    return int(_eba_pick(stats.means[None])[0])
+
+
+def eliminate(scores: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the lowest-scoring active arm of each run, ties to the lowest index.
+
+    ``scores`` is (runs, K); ``active`` is (runs, A) with each row's arms in
+    ascending order. Returns the remaining (runs, A-1) arms and the dropped
+    arm of each run.
+    """
+    runs, A = active.shape
+    pos = np.argmin(np.take_along_axis(scores, active, axis=1), axis=1)
+    keep = np.arange(A) != pos[:, None]
+    return active[keep].reshape(runs, A - 1), active[np.arange(runs), pos]
 
 
 def log_bar(K: int) -> float:
@@ -180,6 +235,36 @@ def sr_schedule(kind: str, K: int, n: int) -> SRSchedule:
     return SRSchedule(kind=kind, t_k=tuple(t_k))
 
 
+def phase_visits(state_sequence, t_k, S: int) -> np.ndarray:
+    """Visits to each state within each phase, shape (len(t_k), S): row k-1
+    counts steps t_{k-1}+1..t_k, with t_0 = 0."""
+    seq = np.asarray(state_sequence[: t_k[-1]])
+    edges = (0,) + tuple(t_k)
+    return np.array([np.bincount(seq[lo:hi], minlength=S) for lo, hi in zip(edges, edges[1:])],
+                    dtype=np.int64)
+
+
+def sr_counts(state_sequence, schedule: SRSchedule, K: int, S: int | None = None) -> np.ndarray:
+    """Evenly-allocated per-arm pull counts n_{s,k} through each phase.
+
+    Entry [s, k-1] accumulates floor(phase-k visits to s / active arms in
+    phase k), the pulls of the lowest rotation rank; this is exactly the
+    table a successive-elimination run reports. States that are never
+    visited keep all-zero rows. ``S`` defaults to the largest state in the
+    sequence plus one.
+    """
+    if schedule.K != K:
+        raise ScheduleError(f"schedule is for {schedule.K} arms, got K={K}", field="t_k")
+    if schedule.n > len(state_sequence):
+        raise ScheduleError(
+            f"schedule horizon {schedule.n} exceeds sequence length {len(state_sequence)}", field="t_k"
+        )
+    if S is None:
+        S = int(max(state_sequence)) + 1
+    active = np.arange(K, 1, -1)[:, None]
+    return np.cumsum(phase_visits(state_sequence, schedule.t_k, S) // active, axis=0).T
+
+
 @dataclass
 class SRResult:
     """Outcome of a successive-elimination run.
@@ -196,6 +281,26 @@ class SRResult:
     stats: PullStats = field(repr=False)
 
 
+def _rotate(env: Environment, t_lo: int, t_hi: int, arms, stats: PullStats, rng) -> list:
+    """Pull ``arms`` in rotation over steps t_lo+1..t_hi, recording into ``stats``.
+
+    The v-th visit to a state within the span goes to arms[v mod len(arms)],
+    which is what ``rotation_counts`` counts. Returns one (t, state, arm,
+    reward) tuple per step.
+    """
+    seq = env.spec.state_sequence
+    visits = [0] * env.spec.S
+    steps = []
+    for t in range(t_lo + 1, t_hi + 1):
+        s = seq[t - 1]
+        visits[s] += 1
+        arm = arms[visits[s] % len(arms)]
+        reward = pull(env, arm, t, rng)
+        stats.update(arm, s, reward)
+        steps.append((t, s, arm, reward))
+    return steps
+
+
 def successive_rejects(env: Environment, schedule: SRSchedule, rng: np.random.Generator) -> SRResult:
     """Run phased elimination on ``env`` and return the surviving arm.
 
@@ -206,37 +311,20 @@ def successive_rejects(env: Environment, schedule: SRSchedule, rng: np.random.Ge
     the lowest index).
     """
     spec = env.spec
-    if schedule.K != spec.K:
-        raise ScheduleError(f"schedule is for {schedule.K} arms, environment has {spec.K}", field="t_k")
-    if schedule.n > spec.horizon:
-        raise ScheduleError(
-            f"schedule horizon {schedule.n} exceeds environment horizon {spec.horizon}", field="t_k"
-        )
+    n_table = sr_counts(spec.state_sequence, schedule, spec.K, spec.S)
     stats = PullStats(spec.K, spec.S)
-    active = list(range(spec.K))
+    active = np.arange(spec.K)[None, :]
     steps: list[tuple[int, int, int, float, int]] = []
     rejected: list[int] = []
-    n_table = np.zeros((spec.S, spec.K - 1), dtype=np.int64)
-    carried = np.zeros(spec.S, dtype=np.int64)
     t_prev = 0
     for k, t_k in enumerate(schedule.t_k, start=1):
-        local = np.zeros(spec.S, dtype=np.int64)
-        for t in range(t_prev + 1, t_k + 1):
-            s = spec.state_sequence[t - 1]
-            local[s] += 1
-            arm = active[local[s] % len(active)]
-            reward = pull(env, arm, t, rng)
-            stats.update(arm, s, reward)
-            steps.append((t, s, arm, reward, k))
-        carried = carried + local // len(active)
-        n_table[:, k - 1] = carried
-        means = np.where(stats.counts > 0, stats.sums / np.maximum(stats.counts, 1), 0.0)
-        scores = means.sum(axis=1)
-        drop = min(active, key=lambda i: (scores[i], i))
-        rejected.append(drop)
-        active.remove(drop)
+        phase = _rotate(env, t_prev, t_k, active[0].tolist(), stats, rng)
+        steps += [(t, s, arm, reward, k) for t, s, arm, reward in phase]
+        scores = cell_means(stats.counts, stats.sums, 0.0).sum(axis=1)
+        active, dropped = eliminate(scores[None], active)
+        rejected.append(int(dropped[0]))
         t_prev = t_k
-    return SRResult(winner=active[0], rejected=rejected, steps=steps, n_table=n_table, stats=stats)
+    return SRResult(winner=int(active[0, 0]), rejected=rejected, steps=steps, n_table=n_table, stats=stats)
 
 
 def run_uniform_eba(env: Environment, n: int, rng: np.random.Generator) -> tuple[int, PullStats]:
@@ -245,13 +333,7 @@ def run_uniform_eba(env: Environment, n: int, rng: np.random.Generator) -> tuple
     if n > spec.horizon:
         raise ConfigurationError(f"n {n} exceeds environment horizon {spec.horizon}")
     stats = PullStats(spec.K, spec.S)
-    visits = np.zeros(spec.S, dtype=np.int64)
-    for t in range(1, n + 1):
-        s = spec.state_sequence[t - 1]
-        visits[s] += 1
-        arm = int(visits[s]) % spec.K
-        reward = pull(env, arm, t, rng)
-        stats.update(arm, s, reward)
+    _rotate(env, 0, n, range(spec.K), stats, rng)
     return eba_recommend(stats), stats
 
 
@@ -262,25 +344,13 @@ def run_sb_ucb(
     family: PsiFamily,
     rng: np.random.Generator,
 ) -> tuple[PullStats, list[int]]:
-    """Optimism-index allocation for ``n`` steps; returns stats and choices."""
+    """Optimism-index allocation for ``n`` steps; returns stats and choices.
+
+    This is ``optimism_play`` with one run.
+    """
     spec = env.spec
     if n > spec.horizon:
         raise ConfigurationError(f"n {n} exceeds environment horizon {spec.horizon}")
     stats = PullStats(spec.K, spec.S)
-    chosen: list[int] = []
-    for t in range(1, n + 1):
-        s = spec.state_sequence[t - 1]
-        arm = sb_ucb_select(stats, s, t, alpha, family)
-        reward = pull(env, arm, t, rng)
-        stats.update(arm, s, reward)
-        chosen.append(arm)
-    return stats, chosen
-
-
-def write_trace_csv(steps, path) -> None:
-    """Write per-pull records with header t,state,arm,reward,phase."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "state", "arm", "reward", "phase"])
-        for t, state, arm, reward, phase in steps:
-            writer.writerow([t, state, arm, repr(float(reward)), phase])
+    play = optimism_play(env, alpha, family, [rng], n, stats.counts[None], stats.sums[None])
+    return stats, [int(choice[0]) for _, _, choice, _ in play]

@@ -123,6 +123,57 @@ def _rotation_counts(state_sequence, n: int, K: int, S: int) -> np.ndarray:
     return counts
 
 
+def sr_table_from_steps(steps, rejected, K: int, S: int) -> np.ndarray:
+    """Evenly-allocated count table of a successive-elimination trace: per
+    phase and state, the fewest pulls any active arm got, summed over the
+    phases so far (the library computes it in closed form)."""
+    table = np.zeros((S, K - 1), dtype=int)
+    running = [0] * S
+    for k in range(1, K):
+        active = [a for a in range(K) if a not in rejected[: k - 1]]
+        pulls = {(a, s): 0 for a in active for s in range(S)}
+        for _, s, arm, _, phase in steps:
+            if phase == k:
+                pulls[(arm, s)] += 1
+        for s in range(S):
+            running[s] += min(pulls[(a, s)] for a in active)
+            table[s, k - 1] = running[s]
+    return table
+
+
+def state_ucb_run(env, n: int, alpha: float, bonus, rng) -> list[int]:
+    """Per-state optimism-index play with dict statistics keyed by (arm, state).
+
+    ``bonus(x)`` is the inverted conjugate applied to alpha*ln(t)/count. One
+    variate per step comes from ``rng`` as a scalar draw: ``random()`` for
+    bernoulli rewards, ``standard_normal()`` (clipped to [0, 1] around the
+    local mean) for truncated_gaussian. Returns the chosen arms.
+    """
+    spec = env.spec
+    counts: dict = {}
+    totals: dict = {}
+    choices = []
+    for t in range(1, n + 1):
+        s = spec.state_sequence[t - 1]
+        arm = next((i for i in range(spec.K) if counts.get((i, s), 0) == 0), None)
+        if arm is None:
+            best_val = -math.inf
+            for i in range(spec.K):
+                c = counts[(i, s)]
+                val = totals[(i, s)] / c + bonus(alpha * math.log(t) / c)
+                if val > best_val:
+                    best_val, arm = val, i
+        mean = float(env.m[arm, s])
+        if spec.reward_family == "bernoulli":
+            reward = 1.0 if rng.random() < mean else 0.0
+        else:
+            reward = min(max(mean + math.sqrt(spec.reward_sigma2) * rng.standard_normal(), 0.0), 1.0)
+        counts[(arm, s)] = counts.get((arm, s), 0) + 1
+        totals[(arm, s)] = totals.get((arm, s), 0.0) + reward
+        choices.append(arm)
+    return choices
+
+
 def exact_uniform_eba(env, n: int) -> dict:
     """Exact law of the uniform-rotation recommendation, by enumerating all
     per-cell success counts with binomial weights.

@@ -72,6 +72,18 @@ class TestErrors:
         assert rc == 2
         assert "replay needs both" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["tightness", "sr-compare"])
+    @pytest.mark.parametrize("line, message", [
+        ("reward_family = foo", "reward_family must be 'bernoulli'"),
+        ("reward_family = truncated_gaussian", "reward_family must be 'bernoulli'"),
+        ("state_mode = nope", "state_mode must be one of"),
+    ])
+    def test_sweep_rejects_keys_it_cannot_honour(self, tmp_path, capsys, command, line, message):
+        cfg = write_cfg(tmp_path / "c.cfg", f"num_envs = 2\nruns_per_env = 5\n{line}\n")
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
 
 class TestTightness:
     def run_to(self, tmp_path, name, extra):
@@ -178,7 +190,8 @@ class TestTriage:
         assert table["4Experts"][2] == "40"
         assert table["NLP-Full"][1] == "0.04"
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["stage_budgets_dollars"] == [0.04, 18.0, 535.0]
+        assert manifest["stage_budgets_dollars"] == [0.04, 18.0, 535.0]
+        assert "stage_budgets_dollars" not in manifest["config"]
 
     def test_budget_1300_more3(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", "\n".join([
@@ -187,7 +200,7 @@ class TestTriage:
         out = tmp_path / "o"
         assert main(["triage", "--config", cfg, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["stage_budgets_dollars"] == [0.242, 200.0, 1100.0]
+        assert manifest["stage_budgets_dollars"] == [0.242, 200.0, 1100.0]
         with open(out / "triage.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows[1:]] == ["MAB", "MAB*"]
@@ -213,3 +226,26 @@ class TestVerify:
         assert all(s["passed"] for s in payload["suites"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "verify"
+
+
+SMALL_CONFIGS = {
+    "tightness": TIGHTNESS_CFG,
+    "sr-compare": "num_envs = 3\nruns_per_env = 20\nk_max = 4\ns_max = 2\nstate_mode = blocks\n",
+    "regret": "K = 2\nmu = 0.7,0.4\ncheckpoints = 20,50\nruns = 5\nreward_family = truncated_gaussian\n",
+    "triage": "n = 40\nn_severe = 8\nk = 20,10,5\nnum_seeds = 2\nbaselines = 4Experts\n"
+              "total_budget = 1300\nscheme = more2\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_manifest_rerun_is_byte_identical(tmp_path, command, fmt):
+    cfg = write_cfg(tmp_path / "c.cfg", SMALL_CONFIGS[command])
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([command, "--config", cfg, "--seed", "5", "--out", str(first), "--format", fmt]) == 0
+    assert main([command, "--config", str(first / "manifest.json"), "--out", str(again),
+                 "--format", fmt]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name

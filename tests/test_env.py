@@ -13,7 +13,6 @@ from statebandits import (
     make_state_sequence,
     pull,
     save_environment,
-    sigma_count,
     state_counts,
     substream,
 )
@@ -149,16 +148,10 @@ class TestPull:
 
 
 class TestCounts:
-    def test_sigma_count_examples(self):
-        seq = (0, 1, 0)
-        assert sigma_count(seq, 0, 3) == 2
-        assert sigma_count(seq, 1, 1) == 0
-        assert sigma_count(seq, 0, 0) == 0
-
     def test_counts_partition_horizon(self):
         seq = make_state_sequence(4, 37, "iid_uniform", seed=5)
         for t in range(38):
-            assert sum(sigma_count(seq, s, t) for s in range(4)) == t
+            assert state_counts(seq, 4, t).sum() == t
         assert state_counts(seq, 4).sum() == 37
 
     def test_state_counts_prefix(self):

@@ -62,6 +62,14 @@ class TestRandomEnv:
         with pytest.raises(ConfigurationError, match="sigma2"):
             SweepConfig(sigma2_min=0.4, sigma2_max=0.3)
 
+    def test_keys_the_estimators_cannot_honour_rejected(self):
+        with pytest.raises(ConfigurationError, match="reward_family"):
+            SweepConfig(reward_family="truncated_gaussian")
+        with pytest.raises(ConfigurationError, match="state_mode"):
+            SweepConfig(state_mode="nope")
+        for mode in ("iid_uniform", "round_robin", "blocks"):
+            SweepConfig(state_mode=mode)
+
 
 def fixed_env(m, mu, n, state_mode="round_robin", seed=0):
     m = np.asarray(m, dtype=float)
@@ -93,6 +101,13 @@ class TestEstimateBAI:
         env = fixed_env([[0.7], [0.4]], mu=(0.7, 0.4), n=20)
         with pytest.raises(ConfigurationError, match="strategy"):
             estimate_bai(env, "thompson", 10)
+
+    def test_non_bernoulli_rewards_rejected(self):
+        m = np.array([[0.55], [0.45]])
+        spec = EnvironmentSpec(K=2, S=1, mu=(0.55, 0.45), sigma2=0.05, state_sequence=(0,) * 40,
+                               reward_family="truncated_gaussian", reward_sigma2=1e-4)
+        with pytest.raises(ConfigurationError, match="bernoulli"):
+            estimate_bai(Environment(spec=spec, m=m), "uniform_eba", 10)
 
     def test_n_out_of_range(self):
         env = fixed_env([[0.7], [0.4]], mu=(0.7, 0.4), n=20)
