@@ -1,9 +1,9 @@
 """Closed-form error and regret bounds.
 
 Each bound takes a realized environment and returns a BoundReport holding the
-raw sum, the value clamped to [0, 1] (every probability bound is trivially
-valid at 1), and a digest of the inputs for traceability. Raw values are what
-tightness studies plot; validity checks compare against the clamped value.
+raw sum and the value clamped to [0, 1] (every probability bound is
+trivially valid at 1). Raw values are what tightness studies plot; validity
+checks compare against the clamped value.
 
 Bound catalogue (names used in reports and CSV output):
 
@@ -19,7 +19,6 @@ Bound catalogue (names used in reports and CSV output):
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -49,27 +48,15 @@ def normal_cdf(x):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A named bound value with its clamped form and an input digest."""
+    """A named bound value with its clamped form."""
 
     name: str
     raw_value: float
     clamped_value: float
-    inputs_digest: str
 
 
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        if isinstance(p, np.ndarray):
-            h.update(np.ascontiguousarray(p).tobytes())
-        else:
-            h.update(repr(p).encode("utf-8"))
-        h.update(b"|")
-    return h.hexdigest()[:16]
-
-
-def _report(name: str, raw: float, digest: str) -> BoundReport:
-    return BoundReport(name=name, raw_value=float(raw), clamped_value=float(min(raw, 1.0)), inputs_digest=digest)
+def _report(name: str, raw: float) -> BoundReport:
+    return BoundReport(name=name, raw_value=float(raw), clamped_value=float(min(raw, 1.0)))
 
 
 def _per_state_floor(env: Environment, n: int) -> np.ndarray:
@@ -91,57 +78,34 @@ def thm1_bound(env: Environment, alpha: float, n: int, family: PsiFamily) -> Bou
     total = float(
         np.sum(positive * (alpha * math.log(n) / psi_star(family, positive / 2.0) + alpha / (alpha - 2.0)))
     )
-    digest = _digest("thm1", env.m, alpha, n, family)
     # Not a probability; the clamp is kept for interface uniformity only.
-    return _report("thm1", total, digest)
+    return _report("thm1", total)
 
 
-def thm2_bounds(
-    env: Environment,
-    n: int,
-    family: PsiFamily,
-    sigma2: float | None = None,
-    include_optimal: bool = True,
-) -> tuple[BoundReport, BoundReport]:
+def thm2_bounds(env: Environment, n: int, family: PsiFamily) -> tuple[BoundReport, BoundReport]:
     """Misidentification bounds under uniform rotation, as (global, empiric).
 
     The global-best bound adds a prior mass term 2*S*Phi(-delta_mu/(4*sigma2))
-    per arm, with sigma2 the local-mean prior variance (defaults to the
-    spec's). By default both sums run over every arm, the best one entering
-    through its smallest rival gap; ``include_optimal=False`` drops it.
+    per arm, with sigma2 the spec's local-mean prior variance. Both sums run
+    over every arm, the best one entering through its smallest rival gap.
     """
     g = gaps(env)
     floors = _per_state_floor(env, n)
-    sigma2 = env.spec.sigma2 if sigma2 is None else sigma2
-    if not sigma2 > 0:
-        raise ConfigurationError("sigma2 must be positive")
-
-    def arm_mask(best: int) -> np.ndarray:
-        keep = np.ones(env.spec.K, dtype=bool)
-        if not include_optimal:
-            keep[best] = False
-        return keep
-
-    keep_hat = arm_mask(g.j_hat_star)
     e_hat_raw = float(
-        np.sum(2.0 * np.exp(-np.outer(psi_star(family, g.delta_sigma[keep_hat] / 2.0), floors)))
+        np.sum(2.0 * np.exp(-np.outer(psi_star(family, g.delta_sigma / 2.0), floors)))
     )
-    keep = arm_mask(g.j_star)
     e_raw = float(
-        np.sum(2.0 * np.exp(-np.outer(psi_star(family, g.delta_sigma[keep] / 4.0), floors)))
-        + np.sum(2.0 * env.spec.S * normal_cdf(-g.delta_mu[keep] / (4.0 * sigma2)))
+        np.sum(2.0 * np.exp(-np.outer(psi_star(family, g.delta_sigma / 4.0), floors)))
+        + np.sum(2.0 * env.spec.S * normal_cdf(-g.delta_mu / (4.0 * env.spec.sigma2)))
     )
-    digest = _digest("thm2", env.m, env.spec.mu, n, family, sigma2, include_optimal)
-    return _report("thm2.1", e_raw, digest), _report("thm2.2", e_hat_raw, digest)
+    return _report("thm2.1", e_raw), _report("thm2.2", e_hat_raw)
 
 
-def thm3_bounds(
-    env: Environment, n: int, family: PsiFamily | None = None
-) -> tuple[BoundReport, BoundReport]:
+def thm3_bounds(env: Environment, n: int) -> tuple[BoundReport, BoundReport]:
     """Expected simple-regret bounds under uniform rotation, as (global, empiric).
 
-    ``family`` is accepted for interface symmetry; the bounds assume rewards
-    and local means supported on [0, 1] and do not use it.
+    The bounds assume rewards and local means supported on [0, 1], so they
+    take no reward family.
     """
     g = gaps(env)
     floors = _per_state_floor(env, n)
@@ -151,10 +115,9 @@ def thm3_bounds(
         expo = np.exp(-(m[best][None, :] - m) ** 2 * floors[None, :])
         return float(np.sum(delta[:, None] * expo))
 
-    digest = _digest("thm3", m, env.spec.mu, n)
     return (
-        _report("thm3.1", total(g.j_star, g.delta_mu), digest),
-        _report("thm3.2", total(g.j_hat_star, g.delta_sigma), digest),
+        _report("thm3.1", total(g.j_star, g.delta_mu)),
+        _report("thm3.2", total(g.j_hat_star, g.delta_sigma)),
     )
 
 
@@ -164,11 +127,7 @@ def _elimination_ordering(best: int, delta: np.ndarray) -> list[int]:
     return [best] + rest
 
 
-def thm4_bounds(
-    env: Environment,
-    schedule: SRSchedule,
-    ordering: list[int] | None = None,
-) -> tuple[BoundReport, BoundReport]:
+def thm4_bounds(env: Environment, schedule: SRSchedule) -> tuple[BoundReport, BoundReport]:
     """Misidentification bounds under successive elimination, as (global, empiric).
 
     Both statements share one elimination ranking: arms best-first by
@@ -178,19 +137,12 @@ def thm4_bounds(
     bound at the top true-utility arm; when those differ, the global sum picks
     up a zero-gap rival term of size k*S and saturates past 1 (the bound is
     vacuous rather than wrong whenever the prior flips the leader).
-    ``ordering`` overrides the shared ranking with an explicit best-first
-    permutation; the anchors stay the environment's top arms.
     """
     g = gaps(env)
     table = sr_counts(env.spec.state_sequence, schedule, env.spec.K, env.spec.S)
     m = env.m
     K = env.spec.K
-    if ordering is None:
-        order = _elimination_ordering(g.j_hat_star, g.delta_sigma)
-    else:
-        order = list(ordering)
-        if sorted(order) != list(range(K)):
-            raise ConfigurationError(f"ordering must be a permutation of 0..{K - 1}, got {order}")
+    order = _elimination_ordering(g.j_hat_star, g.delta_sigma)
 
     def total(anchor: int) -> float:
         acc = 0.0
@@ -200,8 +152,4 @@ def thm4_bounds(
             acc += k * float(np.sum(np.exp(-table[:, k - 1] * diff2)))
         return acc
 
-    digest = _digest("thm4", m, env.spec.mu, schedule.kind, schedule.t_k)
-    return (
-        _report("thm4.2", total(g.j_star), digest),
-        _report("thm4.1", total(g.j_hat_star), digest),
-    )
+    return _report("thm4.2", total(g.j_star)), _report("thm4.1", total(g.j_hat_star))

@@ -47,7 +47,9 @@ from .rng import substream
 from .strategies import sr_schedule, successive_rejects
 from .triage import (
     BASELINES,
+    COHORT_BASELINES,
     STAGE_COSTS_MILLI,
+    SUB_COHORT,
     default_stages,
     dollars,
     load_evaluations,
@@ -115,16 +117,6 @@ def _str_list(text):
     return tuple(x.strip() for x in str(text).split(",") if x.strip())
 
 
-def _coerce(field: Field, value):
-    if isinstance(value, str):
-        return field.parse(value)
-    if field.parse in (_int_list, _float_list, _str_list):
-        return field.parse(value)
-    if field.parse is _opt_int:
-        return None if value is None else int(value)
-    return field.parse(value)
-
-
 def resolve_config(schema: list[Field], raw: dict) -> dict:
     by_name = {f.name: f for f in schema}
     out = {f.name: f.default for f in schema}
@@ -132,7 +124,7 @@ def resolve_config(schema: list[Field], raw: dict) -> dict:
         if key not in by_name:
             raise ConfigurationError(f"unknown config key {key!r}; known: {sorted(by_name)}")
         try:
-            out[key] = _coerce(by_name[key], value)
+            out[key] = by_name[key].parse(value)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad value for {key!r}: {exc}") from None
     return out
@@ -206,6 +198,14 @@ def _report_failures(failures) -> None:
         print(f"env {idx} failed: {message}", file=sys.stderr)
 
 
+def _sweep_exit(records, failures) -> int:
+    """1 when environments ran and every one failed, else 0."""
+    if failures and not records:
+        print(f"runtime failure: every environment failed ({len(failures)})", file=sys.stderr)
+        return 1
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # tightness
 
@@ -260,7 +260,7 @@ def cmd_tightness(args, cfg: dict, seed: int) -> int:
     _write_manifest(args.out, "tightness", seed, cfg)
     worst = max(rates.values()) if rates else 0.0
     print(f"tightness: {len(records)} environments, worst violation rate {worst:.4f}")
-    return 0
+    return _sweep_exit(records, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ def cmd_sr_compare(args, cfg: dict, seed: int) -> int:
         f"{summary['mean_e_hat_uniform']:.4f} vs reference {summary['mean_e_hat_reference']:.4f} "
         f"(sign test p={summary['sign_test']['p_value']:.4g}, {summary['direction']})"
     )
-    return 0
+    return _sweep_exit(records, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,9 @@ TRIAGE_SCHEMA = [
     Field("policy", _str, "round_robin", "tool", "within-stage allocation: round_robin or ucb"),
     Field("encoding", _str, "linear", "protocol", "label encoding: linear, binary or exponential"),
     Field("num_seeds", _int, 100, "tool", "independent repetitions"),
-    Field("baselines", _str_list, BASELINES, "protocol", "reference approaches to run"),
+    Field("baselines", _str_list, BASELINES, "protocol",
+          f"reference approaches to run; {', '.join(COHORT_BASELINES)} evaluate a random "
+          f"{SUB_COHORT}-person cohort and need n >= {SUB_COHORT}"),
     Field("human_csv", _str, "", "tool", "recorded human evaluations for replay (optional)"),
     Field("machine_pred", _str, "", "tool", "machine prediction vectors for replay (optional)"),
 ]
@@ -388,6 +390,13 @@ def cmd_triage(args, cfg: dict, seed: int) -> int:
     noise = tuple(cfg["stage_noise"])
     if len(noise) != 3:
         raise ConfigurationError(f"stage_noise needs exactly 3 entries, got {noise}")
+    unknown = [b for b in cfg["baselines"] if b not in BASELINES]
+    if unknown:
+        raise ConfigurationError(f"baselines: unknown {unknown}; known: {list(BASELINES)}")
+    too_big = [b for b in cfg["baselines"] if b in COHORT_BASELINES and cfg["n"] < SUB_COHORT]
+    if too_big:
+        raise ConfigurationError(
+            f"baselines {too_big} evaluate a {SUB_COHORT}-person cohort, more than n = {cfg['n']}")
 
     rows: dict[str, list[dict]] = {}
     approaches = ["MAB", "MAB*"] + list(cfg["baselines"])

@@ -38,23 +38,24 @@ STATE_MODES = ("iid_uniform", "round_robin", "blocks")
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
-    """Declarative description of an environment; fully determines it with seed."""
+    """Declarative description of an environment; fully determines it with seed.
+
+    ``state_sequence`` is stored as a private read-only int64 array: a copy of
+    the input, so later changes to the caller's array do not reach the spec.
+    Specs compare equal field by field; they are not hashable.
+    """
 
     K: int
     S: int
     mu: tuple[float, ...]
     sigma2: float
-    state_sequence: tuple[int, ...]
+    state_sequence: np.ndarray
     seed: int = 0
     reward_family: str = "bernoulli"
     reward_sigma2: float = 0.05
 
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple(float(u) for u in self.mu))
-        object.__setattr__(self, "state_sequence", tuple(int(s) for s in self.state_sequence))
-        self.validate()
-
-    def validate(self):
         if self.K < 2:
             raise ValidationError("need at least 2 arms", field="K")
         if self.S < 1:
@@ -65,42 +66,51 @@ class EnvironmentSpec:
             raise ValidationError("entries must lie in [0, 1]", field="mu")
         if not self.sigma2 > 0:
             raise ValidationError("must be positive", field="sigma2")
-        if len(self.state_sequence) == 0:
-            raise ValidationError("must be non-empty", field="state_sequence")
-        if any(not (0 <= s < self.S) for s in self.state_sequence):
+        seq = np.array(self.state_sequence)
+        if seq.ndim != 1 or seq.size == 0:
+            raise ValidationError("must be a non-empty 1-d sequence", field="state_sequence")
+        if not np.issubdtype(seq.dtype, np.integer):
+            raise ValidationError(f"entries must be integers, got dtype {seq.dtype}", field="state_sequence")
+        if seq.min() < 0 or seq.max() >= self.S:
             raise ValidationError(f"entries must lie in [0, {self.S})", field="state_sequence")
+        seq = seq.astype(np.int64, copy=False)
+        seq.setflags(write=False)
+        object.__setattr__(self, "state_sequence", seq)
         if self.reward_family not in REWARD_FAMILIES:
             raise ValidationError(f"must be one of {REWARD_FAMILIES}", field="reward_family")
         if self.reward_family == "truncated_gaussian" and not self.reward_sigma2 > 0:
             raise ValidationError("must be positive", field="reward_sigma2")
-        if len(self.state_sequence) < self.K * self.S:
+        if self.horizon < self.K * self.S:
             warnings.warn(
-                f"horizon {len(self.state_sequence)} is shorter than K*S = {self.K * self.S}; "
+                f"horizon {self.horizon} is shorter than K*S = {self.K * self.S}; "
                 "some (arm, state) cells cannot be visited",
-                stacklevel=2,
+                stacklevel=3,
             )
+
+    def __eq__(self, other):
+        if not isinstance(other, EnvironmentSpec):
+            return NotImplemented
+        scalars = ("K", "S", "mu", "sigma2", "seed", "reward_family", "reward_sigma2")
+        return (all(getattr(self, f) == getattr(other, f) for f in scalars)
+                and np.array_equal(self.state_sequence, other.state_sequence))
 
     @property
     def horizon(self) -> int:
         return len(self.state_sequence)
 
 
-def make_state_sequence(S: int, n: int, mode: str = "iid_uniform", seed: int = 0) -> tuple[int, ...]:
-    """Generate a length-n state sequence: iid_uniform, round_robin or blocks."""
+def make_state_sequence(S: int, n: int, mode: str = "iid_uniform", seed: int = 0) -> np.ndarray:
+    """Generate a length-n int64 state sequence: iid_uniform, round_robin or
+    blocks (S equal blocks, the last one taking the remainder)."""
     if S < 1 or n < 1:
         raise ValidationError("need S >= 1 and n >= 1", field="state_sequence")
     if mode == "iid_uniform":
-        rng = substream(seed, "state-sequence")
-        return tuple(int(s) for s in rng.integers(0, S, size=n))
+        return substream(seed, "state-sequence").integers(0, S, size=n)
     if mode == "round_robin":
-        return tuple(t % S for t in range(n))
+        return np.arange(n) % S
     if mode == "blocks":
         block = n // S
-        seq = []
-        for s in range(S):
-            width = block if s < S - 1 else n - block * (S - 1)
-            seq.extend([s] * width)
-        return tuple(seq)
+        return np.repeat(np.arange(S), [block] * (S - 1) + [n - block * (S - 1)])
     raise ValidationError(f"unknown mode {mode!r}", field="state_sequence")
 
 
@@ -156,8 +166,7 @@ def pull(env: Environment, arm: int, t: int, rng: np.random.Generator) -> float:
 
 def state_counts(state_sequence, S: int, n: int | None = None) -> np.ndarray:
     """Visit counts per state over the first ``n`` steps (default: all)."""
-    seq = np.asarray(state_sequence[: len(state_sequence) if n is None else n], dtype=np.int64)
-    return np.bincount(seq, minlength=S)
+    return np.bincount(state_sequence[:n], minlength=S)
 
 
 @dataclass(frozen=True)
@@ -214,7 +223,7 @@ def save_environment(env: Environment, path) -> None:
             "S": env.spec.S,
             "mu": list(env.spec.mu),
             "sigma2": env.spec.sigma2,
-            "state_sequence": list(env.spec.state_sequence),
+            "state_sequence": env.spec.state_sequence.tolist(),
             "seed": env.spec.seed,
             "reward_family": env.spec.reward_family,
             "reward_sigma2": env.spec.reward_sigma2,

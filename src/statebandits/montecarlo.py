@@ -118,7 +118,7 @@ def random_env(config: SweepConfig, env_index: int) -> EnvironmentSpec:
     mu = tuple(float(u) for u in rng.random(K))
     n = config.horizon if config.horizon is not None else 50 * K * S
     if config.state_mode == "iid_uniform":
-        seq = tuple(int(s) for s in rng.integers(0, S, size=n))
+        seq = rng.integers(0, S, size=n)
     else:
         seq = make_state_sequence(S, n, mode=config.state_mode)
     seed = int(rng.integers(0, 2**62))
@@ -346,8 +346,14 @@ def sr_compare(config: SweepConfig, workers: int = 1):
 
     Returns (records, summary, failures); the summary carries the mean
     per-schedule error, the mean paired difference (reference - uniform), a
-    one-sided sign test that reference errs more, and a direction tag.
+    one-sided sign test that reference errs more, and a direction tag. A
+    fixed horizon is checked against both schedules for every K in range
+    before any environment runs, so a schedule error raises here.
     """
+    if config.horizon is not None:
+        for K in range(config.k_min, config.k_max + 1):
+            for kind in ("uniform", "reference"):
+                sr_schedule(kind, K, config.horizon)
     records, failures = _run_tasks(_sr_task, config, workers)
     diffs = np.array([r.e_hat_reference - r.e_hat_uniform for r in records])
     n_pos = int(np.sum(diffs > 0))

@@ -115,8 +115,7 @@ def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n:
         variates[r] = stream.random(n) if spec.reward_family == "bernoulli" else stream.standard_normal(n)
     rows = np.arange(len(streams))
     scale = np.sqrt(spec.reward_sigma2)
-    for t in range(1, n + 1):
-        s = spec.state_sequence[t - 1]
+    for t, s in enumerate(spec.state_sequence[:n].tolist(), start=1):
         choice = np.argmax(_optimism_index(counts[:, :, s], sums[:, :, s], t, alpha, family), axis=1)
         mean = env.m[choice, s]
         if spec.reward_family == "bernoulli":
@@ -213,7 +212,8 @@ def sr_schedule(kind: str, K: int, n: int) -> SRSchedule:
     n_j = ceil((n-K) / (log_bar(K) * (K+1-j))), phase j pulls each of the
     K+1-j active arms n_j - n_{j-1} more times, so
     t_j = sum_{i<=j} (K+1-i)*(n_i - n_{i-1}), capped at the horizon with the
-    last boundary forced to it.
+    last boundary forced to it. When n is close to K that leaves a phase with
+    no steps, and the schedule is rejected.
     """
     if K < 2:
         raise ScheduleError("need K >= 2", field="K")
@@ -230,6 +230,10 @@ def sr_schedule(kind: str, K: int, n: int) -> SRSchedule:
             prev = per_arm
             t_k.append(min(total, n))
         t_k[-1] = n
+        if any(hi <= lo for lo, hi in zip([0] + t_k, t_k)):
+            raise ScheduleError(
+                f"horizon n={n} is too short for the reference schedule with K={K} arms: "
+                f"a phase would be empty (boundaries {tuple(t_k)})", field="n")
     else:
         raise ScheduleError(f"unknown schedule kind {kind!r}", field="kind")
     return SRSchedule(kind=kind, t_k=tuple(t_k))
@@ -238,10 +242,9 @@ def sr_schedule(kind: str, K: int, n: int) -> SRSchedule:
 def phase_visits(state_sequence, t_k, S: int) -> np.ndarray:
     """Visits to each state within each phase, shape (len(t_k), S): row k-1
     counts steps t_{k-1}+1..t_k, with t_0 = 0."""
-    seq = np.asarray(state_sequence[: t_k[-1]])
     edges = (0,) + tuple(t_k)
-    return np.array([np.bincount(seq[lo:hi], minlength=S) for lo, hi in zip(edges, edges[1:])],
-                    dtype=np.int64)
+    return np.array([np.bincount(state_sequence[lo:hi], minlength=S)
+                     for lo, hi in zip(edges, edges[1:])], dtype=np.int64)
 
 
 def sr_counts(state_sequence, schedule: SRSchedule, K: int, S: int | None = None) -> np.ndarray:
@@ -260,7 +263,7 @@ def sr_counts(state_sequence, schedule: SRSchedule, K: int, S: int | None = None
             f"schedule horizon {schedule.n} exceeds sequence length {len(state_sequence)}", field="t_k"
         )
     if S is None:
-        S = int(max(state_sequence)) + 1
+        S = int(np.max(state_sequence)) + 1
     active = np.arange(K, 1, -1)[:, None]
     return np.cumsum(phase_visits(state_sequence, schedule.t_k, S) // active, axis=0).T
 
@@ -288,11 +291,9 @@ def _rotate(env: Environment, t_lo: int, t_hi: int, arms, stats: PullStats, rng)
     which is what ``rotation_counts`` counts. Returns one (t, state, arm,
     reward) tuple per step.
     """
-    seq = env.spec.state_sequence
     visits = [0] * env.spec.S
     steps = []
-    for t in range(t_lo + 1, t_hi + 1):
-        s = seq[t - 1]
+    for t, s in enumerate(env.spec.state_sequence[t_lo:t_hi].tolist(), start=t_lo + 1):
         visits[s] += 1
         arm = arms[visits[s] % len(arms)]
         reward = pull(env, arm, t, rng)

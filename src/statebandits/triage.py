@@ -119,12 +119,6 @@ class Population:
     def ids(self) -> tuple[int, ...]:
         return tuple(ind.id for ind in self.individuals)
 
-    def by_id(self, ind_id: int) -> Individual:
-        for ind in self.individuals:
-            if ind.id == ind_id:
-                return ind
-        raise KeyError(ind_id)
-
     def _index(self) -> dict:
         return {ind.id: ind for ind in self.individuals}
 
@@ -500,6 +494,9 @@ BASELINES = (
     "4Experts", "1Expert", "4Experts-Sub", "1Expert-Sub",
     "NLP-Full", "NLP-Sub", "NLP-Top-k", "NLP-Top-100+1Expert-Sub",
 )
+SUB_COHORT = 100
+"""Default size of the random cohort the COHORT_BASELINES evaluate."""
+COHORT_BASELINES = ("4Experts-Sub", "1Expert-Sub", "NLP-Sub")
 
 _EXPERT_COST = STAGE_COSTS_MILLI[2]
 _NLP_COST = STAGE_COSTS_MILLI[0]
@@ -536,11 +533,11 @@ def run_baseline(name: str, pop: Population, params: dict | None = None,
                  seed: int = 0) -> BaselineResult:
     """Run a reference approach and return its flagged set with accounting.
 
-    ``params`` keys: ``cohort_size`` (default 100) for the -Sub variants and
-    ``k`` (default 100) for NLP-Top-k.
+    ``params`` keys: ``cohort_size`` (default SUB_COHORT) for the
+    COHORT_BASELINES and ``k`` (default 100) for NLP-Top-k.
     """
     params = dict(params or {})
-    cohort_size = int(params.pop("cohort_size", 100))
+    cohort_size = int(params.pop("cohort_size", SUB_COHORT))
     top_k = int(params.pop("k", 100))
     if params:
         raise ConfigurationError(f"unknown baseline params {sorted(params)}")

@@ -119,18 +119,6 @@ class TestIdentificationBounds:
         pure = float(np.sum(2.0 * np.exp(-psi_star(BOUNDED_UNIT, dsig / 4.0) * 100)))
         assert e_near.raw_value == pytest.approx(pure, abs=1e-12)
 
-    def test_exclude_optimal_drops_terms(self):
-        env = env_of([[0.8], [0.5], [0.2]], n=90)
-        full, full_hat = thm2_bounds(env, 90, BOUNDED_UNIT)
-        part, part_hat = thm2_bounds(env, 90, BOUNDED_UNIT, include_optimal=False)
-        assert part.raw_value < full.raw_value
-        assert part_hat.raw_value < full_hat.raw_value
-
-    def test_sigma2_validation(self):
-        env = env_of([[0.5], [0.3]])
-        with pytest.raises(ConfigurationError, match="sigma2"):
-            thm2_bounds(env, 10, BOUNDED_UNIT, sigma2=0.0)
-
     def test_names(self):
         env = env_of([[0.5], [0.3]], n=100)
         e_bound, e_hat_bound = thm2_bounds(env, 100, BOUNDED_UNIT)
@@ -205,23 +193,6 @@ class TestEliminationBounds:
         assert e_hat_bound.raw_value == pytest.approx(expected, rel=1e-12)
         assert e_bound.raw_value == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.0761, abs=5e-4)
-
-    def test_ordering_override(self):
-        env = env_of([[0.8], [0.5], [0.2]], n=90)
-        sched = sr_schedule("uniform", 3, 90)
-        default_e, default_hat = thm4_bounds(env, sched)
-        same_e, same_hat = thm4_bounds(env, sched, ordering=[0, 1, 2])
-        assert same_e.raw_value == default_e.raw_value
-        assert same_hat.raw_value == default_hat.raw_value
-        flipped_e, _ = thm4_bounds(env, sched, ordering=[0, 2, 1])
-        expected = math.exp(-15 * 0.09) + 2.0 * math.exp(-37 * 0.36)
-        assert flipped_e.raw_value == pytest.approx(expected, rel=1e-12)
-
-    def test_ordering_must_be_permutation(self):
-        env = env_of([[0.8], [0.5], [0.2]], n=90)
-        sched = sr_schedule("uniform", 3, 90)
-        with pytest.raises(ConfigurationError, match="permutation"):
-            thm4_bounds(env, sched, ordering=[0, 1, 1])
 
     def test_flipped_leader_saturates_global_bound(self):
         # mu ranks arm 0 on top but the drawn local means rank arm 1 on top,

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from statebandits import montecarlo
 from statebandits.cli import main
 
 
@@ -83,6 +84,64 @@ class TestErrors:
         rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [150.7, True])
+    def test_json_horizon_must_be_an_integer(self, tmp_path, capsys, value):
+        cfg = write_cfg(tmp_path / "c.json", json.dumps({"num_envs": 0, "horizon": value}))
+        rc = main(["tightness", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "bad value for 'horizon'" in capsys.readouterr().err
+
+    def test_horizon_too_short_for_reference_schedule(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        "num_envs = 3\nruns_per_env = 5\nk_min = 5\nk_max = 5\nhorizon = 7\n")
+        out = tmp_path / "o"
+        rc = main(["sr-compare", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "n=7" in err and "K=5" in err and "a phase would be empty" in err
+        assert not (out / "sr_compare.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_every_environment_failed_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        "num_envs = 3\nruns_per_env = 5\nk_min = 3\nk_max = 3\nhorizon = 2\n")
+        out = tmp_path / "o"
+        rc = main(["tightness", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert "every environment failed" in capsys.readouterr().err
+        summary = json.loads((out / "tightness_summary.json").read_text())
+        assert summary["rows"] == 0
+        assert [f["env_index"] for f in summary["failures"]] == [0, 1, 2]
+
+    def test_sr_compare_every_environment_failed_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_sr_task", lambda args: (args[1], None, "Boom: injected"))
+        cfg = write_cfg(tmp_path / "c.cfg", "num_envs = 2\nruns_per_env = 5\n")
+        out = tmp_path / "o"
+        rc = main(["sr-compare", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert "every environment failed" in capsys.readouterr().err
+        summary = json.loads((out / "sr_compare_summary.json").read_text())
+        assert summary["num_envs"] == 0
+        assert summary["failures"] == [{"env_index": i, "error": "Boom: injected"} for i in (0, 1)]
+
+    @pytest.mark.parametrize("command", ["tightness", "sr-compare"])
+    def test_empty_sweep_exits_0(self, tmp_path, command):
+        cfg = write_cfg(tmp_path / "c.cfg", "num_envs = 0\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("line, message", [
+        ("baselines = 4Experts, 2Experts", "baselines: unknown ['2Experts']"),
+        ("baselines = NLP-Full, NLP-Sub", "baselines ['NLP-Sub'] evaluate a 100-person cohort, more than n = 60"),
+        ("", "baselines ['4Experts-Sub', '1Expert-Sub', 'NLP-Sub'] evaluate a 100-person cohort"),
+    ])
+    def test_triage_baselines_checked_up_front(self, tmp_path, capsys, line, message):
+        cfg = write_cfg(tmp_path / "c.cfg", f"n = 60\nn_severe = 10\nk = 30,20,10\nnum_seeds = 1\n{line}\n")
+        out = tmp_path / "o"
+        rc = main(["triage", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "triage.csv").exists()
 
 
 class TestTightness:
@@ -204,6 +263,15 @@ class TestTriage:
         with open(out / "triage.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows[1:]] == ["MAB", "MAB*"]
+
+    def test_top_100_baseline_runs_below_100(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", "n = 60\nn_severe = 10\nk = 30,20,10\nnum_seeds = 1\n"
+                                            "baselines = NLP-Top-100+1Expert-Sub\n")
+        out = tmp_path / "o"
+        assert main(["triage", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "triage.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[0] for r in rows[1:]] == ["MAB", "MAB*", "NLP-Top-100+1Expert-Sub"]
 
     def test_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg",

@@ -46,6 +46,37 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="state_sequence: entries"):
             EnvironmentSpec(K=2, S=1, mu=(0.5, 0.3), sigma2=0.01, state_sequence=(0, 1))
 
+    @pytest.mark.parametrize("seq", [(0, 1.5, 1.9, 0), np.array([0.0, 1.0]), (True, False)])
+    def test_state_sequence_must_be_integers(self, seq):
+        with pytest.raises(ValidationError, match="state_sequence: entries must be integers"):
+            EnvironmentSpec(K=2, S=2, mu=(0.5, 0.3), sigma2=0.01, state_sequence=seq)
+
+    @pytest.mark.parametrize("seq", [(), [[0, 1], [1, 0]]])
+    def test_state_sequence_shape(self, seq):
+        with pytest.raises(ValidationError, match="state_sequence: must be a non-empty 1-d"):
+            EnvironmentSpec(K=2, S=2, mu=(0.5, 0.3), sigma2=0.01, state_sequence=seq)
+
+    def test_state_sequence_is_read_only_int64(self):
+        spec = spec_of(S=2, n=6)
+        assert isinstance(spec.state_sequence, np.ndarray)
+        assert spec.state_sequence.dtype == np.int64
+        assert not spec.state_sequence.flags.writeable
+        with pytest.raises(ValueError):
+            spec.state_sequence[0] = 1
+
+    def test_state_sequence_is_copied(self):
+        mine = np.array([0, 1, 0, 1], dtype=np.int32)
+        spec = EnvironmentSpec(K=2, S=2, mu=(0.5, 0.3), sigma2=0.01, state_sequence=mine)
+        mine[:] = 1
+        assert spec.state_sequence.tolist() == [0, 1, 0, 1]
+
+    def test_equality_compares_sequences(self):
+        assert spec_of(S=2, n=6) == spec_of(S=2, n=6)
+        assert spec_of(S=2, n=6) != spec_of(S=2, n=7)
+        other = EnvironmentSpec(K=2, S=2, mu=(0.5, 0.3), sigma2=0.01, state_sequence=(1, 0, 1, 0, 1, 0))
+        assert spec_of(S=2, n=6) != other
+        assert spec_of(S=2, n=6) != spec_of(S=2, n=6, seed=1)
+
     def test_reward_family(self):
         with pytest.raises(ValidationError, match="reward_family"):
             spec_of(reward_family="poisson")
@@ -60,17 +91,16 @@ class TestSpecValidation:
 
 class TestStateSequences:
     def test_round_robin(self):
-        assert make_state_sequence(3, 7, "round_robin") == (0, 1, 2, 0, 1, 2, 0)
+        assert make_state_sequence(3, 7, "round_robin").tolist() == [0, 1, 2, 0, 1, 2, 0]
 
     def test_blocks_partition(self):
-        seq = make_state_sequence(3, 10, "blocks")
-        assert len(seq) == 10
-        assert seq == tuple(sorted(seq))
-        assert set(seq) == {0, 1, 2}
+        seq = make_state_sequence(3, 10, "blocks").tolist()
+        assert seq == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
+        assert make_state_sequence(3, 2, "blocks").tolist() == [2, 2]
 
     def test_iid_uniform_deterministic(self):
-        assert make_state_sequence(4, 50, seed=9) == make_state_sequence(4, 50, seed=9)
-        assert make_state_sequence(4, 50, seed=9) != make_state_sequence(4, 50, seed=10)
+        assert np.array_equal(make_state_sequence(4, 50, seed=9), make_state_sequence(4, 50, seed=9))
+        assert not np.array_equal(make_state_sequence(4, 50, seed=9), make_state_sequence(4, 50, seed=10))
 
     def test_unknown_mode(self):
         with pytest.raises(ValidationError, match="unknown mode"):
@@ -210,6 +240,16 @@ class TestSerialization:
         back = load_environment(path)
         assert back.spec == env.spec
         assert np.array_equal(back.m, env.m)
+
+    def test_non_integer_states_rejected_on_load(self, tmp_path):
+        env = instantiate(spec_of(K=2, S=2, n=4))
+        path = tmp_path / "env.json"
+        save_environment(env, path)
+        payload = json.loads(path.read_text())
+        payload["spec"]["state_sequence"] = [0, 1.5, 1.9, 0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="entries must be integers"):
+            load_environment(path)
 
     def test_file_is_plain_json(self, tmp_path):
         env = instantiate(spec_of(n=6))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from statebandits import (
@@ -9,6 +11,8 @@ from statebandits import (
     ConfigurationError,
     Environment,
     EnvironmentSpec,
+    RecommendationError,
+    ScheduleError,
     SweepConfig,
     estimate_bai,
     estimate_pseudoregret,
@@ -18,10 +22,12 @@ from statebandits import (
     random_env,
     run_sb_ucb,
     sr_compare,
+    sr_schedule,
     substream,
     tightness_sweep,
     write_sweep_csv,
 )
+from statebandits.env import STATE_MODES
 from statebandits.montecarlo import TIGHTNESS_HEADER
 
 from _oracles import exact_sr, exact_uniform_eba
@@ -149,6 +155,42 @@ class TestEstimateBAI:
         a = estimate_bai(env, "sr_uniform", 400)
         b = estimate_bai(env, "sr_reference", 400)
         assert a == b
+
+
+def _within_se(estimate: float, exact: float, runs: int) -> bool:
+    """Five standard errors of a frequency over ``runs``, plus one count of
+    slack for exact probabilities near 0 or 1."""
+    return abs(estimate - exact) <= 5.0 * math.sqrt(max(exact * (1.0 - exact), 0.0) / runs) + 1.0 / runs
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(K=st.integers(2, 3), S=st.integers(1, 2), extra=st.integers(0, 6),
+       mode=st.sampled_from(STATE_MODES), seed=st.integers(0, 2**16))
+def test_batched_estimators_match_exact_laws(K, S, extra, mode, seed):
+    n, runs = K + extra, 4000
+    spec = EnvironmentSpec(K=K, S=S, mu=tuple(substream(seed, "mu").random(K)), sigma2=0.05,
+                           state_sequence=make_state_sequence(S, n, mode, seed=seed), seed=seed)
+    env = instantiate(spec)
+    g = gaps(env)
+    try:
+        exact = exact_uniform_eba(env, n)
+    except ValueError:
+        # an arm is never pulled, so no recommendation exists
+        with pytest.raises(RecommendationError):
+            estimate_bai(env, "uniform_eba", runs)
+    else:
+        est = estimate_bai(env, "uniform_eba", runs)
+        assert _within_se(est.e, exact["e"], runs) and _within_se(est.e_hat, exact["e_hat"], runs)
+    for kind in ("uniform", "reference"):
+        try:
+            sched = sr_schedule(kind, K, n)
+        except ScheduleError:
+            assume(False)
+        pmf = exact_sr(env, sched.t_k)
+        est = estimate_bai(env, f"sr_{kind}", runs)
+        assert _within_se(est.e, 1.0 - pmf[g.j_star], runs)
+        assert _within_se(est.e_hat, 1.0 - pmf[g.j_hat_star], runs)
 
 
 class TestSweeps:

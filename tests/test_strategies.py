@@ -198,6 +198,9 @@ class TestSchedules:
             sr_schedule("uniform", 4, 3)
         with pytest.raises(ScheduleError, match="kind"):
             sr_schedule("geometric", 3, 30)
+        for K, n in ((3, 3), (5, 7)):
+            with pytest.raises(ScheduleError, match=f"n={n} .* K={K} arms: a phase would be empty"):
+                sr_schedule("reference", K, n)
 
 
 def noiseless_env(m, n, state_mode="round_robin"):

@@ -271,8 +271,9 @@ class TestLoadEvaluations:
         pop = load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
         assert pop.kind == "replay"
         assert pop.ids == (1, 2, 3)
-        assert pop.by_id(1).true_risk is RiskLabel.NO
-        assert pop.by_id(2).true_risk is RiskLabel.SEVERE
+        by_id = {ind.id: ind for ind in pop.individuals}
+        assert by_id[1].true_risk is RiskLabel.NO
+        assert by_id[2].true_risk is RiskLabel.SEVERE
 
     def test_expert_records_define_truth(self, tmp_path):
         self.write_machine(tmp_path / "machine.csv", [
@@ -283,14 +284,15 @@ class TestLoadEvaluations:
             "2,7,3,no",
         ])
         pop = load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
-        assert pop.by_id(1).true_risk is RiskLabel.SEVERE
-        assert pop.by_id(2).true_risk is RiskLabel.NO
+        by_id = {ind.id: ind for ind in pop.individuals}
+        assert by_id[1].true_risk is RiskLabel.SEVERE
+        assert by_id[2].true_risk is RiskLabel.NO
 
     def test_modal_tie_prefers_less_severe(self, tmp_path):
         self.write_machine(tmp_path / "machine.csv", ["1,0.25,0.25,0.25,0.25"])
         self.write_human(tmp_path / "human.csv", ["1,7,3,severe", "1,8,3,low"])
         pop = load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
-        assert pop.by_id(1).true_risk is RiskLabel.LOW
+        assert {ind.id: ind for ind in pop.individuals}[1].true_risk is RiskLabel.LOW
 
     def test_u_hat_after_one_expert_pull(self, tmp_path):
         self.write_machine(tmp_path / "machine.csv", [
