@@ -382,6 +382,8 @@ def cmd_triage(args, cfg: dict, seed: int) -> int:
     k = tuple(cfg["k"])
     if len(k) != 3:
         raise ConfigurationError(f"k needs exactly 3 entries, got {k}")
+    if cfg["num_seeds"] < 1:
+        raise ConfigurationError(f"num_seeds must be >= 1, got {cfg['num_seeds']}")
     scheme = cfg["scheme"] or None
     stages = default_stages(cfg["n"], k, cfg["total_budget"], scheme)
     replay = bool(cfg["human_csv"] or cfg["machine_pred"])

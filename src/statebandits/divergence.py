@@ -78,12 +78,15 @@ def psi_star(family: PsiFamily, eps):
     return out if out.ndim else float(out)
 
 
+def _psi_star_inv(family: PsiFamily, x: np.ndarray) -> np.ndarray:
+    """``psi_star_inv`` of a float array known to be non-negative, unchecked."""
+    if family.kind == "bounded_unit":
+        return np.sqrt(x / 2.0)
+    return np.sqrt(2.0 * family.sigma2 * x)
+
+
 def psi_star_inv(family: PsiFamily, x):
     """Inverse of the conjugate on [0, inf): psi_star_inv(psi_star(e)) = e."""
     _check_nonneg(x, "x")
-    x = np.asarray(x, dtype=float)
-    if family.kind == "bounded_unit":
-        out = np.sqrt(x / 2.0)
-    else:
-        out = np.sqrt(2.0 * family.sigma2 * x)
+    out = _psi_star_inv(family, np.asarray(x, dtype=float))
     return out if out.ndim else float(out)

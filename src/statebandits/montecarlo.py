@@ -400,24 +400,27 @@ def estimate_pseudoregret(
     run matches ``run_sb_ucb`` on that stream exactly.
     """
     spec = env.spec
+    if runs < 1:
+        raise ConfigurationError(f"runs must be >= 1, got {runs}")
     checkpoints = tuple(sorted(int(c) for c in checkpoints))
     if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > spec.horizon:
         raise ConfigurationError(f"checkpoints must lie in [1, {spec.horizon}]")
+    repeated = sorted({c for c in checkpoints if checkpoints.count(c) > 1})
+    if repeated:
+        raise ConfigurationError(f"checkpoints must be distinct; repeated: {repeated}")
     streams = [substream(spec.seed, r, "rewards") for r in range(runs)]
     m_star = env.m.max(axis=0)
     counts = np.zeros((runs, spec.K, spec.S), dtype=np.int64)
     sums = np.zeros((runs, spec.K, spec.S))
     regret = np.zeros(runs)
-    out_mean, out_se = [], []
-    check = set(checkpoints)
+    curve = []
     for t, s, _, mean in optimism_play(env, alpha, family, streams, checkpoints[-1], counts, sums):
         regret += m_star[s] - mean
-        if t in check:
-            mu_hat, se = _mean_se(regret)
-            out_mean.append(mu_hat)
-            out_se.append(se)
+        if t in checkpoints:
+            curve.append(_mean_se(regret))
+    mu, se = np.array(curve).T
     bound = np.array([thm1_bound(env, alpha, c, family).raw_value for c in checkpoints])
-    return RegretCurve(checkpoints=checkpoints, mean=np.array(out_mean), se=np.array(out_se), bound=bound)
+    return RegretCurve(checkpoints=checkpoints, mean=mu, se=se, bound=bound)
 
 
 def _fmt(value) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import PsiFamily, psi_star_inv
+from .divergence import PsiFamily, _psi_star_inv
 from .env import Environment, pull
 from .errors import ConfigurationError, RecommendationError, ScheduleError
 
@@ -79,10 +79,10 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _optimism_index(counts, sums, t: int, alpha: float, family: PsiFamily) -> np.ndarray:
-    """Sample mean plus the inverted-conjugate bonus on alpha*ln(t)/count;
+    """Sample mean plus the unchecked bonus on alpha*ln(t)/count (>= 0 as t >= 1);
     an arm never pulled scores +inf, so argmax plays it first."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        score = sums / counts + psi_star_inv(family, alpha * np.log(t) / counts)
+        score = sums / counts + _psi_star_inv(family, alpha * np.log(t) / counts)
     return np.where(counts == 0, np.inf, score)
 
 
@@ -95,36 +95,42 @@ def sb_ucb_select(stats: PullStats, state: int, t: int, alpha: float, family: Ps
     exceed 2 for the associated regret guarantee to hold.
     """
     _check_alpha(alpha)
-    if not 0 <= state < stats.S:
-        raise ConfigurationError(f"state {state} outside [0, {stats.S})")
+    if t < 1 or not 0 <= state < stats.S:
+        raise ConfigurationError(f"need t >= 1 and state in [0, {stats.S}), got t={t}, state={state}")
     return int(np.argmax(_optimism_index(stats.counts[:, state], stats.sums[:, state], t, alpha, family)))
+
+
+_BLOCK_VARIATES = 1 << 18  # reward variates optimism_play holds at once: 2 MiB of float64
 
 
 def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n: int, counts, sums):
     """Play the optimism-index rule for n steps, one run per stream, in lockstep.
 
-    Run r draws its n reward variates from ``streams[r]`` up front, the values
-    n calls of ``pull`` would draw. ``counts`` and ``sums`` of shape (runs, K,
+    Run r draws its reward variates from ``streams[r]`` in blocks of about
+    ``_BLOCK_VARIATES / runs`` steps; they equal one draw of n, the values n
+    calls of ``pull`` would draw. ``counts`` and ``sums`` of shape (runs, K,
     S) are updated in place. Yields (t, state, choice, mean) per step, the
     chosen arms and their local means being (runs,) arrays.
     """
     _check_alpha(alpha)
     spec = env.spec
-    variates = np.empty((len(streams), n))
-    for r, stream in enumerate(streams):
-        variates[r] = stream.random(n) if spec.reward_family == "bernoulli" else stream.standard_normal(n)
+    bernoulli = spec.reward_family == "bernoulli"
+    block = max(1, _BLOCK_VARIATES // len(streams))
     rows = np.arange(len(streams))
     scale = np.sqrt(spec.reward_sigma2)
-    for t, s in enumerate(spec.state_sequence[:n].tolist(), start=1):
-        choice = np.argmax(_optimism_index(counts[:, :, s], sums[:, :, s], t, alpha, family), axis=1)
-        mean = env.m[choice, s]
-        if spec.reward_family == "bernoulli":
-            reward = (variates[:, t - 1] < mean).astype(float)
-        else:
-            reward = np.clip(mean + scale * variates[:, t - 1], 0.0, 1.0)
-        counts[rows, choice, s] += 1
-        sums[rows, choice, s] += reward
-        yield t, s, choice, mean
+    for lo in range(0, n, block):
+        size = min(block, n - lo)
+        variates = np.empty((size, len(streams)))
+        for r, stream in enumerate(streams):
+            variates[:, r] = stream.random(size) if bernoulli else stream.standard_normal(size)
+        states = spec.state_sequence[lo:lo + size].tolist()
+        for t, s, u in zip(range(lo + 1, lo + size + 1), states, variates):
+            choice = np.argmax(_optimism_index(counts[:, :, s], sums[:, :, s], t, alpha, family), axis=1)
+            mean = env.m[choice, s]
+            reward = (u < mean).astype(float) if bernoulli else np.clip(mean + scale * u, 0.0, 1.0)
+            counts[rows, choice, s] += 1
+            sums[rows, choice, s] += reward
+            yield t, s, choice, mean
 
 
 def rotation_counts(visits, A: int) -> np.ndarray:

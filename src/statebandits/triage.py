@@ -13,6 +13,7 @@ count). All money is accounted in integer milli-dollars.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -122,34 +123,48 @@ class Population:
     def _index(self) -> dict:
         return {ind.id: ind for ind in self.individuals}
 
+    def _choices(self, ind: Individual, stage: int) -> tuple:
+        """The confusion row (synthetic) or the recorded labels (replay)."""
+        if self.kind == "synthetic":
+            return ind.stage_rows[stage]
+        labels = ind.recorded.get(stage, ())
+        if not labels:
+            raise ValidationError(f"individual {ind.id} has no recorded stage-{stage} labels",
+                                  field="recorded")
+        return labels
+
     def pull_label(self, ind: Individual, stage: int, pull_index: int,
                    rng: np.random.Generator) -> RiskLabel:
         """One evaluation: sample the confusion row (synthetic) or replay the
         recorded labels cyclically in file order (replay)."""
+        choices = self._choices(ind, stage)
         if self.kind == "synthetic":
-            row = ind.stage_rows[stage]
-            u = rng.random()
-            acc = 0.0
-            for lab in RiskLabel:
-                acc += row[int(lab)]
-                if u < acc:
-                    return lab
-            return RiskLabel.SEVERE
-        labels = ind.recorded.get(stage, ())
-        if not labels:
-            raise ValidationError(f"individual {ind.id} has no recorded stage-{stage} labels",
-                                  field="recorded")
-        return labels[pull_index % len(labels)]
+            return _row_label(choices, rng.random())
+        return choices[pull_index % len(choices)]
 
-    def sample_label(self, ind: Individual, stage: int, rng: np.random.Generator) -> RiskLabel:
+    def sample_label(self, ind: Individual, stage: int, seed: int, tag: str) -> RiskLabel:
         """One evaluation by a randomly assigned rater (used by baselines)."""
-        if self.kind == "synthetic":
-            return self.pull_label(ind, stage, 0, rng)
-        labels = ind.recorded.get(stage, ())
-        if not labels:
-            raise ValidationError(f"individual {ind.id} has no recorded stage-{stage} labels",
-                                  field="recorded")
-        return labels[int(rng.integers(0, len(labels)))]
+        return _rater_label(seed, ind.id, tag, self._choices(ind, stage), self.kind == "synthetic")
+
+
+def _row_label(row: tuple, u: float) -> RiskLabel:
+    """The label a uniform variate ``u`` picks from a confusion row."""
+    acc = 0.0
+    for lab in RiskLabel:
+        acc += row[int(lab)]
+        if u < acc:
+            return lab
+    return RiskLabel.SEVERE
+
+
+@functools.lru_cache(maxsize=4096)  # holds one seed's labels for populations up to ~2,000
+def _rater_label(seed: int, ind_id: int, tag: str, choices: tuple, synthetic: bool) -> RiskLabel:
+    """A label drawn from substream (seed, ind_id, tag); pure in its arguments,
+    so the baselines of one seed draw each label once however many read it."""
+    rng = substream(seed, ind_id, tag)
+    if synthetic:
+        return _row_label(choices, rng.random())
+    return choices[int(rng.integers(0, len(choices)))]
 
 
 def synth_population(
@@ -506,7 +521,7 @@ def _nlp_label(pop: Population, ind: Individual, seed: int) -> RiskLabel:
     """The automated stage's prediction for one individual."""
     if pop.kind == "replay":
         return RiskLabel(int(np.argmax(ind.machine_probs)))
-    return pop.sample_label(ind, 1, substream(seed, ind.id, "nlp"))
+    return pop.sample_label(ind, 1, seed, "nlp")
 
 
 def _nlp_score(pop: Population, ind: Individual, seed: int) -> float:
@@ -517,7 +532,7 @@ def _nlp_score(pop: Population, ind: Individual, seed: int) -> float:
 
 
 def _expert_label(pop: Population, ind: Individual, seed: int) -> RiskLabel:
-    return pop.sample_label(ind, 3, substream(seed, ind.id, "expert"))
+    return pop.sample_label(ind, 3, seed, "expert")
 
 
 def _sub_cohort(pop: Population, size: int, seed: int) -> list[Individual]:

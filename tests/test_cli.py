@@ -67,6 +67,26 @@ class TestErrors:
         assert rc == 2
         assert "mu has 2 entries" in capsys.readouterr().err
 
+    def test_regret_repeated_checkpoints_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", "checkpoints = 100, 100, 1000\nruns = 50\n")
+        out = tmp_path / "o"
+        rc = main(["regret", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert "checkpoints must be distinct; repeated: [100]" in capsys.readouterr().err
+        assert not (out / "regret.csv").exists()
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("regret", "runs = 0\ncheckpoints = 10", "runs must be >= 1, got 0"),
+        ("triage", "num_seeds = 0", "num_seeds must be >= 1, got 0"),
+    ])
+    def test_empty_monte_carlo_count_exits_2(self, tmp_path, capsys, command, line, message):
+        cfg = write_cfg(tmp_path / "c.cfg", f"{line}\n")
+        out = tmp_path / "o"
+        rc = main([command, "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (out / f"{command}.csv").exists()
+
     def test_triage_replay_needs_both_files(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", "human_csv = somewhere.csv\nnum_seeds = 1\n")
         rc = main(["triage", "--config", cfg, "--out", str(tmp_path / "o")])

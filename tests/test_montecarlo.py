@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from statebandits import (
     tightness_sweep,
     write_sweep_csv,
 )
+from statebandits import strategies
 from statebandits.env import STATE_MODES
 from statebandits.montecarlo import TIGHTNESS_HEADER
 
@@ -274,12 +276,51 @@ class TestPseudoRegret:
         )
         assert curve.mean[0] == scalar_regret
 
+    @pytest.mark.parametrize("family", ["bernoulli", "truncated_gaussian"])
+    def test_variate_blocks_change_nothing(self, monkeypatch, family):
+        runs, n = 13, 200
+        spec = EnvironmentSpec(K=3, S=2, mu=(0.8, 0.5, 0.2), sigma2=0.05,
+                               state_sequence=make_state_sequence(2, n, "blocks", seed=3),
+                               seed=17, reward_family=family)
+        env = instantiate(spec)
+        whole = estimate_pseudoregret(env, 3.0, (37, 100, n), runs)
+        singles = [run_sb_ucb(env, n, 3.0, BOUNDED_UNIT, substream(17, r, "rewards"))
+                   for r in range(runs)]
+        # blocks of 7 steps, the last one ragged
+        monkeypatch.setattr(strategies, "_BLOCK_VARIATES", 7 * runs + 3)
+        blocked = estimate_pseudoregret(env, 3.0, (37, 100, n), runs)
+        assert np.array_equal(blocked.mean, whole.mean) and np.array_equal(blocked.se, whole.se)
+        counts = np.zeros((runs, 3, 2), dtype=np.int64)
+        sums = np.zeros((runs, 3, 2))
+        streams = [substream(17, r, "rewards") for r in range(runs)]
+        play = strategies.optimism_play(env, 3.0, BOUNDED_UNIT, streams, n, counts, sums)
+        choices = np.array([choice for _, _, choice, _ in play])
+        for r, (stats, chosen) in enumerate(singles):
+            assert choices[:, r].tolist() == chosen
+            assert np.array_equal(counts[r], stats.counts) and np.array_equal(sums[r], stats.sums)
+
+    def test_variate_memory_is_bounded(self):
+        n, runs = 10_000, 1000
+        env = fixed_env([[0.7, 0.6], [0.4, 0.5]], mu=(0.65, 0.45), n=n)
+        tracemalloc.start()
+        try:
+            estimate_pseudoregret(env, 3.0, (n,), runs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one draw of every variate would hold runs * n * 8 = 80 MB
+        assert peak < 16e6
+
     def test_checkpoint_validation(self):
         env = fixed_env([[0.7], [0.4]], mu=(0.7, 0.4), n=50)
         with pytest.raises(ConfigurationError, match="checkpoints"):
             estimate_pseudoregret(env, 3.0, (10, 60), 5)
         with pytest.raises(ConfigurationError, match="alpha"):
             estimate_pseudoregret(env, 2.0, (10,), 5)
+        with pytest.raises(ConfigurationError, match=r"repeated: \[10\]"):
+            estimate_pseudoregret(env, 3.0, (10, 20, 10), 5)
+        with pytest.raises(ConfigurationError, match="runs"):
+            estimate_pseudoregret(env, 3.0, (10,), 0)
 
     def test_reproducible(self):
         env = fixed_env([[0.8], [0.3]], mu=(0.8, 0.3), n=100)

@@ -83,6 +83,14 @@ class TestOptimismIndex:
         with pytest.raises(ConfigurationError, match="alpha"):
             sb_ucb_select(stats, 0, 1, 2.0, BOUNDED_UNIT)
 
+    @pytest.mark.parametrize("state, t", [(0, 0), (1, 1), (-1, 1)])
+    def test_time_and_state_checked(self, state, t):
+        stats = PullStats(2, 1)
+        stats.update(0, 0, 1.0)
+        stats.update(1, 0, 0.0)
+        with pytest.raises(ConfigurationError, match=rf"got t={t}, state={state}"):
+            sb_ucb_select(stats, state, t, 3.0, BOUNDED_UNIT)
+
     def test_per_state_statistics_are_separate(self):
         stats = PullStats(2, 2)
         stats.update(0, 0, 1.0)

@@ -26,6 +26,7 @@ from statebandits import (
     substream,
     synth_population,
 )
+from statebandits import triage
 from statebandits.triage import STAGE_COSTS_MILLI, STAGE_GAINS, BaselineResult
 
 
@@ -373,6 +374,19 @@ class TestLoadEvaluations:
 
 
 class TestBaselines:
+    def test_default_baselines_draw_each_label_once(self, monkeypatch):
+        pop = synth_population(242, 42, seed=42)
+        real, calls = triage.substream, []
+        monkeypatch.setattr(triage, "substream", lambda *path: calls.append(path) or real(*path))
+        triage._rater_label.cache_clear()
+        for name in BASELINES:
+            run_baseline(name, pop, seed=42)
+        # 242 NLP labels, 242 expert labels and one cohort draw per -Sub baseline
+        assert len(calls) <= 490
+        for ind in pop.individuals[:20]:
+            direct = pop.pull_label(ind, 3, 0, real(42, ind.id, "expert"))
+            assert pop.sample_label(ind, 3, 42, "expert") is direct
+
     def test_four_experts_exact_cost(self):
         pop = synth_population(242, 42, seed=0)
         result = run_baseline("4Experts", pop)
