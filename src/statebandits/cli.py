@@ -306,6 +306,8 @@ REGRET_SCHEMA = [
 
 def cmd_regret(args, cfg: dict, seed: int) -> int:
     checkpoints = tuple(sorted(cfg["checkpoints"]))
+    if not checkpoints:
+        raise ConfigurationError("checkpoints must list at least one horizon")
     if cfg["K"] != len(cfg["mu"]):
         raise ConfigurationError(f"mu has {len(cfg['mu'])} entries for K={cfg['K']}")
     seq = make_state_sequence(cfg["S"], checkpoints[-1], mode=cfg["state_mode"], seed=seed)
@@ -351,31 +353,51 @@ TRIAGE_SCHEMA = [
 ]
 
 
-def _cell(values, decimals=4):
-    """Render mean with a +-2*SD spread when it varies across seeds."""
+def _mean_spread(values) -> tuple[float, float] | None:
+    """Mean and 2*SD across seeds of the values that are not None."""
     vals = [v for v in values if v is not None]
     if not vals:
-        return ""
-    mean = float(np.mean(vals))
+        return None
     sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-    if sd == 0.0:
-        if mean == int(mean):
-            return str(int(mean))
-        return f"{mean:.{decimals}f}"
-    return f"{mean:.{decimals}f}±{2 * sd:.{decimals}f}"
+    return float(np.mean(vals)), 2 * sd
+
+
+def _cell(values, decimals=4):
+    """Render mean with a +-2*SD spread when it varies across seeds."""
+    stats = _mean_spread(values)
+    if stats is None:
+        return ""
+    mean, spread = stats
+    if spread == 0.0:
+        return str(int(mean)) if mean == int(mean) else f"{mean:.{decimals}f}"
+    return f"{mean:.{decimals}f}±{spread:.{decimals}f}"
 
 
 def _money_cell(values):
     """Dollar amounts are exact multiples of 0.001; keep the mill digit."""
-    vals = [v for v in values if v is not None]
-    if not vals:
+    stats = _mean_spread(values)
+    if stats is None:
         return ""
-    mean = float(np.mean(vals))
-    sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+    mean, spread = stats
     text = f"{mean:.2f}" if round(mean, 2) == round(mean, 3) else f"{mean:.3f}"
-    if sd == 0.0:
-        return text
-    return f"{text}±{2 * sd:.3f}"
+    return text if spread == 0.0 else f"{text}±{spread:.3f}"
+
+
+def _count_cell(values):
+    return _cell(values, decimals=2)
+
+
+TRIAGE_COLUMNS = [("budget", _money_cell), ("evaluated", _count_cell)] + [
+    (name, _cell) for name in ("pop_sensitivity", "cohort_sensitivity", "precision", "specificity")
+] + [(name, _count_cell) for name in ("tp", "fp", "fn", "tn")]
+
+
+def _triage_values(res, pop, mode: str) -> tuple:
+    """One seed's values of an approach, in TRIAGE_COLUMNS order."""
+    m = metrics(res, pop, mode)
+    return (dollars(res.spend_milli), len(res.evaluated), m.pop_sensitivity,
+            m.cohort_sensitivity, m.cohort_precision, m.cohort_specificity,
+            m.cohort.tp, m.cohort.fp, m.cohort.fn, m.cohort.tn)
 
 
 def cmd_triage(args, cfg: dict, seed: int) -> int:
@@ -384,8 +406,7 @@ def cmd_triage(args, cfg: dict, seed: int) -> int:
         raise ConfigurationError(f"k needs exactly 3 entries, got {k}")
     if cfg["num_seeds"] < 1:
         raise ConfigurationError(f"num_seeds must be >= 1, got {cfg['num_seeds']}")
-    scheme = cfg["scheme"] or None
-    stages = default_stages(cfg["n"], k, cfg["total_budget"], scheme)
+    stages = default_stages(cfg["n"], k, cfg["total_budget"], cfg["scheme"] or None)
     replay = bool(cfg["human_csv"] or cfg["machine_pred"])
     if replay and not (cfg["human_csv"] and cfg["machine_pred"]):
         raise ConfigurationError("replay needs both human_csv and machine_pred")
@@ -399,58 +420,32 @@ def cmd_triage(args, cfg: dict, seed: int) -> int:
     if too_big:
         raise ConfigurationError(
             f"baselines {too_big} evaluate a {SUB_COHORT}-person cohort, more than n = {cfg['n']}")
+    if replay:
+        pop = load_evaluations(cfg["human_csv"], cfg["machine_pred"])
+        if len(pop.individuals) != cfg["n"]:
+            raise ConfigurationError(
+                f"n = {cfg['n']} but the replay roster has {len(pop.individuals)} individuals")
 
-    rows: dict[str, list[dict]] = {}
     approaches = ["MAB", "MAB*"] + list(cfg["baselines"])
+    values: dict[str, list[tuple]] = {a: [] for a in approaches}
     for s in range(cfg["num_seeds"]):
         run_seed = int(substream(seed, s, "triage-seed").integers(0, 2**62))
-        if replay:
-            pop = load_evaluations(cfg["human_csv"], cfg["machine_pred"])
-        else:
+        if not replay:
             pop = synth_population(cfg["n"], cfg["n_severe"], noise, seed=run_seed)
         result = run_pipeline(pop, stages, policy=cfg["policy"], seed=run_seed,
                               encoding=cfg["encoding"])
-        for approach in approaches:
-            if approach == "MAB":
-                res, mode = result, "mab"
-            elif approach == "MAB*":
-                res, mode = result, "mab_star"
-            else:
-                res, mode = run_baseline(approach, pop, seed=run_seed), "mab"
-            m = metrics(res, pop, mode)
-            rows.setdefault(approach, []).append({
-                "budget": dollars(res.spend_milli),
-                "evaluated": len(res.evaluated),
-                "pop_sensitivity": m.pop_sensitivity,
-                "cohort_sensitivity": m.cohort_sensitivity,
-                "precision": m.cohort_precision,
-                "specificity": m.cohort_specificity,
-                "tp": m.cohort.tp, "fp": m.cohort.fp, "fn": m.cohort.fn, "tn": m.cohort.tn,
-            })
-    header = ["approach", "budget", "evaluated", "pop_sensitivity", "cohort_sensitivity",
-              "precision", "specificity", "tp", "fp", "fn", "tn"]
-    table = []
-    for approach in approaches:
-        seeds_data = rows[approach]
-        table.append([
-            approach,
-            _money_cell([d["budget"] for d in seeds_data]),
-            _cell([d["evaluated"] for d in seeds_data], decimals=2),
-            _cell([d["pop_sensitivity"] for d in seeds_data]),
-            _cell([d["cohort_sensitivity"] for d in seeds_data]),
-            _cell([d["precision"] for d in seeds_data]),
-            _cell([d["specificity"] for d in seeds_data]),
-            _cell([d["tp"] for d in seeds_data], decimals=2),
-            _cell([d["fp"] for d in seeds_data], decimals=2),
-            _cell([d["fn"] for d in seeds_data], decimals=2),
-            _cell([d["tn"] for d in seeds_data], decimals=2),
-        ])
+        values["MAB"].append(_triage_values(result, pop, "mab"))
+        values["MAB*"].append(_triage_values(result, pop, "mab_star"))
+        for name in cfg["baselines"]:
+            values[name].append(_triage_values(run_baseline(name, pop, seed=run_seed), pop, "mab"))
+    header = ["approach"] + [name for name, _ in TRIAGE_COLUMNS]
+    table = [[a] + [fmt(col) for (_, fmt), col in zip(TRIAGE_COLUMNS, zip(*values[a]))]
+             for a in approaches]
     _write_rows(args, "triage", header, table)
     _write_manifest(args.out, "triage", seed, cfg,
                     stage_budgets_dollars=[dollars(st.budget_milli) for st in stages])
-    mab_pop = _cell([d["pop_sensitivity"] for d in rows["MAB"]])
     print(f"triage: {len(approaches)} approaches x {cfg['num_seeds']} seeds; "
-          f"pipeline population sensitivity {mab_pop}")
+          f"pipeline population sensitivity {table[0][header.index('pop_sensitivity')]}")
     return 0
 
 

@@ -16,12 +16,13 @@ import csv
 import functools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .divergence import BOUNDED_UNIT, psi_star_inv
+from .divergence import BOUNDED_UNIT, _psi_star_inv
 from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError
 from .rng import substream
 
@@ -79,13 +80,16 @@ def parse_label(text: str) -> RiskLabel:
         raise ValueError(f"unknown risk label {text!r}") from None
 
 
-def encode_risk(label: RiskLabel, scheme: str = "linear") -> float:
-    """Map a label to [0, 1] under the named encoding scheme."""
+def _encoding(scheme: str) -> tuple[float, ...]:
     try:
-        table = ENCODINGS[scheme]
+        return ENCODINGS[scheme]
     except KeyError:
         raise ConfigurationError(f"unknown encoding scheme {scheme!r}") from None
-    return table[int(label)]
+
+
+def encode_risk(label: RiskLabel, scheme: str = "linear") -> float:
+    """Map a label to [0, 1] under the named encoding scheme."""
+    return _encoding(scheme)[int(label)]
 
 
 @dataclass(frozen=True)
@@ -119,9 +123,6 @@ class Population:
     @property
     def ids(self) -> tuple[int, ...]:
         return tuple(ind.id for ind in self.individuals)
-
-    def _index(self) -> dict:
-        return {ind.id: ind for ind in self.individuals}
 
     def _choices(self, ind: Individual, stage: int) -> tuple:
         """The confusion row (synthetic) or the recorded labels (replay)."""
@@ -398,29 +399,39 @@ class PipelineResult:
         raise ConfigurationError(f"unknown mode {mode!r}")
 
 
+UCB_ALPHA = 3.0
+"""Exploration rate of the ``ucb`` policy's optimism bonus."""
+
+
 def run_pipeline(
     pop: Population,
     stages: list[StageSpec],
     policy: str = "round_robin",
     seed: int = 0,
     encoding: str = "linear",
-    ucb_alpha: float = 3.0,
 ) -> PipelineResult:
     """Run the staged screen and return the final cohort with accounting.
 
-    ``round_robin`` cycles the survivors in id order until the stage budget
-    cannot fund another pull; ``ucb`` picks the survivor maximizing the
-    current estimate plus an optimism bonus on the within-stage pull counts
-    (never-pulled survivors first, lowest id). Cohort cuts keep the top
-    ``cohort_out`` by gain-weighted encoded mean, ties toward the lower id.
+    Each stage spends its budget on pulls until it cannot fund another. The
+    first pass pulls every survivor once in id order. After it,
+    ``round_robin`` keeps cycling the survivors in id order, and ``ucb``
+    pulls the survivor maximizing its current estimate plus the bounded-unit
+    optimism bonus at ``UCB_ALPHA * log t / count`` (``t`` and ``count`` are
+    the within-stage pull numbers), ties toward the lower id. Replay
+    individuals cycle their recorded labels for the stage in file order, from
+    the first in every stage. Cohort cuts keep the top ``cohort_out`` by
+    gain-weighted encoded mean, ties toward the lower id.
     """
     if policy not in ("round_robin", "ucb"):
         raise ConfigurationError(f"unknown policy {policy!r}")
+    values = _encoding(encoding)
     if not stages:
         raise ValidationError("need at least one stage", field="stages")
     stages = sorted(stages, key=lambda st: st.index)
-    n = len(pop.individuals)
-    prev = n
+    indices = [st.index for st in stages]
+    if len(set(indices)) != len(indices):
+        raise ValidationError(f"stage indices must be distinct, got {indices}", field="index")
+    prev = len(pop.individuals)
     for st in stages:
         if st.cohort_out > prev:
             raise ValidationError(
@@ -428,62 +439,47 @@ def run_pipeline(
                 field="cohort_out",
             )
         prev = st.cohort_out
-    index = pop._index()
     rng = substream(seed, "pipeline")
-    survivors = sorted(index)
-    w_enc = {i: 0.0 for i in survivors}
-    w_sum = {i: 0.0 for i in survivors}
-    pull_counts: dict[tuple[int, int], int] = {}
+    # per-survivor state as plain lists, by position in id order
+    alive = sorted(pop.individuals, key=lambda ind: ind.id)
+    w_enc = [0.0] * len(alive)
+    w_sum = [0.0] * len(alive)
+    u_hat = [0.0] * len(alive)
     evaluated: set[int] = set()
     expert_severe: set[int] = set()
     outcomes: list[StageOutcome] = []
-
-    def u_hat(ind_id: int) -> float:
-        return w_enc[ind_id] / w_sum[ind_id] if w_sum[ind_id] > 0 else 0.0
-
     for st in stages:
+        m = len(alive)
         max_pulls = st.budget_milli // st.cost_milli
         if max_pulls == 0:
             warnings.warn(f"stage {st.index}: budget funds no pulls; stage skipped", stacklevel=2)
-        elif max_pulls < len(survivors):
-            warnings.warn(
-                f"stage {st.index}: budget funds {max_pulls} pulls for {len(survivors)} survivors",
-                stacklevel=2,
-            )
-        stage_counts = {i: 0 for i in survivors}
-        pulls = 0
+        elif max_pulls < m:
+            warnings.warn(f"stage {st.index}: budget funds {max_pulls} pulls for {m} survivors",
+                          stacklevel=2)
+        counts = [0] * m  # within-stage pulls, which are also the replay cursors
         for j in range(max_pulls):
-            if policy == "round_robin":
-                target = survivors[j % len(survivors)]
+            if j < m or policy == "round_robin":
+                k = j % m
             else:
-                never = [i for i in survivors if stage_counts[i] == 0]
-                if never:
-                    target = never[0]
-                else:
-                    t_stage = j + 1
-                    target = max(
-                        survivors,
-                        key=lambda i: (u_hat(i) + psi_star_inv(
-                            BOUNDED_UNIT, ucb_alpha * math.log(t_stage) / stage_counts[i]), -i),
-                    )
-            key = (target, st.index)
-            label = pop.pull_label(index[target], st.index, pull_counts.get(key, 0), rng)
-            pull_counts[key] = pull_counts.get(key, 0) + 1
-            stage_counts[target] += 1
-            evaluated.add(target)
-            w_enc[target] += st.gain * encode_risk(label, encoding)
-            w_sum[target] += st.gain
+                bonus = _psi_star_inv(BOUNDED_UNIT, UCB_ALPHA * math.log(j + 1) / np.array(counts))
+                k = int(np.argmax(np.array(u_hat) + bonus))
+            label = pop.pull_label(alive[k], st.index, counts[k], rng)
+            counts[k] += 1
+            w_enc[k] += st.gain * values[label]
+            w_sum[k] += st.gain
+            u_hat[k] = w_enc[k] / w_sum[k]
+            evaluated.add(alive[k].id)
             if st.index == 3 and label == RiskLabel.SEVERE:
-                expert_severe.add(target)
-            pulls += 1
-        survivors = sorted(survivors, key=lambda i: (-u_hat(i), i))[: st.cohort_out]
-        survivors.sort()
+                expert_severe.add(alive[k].id)
+        keep = sorted(sorted(range(m), key=lambda k: (-u_hat[k], k))[: st.cohort_out])
+        alive, w_enc, w_sum, u_hat = ([xs[k] for k in keep] for xs in (alive, w_enc, w_sum, u_hat))
         outcomes.append(StageOutcome(
-            index=st.index, pulls=pulls, spend_milli=pulls * st.cost_milli,
-            survivors=tuple(survivors), u_hat={i: u_hat(i) for i in survivors},
+            index=st.index, pulls=max_pulls, spend_milli=max_pulls * st.cost_milli,
+            survivors=tuple(ind.id for ind in alive),
+            u_hat={ind.id: u for ind, u in zip(alive, u_hat)},
         ))
     return PipelineResult(
-        final_cohort=tuple(survivors),
+        final_cohort=outcomes[-1].survivors,
         evaluated=frozenset(evaluated),
         expert_severe=frozenset(expert_severe),
         stages=tuple(outcomes),
@@ -505,43 +501,50 @@ class BaselineResult:
         return self._positives
 
 
-BASELINES = (
-    "4Experts", "1Expert", "4Experts-Sub", "1Expert-Sub",
-    "NLP-Full", "NLP-Sub", "NLP-Top-k", "NLP-Top-100+1Expert-Sub",
-)
-SUB_COHORT = 100
-"""Default size of the random cohort the COHORT_BASELINES evaluate."""
-COHORT_BASELINES = ("4Experts-Sub", "1Expert-Sub", "NLP-Sub")
-
-_EXPERT_COST = STAGE_COSTS_MILLI[2]
-_NLP_COST = STAGE_COSTS_MILLI[0]
-
-
 def _nlp_label(pop: Population, ind: Individual, seed: int) -> RiskLabel:
-    """The automated stage's prediction for one individual."""
+    """The automated stage's prediction: the machine argmax (replay) or one
+    stage-1 evaluation (synthetic)."""
     if pop.kind == "replay":
         return RiskLabel(int(np.argmax(ind.machine_probs)))
     return pop.sample_label(ind, 1, seed, "nlp")
 
 
-def _nlp_score(pop: Population, ind: Individual, seed: int) -> float:
-    """Confidence that the individual is Severe, for ranking."""
+@dataclass(frozen=True)
+class _Rater:
+    per_person: int  # evaluations per person rated
+    cost_milli: int  # per evaluation
+    label: Callable[[Population, Individual, int], RiskLabel]
+
+
+_CONSENSUS = _Rater(4, STAGE_COSTS_MILLI[2], lambda pop, ind, seed: ind.true_risk)
+_EXPERT = _Rater(1, STAGE_COSTS_MILLI[2],
+                 lambda pop, ind, seed: pop.sample_label(ind, 3, seed, "expert"))
+_NLP = _Rater(1, STAGE_COSTS_MILLI[0], _nlp_label)
+_FLAG_ALL = _Rater(0, 0, lambda pop, ind, seed: RiskLabel.SEVERE)
+
+# baseline: (who the rater sees, rater); the top views rank everyone by one
+# NLP pass first, so they evaluate everyone
+_BASELINE_TABLE = {
+    "4Experts": ("everyone", _CONSENSUS),
+    "1Expert": ("everyone", _EXPERT),
+    "4Experts-Sub": ("cohort", _CONSENSUS),
+    "1Expert-Sub": ("cohort", _EXPERT),
+    "NLP-Full": ("everyone", _NLP),
+    "NLP-Sub": ("cohort", _NLP),
+    "NLP-Top-k": ("top-k", _FLAG_ALL),
+    "NLP-Top-100+1Expert-Sub": ("top-100", _EXPERT),
+}
+BASELINES = tuple(_BASELINE_TABLE)
+SUB_COHORT = 100
+"""Default size of the random cohort the COHORT_BASELINES evaluate."""
+COHORT_BASELINES = tuple(name for name, (view, _) in _BASELINE_TABLE.items() if view == "cohort")
+
+
+def _nlp_rank_key(pop: Population, seed: int):
+    """Sort key putting the likeliest Severe first by NLP, ties toward the lower id."""
     if pop.kind == "replay":
-        return float(ind.machine_probs[int(RiskLabel.SEVERE)])
-    return encode_risk(_nlp_label(pop, ind, seed), "linear")
-
-
-def _expert_label(pop: Population, ind: Individual, seed: int) -> RiskLabel:
-    return pop.sample_label(ind, 3, seed, "expert")
-
-
-def _sub_cohort(pop: Population, size: int, seed: int) -> list[Individual]:
-    if not 0 < size <= len(pop.individuals):
-        raise ConfigurationError(
-            f"cohort_size {size} outside [1, {len(pop.individuals)}]")
-    rng = substream(seed, "cohort")
-    picks = rng.choice(len(pop.individuals), size=size, replace=False)
-    return [pop.individuals[i] for i in sorted(int(p) for p in picks)]
+        return lambda ind: (-ind.machine_probs[int(RiskLabel.SEVERE)], ind.id)
+    return lambda ind: (-int(_nlp_label(pop, ind, seed)), ind.id)
 
 
 def run_baseline(name: str, pop: Population, params: dict | None = None,
@@ -556,52 +559,30 @@ def run_baseline(name: str, pop: Population, params: dict | None = None,
     top_k = int(params.pop("k", 100))
     if params:
         raise ConfigurationError(f"unknown baseline params {sorted(params)}")
+    if name not in _BASELINE_TABLE:
+        raise ConfigurationError(f"unknown baseline {name!r}; known: {BASELINES}")
+    view, rater = _BASELINE_TABLE[name]
     everyone = list(pop.individuals)
-    n = len(everyone)
-    if name == "4Experts":
-        positives = {ind.id for ind in everyone if ind.true_risk == RiskLabel.SEVERE}
-        return BaselineResult(name, frozenset(pop.ids), frozenset(positives),
-                              4 * n * _EXPERT_COST, 4 * n)
-    if name == "1Expert":
-        positives = {ind.id for ind in everyone
-                     if _expert_label(pop, ind, seed) == RiskLabel.SEVERE}
-        return BaselineResult(name, frozenset(pop.ids), frozenset(positives),
-                              n * _EXPERT_COST, n)
-    if name == "4Experts-Sub":
-        cohort = _sub_cohort(pop, cohort_size, seed)
-        positives = {ind.id for ind in cohort if ind.true_risk == RiskLabel.SEVERE}
-        return BaselineResult(name, frozenset(i.id for i in cohort), frozenset(positives),
-                              4 * len(cohort) * _EXPERT_COST, 4 * len(cohort))
-    if name == "1Expert-Sub":
-        cohort = _sub_cohort(pop, cohort_size, seed)
-        positives = {ind.id for ind in cohort
-                     if _expert_label(pop, ind, seed) == RiskLabel.SEVERE}
-        return BaselineResult(name, frozenset(i.id for i in cohort), frozenset(positives),
-                              len(cohort) * _EXPERT_COST, len(cohort))
-    if name == "NLP-Full":
-        positives = {ind.id for ind in everyone
-                     if _nlp_label(pop, ind, seed) == RiskLabel.SEVERE}
-        return BaselineResult(name, frozenset(pop.ids), frozenset(positives),
-                              n * _NLP_COST, n)
-    if name == "NLP-Sub":
-        cohort = _sub_cohort(pop, cohort_size, seed)
-        positives = {ind.id for ind in cohort
-                     if _nlp_label(pop, ind, seed) == RiskLabel.SEVERE}
-        return BaselineResult(name, frozenset(i.id for i in cohort), frozenset(positives),
-                              len(cohort) * _NLP_COST, len(cohort))
-    if name == "NLP-Top-k":
-        ranked = sorted(everyone, key=lambda ind: (-_nlp_score(pop, ind, seed), ind.id))
-        positives = {ind.id for ind in ranked[:top_k]}
-        return BaselineResult(name, frozenset(pop.ids), frozenset(positives),
-                              n * _NLP_COST, n)
-    if name == "NLP-Top-100+1Expert-Sub":
-        ranked = sorted(everyone, key=lambda ind: (-_nlp_score(pop, ind, seed), ind.id))
-        cohort = ranked[:100]
-        positives = {ind.id for ind in cohort
-                     if _expert_label(pop, ind, seed) == RiskLabel.SEVERE}
-        return BaselineResult(name, frozenset(pop.ids), frozenset(positives),
-                              n * _NLP_COST + len(cohort) * _EXPERT_COST, n + len(cohort))
-    raise ConfigurationError(f"unknown baseline {name!r}; known: {BASELINES}")
+    evaluations = []  # (rater, people it rates)
+    if view == "everyone":
+        seen = everyone
+    elif view == "cohort":
+        if not 0 < cohort_size <= len(everyone):
+            raise ConfigurationError(f"cohort_size {cohort_size} outside [1, {len(everyone)}]")
+        picks = substream(seed, "cohort").choice(len(everyone), size=cohort_size, replace=False)
+        seen = [everyone[i] for i in sorted(int(p) for p in picks)]
+    else:
+        evaluations.append((_NLP, len(everyone)))
+        ranked = sorted(everyone, key=_nlp_rank_key(pop, seed))
+        seen = ranked[: top_k if view == "top-k" else 100]
+    evaluations.append((rater, len(seen)))
+    return BaselineResult(
+        name,
+        frozenset(ind.id for ind in (seen if view == "cohort" else everyone)),
+        frozenset(ind.id for ind in seen if rater.label(pop, ind, seed) == RiskLabel.SEVERE),
+        sum(count * r.per_person * r.cost_milli for r, count in evaluations),
+        sum(count * r.per_person for r, count in evaluations),
+    )
 
 
 @dataclass(frozen=True)

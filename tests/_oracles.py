@@ -301,3 +301,73 @@ def classical_ucb_regret_bound(m_vec, alpha: float, n: int) -> float:
         if gap > 0:
             total += gap * (alpha * math.log(n) / (2.0 * (gap / 2.0) ** 2) + alpha / (alpha - 2.0))
     return total
+
+
+TRIAGE_ENCODINGS = {
+    "linear": lambda level: level / 3,
+    "binary": lambda level: float(level == 3),
+    "exponential": lambda level: (2 ** level - 1) / 7,
+}
+
+
+def triage_pipeline(pop, stages, policy: str, encoding: str, rng) -> dict:
+    """The staged screen re-implemented from its stated rules, with dicts
+    keyed by individual id.
+
+    A stage makes floor(budget / cost) pulls. A survivor nobody has pulled in
+    this stage goes first, lowest id first. Otherwise ``round_robin`` takes
+    the next survivor of the id-order cycle and ``ucb`` the one with the
+    largest estimate + sqrt(3 ln t / count / 2), lowest id on ties. A
+    synthetic pull takes one ``rng.random()`` and walks the stage's confusion
+    row; a replay pull reads the stage's recorded labels cyclically, from
+    the first in every stage. The estimate is the gain-weighted mean of the
+    encoded labels over all stages so far (0 before any pull); each cut keeps
+    the ``cohort_out`` largest estimates, lowest id on ties.
+    """
+    value = TRIAGE_ENCODINGS[encoding]
+    by_id = {ind.id: ind for ind in pop.individuals}
+    weighted = {i: 0.0 for i in by_id}
+    weight = {i: 0.0 for i in by_id}
+    alive = sorted(by_id)
+    evaluated, expert_severe, log = set(), set(), []
+
+    def estimate(i):
+        return weighted[i] / weight[i] if weight[i] > 0 else 0.0
+
+    for st in sorted(stages, key=lambda s: s.index):
+        pulls = st.budget_milli // st.cost_milli
+        count = {i: 0 for i in alive}
+        for t in range(1, pulls + 1):
+            fresh = [i for i in alive if count[i] == 0]
+            if fresh:
+                target = fresh[0]
+            elif policy == "round_robin":
+                target = alive[(t - 1) % len(alive)]
+            else:
+                target, best = None, -math.inf
+                for i in alive:
+                    score = estimate(i) + math.sqrt(3.0 * math.log(t) / count[i] / 2.0)
+                    if score > best:
+                        target, best = i, score
+            ind = by_id[target]
+            if pop.kind == "synthetic":
+                u, acc, level = rng.random(), 0.0, 3
+                for k, p in enumerate(ind.stage_rows[st.index]):
+                    acc += p
+                    if u < acc:
+                        level = k
+                        break
+            else:
+                labels = ind.recorded[st.index]
+                level = int(labels[count[target] % len(labels)])
+            count[target] += 1
+            weighted[target] += st.gain * value(level)
+            weight[target] += st.gain
+            evaluated.add(target)
+            if st.index == 3 and level == 3:
+                expert_severe.add(target)
+        alive = sorted(sorted(alive, key=lambda i: (-estimate(i), i))[: st.cohort_out])
+        log.append((st.index, pulls, pulls * st.cost_milli, tuple(alive),
+                    {i: estimate(i) for i in alive}))
+    return {"final_cohort": tuple(alive), "evaluated": evaluated,
+            "expert_severe": expert_severe, "stages": log}

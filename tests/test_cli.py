@@ -78,6 +78,7 @@ class TestErrors:
     @pytest.mark.parametrize("command, line, message", [
         ("regret", "runs = 0\ncheckpoints = 10", "runs must be >= 1, got 0"),
         ("triage", "num_seeds = 0", "num_seeds must be >= 1, got 0"),
+        ("regret", "runs = 5\ncheckpoints =", "checkpoints must list at least one horizon"),
     ])
     def test_empty_monte_carlo_count_exits_2(self, tmp_path, capsys, command, line, message):
         cfg = write_cfg(tmp_path / "c.cfg", f"{line}\n")
@@ -251,7 +252,60 @@ class TestRegret:
         assert (a / "regret.csv").read_bytes() == (b / "regret.csv").read_bytes()
 
 
+def write_replay_pair(dirpath, n=150):
+    """A human/machine evaluation pair for ids 1..n, built from fixed patterns:
+    raters agree with a per-person level more often at later stages, and the
+    machine's peak is wrong for every fifth person."""
+    names = ("no", "low", "moderate", "severe")
+    machine, human = ["id,p_no,p_low,p_mod,p_sev"], ["id,rater_id,stage,label"]
+    for i in range(1, n + 1):
+        level = (i * 7 + i // 4) % 4
+        probs = [0.1] * 4
+        probs[(level + (i % 5 == 0)) % 4] = 0.7
+        machine.append(",".join([str(i)] + [str(p) for p in probs]))
+        for stage in (1, 2, 3):
+            for r in range(1 + (i + stage) % 3):
+                label = level if (i + r + stage) % (stage + 1) else (level + 1) % 4
+                human.append(f"{i},{r},{stage},{names[label]}")
+    (dirpath / "human.csv").write_text("\n".join(human) + "\n")
+    (dirpath / "machine.csv").write_text("\n".join(machine) + "\n")
+    return dirpath / "human.csv", dirpath / "machine.csv"
+
+
+# No cell draws a random number (replayed labels, the consensus and the
+# machine-only baselines), so the table is exact on every platform.
+REPLAY_TABLE = """\
+approach,budget,evaluated,pop_sensitivity,cohort_sensitivity,precision,specificity,tp,fp,fn,tn
+MAB,553.15,150,0.3871,0.3871,0.4000,0.8487,12,18,19,101
+MAB*,553.15,150,0.3871,0.3871,0.5714,0.9244,12,9,19,110
+4Experts,3210.00,150,1,1,1,1,31,0,0,119
+NLP-Full,0.15,150,0.7419,0.7419,0.5897,0.8655,23,16,8,103
+NLP-Top-k,0.15,150,0.8710,0.8710,0.2700,0.3866,27,73,4,46
+"""
+
+
 class TestTriage:
+    def test_replay_n_must_match_roster(self, tmp_path, capsys):
+        human, machine = write_replay_pair(tmp_path)
+        cfg = write_cfg(tmp_path / "c.cfg", f"n = 400\nk = 100,60,30\nnum_seeds = 1\n"
+                                            f"human_csv = {human}\nmachine_pred = {machine}\n")
+        out = tmp_path / "o"
+        rc = main(["triage", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert "n = 400 but the replay roster has 150 individuals" in capsys.readouterr().err
+        assert not (out / "triage.csv").exists()
+
+    def test_replay_table(self, tmp_path):
+        human, machine = write_replay_pair(tmp_path)
+        cfg = write_cfg(tmp_path / "c.cfg", "\n".join([
+            "n = 150", "k = 100,60,30", "policy = ucb", "num_seeds = 2",
+            "baselines = 4Experts,NLP-Full,NLP-Top-k",
+            f"human_csv = {human}", f"machine_pred = {machine}", "",
+        ]))
+        out = tmp_path / "o"
+        assert main(["triage", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "triage.csv").read_text(encoding="utf-8") == REPLAY_TABLE
+
     def test_small_run_table(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", "\n".join([
             "n = 40", "n_severe = 8", "k = 20,10,5", "num_seeds = 3",

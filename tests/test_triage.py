@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statebandits import (
     BASELINES,
@@ -27,7 +30,9 @@ from statebandits import (
     synth_population,
 )
 from statebandits import triage
-from statebandits.triage import STAGE_COSTS_MILLI, STAGE_GAINS, BaselineResult
+from statebandits.triage import ENCODINGS, STAGE_COSTS_MILLI, STAGE_GAINS, BaselineResult
+
+from _oracles import triage_pipeline
 
 
 class TestLabels:
@@ -242,6 +247,19 @@ class TestPipeline:
         b = run_pipeline(pop, stages, seed=9, policy="ucb")
         assert a == b
 
+    def test_duplicate_stage_indices_rejected(self):
+        pop = identity_pop(self.labels)
+        stages = small_stages(20, (12, 8, 5))
+        stages[2] = StageSpec(index=2, cost_milli=5350, gain=100.0,
+                              budget_milli=5350 * 8, cohort_out=5)
+        with pytest.raises(ValidationError, match=r"stage indices must be distinct, got \[1, 2, 2\]"):
+            run_pipeline(pop, stages)
+
+    def test_unknown_encoding_fails_before_any_pull(self):
+        pop = identity_pop(self.labels)
+        with pytest.raises(ConfigurationError, match="encoding"):
+            run_pipeline(pop, small_stages(20, (12, 8, 5), scale=0), encoding="quadratic")
+
     def test_beats_single_expert_subsample(self):
         wins = 0
         for seed in range(5):
@@ -251,6 +269,47 @@ class TestPipeline:
             if metrics(result, pop).pop_sensitivity > metrics(base, pop).pop_sensitivity:
                 wins += 1
         assert wins >= 4
+
+
+@st.composite
+def screens(draw):
+    """A small synthetic or replay population and 1-3 stages whose budgets
+    fund from 0 to about 4 passes over their survivors."""
+    n = draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        pop = synth_population(n, draw(st.integers(1, n - 1)), seed=draw(st.integers(0, 99)))
+    else:
+        labels = st.lists(st.sampled_from(list(RiskLabel)), min_size=1, max_size=4).map(tuple)
+        pop = Population(individuals=tuple(
+            Individual(id=3 * i + 1, true_risk=RiskLabel.NO,
+                       recorded={s: draw(labels) for s in (1, 2, 3)}, machine_probs=(0.25,) * 4)
+            for i in draw(st.permutations(range(n)))), kind="replay")
+    indices = sorted(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True)))
+    stages, alive = [], n
+    for i in indices:
+        cost = STAGE_COSTS_MILLI[i - 1]
+        budget = cost * draw(st.integers(0, 4 * alive)) + draw(st.integers(0, cost - 1))
+        alive = draw(st.integers(1, alive))
+        stages.append(StageSpec(index=i, cost_milli=cost, gain=STAGE_GAINS[i - 1],
+                                budget_milli=budget, cohort_out=alive))
+    return pop, stages[::-1] if draw(st.booleans()) else stages
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(screen=screens(), policy=st.sampled_from(["round_robin", "ucb"]),
+       encoding=st.sampled_from(sorted(ENCODINGS)), seed=st.integers(0, 2**20))
+def test_pipeline_matches_dict_oracle(screen, policy, encoding, seed):
+    pop, stages = screen
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        result = run_pipeline(pop, stages, policy=policy, seed=seed, encoding=encoding)
+    ref = triage_pipeline(pop, stages, policy, encoding, substream(seed, "pipeline"))
+    assert result.final_cohort == ref["final_cohort"]
+    assert result.evaluated == ref["evaluated"]
+    assert result.expert_severe == ref["expert_severe"]
+    assert [(o.index, o.pulls, o.spend_milli, o.survivors, o.u_hat)
+            for o in result.stages] == ref["stages"]
+    assert result.spend_milli == sum(spend for _, _, spend, _, _ in ref["stages"])
 
 
 class TestLoadEvaluations:
