@@ -193,13 +193,17 @@ def _write_rows(args, stem: str, header, rows) -> None:
     write_table(header, rows, os.path.join(args.out, f"{stem}.{args.format}"), args.format)
 
 
-def _report_failures(failures) -> None:
-    for idx, message in failures:
-        print(f"env {idx} failed: {message}", file=sys.stderr)
-
-
-def _sweep_exit(records, failures) -> int:
-    """1 when environments ran and every one failed, else 0."""
+def _sweep_outputs(args, command: str, seed: int, cfg: dict, header, records, failures,
+                   summary: dict, message: str) -> int:
+    """Write a sweep's table, summary and manifest; 1 when every environment failed."""
+    for idx, error in failures:
+        print(f"env {idx} failed: {error}", file=sys.stderr)
+    stem = command.replace("-", "_")
+    _write_rows(args, stem, header, record_rows(records, header))
+    _write_summary(args.out, f"{stem}_summary.json",
+                   {**summary, "failures": [{"env_index": i, "error": m} for i, m in failures]})
+    _write_manifest(args.out, command, seed, cfg)
+    print(message)
     if failures and not records:
         print(f"runtime failure: every environment failed ({len(failures)})", file=sys.stderr)
         return 1
@@ -230,10 +234,6 @@ SR_SCHEMA = [
 ] + _SWEEP_FIELDS[1:]
 
 
-def _sweep_config(cfg: dict, seed: int) -> SweepConfig:
-    return SweepConfig(master_seed=seed, **cfg)
-
-
 def _violation_rates(records) -> dict:
     checks = {
         "thm2.1": lambda r: r.e > min(r.b21, 1.0) + 3.0 * r.e_se,
@@ -247,20 +247,12 @@ def _violation_rates(records) -> dict:
 
 
 def cmd_tightness(args, cfg: dict, seed: int) -> int:
-    config = _sweep_config(cfg, seed)
-    records, failures = tightness_sweep(config, workers=args.workers)
-    _report_failures(failures)
-    _write_rows(args, "tightness", TIGHTNESS_HEADER, record_rows(records, TIGHTNESS_HEADER))
+    records, failures = tightness_sweep(SweepConfig(master_seed=seed, **cfg), workers=args.workers)
     rates = _violation_rates(records)
-    _write_summary(args.out, "tightness_summary.json", {
-        "rows": len(records),
-        "violation_rate": rates,
-        "failures": [{"env_index": i, "error": m} for i, m in failures],
-    })
-    _write_manifest(args.out, "tightness", seed, cfg)
-    worst = max(rates.values()) if rates else 0.0
-    print(f"tightness: {len(records)} environments, worst violation rate {worst:.4f}")
-    return _sweep_exit(records, failures)
+    return _sweep_outputs(
+        args, "tightness", seed, cfg, TIGHTNESS_HEADER, records, failures,
+        {"rows": len(records), "violation_rate": rates},
+        f"tightness: {len(records)} environments, worst violation rate {max(rates.values()):.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +260,12 @@ def cmd_tightness(args, cfg: dict, seed: int) -> int:
 
 
 def cmd_sr_compare(args, cfg: dict, seed: int) -> int:
-    config = _sweep_config(cfg, seed)
-    records, summary, failures = sr_compare(config, workers=args.workers)
-    _report_failures(failures)
-    _write_rows(args, "sr_compare", SR_HEADER, record_rows(records, SR_HEADER))
-    summary = dict(summary)
-    summary["failures"] = [{"env_index": i, "error": m} for i, m in failures]
-    _write_summary(args.out, "sr_compare_summary.json", summary)
-    _write_manifest(args.out, "sr-compare", seed, cfg)
-    print(
+    records, summary, failures = sr_compare(SweepConfig(master_seed=seed, **cfg), workers=args.workers)
+    return _sweep_outputs(
+        args, "sr-compare", seed, cfg, SR_HEADER, records, failures, summary,
         "sr-compare: mean empiric error uniform "
         f"{summary['mean_e_hat_uniform']:.4f} vs reference {summary['mean_e_hat_reference']:.4f} "
-        f"(sign test p={summary['sign_test']['p_value']:.4g}, {summary['direction']})"
-    )
-    return _sweep_exit(records, failures)
+        f"(sign test p={summary['sign_test']['p_value']:.4g}, {summary['direction']})")
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +390,17 @@ def cmd_triage(args, cfg: dict, seed: int) -> int:
         raise ConfigurationError(f"k needs exactly 3 entries, got {k}")
     if cfg["num_seeds"] < 1:
         raise ConfigurationError(f"num_seeds must be >= 1, got {cfg['num_seeds']}")
+    if cfg["total_budget"] == 553 and cfg["scheme"]:
+        raise ConfigurationError(
+            f"total_budget = 553 has a single split; scheme {cfg['scheme']!r} applies only to 1300 and 2200")
     stages = default_stages(cfg["n"], k, cfg["total_budget"], cfg["scheme"] or None)
     replay = bool(cfg["human_csv"] or cfg["machine_pred"])
     if replay and not (cfg["human_csv"] and cfg["machine_pred"]):
         raise ConfigurationError("replay needs both human_csv and machine_pred")
+    synth_only = [f.name for f in TRIAGE_SCHEMA
+                  if f.name in ("n_severe", "stage_noise") and cfg[f.name] != f.default]
+    if replay and synth_only:
+        raise ConfigurationError(f"replay mode cannot honour {synth_only}: they shape synthetic populations only")
     noise = tuple(cfg["stage_noise"])
     if len(noise) != 3:
         raise ConfigurationError(f"stage_noise needs exactly 3 entries, got {noise}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.stats import binomtest
@@ -49,23 +49,9 @@ __all__ = [
     "write_table",
     "write_sweep_csv",
     "write_sr_csv",
-    "write_trace_csv",
-    "write_bound_reports",
     "TIGHTNESS_HEADER",
     "SR_HEADER",
 ]
-
-TIGHTNESS_HEADER = [
-    "env_index", "K", "S", "n", "min_state_visits", "delta_sigma_min",
-    "e_hat", "e_hat_se", "e", "e_se", "r", "r_se", "r_hat", "r_hat_se",
-    "b21", "b22", "b31", "b32",
-]
-
-SR_HEADER = [
-    "env_index", "K", "S", "n",
-    "e_hat_uniform", "e_hat_reference", "b41_uniform", "b41_reference",
-]
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -248,38 +234,43 @@ class SweepRecord:
     b32: float
 
 
-def _tightness_task(args) -> tuple[int, SweepRecord | None, str | None]:
-    config, env_index = args
+TIGHTNESS_HEADER = [f.name for f in fields(SweepRecord)]
+
+
+def _tightness_record(env: Environment, env_index: int, runs: int) -> SweepRecord:
+    spec = env.spec
+    n = spec.horizon
+    est = estimate_bai(env, "uniform_eba", runs, n)
+    b21, b22 = thm2_bounds(env, n, BOUNDED_UNIT)
+    b31, b32 = thm3_bounds(env, n)
+    return SweepRecord(
+        env_index=env_index, K=spec.K, S=spec.S, n=n,
+        min_state_visits=int(state_counts(spec.state_sequence, spec.S, n).min()),
+        delta_sigma_min=float(gaps(env).delta_sigma.min()),
+        e_hat=est.e_hat, e_hat_se=est.e_hat_se, e=est.e, e_se=est.e_se,
+        r=est.r, r_se=est.r_se, r_hat=est.r_hat, r_hat_se=est.r_hat_se,
+        b21=b21.raw_value, b22=b22.raw_value, b31=b31.raw_value, b32=b32.raw_value,
+    )
+
+
+def _env_task(args):
+    """(index, record, None), or (index, None, "Type: message") if any step raised."""
+    record, config, env_index = args
     try:
-        spec = random_env(config, env_index)
-        env = instantiate(spec)
-        n = spec.horizon
-        est = estimate_bai(env, "uniform_eba", config.runs_per_env, n)
-        family = BOUNDED_UNIT
-        b21, b22 = thm2_bounds(env, n, family)
-        b31, b32 = thm3_bounds(env, n)
-        g = gaps(env)
-        record = SweepRecord(
-            env_index=env_index, K=spec.K, S=spec.S, n=n,
-            min_state_visits=int(state_counts(spec.state_sequence, spec.S, n).min()),
-            delta_sigma_min=float(g.delta_sigma.min()),
-            e_hat=est.e_hat, e_hat_se=est.e_hat_se, e=est.e, e_se=est.e_se,
-            r=est.r, r_se=est.r_se, r_hat=est.r_hat, r_hat_se=est.r_hat_se,
-            b21=b21.raw_value, b22=b22.raw_value, b31=b31.raw_value, b32=b32.raw_value,
-        )
-        return env_index, record, None
+        env = instantiate(random_env(config, env_index))
+        return env_index, record(env, env_index, config.runs_per_env), None
     except Exception as exc:  # noqa: BLE001 - sweep must survive bad rows
         return env_index, None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_tasks(task, config, workers: int):
-    args = [(config, i) for i in range(config.num_envs)]
+def _run_tasks(record, config, workers: int):
+    args = [(record, config, i) for i in range(config.num_envs)]
     if workers <= 1 or config.num_envs <= 1:
-        results = [task(a) for a in args]
+        results = [_env_task(a) for a in args]
     else:
         chunk = max(1, config.num_envs // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, args, chunksize=chunk))
+            results = list(pool.map(_env_task, args, chunksize=chunk))
     results.sort(key=lambda r: r[0])
     records = [rec for _, rec, err in results if err is None]
     failures = [(idx, err) for idx, _, err in results if err is not None]
@@ -288,7 +279,7 @@ def _run_tasks(task, config, workers: int):
 
 def tightness_sweep(config: SweepConfig, workers: int = 1):
     """Run the uniform-rotation tightness study; returns (records, failures)."""
-    return _run_tasks(_tightness_task, config, workers)
+    return _run_tasks(_tightness_record, config, workers)
 
 
 @dataclass(frozen=True)
@@ -314,31 +305,20 @@ class SRRecord:
     b42_reference: float = 0.0
 
 
-def _sr_task(args) -> tuple[int, SRRecord | None, str | None]:
-    config, env_index = args
-    try:
-        spec = random_env(config, env_index)
-        env = instantiate(spec)
-        n = spec.horizon
-        vals = {}
-        for kind in ("uniform", "reference"):
-            est = estimate_bai(env, f"sr_{kind}", config.runs_per_env, n)
-            b42, b41 = thm4_bounds(env, sr_schedule(kind, spec.K, n))
-            vals[kind] = (est, b41.raw_value, b42.raw_value)
-        est_u, b41_u, b42_u = vals["uniform"]
-        est_r, b41_r, b42_r = vals["reference"]
-        record = SRRecord(
-            env_index=env_index, K=spec.K, S=spec.S, n=n,
-            e_hat_uniform=est_u.e_hat, e_hat_reference=est_r.e_hat,
-            b41_uniform=b41_u, b41_reference=b41_r,
-            e_hat_se_uniform=est_u.e_hat_se, e_hat_se_reference=est_r.e_hat_se,
-            e_uniform=est_u.e, e_reference=est_r.e,
-            e_se_uniform=est_u.e_se, e_se_reference=est_r.e_se,
-            b42_uniform=b42_u, b42_reference=b42_r,
-        )
-        return env_index, record, None
-    except Exception as exc:  # noqa: BLE001
-        return env_index, None, f"{type(exc).__name__}: {exc}"
+SR_HEADER = [f.name for f in fields(SRRecord) if f.default is MISSING]
+
+
+def _sr_record(env: Environment, env_index: int, runs: int) -> SRRecord:
+    spec = env.spec
+    n = spec.horizon
+    cols = {}
+    for kind in ("uniform", "reference"):
+        est = estimate_bai(env, f"sr_{kind}", runs, n)
+        b42, b41 = thm4_bounds(env, sr_schedule(kind, spec.K, n))
+        cols.update({f"e_hat_{kind}": est.e_hat, f"e_hat_se_{kind}": est.e_hat_se,
+                     f"e_{kind}": est.e, f"e_se_{kind}": est.e_se,
+                     f"b41_{kind}": b41.raw_value, f"b42_{kind}": b42.raw_value})
+    return SRRecord(env_index=env_index, K=spec.K, S=spec.S, n=n, **cols)
 
 
 def sr_compare(config: SweepConfig, workers: int = 1):
@@ -354,7 +334,7 @@ def sr_compare(config: SweepConfig, workers: int = 1):
         for K in range(config.k_min, config.k_max + 1):
             for kind in ("uniform", "reference"):
                 sr_schedule(kind, K, config.horizon)
-    records, failures = _run_tasks(_sr_task, config, workers)
+    records, failures = _run_tasks(_sr_record, config, workers)
     diffs = np.array([r.e_hat_reference - r.e_hat_uniform for r in records])
     n_pos = int(np.sum(diffs > 0))
     n_neg = int(np.sum(diffs < 0))
@@ -458,15 +438,3 @@ def write_sweep_csv(records, path) -> None:
 def write_sr_csv(records, path) -> None:
     """Write schedule-comparison rows with the pinned 8-column header."""
     write_table(SR_HEADER, record_rows(records, SR_HEADER), path)
-
-
-def write_trace_csv(steps, path) -> None:
-    """Write per-pull records with header t,state,arm,reward,phase."""
-    rows = [(t, state, arm, float(reward), phase) for t, state, arm, reward, phase in steps]
-    write_table(["t", "state", "arm", "reward", "phase"], rows, path)
-
-
-def write_bound_reports(reports, path, n: int, K: int, S: int, min_state_visits: int) -> None:
-    """CSV rows: name,raw,clamped,n,K,S,min_state_visits."""
-    rows = [(r.name, r.raw_value, r.clamped_value, n, K, S, min_state_visits) for r in reports]
-    write_table(["name", "raw", "clamped", "n", "K", "S", "min_state_visits"], rows, path)

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -21,7 +20,6 @@ from statebandits import (
     thm2_bounds,
     thm3_bounds,
     thm4_bounds,
-    write_bound_reports,
 )
 
 from _oracles import quad_normal_cdf
@@ -246,15 +244,3 @@ class TestGaussianFamilyBounds:
         _, bounded = thm2_bounds(env, 100, BOUNDED_UNIT)
         _, gauss = thm2_bounds(env, 100, PsiFamily.gaussian(0.5))
         assert gauss.raw_value > bounded.raw_value
-
-
-def test_write_bound_reports(tmp_path):
-    env = env_of([[0.6], [0.4]], n=50)
-    reports = list(thm2_bounds(env, 50, BOUNDED_UNIT)) + list(thm3_bounds(env, 50))
-    path = tmp_path / "bounds.csv"
-    write_bound_reports(reports, path, n=50, K=2, S=1, min_state_visits=50)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["name", "raw", "clamped", "n", "K", "S", "min_state_visits"]
-    assert [r[0] for r in rows[1:]] == ["thm2.1", "thm2.2", "thm3.1", "thm3.2"]
-    assert all(float(r[2]) <= 1.0 for r in rows[1:])

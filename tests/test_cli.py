@@ -7,6 +7,10 @@ from statebandits import montecarlo
 from statebandits.cli import main
 
 
+class Boom(Exception):
+    pass
+
+
 def write_cfg(path, text):
     path.write_text(text)
     return str(path)
@@ -136,7 +140,10 @@ class TestErrors:
         assert [f["env_index"] for f in summary["failures"]] == [0, 1, 2]
 
     def test_sr_compare_every_environment_failed_exits_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_sr_task", lambda args: (args[1], None, "Boom: injected"))
+        def boom(env, env_index, runs):
+            raise Boom("injected")
+
+        monkeypatch.setattr(montecarlo, "_sr_record", boom)
         cfg = write_cfg(tmp_path / "c.cfg", "num_envs = 2\nruns_per_env = 5\n")
         out = tmp_path / "o"
         rc = main(["sr-compare", "--config", cfg, "--out", str(out)])
@@ -145,6 +152,22 @@ class TestErrors:
         summary = json.loads((out / "sr_compare_summary.json").read_text())
         assert summary["num_envs"] == 0
         assert summary["failures"] == [{"env_index": i, "error": "Boom: injected"} for i in (0, 1)]
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_mixed_failures_exit_0_and_pool_is_byte_identical(self, tmp_path, capsys):
+        # K = 4 environments get 3 pulls for 4 arms and cannot recommend.
+        cfg = write_cfg(tmp_path / "c.cfg", "num_envs = 12\nruns_per_env = 20\nk_min = 2\n"
+                                            "k_max = 4\ns_min = 1\ns_max = 1\nhorizon = 3\n")
+        outs = [tmp_path / f"w{w}" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            assert main(["tightness", "--config", cfg, "--seed", "4", "--out", str(out),
+                         "--workers", str(w)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("failed: RecommendationError") == 12
+        summary = json.loads((outs[0] / "tightness_summary.json").read_text())
+        assert summary["rows"] == 6 and len(summary["failures"]) == 6
+        for name in ("tightness.csv", "tightness_summary.json", "manifest.json"):
+            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
     @pytest.mark.parametrize("command", ["tightness", "sr-compare"])
     def test_empty_sweep_exits_0(self, tmp_path, command):
@@ -294,6 +317,37 @@ class TestTriage:
         assert rc == 2
         assert "n = 400 but the replay roster has 150 individuals" in capsys.readouterr().err
         assert not (out / "triage.csv").exists()
+
+    @pytest.mark.parametrize("line, names", [
+        ("n_severe = 5", "['n_severe']"),
+        ("stage_noise = 0.9, 0.5, 0.2", "['stage_noise']"),
+    ])
+    def test_replay_rejects_synthetic_keys(self, tmp_path, capsys, line, names):
+        human, machine = write_replay_pair(tmp_path)
+        cfg = write_cfg(tmp_path / "c.cfg", f"n = 150\nk = 100,60,30\nnum_seeds = 1\n{line}\n"
+                                            f"human_csv = {human}\nmachine_pred = {machine}\n")
+        out = tmp_path / "o"
+        assert main(["triage", "--config", cfg, "--out", str(out)]) == 2
+        assert f"replay mode cannot honour {names}" in capsys.readouterr().err
+        assert not (out / "triage.csv").exists()
+
+    def test_553_rejects_scheme(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", "total_budget = 553\nscheme = bogus\nnum_seeds = 1\n")
+        out = tmp_path / "o"
+        assert main(["triage", "--config", cfg, "--out", str(out)]) == 2
+        assert "total_budget = 553 has a single split; scheme 'bogus'" in capsys.readouterr().err
+        assert not (out / "triage.csv").exists()
+
+    def test_replay_manifest_reruns(self, tmp_path):
+        human, machine = write_replay_pair(tmp_path)
+        cfg = write_cfg(tmp_path / "c.cfg", f"n = 150\nk = 100,60,30\nnum_seeds = 1\n"
+                                            f"baselines = NLP-Full\nhuman_csv = {human}\n"
+                                            f"machine_pred = {machine}\n")
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["triage", "--config", cfg, "--out", str(first)]) == 0
+        assert main(["triage", "--config", str(first / "manifest.json"), "--out", str(again)]) == 0
+        for name in ("triage.csv", "manifest.json"):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_replay_table(self, tmp_path):
         human, machine = write_replay_pair(tmp_path)

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -27,7 +26,6 @@ from statebandits import (
     state_counts,
     substream,
     successive_rejects,
-    write_trace_csv,
 )
 from statebandits.env import STATE_MODES
 from statebandits.strategies import rotation_counts
@@ -372,16 +370,3 @@ def test_rotation_and_elimination_match_oracles(K, S, extra, mode, seed):
         winner, steps, rejected = sr_transcript(env, sched.t_k, substream(seed, "hyp"))
         assert (res.winner, res.rejected, res.steps) == (winner, rejected, steps)
         assert np.array_equal(res.n_table, sr_table_from_steps(steps, rejected, K, S))
-
-
-def test_write_trace_csv(tmp_path):
-    env = noiseless_env([[0.9], [0.5], [0.1]], 30)
-    res = successive_rejects(env, sr_schedule("uniform", 3, 30), substream(0, "sr"))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(res.steps, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "state", "arm", "reward", "phase"]
-    assert len(rows) == 31
-    assert rows[1][0] == "1"
-    assert min(abs(float(rows[1][3]) - v) for v in (0.9, 0.5, 0.1)) < 1e-8
