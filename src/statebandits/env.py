@@ -116,10 +116,12 @@ def make_state_sequence(S: int, n: int, mode: str = "iid_uniform", seed: int = 0
 
 @dataclass(frozen=True)
 class Environment:
-    """A spec plus its realized local-mean matrix ``m`` of shape (K, S)."""
+    """A spec plus its realized local-mean matrix ``m`` of shape (K, S); its
+    gap quantities are computed once, here, and read through ``gaps``."""
 
     spec: EnvironmentSpec
     m: np.ndarray = field(repr=False)
+    _gaps: GapReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
@@ -129,8 +131,15 @@ class Environment:
             )
         if np.any(m < 0.0) or np.any(m > 1.0):
             raise ValidationError("entries must lie in [0, 1]", field="m")
+        m_star = m.max(axis=0)
+        delta_sigma, j_hat_star = _gap_vector(m.mean(axis=1))
+        delta_mu, j_star = _gap_vector(np.asarray(self.spec.mu))
+        report = GapReport(delta_m=m_star[None, :] - m, delta_sigma=delta_sigma, delta_mu=delta_mu,
+                           j_star=j_star, j_hat_star=j_hat_star, m_star_per_state=m_star)
+        for a in (m, report.delta_m, delta_sigma, delta_mu, m_star):
+            a.setflags(write=False)
         object.__setattr__(self, "m", m)
-        self.m.setflags(write=False)
+        object.__setattr__(self, "_gaps", report)
 
 
 def instantiate(spec: EnvironmentSpec) -> Environment:
@@ -191,28 +200,13 @@ class GapReport:
 def _gap_vector(values: np.ndarray) -> tuple[np.ndarray, int]:
     best = int(np.argmax(values))
     delta = values[best] - values
-    others = np.delete(delta, best)
-    delta = delta.copy()
-    delta[best] = float(np.min(others))
+    delta[best] = float(np.min(np.delete(delta, best)))
     return delta, best
 
 
 def gaps(env: Environment) -> GapReport:
-    """Compute every gap quantity for a realized environment."""
-    m = env.m
-    mu = np.asarray(env.spec.mu)
-    m_star = m.max(axis=0)
-    delta_m = m_star[None, :] - m
-    delta_sigma, j_hat_star = _gap_vector(m.mean(axis=1))
-    delta_mu, j_star = _gap_vector(mu)
-    return GapReport(
-        delta_m=delta_m,
-        delta_sigma=delta_sigma,
-        delta_mu=delta_mu,
-        j_star=j_star,
-        j_hat_star=j_hat_star,
-        m_star_per_state=m_star,
-    )
+    """Every gap quantity of a realized environment, as read-only arrays."""
+    return env._gaps
 
 
 def save_environment(env: Environment, path) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -254,16 +255,21 @@ def _tightness_record(env: Environment, env_index: int, runs: int) -> SweepRecor
 
 
 def _env_task(args):
-    """(index, record, None), or (index, None, "Type: message") if any step raised."""
+    """(index, record, None, warnings) or, if any step raised, (index, None,
+    "Type: message", warnings); warnings as (message, category, file, line)."""
     record, config, env_index = args
-    try:
-        env = instantiate(random_env(config, env_index))
-        return env_index, record(env, env_index, config.runs_per_env), None
-    except Exception as exc:  # noqa: BLE001 - sweep must survive bad rows
-        return env_index, None, f"{type(exc).__name__}: {exc}"
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            env = instantiate(random_env(config, env_index))
+            row, err = record(env, env_index, config.runs_per_env), None
+        except Exception as exc:  # noqa: BLE001 - sweep must survive bad rows
+            row, err = None, f"{type(exc).__name__}: {exc}"
+    return env_index, row, err, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
 def _run_tasks(record, config, workers: int):
+    """Run every environment; re-issue their warnings here in index order, so
+    stderr shows each warning once per sweep at any worker count."""
     args = [(record, config, i) for i in range(config.num_envs)]
     if workers <= 1 or config.num_envs <= 1:
         results = [_env_task(a) for a in args]
@@ -272,8 +278,11 @@ def _run_tasks(record, config, workers: int):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_env_task, args, chunksize=chunk))
     results.sort(key=lambda r: r[0])
-    records = [rec for _, rec, err in results if err is None]
-    failures = [(idx, err) for idx, _, err in results if err is not None]
+    registry = {}  # the default action shows each (message, category, line) once per sweep
+    for warning in (w for *_, caught in results for w in caught):
+        warnings.warn_explicit(*warning, registry=registry)
+    records = [rec for _, rec, err, _ in results if err is None]
+    failures = [(idx, err) for idx, _, err, _ in results if err is not None]
     return records, failures
 
 
@@ -389,7 +398,7 @@ def estimate_pseudoregret(
     if repeated:
         raise ConfigurationError(f"checkpoints must be distinct; repeated: {repeated}")
     streams = [substream(spec.seed, r, "rewards") for r in range(runs)]
-    m_star = env.m.max(axis=0)
+    m_star = gaps(env).m_star_per_state
     counts = np.zeros((runs, spec.K, spec.S), dtype=np.int64)
     sums = np.zeros((runs, spec.K, spec.S))
     regret = np.zeros(runs)

@@ -13,11 +13,10 @@ count). All money is accounted in integer milli-dollars.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -94,31 +93,36 @@ def encode_risk(label: RiskLabel, scheme: str = "linear") -> float:
 
 @dataclass(frozen=True)
 class Individual:
-    """One screened individual.
-
-    Synthetic individuals carry per-stage confusion rows (probability of each
-    observed label given the true one); replay individuals carry recorded
-    labels per stage plus the machine probability vector.
-    """
+    """One screened individual; replay individuals carry recorded labels per
+    stage plus the machine probability vector."""
 
     id: int
     true_risk: RiskLabel
-    stage_rows: dict | None = None
     recorded: dict | None = None
     machine_probs: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
 class Population:
-    """An ordered collection of individuals; kind is synthetic or replay."""
+    """An ordered collection of individuals. A synthetic one samples
+    ``confusion[stage - 1][true][observed]`` probabilities; a replay one
+    (``confusion`` None) replays recorded labels. Rater labels drawn for the
+    baselines are kept on the population (see ``rater_label``)."""
 
     individuals: tuple[Individual, ...]
-    kind: str
+    confusion: tuple[tuple[tuple[float, ...], ...], ...] | None = None
+    _rater_labels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [ind.id for ind in self.individuals]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate individual ids", field="individuals")
+        if self.confusion is not None and np.shape(self.confusion) != (3, 4, 4):
+            raise ValidationError("need 3 stages x 4 true x 4 observed labels", field="confusion")
+
+    @property
+    def kind(self) -> str:
+        return "replay" if self.confusion is None else "synthetic"
 
     @property
     def ids(self) -> tuple[int, ...]:
@@ -126,8 +130,8 @@ class Population:
 
     def _choices(self, ind: Individual, stage: int) -> tuple:
         """The confusion row (synthetic) or the recorded labels (replay)."""
-        if self.kind == "synthetic":
-            return ind.stage_rows[stage]
+        if self.confusion is not None:
+            return self.confusion[stage - 1][ind.true_risk]
         labels = ind.recorded.get(stage, ())
         if not labels:
             raise ValidationError(f"individual {ind.id} has no recorded stage-{stage} labels",
@@ -139,13 +143,22 @@ class Population:
         """One evaluation: sample the confusion row (synthetic) or replay the
         recorded labels cyclically in file order (replay)."""
         choices = self._choices(ind, stage)
-        if self.kind == "synthetic":
+        if self.confusion is not None:
             return _row_label(choices, rng.random())
         return choices[pull_index % len(choices)]
 
-    def sample_label(self, ind: Individual, stage: int, seed: int, tag: str) -> RiskLabel:
-        """One evaluation by a randomly assigned rater (used by baselines)."""
-        return _rater_label(seed, ind.id, tag, self._choices(ind, stage), self.kind == "synthetic")
+    def rater_label(self, ind: Individual, stage: int, seed: int, tag: str) -> RiskLabel:
+        """One evaluation by a randomly assigned rater (used by baselines), drawn
+        from substream (seed, ind.id, tag) when first read and kept, so the
+        baselines of one seed draw each label once however many read it."""
+        key = (seed, ind.id, stage, tag)
+        if key not in self._rater_labels:
+            rng, choices = substream(seed, ind.id, tag), self._choices(ind, stage)
+            if self.confusion is not None:
+                self._rater_labels[key] = _row_label(choices, rng.random())
+            else:
+                self._rater_labels[key] = choices[int(rng.integers(0, len(choices)))]
+        return self._rater_labels[key]
 
 
 def _row_label(row: tuple, u: float) -> RiskLabel:
@@ -156,16 +169,6 @@ def _row_label(row: tuple, u: float) -> RiskLabel:
         if u < acc:
             return lab
     return RiskLabel.SEVERE
-
-
-@functools.lru_cache(maxsize=4096)  # holds one seed's labels for populations up to ~2,000
-def _rater_label(seed: int, ind_id: int, tag: str, choices: tuple, synthetic: bool) -> RiskLabel:
-    """A label drawn from substream (seed, ind_id, tag); pure in its arguments,
-    so the baselines of one seed draw each label once however many read it."""
-    rng = substream(seed, ind_id, tag)
-    if synthetic:
-        return _row_label(choices, rng.random())
-    return choices[int(rng.integers(0, len(choices)))]
 
 
 def synth_population(
@@ -200,18 +203,9 @@ def synth_population(
     rng = substream(seed, "population")
     rng.shuffle(labels)
 
-    def row(true: RiskLabel, err: float) -> tuple[float, ...]:
-        return tuple((1.0 - err) if lab == true else err / 3.0 for lab in RiskLabel)
-
-    individuals = tuple(
-        Individual(
-            id=i,
-            true_risk=labels[i],
-            stage_rows={s + 1: row(labels[i], e) for s, e in enumerate((e1, e2, e3))},
-        )
-        for i in range(n)
-    )
-    return Population(individuals=individuals, kind="synthetic")
+    confusion = tuple(tuple(tuple((1.0 - err) if lab == true else err / 3.0 for lab in RiskLabel)
+                            for true in RiskLabel) for err in (e1, e2, e3))
+    return Population(tuple(Individual(id=i, true_risk=labels[i]) for i in range(n)), confusion)
 
 
 def _modal_label(labels) -> RiskLabel:
@@ -286,7 +280,7 @@ def load_evaluations(human_path, machine_path) -> Population:
         true = _modal_label(expert) if expert else RiskLabel(int(np.argmax(probs[ind_id])))
         individuals.append(Individual(id=ind_id, true_risk=true, recorded=recs,
                                       machine_probs=probs[ind_id]))
-    return Population(individuals=tuple(individuals), kind="replay")
+    return Population(individuals=tuple(individuals))
 
 
 @dataclass(frozen=True)
@@ -506,7 +500,7 @@ def _nlp_label(pop: Population, ind: Individual, seed: int) -> RiskLabel:
     stage-1 evaluation (synthetic)."""
     if pop.kind == "replay":
         return RiskLabel(int(np.argmax(ind.machine_probs)))
-    return pop.sample_label(ind, 1, seed, "nlp")
+    return pop.rater_label(ind, 1, seed, "nlp")
 
 
 @dataclass(frozen=True)
@@ -518,7 +512,7 @@ class _Rater:
 
 _CONSENSUS = _Rater(4, STAGE_COSTS_MILLI[2], lambda pop, ind, seed: ind.true_risk)
 _EXPERT = _Rater(1, STAGE_COSTS_MILLI[2],
-                 lambda pop, ind, seed: pop.sample_label(ind, 3, seed, "expert"))
+                 lambda pop, ind, seed: pop.rater_label(ind, 3, seed, "expert"))
 _NLP = _Rater(1, STAGE_COSTS_MILLI[0], _nlp_label)
 _FLAG_ALL = _Rater(0, 0, lambda pop, ind, seed: RiskLabel.SEVERE)
 

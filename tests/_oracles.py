@@ -352,7 +352,7 @@ def triage_pipeline(pop, stages, policy: str, encoding: str, rng) -> dict:
             ind = by_id[target]
             if pop.kind == "synthetic":
                 u, acc, level = rng.random(), 0.0, 3
-                for k, p in enumerate(ind.stage_rows[st.index]):
+                for k, p in enumerate(pop.confusion[st.index - 1][ind.true_risk]):
                     acc += p
                     if u < acc:
                         level = k

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import statebandits
 from statebandits import montecarlo
 from statebandits.cli import main
 
@@ -169,6 +174,24 @@ class TestErrors:
         for name in ("tightness.csv", "tightness_summary.json", "manifest.json"):
             assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
+    def test_mixed_failures_stderr_is_worker_count_invariant(self, tmp_path):
+        # Python shows a warning once per process; the sweep re-issues its
+        # environments' warnings from the parent, so pool workers add none.
+        cfg = write_cfg(tmp_path / "c.cfg", "num_envs = 12\nruns_per_env = 20\nk_min = 2\n"
+                                            "k_max = 4\ns_min = 1\ns_max = 1\nhorizon = 3\n")
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(statebandits.__file__).parents[1])}
+        errs = []
+        for w in (1, 2):
+            proc = subprocess.run(
+                [sys.executable, "-m", "statebandits.cli", "tightness", "--config", cfg, "--seed", "4",
+                 "--out", str(tmp_path / f"w{w}"), "--workers", str(w)],
+                capture_output=True, env=env, check=False)
+            assert proc.returncode == 0, proc.stderr
+            errs.append(proc.stderr)
+        assert errs[1] == errs[0]
+        assert errs[0].count(b"UserWarning: horizon 3 is shorter than K*S = 4") == 1
+        assert errs[0].count(b"failed: RecommendationError") == 6
+
     @pytest.mark.parametrize("command", ["tightness", "sr-compare"])
     def test_empty_sweep_exits_0(self, tmp_path, command):
         cfg = write_cfg(tmp_path / "c.cfg", "num_envs = 0\n")
@@ -306,6 +329,22 @@ NLP-Full,0.15,150,0.7419,0.7419,0.5897,0.8655,23,16,8,103
 NLP-Top-k,0.15,150,0.8710,0.8710,0.2700,0.3866,27,73,4,46
 """
 
+# A synthetic ucb run whose stages fund more than one pass, so the optimism
+# index, the confusion table and every default baseline's labels shape it.
+SYNTH_UCB_TABLE = """\
+approach,budget,evaluated,pop_sensitivity,cohort_sensitivity,precision,specificity,tp,fp,fn,tn
+MAB,1300.242,242,0.9048,0.9048,0.7600,0.9400,38,12,4,188
+MAB*,1300.242,242,0.8452±0.1010,0.8452±0.1010,0.9868±0.0372,0.9975±0.0071,35.50±4.24,0.50±1.41,6.50±4.24,199.50±1.41
+4Experts,5178.80,242,1,1,1,1,42,0,0,200
+1Expert,1294.70,242,0.8929±0.0337,0.8929±0.0337,0.8931±0.0265,0.9775±0.0071,37.50±1.41,4.50±1.41,4.50±1.41,195.50±1.41
+4Experts-Sub,2140.00,100,0.3929±0.1010,1,1,1,16.50±4.24,0,0,83.50±4.24
+1Expert-Sub,535.00,100,0.3214±0.1010,0.8167±0.0471,0.8412±0.1165,0.9702±0.0154,13.50±4.24,2.50±1.41,3,81.00±2.83
+NLP-Full,0.242,242,0.6667,0.6667,0.4516,0.8300,28,34,14,166
+NLP-Sub,0.10,100,0.2381±0.0673,0.6056±0.0157,0.3839±0.0253,0.8081±0.0436,10.00±2.83,16.00±2.83,6.50±1.41,67.50±7.07
+NLP-Top-k,0.242,242,0.7381,0.7381,0.3100,0.6550,31,69,11,131
+NLP-Top-100+1Expert-Sub,535.242,242,0.6786±0.0337,0.6786±0.0337,0.9344±0.0030,0.9900,28.50±1.41,2,13.50±1.41,198
+"""
+
 
 class TestTriage:
     def test_replay_n_must_match_roster(self, tmp_path, capsys):
@@ -359,6 +398,13 @@ class TestTriage:
         out = tmp_path / "o"
         assert main(["triage", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "triage.csv").read_text(encoding="utf-8") == REPLAY_TABLE
+
+    def test_synthetic_ucb_table(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        "total_budget = 1300\nscheme = more2\npolicy = ucb\nnum_seeds = 2\n")
+        out = tmp_path / "o"
+        assert main(["triage", "--config", cfg, "--seed", "11", "--out", str(out)]) == 0
+        assert (out / "triage.csv").read_text(encoding="utf-8") == SYNTH_UCB_TABLE
 
     def test_small_run_table(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", "\n".join([

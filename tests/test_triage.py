@@ -30,7 +30,7 @@ from statebandits import (
     synth_population,
 )
 from statebandits import triage
-from statebandits.triage import ENCODINGS, STAGE_COSTS_MILLI, STAGE_GAINS, BaselineResult
+from statebandits.triage import ENCODINGS, STAGE_COSTS_MILLI, STAGE_GAINS, SUB_COHORT, BaselineResult
 
 from _oracles import triage_pipeline
 
@@ -81,10 +81,18 @@ class TestSynthPopulation:
     def test_confusion_rows(self):
         pop = synth_population(20, 5, stage_noise=(0.45, 0.30, 0.10), seed=1)
         ind = next(i for i in pop.individuals if i.true_risk == RiskLabel.SEVERE)
-        row3 = ind.stage_rows[3]
+        row3 = pop.confusion[2][ind.true_risk]
         assert row3[int(RiskLabel.SEVERE)] == pytest.approx(0.90)
         assert row3[int(RiskLabel.NO)] == pytest.approx(0.10 / 3)
-        assert sum(ind.stage_rows[1]) == pytest.approx(1.0)
+        assert sum(pop.confusion[0][ind.true_risk]) == pytest.approx(1.0)
+
+    def test_kind_follows_confusion(self):
+        assert synth_population(20, 5, seed=1).kind == "synthetic"
+        assert Population(individuals=(Individual(id=1, true_risk=RiskLabel.NO),)).kind == "replay"
+        row = (0.25,) * 4
+        for bad in (((row,) * 4,) * 2, ((row,) * 3,) * 3, (((0.5,) * 2,) * 4,) * 3):
+            with pytest.raises(ValidationError, match="confusion"):
+                Population(individuals=(), confusion=bad)
 
     def test_noiseless_final_stage(self):
         pop = synth_population(20, 5, stage_noise=(0.45, 0.30, 0.0), seed=2)
@@ -105,7 +113,7 @@ class TestSynthPopulation:
     def test_duplicate_ids_rejected(self):
         ind = Individual(id=1, true_risk=RiskLabel.NO)
         with pytest.raises(ValidationError, match="duplicate"):
-            Population(individuals=(ind, ind), kind="synthetic")
+            Population(individuals=(ind, ind))
 
 
 class TestBudgets:
@@ -151,12 +159,9 @@ class TestBudgets:
 
 def identity_pop(labels):
     """Population whose every stage reports the true label with certainty."""
-    rows = {lab: tuple(1.0 if k == lab else 0.0 for k in RiskLabel) for lab in RiskLabel}
-    individuals = tuple(
-        Individual(id=i, true_risk=lab, stage_rows={1: rows[lab], 2: rows[lab], 3: rows[lab]})
-        for i, lab in enumerate(labels)
-    )
-    return Population(individuals=individuals, kind="synthetic")
+    rows = tuple(tuple(1.0 if k == lab else 0.0 for k in RiskLabel) for lab in RiskLabel)
+    individuals = tuple(Individual(id=i, true_risk=lab) for i, lab in enumerate(labels))
+    return Population(individuals=individuals, confusion=(rows, rows, rows))
 
 
 def small_stages(n, k, scale=10):
@@ -283,7 +288,7 @@ def screens(draw):
         pop = Population(individuals=tuple(
             Individual(id=3 * i + 1, true_risk=RiskLabel.NO,
                        recorded={s: draw(labels) for s in (1, 2, 3)}, machine_probs=(0.25,) * 4)
-            for i in draw(st.permutations(range(n)))), kind="replay")
+            for i in draw(st.permutations(range(n)))))
     indices = sorted(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True)))
     stages, alive = [], n
     for i in indices:
@@ -434,17 +439,23 @@ class TestLoadEvaluations:
 
 class TestBaselines:
     def test_default_baselines_draw_each_label_once(self, monkeypatch):
-        pop = synth_population(242, 42, seed=42)
         real, calls = triage.substream, []
         monkeypatch.setattr(triage, "substream", lambda *path: calls.append(path) or real(*path))
-        triage._rater_label.cache_clear()
-        for name in BASELINES:
-            run_baseline(name, pop, seed=42)
-        # 242 NLP labels, 242 expert labels and one cohort draw per -Sub baseline
-        assert len(calls) <= 490
+        for n, n_severe in ((242, 42), (5000, 833)):
+            pop = synth_population(n, n_severe, seed=42)
+            calls.clear()
+            for name in BASELINES:
+                run_baseline(name, pop, seed=42)
+            # n NLP labels, n expert labels and one cohort draw per -Sub baseline
+            assert len(calls) <= 2 * n + 3
         for ind in pop.individuals[:20]:
             direct = pop.pull_label(ind, 3, 0, real(42, ind.id, "expert"))
-            assert pop.sample_label(ind, 3, 42, "expert") is direct
+            assert pop.rater_label(ind, 3, 42, "expert") is direct
+        # a fresh population draws its own labels, and only those it reads
+        fresh = synth_population(242, 42, seed=42)
+        calls.clear()
+        run_baseline("1Expert-Sub", fresh, seed=42)
+        assert len(calls) == 1 + SUB_COHORT
 
     def test_four_experts_exact_cost(self):
         pop = synth_population(242, 42, seed=0)
