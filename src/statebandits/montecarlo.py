@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from scipy.stats import binomtest
+from scipy.special import betainc
 
 from .bounds import thm1_bound, thm2_bounds, thm3_bounds, thm4_bounds
 from .divergence import BOUNDED_UNIT, PsiFamily
@@ -348,7 +348,8 @@ def sr_compare(config: SweepConfig, workers: int = 1):
     n_pos = int(np.sum(diffs > 0))
     n_neg = int(np.sum(diffs < 0))
     if n_pos + n_neg > 0:
-        p_value = float(binomtest(n_pos, n_pos + n_neg, 0.5, alternative="greater").pvalue)
+        # P(Binomial(n_pos + n_neg, 1/2) >= n_pos), the one-sided sign test
+        p_value = float(betainc(n_pos, n_neg + 1, 0.5))
     else:
         p_value = 1.0
     mean_u = float(np.mean([r.e_hat_uniform for r in records])) if records else 0.0

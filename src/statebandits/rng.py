@@ -5,11 +5,26 @@ results are reproducible from a single master seed and independent of how
 work is scheduled across processes. A substream is addressed by a path of
 integers and short strings, e.g. ``substream(seed, env_index, run_index,
 "rewards")``; equal paths always yield identical generators.
+
+``substream_raw`` computes the first raw outputs of many substreams whose
+paths differ in one integer at once, with the same numbers as ``substream``:
+numpy's ``SeedSequence`` hash of the path, PCG64 seeding from its state words,
+then the XSL-RR output function (O'Neill, *PCG*, 2014), in uint64 arithmetic.
 """
 
 import zlib
 
 import numpy as np
+
+_MASK32 = 0xFFFFFFFF
+# SeedSequence hash constants (numpy.random.bit_generator), pool of 4 words
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# PCG64's 128-bit LCG multiplier as (high, low) 64-bit halves
+_PCG_MULT = (2549297995355413924, 4865540595714422341)
+_U32, _U64 = np.uint32, np.uint64
 
 
 def _coerce(part) -> int:
@@ -28,3 +43,114 @@ def substream(*path) -> np.random.Generator:
     if not path:
         raise TypeError("substream needs at least one path element")
     return np.random.default_rng(np.random.SeedSequence([_coerce(p) for p in path]))
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's little-endian 32-bit words of a coerced path part."""
+    return [value & _MASK32, value >> 32] if value >> 32 else [value]
+
+
+def _pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence.pool`` of each row of ``entropy`` (one uint32 array per word)."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ _U32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * _U32(hash_const)
+        return value ^ (value >> _U32(16))
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> _U32(16))
+
+    zero = np.zeros_like(entropy[0])
+    mixer = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixer[dst] = mix(mixer[dst], hashmix(mixer[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            mixer[dst] = mix(mixer[dst], hashmix(word))
+    return mixer
+
+
+def _state_words(pool: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence.generate_state(4, np.uint64)`` from the pool."""
+    hash_const, halves = _INIT_B, []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ _U32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * _U32(hash_const)
+        halves.append((value ^ (value >> _U32(16))).astype(_U64))
+    return [halves[i] | (halves[i + 1] << _U64(32)) for i in range(0, 8, 2)]
+
+
+def _mul_wide(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The full 128-bit product of uint64 ``a`` and the constant ``b``, as (high, low)."""
+    a1, a0 = a >> _U64(32), a & _U64(_MASK32)
+    b1, b0 = _U64(b >> 32), _U64(b & _MASK32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U64(32)) + (p01 & _U64(_MASK32)) + (p10 & _U64(_MASK32))
+    high = a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    return high, (p00 & _U64(_MASK32)) | (mid << _U64(32))
+
+
+def _lcg_step(state: tuple, inc: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 step ``state * MULT + inc`` modulo 2**128 on (high, low) halves."""
+    hi, lo = state
+    carry, low = _mul_wide(lo, _PCG_MULT[1])
+    high = carry + lo * _U64(_PCG_MULT[0]) + hi * _U64(_PCG_MULT[1])
+    return _add128((high, low), inc)
+
+
+def _add128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]).astype(_U64), lo
+
+
+def _raw_outputs(entropy: list[np.ndarray], draws: int) -> np.ndarray:
+    """The first ``draws`` PCG64 outputs after seeding from each entropy row."""
+    seed_hi, seed_lo, seq_hi, seq_lo = _state_words(_pool(entropy))
+    # PCG seeding: inc = 2 * seq + 1; state steps from 0, adds the seed, steps again
+    inc = ((seq_hi << _U64(1)) | (seq_lo >> _U64(63)), (seq_lo << _U64(1)) | _U64(1))
+    state = _lcg_step(_add128(inc, (seed_hi, seed_lo)), inc)
+    out = np.empty((len(seed_hi), draws), dtype=_U64)
+    for d in range(draws):
+        state = _lcg_step(state, inc)
+        hi, lo = state
+        x, rot = hi ^ lo, hi >> _U64(58)
+        out[:, d] = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+    return out
+
+
+def substream_raw(prefix: tuple, ids, suffix: tuple = (), draws: int = 1) -> np.ndarray:
+    """The first ``draws`` raw 64-bit outputs of ``substream(*prefix, i, *suffix)``
+    for every ``i`` of ``ids``, as a ``(len(ids), draws)`` uint64 array.
+
+    ``ids`` is an integer array or a sequence of path parts. Row ``r`` equals
+    ``substream(*prefix, ids[r], *suffix).bit_generator.random_raw(draws)``
+    (negative ids map by two's complement, as there), and ``.random()`` of
+    that stream is ``(raw >> 11) * 2**-53``. All rows are derived in one pass
+    of array arithmetic.
+    """
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
+        ids = ids.astype(np.int64).astype(_U64) if ids.dtype.kind == "i" else ids.astype(_U64)
+    else:
+        ids = np.array([_coerce(i) for i in ids], dtype=_U64)
+    head = [w for p in prefix for w in _words(_coerce(p))]
+    tail = [w for p in suffix for w in _words(_coerce(p))]
+    out = np.empty((len(ids), draws), dtype=_U64)
+    # an id of two 32-bit words lengthens the entropy, which changes the mixing
+    wide = ids > _U64(_MASK32)
+    for rows in (np.flatnonzero(~wide), np.flatnonzero(wide)):
+        if rows.size == 0:
+            continue
+        lo = (ids[rows] & _U64(_MASK32)).astype(_U32)
+        middle = [lo, (ids[rows] >> _U64(32)).astype(_U32)] if wide[rows[0]] else [lo]
+        entropy = [np.full(rows.size, w, dtype=_U32) for w in head] + middle + [
+            np.full(rows.size, w, dtype=_U32) for w in tail]
+        out[rows] = _raw_outputs(entropy, draws)
+    return out

@@ -23,7 +23,7 @@ import numpy as np
 
 from .divergence import BOUNDED_UNIT, _psi_star_inv
 from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError
-from .rng import substream
+from .rng import substream, substream_raw
 
 __all__ = [
     "RiskLabel",
@@ -56,6 +56,8 @@ class RiskLabel(IntEnum):
     MODERATE = 2
     SEVERE = 3
 
+
+_LABELS = tuple(RiskLabel)
 
 _LABEL_NAMES = {"no": RiskLabel.NO, "low": RiskLabel.LOW,
                 "moderate": RiskLabel.MODERATE, "severe": RiskLabel.SEVERE}
@@ -107,7 +109,7 @@ class Population:
     """An ordered collection of individuals. A synthetic one samples
     ``confusion[stage - 1][true][observed]`` probabilities; a replay one
     (``confusion`` None) replays recorded labels. Rater labels drawn for the
-    baselines are kept on the population (see ``rater_label``)."""
+    baselines are kept on the population (see ``rater_labels``)."""
 
     individuals: tuple[Individual, ...]
     confusion: tuple[tuple[tuple[float, ...], ...], ...] | None = None
@@ -147,28 +149,57 @@ class Population:
             return _row_label(choices, rng.random())
         return choices[pull_index % len(choices)]
 
-    def rater_label(self, ind: Individual, stage: int, seed: int, tag: str) -> RiskLabel:
-        """One evaluation by a randomly assigned rater (used by baselines), drawn
-        from substream (seed, ind.id, tag) when first read and kept, so the
-        baselines of one seed draw each label once however many read it."""
-        key = (seed, ind.id, stage, tag)
-        if key not in self._rater_labels:
-            rng, choices = substream(seed, ind.id, tag), self._choices(ind, stage)
+    def rater_labels(self, inds, stage: int, seed: int, tag: str) -> list[RiskLabel]:
+        """One evaluation each by a randomly assigned rater (used by baselines):
+        what ``substream(seed, ind.id, tag)`` picks with ``.random()`` from the
+        confusion row (synthetic) or ``.integers(0, m)`` from the m recorded
+        labels (replay). Labels not yet kept are derived in one pass and kept,
+        so the baselines of one seed derive each label once however many read it."""
+        kept = self._rater_labels.setdefault((seed, stage, tag), {})
+        new = [ind for ind in inds if ind.id not in kept]
+        if new:
+            choices = [self._choices(ind, stage) for ind in new]
+            ids = [ind.id for ind in new]
             if self.confusion is not None:
-                self._rater_labels[key] = _row_label(choices, rng.random())
+                raw = substream_raw((seed,), ids, (tag,))[:, 0]
+                us = ((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
+                labels = map(_row_label, choices, us)
             else:
-                self._rater_labels[key] = choices[int(rng.integers(0, len(choices)))]
-        return self._rater_labels[key]
+                picks = _integers((seed,), ids, (tag,), [len(c) for c in choices])
+                labels = (c[k] for c, k in zip(choices, picks))
+            kept.update(zip(ids, labels))
+        return [kept[ind.id] for ind in inds]
 
 
 def _row_label(row: tuple, u: float) -> RiskLabel:
     """The label a uniform variate ``u`` picks from a confusion row."""
     acc = 0.0
-    for lab in RiskLabel:
-        acc += row[int(lab)]
+    for lab, p in zip(_LABELS, row):
+        acc += p
         if u < acc:
             return lab
     return RiskLabel.SEVERE
+
+
+def _integers(prefix: tuple, ids, suffix: tuple, sizes) -> list[int]:
+    """``substream(*prefix, i, *suffix).integers(0, m)`` for each id ``i`` and
+    size ``m`` (m < 2**32), by numpy's Lemire rule: the stream's 32-bit words
+    (low half of each raw output, then the high half) are scaled by m, and the
+    first ``w`` with ``(w * m) mod 2**32 >= (2**32 - m) % m`` gives
+    ``(w * m) >> 32``. Rows whose words are all rejected derive more outputs."""
+    ids, m = list(ids), np.array(sizes, dtype=np.uint64)
+    low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    threshold = (np.uint64(2**32) - m) % m
+    out = np.full(len(ids), -1, dtype=np.int64)
+    todo, draws = np.arange(len(ids)), 1
+    while todo.size:
+        raw = substream_raw(prefix, [ids[i] for i in todo], suffix, draws)
+        for word in np.stack([raw & low, raw >> shift], axis=2).reshape(len(todo), -1).T:
+            scaled = word * m[todo]
+            accept = (out[todo] < 0) & ((scaled & low) >= threshold[todo])
+            out[todo[accept]] = (scaled[accept] >> shift).astype(np.int64)
+        todo, draws = todo[out[todo] < 0], 2 * draws
+    return out.tolist()
 
 
 def synth_population(
@@ -495,26 +526,27 @@ class BaselineResult:
         return self._positives
 
 
-def _nlp_label(pop: Population, ind: Individual, seed: int) -> RiskLabel:
-    """The automated stage's prediction: the machine argmax (replay) or one
-    stage-1 evaluation (synthetic)."""
+def _nlp_labels(pop: Population, inds: list[Individual], seed: int) -> list[RiskLabel]:
+    """The automated stage's predictions: the machine argmax (replay) or one
+    stage-1 evaluation each (synthetic)."""
     if pop.kind == "replay":
-        return RiskLabel(int(np.argmax(ind.machine_probs)))
-    return pop.rater_label(ind, 1, seed, "nlp")
+        return [RiskLabel(int(np.argmax(ind.machine_probs))) for ind in inds]
+    return pop.rater_labels(inds, 1, seed, "nlp")
 
 
 @dataclass(frozen=True)
 class _Rater:
     per_person: int  # evaluations per person rated
     cost_milli: int  # per evaluation
-    label: Callable[[Population, Individual, int], RiskLabel]
+    labels: Callable[[Population, list[Individual], int], list[RiskLabel]]
 
 
-_CONSENSUS = _Rater(4, STAGE_COSTS_MILLI[2], lambda pop, ind, seed: ind.true_risk)
+_CONSENSUS = _Rater(4, STAGE_COSTS_MILLI[2],
+                    lambda pop, inds, seed: [ind.true_risk for ind in inds])
 _EXPERT = _Rater(1, STAGE_COSTS_MILLI[2],
-                 lambda pop, ind, seed: pop.rater_label(ind, 3, seed, "expert"))
-_NLP = _Rater(1, STAGE_COSTS_MILLI[0], _nlp_label)
-_FLAG_ALL = _Rater(0, 0, lambda pop, ind, seed: RiskLabel.SEVERE)
+                 lambda pop, inds, seed: pop.rater_labels(inds, 3, seed, "expert"))
+_NLP = _Rater(1, STAGE_COSTS_MILLI[0], _nlp_labels)
+_FLAG_ALL = _Rater(0, 0, lambda pop, inds, seed: [RiskLabel.SEVERE] * len(inds))
 
 # baseline: (who the rater sees, rater); the top views rank everyone by one
 # NLP pass first, so they evaluate everyone
@@ -534,11 +566,13 @@ SUB_COHORT = 100
 COHORT_BASELINES = tuple(name for name, (view, _) in _BASELINE_TABLE.items() if view == "cohort")
 
 
-def _nlp_rank_key(pop: Population, seed: int):
-    """Sort key putting the likeliest Severe first by NLP, ties toward the lower id."""
+def _nlp_ranked(pop: Population, inds: list[Individual], seed: int) -> list[Individual]:
+    """``inds`` with the likeliest Severe by NLP first, ties toward the lower id."""
     if pop.kind == "replay":
-        return lambda ind: (-ind.machine_probs[int(RiskLabel.SEVERE)], ind.id)
-    return lambda ind: (-int(_nlp_label(pop, ind, seed)), ind.id)
+        scores = [ind.machine_probs[int(RiskLabel.SEVERE)] for ind in inds]
+    else:
+        scores = _nlp_labels(pop, inds, seed)
+    return [ind for _, ind in sorted(zip(scores, inds), key=lambda p: (-p[0], p[1].id))]
 
 
 def run_baseline(name: str, pop: Population, params: dict | None = None,
@@ -567,13 +601,13 @@ def run_baseline(name: str, pop: Population, params: dict | None = None,
         seen = [everyone[i] for i in sorted(int(p) for p in picks)]
     else:
         evaluations.append((_NLP, len(everyone)))
-        ranked = sorted(everyone, key=_nlp_rank_key(pop, seed))
-        seen = ranked[: top_k if view == "top-k" else 100]
+        seen = _nlp_ranked(pop, everyone, seed)[: top_k if view == "top-k" else 100]
     evaluations.append((rater, len(seen)))
+    labels = rater.labels(pop, seen, seed)
     return BaselineResult(
         name,
         frozenset(ind.id for ind in (seen if view == "cohort" else everyone)),
-        frozenset(ind.id for ind in seen if rater.label(pop, ind, seed) == RiskLabel.SEVERE),
+        frozenset(ind.id for ind, lab in zip(seen, labels) if lab == RiskLabel.SEVERE),
         sum(count * r.per_person * r.cost_milli for r, count in evaluations),
         sum(count * r.per_person for r, count in evaluations),
     )

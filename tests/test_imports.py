@@ -2,12 +2,16 @@
 
 Every name a module imports must be used in it (a name listed in the
 module's ``__all__`` counts as used, since it is re-exported), and every name
-an ``__all__`` lists must resolve.
+an ``__all__`` lists must resolve. Start-up stays light: importing the CLI
+loads no ``scipy.stats``.
 """
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -67,3 +71,12 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(name)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing, f"{name}.__all__ lists names that do not exist: {missing}"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = ("import sys, statebandits.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])})
+    assert out.stdout.strip() == "[]"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
+from scipy.special import betainc
+from scipy.stats import binomtest, chisquare
 
 from statebandits import (
     BOUNDED_UNIT,
@@ -239,6 +240,15 @@ class TestSweeps:
         assert summary["sign_test"]["n_pos"] == 0
         assert summary["sign_test"]["n_neg"] == 0
         assert summary["sign_test"]["p_value"] == 1.0
+
+    def test_sign_test_p_value_is_binomtest(self):
+        # sr_compare's betainc(k, n - k + 1, 1/2) against scipy.stats, bit for bit:
+        # every 1 <= k <= n <= 120, then larger n on a stride
+        pairs = [(k, n) for n in range(1, 121) for k in range(1, n + 1)]
+        pairs += [(k, n) for n in range(401, 2001, 97) for k in range(1, n + 1, 7)]
+        mismatched = [(k, n) for k, n in pairs if betainc(k, n - k + 1, 0.5)
+                      != binomtest(k, n, 0.5, alternative="greater").pvalue]
+        assert not mismatched
 
     def test_sr_compare_summary_fields(self):
         config = SweepConfig(num_envs=10, runs_per_env=40, master_seed=2, k_max=4, s_max=3)

@@ -1,0 +1,70 @@
+"""The batch substream derivation against numpy's own generators."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from statebandits import triage
+from statebandits.rng import substream, substream_raw
+
+# path parts of one and of two 32-bit words, negatives included (two's complement)
+seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1), st.integers(-2**63, -1))
+ids = st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                st.integers(-2**63, -1))
+tags = st.sampled_from(["nlp", "expert", "cohort", "rewards", ""])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(prefix=st.lists(seeds, min_size=0, max_size=3), suffix=st.lists(tags, max_size=2),
+       batch=st.lists(ids, min_size=1, max_size=6), m=st.integers(1, 8))
+def test_batch_matches_substream(prefix, suffix, batch, m):
+    raw = substream_raw(tuple(prefix), batch, tuple(suffix), draws=3)
+    uniforms = ((raw[:, 0] >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
+    picks = triage._integers(tuple(prefix), batch, tuple(suffix), [m] * len(batch))
+    for row, i in enumerate(batch):
+        path = (*prefix, i, *suffix)
+        assert raw[row].tolist() == substream(*path).bit_generator.random_raw(3).tolist()
+        assert uniforms[row] == substream(*path).random()
+        assert picks[row] == substream(*path).integers(0, m)
+
+
+def test_integer_arrays_and_path_parts_agree():
+    values = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, -1, -2**40]
+    as_parts = substream_raw((7,), values, ("t",))
+    assert np.array_equal(substream_raw((7,), np.array(values[:5], dtype=np.uint64), ("t",)),
+                          as_parts[:5])
+    assert np.array_equal(substream_raw((7,), np.array(values[5:], dtype=np.int64), ("t",)),
+                          as_parts[5:])
+    assert substream_raw((7,), [], ("t",), draws=2).shape == (0, 2)
+    with pytest.raises(TypeError):
+        substream_raw((7,), [0.5])
+
+
+_PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
+
+
+def _pcg64_first_output(first: int) -> np.random.PCG64:
+    """A PCG64 whose next raw output is ``first`` (its state has rotation 0)."""
+    inc = (12345 << 1) | 1
+    state = (123 << 64) | (first ^ 123)  # xsl_rr: high ^ low, rotated by the top 6 bits
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                  "state": {"state": (state - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128,
+                            "inc": inc}}
+    return bits
+
+
+@pytest.mark.parametrize("first, m", [
+    (0, 3),                        # both words rejected: the second output decides
+    (5 << 32, 3),                  # low word rejected, high word accepted
+    (715827883, 6),                # (w * 6) mod 2**32 = 2 < 4 rejects a would-be 1
+    ((715827883 << 32) | 0, 6),    # both rejected
+    (2**64 - 1, 7), (2**63, 5), (123456789, 1), (2**40 + 17, 8),
+])
+def test_integers_follow_lemire_rejection(monkeypatch, first, m):
+    assert _pcg64_first_output(first).random_raw() == first
+    monkeypatch.setattr(triage, "substream_raw", lambda prefix, ids, suffix, draws: np.array(
+        [_pcg64_first_output(first).random_raw(draws) for _ in ids], dtype=np.uint64))
+    expected = np.random.Generator(_pcg64_first_output(first)).integers(0, m)
+    assert triage._integers((0,), [1, 2], (), [m, m]) == [expected, expected]

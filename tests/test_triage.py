@@ -439,23 +439,50 @@ class TestLoadEvaluations:
 
 class TestBaselines:
     def test_default_baselines_draw_each_label_once(self, monkeypatch):
-        real, calls = triage.substream, []
-        monkeypatch.setattr(triage, "substream", lambda *path: calls.append(path) or real(*path))
+        real_raw, real_sub, labels, cohorts = triage.substream_raw, triage.substream, [], []
+
+        def counted_raw(prefix, ids, suffix, draws=1):
+            labels.extend(ids)
+            return real_raw(prefix, ids, suffix, draws)
+
+        monkeypatch.setattr(triage, "substream_raw", counted_raw)
+        monkeypatch.setattr(triage, "substream", lambda *path: cohorts.append(path) or real_sub(*path))
         for n, n_severe in ((242, 42), (5000, 833)):
             pop = synth_population(n, n_severe, seed=42)
-            calls.clear()
+            labels.clear(), cohorts.clear()
             for name in BASELINES:
                 run_baseline(name, pop, seed=42)
             # n NLP labels, n expert labels and one cohort draw per -Sub baseline
-            assert len(calls) <= 2 * n + 3
-        for ind in pop.individuals[:20]:
-            direct = pop.pull_label(ind, 3, 0, real(42, ind.id, "expert"))
-            assert pop.rater_label(ind, 3, 42, "expert") is direct
-        # a fresh population draws its own labels, and only those it reads
+            assert len(labels) + len(cohorts) <= 2 * n + 3
+            assert len(cohorts) == 3
+        # a fresh population derives its own labels, and only those it reads
         fresh = synth_population(242, 42, seed=42)
-        calls.clear()
+        labels.clear(), cohorts.clear()
         run_baseline("1Expert-Sub", fresh, seed=42)
-        assert len(calls) == 1 + SUB_COHORT
+        assert len(labels) == SUB_COHORT and len(cohorts) == 1
+
+    def test_batch_labels_equal_one_substream_per_label(self):
+        synth = synth_population(242, 42, seed=5)
+        inds = list(synth.individuals)
+        for stage, tag in ((1, "nlp"), (3, "expert")):
+            # the later full batch derives only the labels the first one did not
+            part = synth.rater_labels(inds[::3], stage, 2**61 + 9, tag)
+            full = synth.rater_labels(inds, stage, 2**61 + 9, tag)
+            assert full[::3] == part
+            assert full == [synth.pull_label(ind, stage, 0, substream(2**61 + 9, ind.id, tag))
+                            for ind in inds]
+        # replay: ids of one and two 32-bit words, 1 to 7 recorded labels each
+        rng = substream(3, "replay-test")
+        replay = Population(individuals=tuple(
+            Individual(id=int(i), true_risk=RiskLabel.NO, machine_probs=(0.25,) * 4,
+                       recorded={3: tuple(RiskLabel(int(x))
+                                          for x in rng.integers(0, 4, size=1 + int(i) % 7))})
+            for i in (*range(60), *rng.integers(2**32, 2**62, size=20))))
+        for seed in (0, 7, 2**40 + 1):
+            got = replay.rater_labels(list(replay.individuals), 3, seed, "expert")
+            for ind, lab in zip(replay.individuals, got):
+                recorded = ind.recorded[3]
+                assert lab is recorded[int(substream(seed, ind.id, "expert").integers(0, len(recorded)))]
 
     def test_four_experts_exact_cost(self):
         pop = synth_population(242, 42, seed=0)
