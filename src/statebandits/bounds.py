@@ -26,9 +26,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .divergence import PsiFamily, psi_star
-from .env import Environment, gaps, state_counts
-from .errors import ConfigurationError
-from .strategies import SRSchedule, sr_counts
+from .env import Environment, _check_steps, gaps, state_counts
+from .strategies import SRSchedule, _check_alpha, sr_counts
 
 __all__ = [
     "BoundReport",
@@ -61,18 +60,15 @@ def _report(name: str, raw: float) -> BoundReport:
 
 def _per_state_floor(env: Environment, n: int) -> np.ndarray:
     """floor(visits to s within n / K) for each state."""
-    if not 1 <= n <= env.spec.horizon:
-        raise ConfigurationError(f"n {n} outside [1, {env.spec.horizon}]")
+    _check_steps(n, env.spec.horizon)
     return state_counts(env.spec.state_sequence, env.spec.S, n) // env.spec.K
 
 
 def thm1_bound(env: Environment, alpha: float, n: int, family: PsiFamily) -> BoundReport:
     """Pseudo-regret bound: sum over cells with a positive per-state gap of
     gap * (alpha ln n / psi_star(gap/2) + alpha/(alpha-2))."""
-    if not alpha > 2:
-        raise ConfigurationError(f"alpha must exceed 2, got {alpha}")
-    if not 1 <= n <= env.spec.horizon:
-        raise ConfigurationError(f"n {n} outside [1, {env.spec.horizon}]")
+    _check_alpha(alpha)
+    _check_steps(n, env.spec.horizon)
     delta = gaps(env).delta_m
     positive = delta[delta > 0]
     total = float(

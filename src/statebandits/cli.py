@@ -99,22 +99,13 @@ def _opt_int(text):
     return None if s in ("", "none", "None") else int(s)
 
 
-def _int_list(text):
-    if isinstance(text, (list, tuple)):
-        return tuple(int(x) for x in text)
-    return tuple(int(x) for x in str(text).split(",") if x.strip())
-
-
-def _float_list(text):
-    if isinstance(text, (list, tuple)):
-        return tuple(float(x) for x in text)
-    return tuple(float(x) for x in str(text).split(",") if x.strip())
-
-
-def _str_list(text):
-    if isinstance(text, (list, tuple)):
-        return tuple(str(x) for x in text)
-    return tuple(x.strip() for x in str(text).split(",") if x.strip())
+def _list(item):
+    """Parser of a list key: ``item`` parses each entry of a JSON list or comma-separated text."""
+    def parse(value):
+        if not isinstance(value, (list, tuple)):
+            value = [x.strip() for x in str(value).split(",") if x.strip()]
+        return tuple(item(x) for x in value)
+    return parse
 
 
 def resolve_config(schema: list[Field], raw: dict) -> dict:
@@ -275,15 +266,15 @@ def cmd_sr_compare(args, cfg: dict, seed: int) -> int:
 REGRET_SCHEMA = [
     Field("K", _int, 3, "tool", "number of arms"),
     Field("S", _int, 2, "tool", "number of states"),
-    Field("mu", _float_list, (0.8, 0.6, 0.4), "tool", "per-arm global utilities"),
+    Field("mu", _list(_float), (0.8, 0.6, 0.4), "tool", "per-arm global utilities"),
     Field("sigma2", _float, 0.05, "tool", "local-mean prior variance"),
-    Field("m", _float_list, (), "tool",
+    Field("m", _list(_float), (), "tool",
           "explicit per-(arm,state) local means, row-major; empty draws them from mu"),
     Field("env_seed", _int, 0, "tool", "environment instantiation seed"),
     Field("reward_family", _str, "bernoulli", "protocol", "bernoulli or truncated_gaussian"),
     Field("state_mode", _str, "iid_uniform", "tool", "state sequence generator"),
     Field("alpha", _float, 3.0, "tool", "optimism exploration rate, must exceed 2"),
-    Field("checkpoints", _int_list, (100, 1000, 10000), "protocol", "horizons to report"),
+    Field("checkpoints", _list(_int), (100, 1000, 10000), "protocol", "horizons to report"),
     Field("runs", _int, 1000, "protocol", "Monte Carlo runs"),
 ]
 
@@ -321,15 +312,15 @@ def cmd_regret(args, cfg: dict, seed: int) -> int:
 TRIAGE_SCHEMA = [
     Field("n", _int, 242, "protocol", "population size"),
     Field("n_severe", _int, 42, "protocol", "number of truly at-risk individuals"),
-    Field("stage_noise", _float_list, (0.45, 0.30, 0.10), "tool",
+    Field("stage_noise", _list(_float), (0.45, 0.30, 0.10), "tool",
           "per-stage error probabilities, strictly decreasing"),
-    Field("k", _int_list, (200, 100, 50), "protocol", "cohort sizes after each stage"),
+    Field("k", _list(_int), (200, 100, 50), "protocol", "cohort sizes after each stage"),
     Field("total_budget", _int, 553, "protocol", "named total budget in dollars"),
     Field("scheme", _str, "", "protocol", "budget split for $1,300/$2,200: more3, more2 or equal"),
     Field("policy", _str, "round_robin", "tool", "within-stage allocation: round_robin or ucb"),
     Field("encoding", _str, "linear", "protocol", "label encoding: linear, binary or exponential"),
     Field("num_seeds", _int, 100, "tool", "independent repetitions"),
-    Field("baselines", _str_list, BASELINES, "protocol",
+    Field("baselines", _list(_str), BASELINES, "protocol",
           f"reference approaches to run; {', '.join(COHORT_BASELINES)} evaluate a random "
           f"{SUB_COHORT}-person cohort and need n >= {SUB_COHORT}"),
     Field("human_csv", _str, "", "tool", "recorded human evaluations for replay (optional)"),

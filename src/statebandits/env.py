@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigurationError, ValidationError
 from .rng import substream
 
 __all__ = [
@@ -154,23 +154,38 @@ def instantiate(spec: EnvironmentSpec) -> Environment:
     return Environment(spec=spec, m=m)
 
 
+def _check_steps(n: int, horizon: int) -> None:
+    """A run or bound of ``n`` steps must fit the environment's horizon."""
+    if not 1 <= n <= horizon:
+        raise ConfigurationError(f"n {n} outside [1, {horizon}]")
+
+
+def _variates(spec: EnvironmentSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """The reward variates of ``size`` pulls: uniforms for bernoulli rewards,
+    standard normals for truncated_gaussian ones."""
+    return rng.random(size) if spec.reward_family == "bernoulli" else rng.standard_normal(size)
+
+
+def _rewards(spec: EnvironmentSpec, mean, u) -> np.ndarray:
+    """Rewards of pulls with local means ``mean`` and variates ``u``: ``u < mean``
+    (bernoulli) or ``mean + sqrt(reward_sigma2) * u`` clipped to [0, 1]."""
+    if spec.reward_family == "bernoulli":
+        return (u < mean).astype(float)
+    return np.clip(mean + np.sqrt(spec.reward_sigma2) * u, 0.0, 1.0)
+
+
 def pull(env: Environment, arm: int, t: int, rng: np.random.Generator) -> float:
     """Sample one reward for pulling ``arm`` at 1-based time ``t``.
 
-    Consumes exactly one variate from ``rng`` per call (a uniform for
-    bernoulli, a normal for truncated_gaussian), which keeps scalar loops and
-    vectorized replays on the same stream trajectory-identical.
+    Consumes exactly one variate from ``rng`` per call, which keeps scalar
+    loops and vectorized replays on the same stream trajectory-identical.
     """
     spec = env.spec
     if not 0 <= arm < spec.K:
         raise ValidationError(f"arm {arm} outside [0, {spec.K})", field="arm")
     if not 1 <= t <= spec.horizon:
         raise ValidationError(f"t {t} outside [1, {spec.horizon}]", field="t")
-    mean = env.m[arm, spec.state_sequence[t - 1]]
-    if spec.reward_family == "bernoulli":
-        return 1.0 if rng.random() < mean else 0.0
-    draw = mean + np.sqrt(spec.reward_sigma2) * rng.standard_normal()
-    return float(np.clip(draw, 0.0, 1.0))
+    return float(_rewards(spec, env.m[arm, spec.state_sequence[t - 1]], _variates(spec, rng, 1))[0])
 
 
 def state_counts(state_sequence, S: int, n: int | None = None) -> np.ndarray:

@@ -27,7 +27,8 @@ from scipy.special import betainc
 from .bounds import thm1_bound, thm2_bounds, thm3_bounds, thm4_bounds
 from .divergence import BOUNDED_UNIT, PsiFamily
 from .env import (
-    STATE_MODES, Environment, EnvironmentSpec, gaps, instantiate, make_state_sequence, state_counts,
+    STATE_MODES, Environment, EnvironmentSpec, _check_steps, gaps, instantiate, make_state_sequence,
+    state_counts,
 )
 from .errors import ConfigurationError
 from .rng import substream
@@ -184,8 +185,7 @@ def estimate_bai(env: Environment, strategy: str, runs: int, n: int | None = Non
     """
     spec = env.spec
     n = spec.horizon if n is None else n
-    if not 1 <= n <= spec.horizon:
-        raise ConfigurationError(f"n {n} outside [1, {spec.horizon}]")
+    _check_steps(n, spec.horizon)
     if spec.reward_family != "bernoulli":
         raise ConfigurationError(f"estimate_bai needs bernoulli rewards, got {spec.reward_family!r}")
     if strategy == "uniform_eba":

@@ -19,16 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import PsiFamily, _psi_star_inv
-from .env import Environment, pull
+from .env import Environment, _check_steps, _rewards, _variates, pull
 from .errors import ConfigurationError, RecommendationError, ScheduleError
 
 __all__ = [
     "PullStats",
     "cell_means",
-    "sb_ucb_select",
     "optimism_play",
     "rotation_counts",
-    "eba_recommend",
     "eliminate",
     "log_bar",
     "SRSchedule",
@@ -37,7 +35,6 @@ __all__ = [
     "sr_counts",
     "SRResult",
     "successive_rejects",
-    "run_uniform_eba",
     "run_sb_ucb",
 ]
 
@@ -52,16 +49,6 @@ class PullStats:
         self.S = S
         self.counts = np.zeros((K, S), dtype=np.int64)
         self.sums = np.zeros((K, S), dtype=float)
-
-    @property
-    def t(self) -> int:
-        """Total number of recorded pulls."""
-        return int(self.counts.sum())
-
-    @property
-    def means(self) -> np.ndarray:
-        """Per-cell sample means; cells with no pulls are NaN."""
-        return cell_means(self.counts, self.sums, np.nan)
 
     def update(self, arm: int, state: int, reward: float) -> None:
         self.counts[arm, state] += 1
@@ -86,20 +73,6 @@ def _optimism_index(counts, sums, t: int, alpha: float, family: PsiFamily) -> np
     return np.where(counts == 0, np.inf, score)
 
 
-def sb_ucb_select(stats: PullStats, state: int, t: int, alpha: float, family: PsiFamily) -> int:
-    """Arm to pull at 1-based time ``t`` in the given state.
-
-    Any arm never pulled in this state is played first (lowest index);
-    otherwise the arm maximizing sample mean plus the inverted-conjugate
-    bonus on alpha*ln(t)/count wins, ties to the lowest index. alpha must
-    exceed 2 for the associated regret guarantee to hold.
-    """
-    _check_alpha(alpha)
-    if t < 1 or not 0 <= state < stats.S:
-        raise ConfigurationError(f"need t >= 1 and state in [0, {stats.S}), got t={t}, state={state}")
-    return int(np.argmax(_optimism_index(stats.counts[:, state], stats.sums[:, state], t, alpha, family)))
-
-
 _BLOCK_VARIATES = 1 << 18  # reward variates optimism_play holds at once: 2 MiB of float64
 
 
@@ -114,22 +87,19 @@ def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n:
     """
     _check_alpha(alpha)
     spec = env.spec
-    bernoulli = spec.reward_family == "bernoulli"
     block = max(1, _BLOCK_VARIATES // len(streams))
     rows = np.arange(len(streams))
-    scale = np.sqrt(spec.reward_sigma2)
     for lo in range(0, n, block):
         size = min(block, n - lo)
         variates = np.empty((size, len(streams)))
         for r, stream in enumerate(streams):
-            variates[:, r] = stream.random(size) if bernoulli else stream.standard_normal(size)
+            variates[:, r] = _variates(spec, stream, size)
         states = spec.state_sequence[lo:lo + size].tolist()
         for t, s, u in zip(range(lo + 1, lo + size + 1), states, variates):
             choice = np.argmax(_optimism_index(counts[:, :, s], sums[:, :, s], t, alpha, family), axis=1)
             mean = env.m[choice, s]
-            reward = (u < mean).astype(float) if bernoulli else np.clip(mean + scale * u, 0.0, 1.0)
             counts[rows, choice, s] += 1
-            sums[rows, choice, s] += reward
+            sums[rows, choice, s] += _rewards(spec, mean, u)
             yield t, s, choice, mean
 
 
@@ -146,21 +116,17 @@ def rotation_counts(visits, A: int) -> np.ndarray:
 
 
 def _eba_pick(means: np.ndarray) -> np.ndarray:
-    """``eba_recommend`` for each run of (runs, K, S) cell means, NaN where
-    unpulled; the runs share one pull pattern, so the first run is checked."""
+    """Arm with the best average of per-state sample means, for each run of
+    (runs, K, S) cell means, ties to the lowest index.
+
+    Cells with no pulls are NaN and left out of their arm's average. An arm
+    with no pulls at all cannot be scored and raises RecommendationError; the
+    runs share one pull pattern, so the first run is checked.
+    """
     unpulled = np.flatnonzero(np.all(np.isnan(means[0]), axis=1))
     if unpulled.size:
         raise RecommendationError(f"arm {int(unpulled[0])} has no pulls in any state")
     return np.argmax(np.nanmean(means, axis=2), axis=1)
-
-
-def eba_recommend(stats: PullStats) -> int:
-    """Arm with the best average of per-state sample means.
-
-    States with no pulls for an arm are left out of that arm's average. An
-    arm with no pulls at all cannot be scored and raises RecommendationError.
-    """
-    return int(_eba_pick(stats.means[None])[0])
 
 
 def eliminate(scores: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,16 +300,6 @@ def successive_rejects(env: Environment, schedule: SRSchedule, rng: np.random.Ge
     return SRResult(winner=int(active[0, 0]), rejected=rejected, steps=steps, n_table=n_table, stats=stats)
 
 
-def run_uniform_eba(env: Environment, n: int, rng: np.random.Generator) -> tuple[int, PullStats]:
-    """Uniform rotation for ``n`` steps, then recommend by best state-average."""
-    spec = env.spec
-    if n > spec.horizon:
-        raise ConfigurationError(f"n {n} exceeds environment horizon {spec.horizon}")
-    stats = PullStats(spec.K, spec.S)
-    _rotate(env, 0, n, range(spec.K), stats, rng)
-    return eba_recommend(stats), stats
-
-
 def run_sb_ucb(
     env: Environment,
     n: int,
@@ -356,8 +312,7 @@ def run_sb_ucb(
     This is ``optimism_play`` with one run.
     """
     spec = env.spec
-    if n > spec.horizon:
-        raise ConfigurationError(f"n {n} exceeds environment horizon {spec.horizon}")
+    _check_steps(n, spec.horizon)
     stats = PullStats(spec.K, spec.S)
     play = optimism_play(env, alpha, family, [rng], n, stats.counts[None], stats.sums[None])
     return stats, [int(choice[0]) for _, _, choice, _ in play]

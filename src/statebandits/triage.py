@@ -30,7 +30,6 @@ __all__ = [
     "ENCODINGS",
     "STAGE_COSTS_MILLI",
     "STAGE_GAINS",
-    "encode_risk",
     "Individual",
     "Population",
     "synth_population",
@@ -86,11 +85,6 @@ def _encoding(scheme: str) -> tuple[float, ...]:
         return ENCODINGS[scheme]
     except KeyError:
         raise ConfigurationError(f"unknown encoding scheme {scheme!r}") from None
-
-
-def encode_risk(label: RiskLabel, scheme: str = "linear") -> float:
-    """Map a label to [0, 1] under the named encoding scheme."""
-    return _encoding(scheme)[int(label)]
 
 
 @dataclass(frozen=True)
@@ -247,6 +241,26 @@ def _modal_label(labels) -> RiskLabel:
     return max(RiskLabel, key=lambda lab: (counts[lab], -int(lab)))
 
 
+def _records(path, kind: str, header: list[str], parse):
+    """Yield (line number, ``parse(fields)``) for each non-blank row of a CSV
+    file whose first row must be ``header``; malformed rows raise ParseError."""
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise ParseError(f"bad {kind} header {found}", line=1)
+        for lineno, rec in enumerate(reader, start=2):
+            if not rec:
+                continue
+            if len(rec) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(rec)}", line=lineno)
+            try:
+                value = parse(rec)
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            yield lineno, value
+
+
 def load_evaluations(human_path, machine_path) -> Population:
     """Build a replay population from recorded evaluations.
 
@@ -258,46 +272,21 @@ def load_evaluations(human_path, machine_path) -> Population:
     expert records.
     """
     probs: dict[int, tuple[float, ...]] = {}
-    with open(machine_path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "p_no", "p_low", "p_mod", "p_sev"]:
-            raise ParseError(f"bad machine header {header}", line=1)
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 5:
-                raise ParseError(f"expected 5 fields, got {len(rec)}", line=lineno)
-            try:
-                ind_id = int(rec[0])
-                vec = tuple(float(x) for x in rec[1:])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            if ind_id in probs:
-                raise ParseError(f"duplicate id {ind_id}", line=lineno)
-            if any(p < 0 for p in vec) or abs(sum(vec) - 1.0) > 1e-6:
-                raise ParseError(f"probabilities for id {ind_id} do not sum to 1", line=lineno)
-            probs[ind_id] = vec
+    machine = _records(machine_path, "machine", ["id", "p_no", "p_low", "p_mod", "p_sev"],
+                       lambda rec: (int(rec[0]), tuple(float(x) for x in rec[1:])))
+    for lineno, (ind_id, vec) in machine:
+        if ind_id in probs:
+            raise ParseError(f"duplicate id {ind_id}", line=lineno)
+        if any(p < 0 for p in vec) or abs(sum(vec) - 1.0) > 1e-6:
+            raise ParseError(f"probabilities for id {ind_id} do not sum to 1", line=lineno)
+        probs[ind_id] = vec
     recorded: dict[int, dict[int, list[RiskLabel]]] = {}
-    with open(human_path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "rater_id", "stage", "label"]:
-            raise ParseError(f"bad human header {header}", line=1)
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 4:
-                raise ParseError(f"expected 4 fields, got {len(rec)}", line=lineno)
-            try:
-                ind_id = int(rec[0])
-                stage = int(rec[2])
-                label = parse_label(rec[3])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            if stage not in (1, 2, 3):
-                raise ParseError(f"stage must be 1, 2 or 3, got {stage}", line=lineno)
-            recorded.setdefault(ind_id, {}).setdefault(stage, []).append(label)
+    human = _records(human_path, "human", ["id", "rater_id", "stage", "label"],
+                     lambda rec: (int(rec[0]), int(rec[2]), parse_label(rec[3])))
+    for lineno, (ind_id, stage, label) in human:
+        if stage not in (1, 2, 3):
+            raise ParseError(f"stage must be 1, 2 or 3, got {stage}", line=lineno)
+        recorded.setdefault(ind_id, {}).setdefault(stage, []).append(label)
     if recorded and set(recorded) != set(probs):
         only_human = sorted(set(recorded) - set(probs))
         only_machine = sorted(set(probs) - set(recorded))
@@ -465,11 +454,9 @@ def run_pipeline(
             )
         prev = st.cohort_out
     rng = substream(seed, "pipeline")
-    # per-survivor state as plain lists, by position in id order
+    # per-survivor weighted sums as arrays, by position in id order
     alive = sorted(pop.individuals, key=lambda ind: ind.id)
-    w_enc = [0.0] * len(alive)
-    w_sum = [0.0] * len(alive)
-    u_hat = [0.0] * len(alive)
+    w_enc, w_sum = np.zeros((2, len(alive)))
     evaluated: set[int] = set()
     expert_severe: set[int] = set()
     outcomes: list[StageOutcome] = []
@@ -481,27 +468,33 @@ def run_pipeline(
         elif max_pulls < m:
             warnings.warn(f"stage {st.index}: budget funds {max_pulls} pulls for {m} survivors",
                           stacklevel=2)
-        counts = [0] * m  # within-stage pulls, which are also the replay cursors
-        for j in range(max_pulls):
-            if j < m or policy == "round_robin":
+        first = min(m, max_pulls)  # the first pass, in one batch
+        pulls = [(k, pop.pull_label(alive[k], st.index, 0, rng)) for k in range(first)]
+        counts = np.zeros(m, dtype=np.int64)  # within-stage pulls, also the replay cursors
+        counts[:first] = 1
+        w_enc[:first] += st.gain * np.array([values[label] for _, label in pulls])
+        w_sum[:first] += st.gain
+        for j in range(first, max_pulls):
+            if policy == "round_robin":
                 k = j % m
             else:
-                bonus = _psi_star_inv(BOUNDED_UNIT, UCB_ALPHA * math.log(j + 1) / np.array(counts))
-                k = int(np.argmax(np.array(u_hat) + bonus))
-            label = pop.pull_label(alive[k], st.index, counts[k], rng)
+                bonus = _psi_star_inv(BOUNDED_UNIT, UCB_ALPHA * math.log(j + 1) / counts)
+                k = int(np.argmax(w_enc / w_sum + bonus))
+            label = pop.pull_label(alive[k], st.index, int(counts[k]), rng)
+            pulls.append((k, label))
             counts[k] += 1
             w_enc[k] += st.gain * values[label]
             w_sum[k] += st.gain
-            u_hat[k] = w_enc[k] / w_sum[k]
-            evaluated.add(alive[k].id)
-            if st.index == 3 and label == RiskLabel.SEVERE:
-                expert_severe.add(alive[k].id)
-        keep = sorted(sorted(range(m), key=lambda k: (-u_hat[k], k))[: st.cohort_out])
-        alive, w_enc, w_sum, u_hat = ([xs[k] for k in keep] for xs in (alive, w_enc, w_sum, u_hat))
+        evaluated.update(alive[k].id for k, _ in pulls)
+        if st.index == 3:
+            expert_severe.update(alive[k].id for k, label in pulls if label == RiskLabel.SEVERE)
+        u_hat = np.divide(w_enc, w_sum, out=np.zeros(m), where=w_sum > 0)
+        keep = np.sort(np.lexsort((np.arange(m), -u_hat))[: st.cohort_out])
+        alive, w_enc, w_sum = [alive[k] for k in keep], w_enc[keep], w_sum[keep]
         outcomes.append(StageOutcome(
             index=st.index, pulls=max_pulls, spend_milli=max_pulls * st.cost_milli,
             survivors=tuple(ind.id for ind in alive),
-            u_hat={ind.id: u for ind, u in zip(alive, u_hat)},
+            u_hat={ind.id: u for ind, u in zip(alive, u_hat[keep].tolist())},
         ))
     return PipelineResult(
         final_cohort=outcomes[-1].survivors,

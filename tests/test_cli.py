@@ -122,6 +122,26 @@ class TestErrors:
         assert rc == 2
         assert "bad value for 'horizon'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("regret", "checkpoints", [100.9, 1000]),
+        ("regret", "checkpoints", [True, 1000]),
+        ("regret", "mu", [True, 0.6, 0.4]),
+        ("triage", "k", [200.5, 100, 50]),
+    ])
+    def test_json_list_entries_parse_like_scalars(self, tmp_path, capsys, command, key, value):
+        cfg = write_cfg(tmp_path / "c.json", json.dumps({key: value}))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"bad value for '{key}'" in capsys.readouterr().err
+        assert not (out / f"{command}.csv").exists()
+
+    def test_only_whole_lines_are_comments(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", "# a comment\n   # indented comment\nnum_envs = 0\n")
+        assert main(["tightness", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        cfg = write_cfg(tmp_path / "d.cfg", "num_envs = 2 # two\n")
+        assert main(["tightness", "--config", cfg, "--out", str(tmp_path / "p")]) == 2
+        assert "bad value for 'num_envs'" in capsys.readouterr().err
+
     def test_horizon_too_short_for_reference_schedule(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg",
                         "num_envs = 3\nruns_per_env = 5\nk_min = 5\nk_max = 5\nhorizon = 7\n")

@@ -14,13 +14,10 @@ from statebandits import (
     PullStats,
     RecommendationError,
     ScheduleError,
-    eba_recommend,
     instantiate,
     log_bar,
     make_state_sequence,
     run_sb_ucb,
-    run_uniform_eba,
-    sb_ucb_select,
     sr_counts,
     sr_schedule,
     state_counts,
@@ -28,7 +25,7 @@ from statebandits import (
     successive_rejects,
 )
 from statebandits.env import STATE_MODES
-from statebandits.strategies import rotation_counts
+from statebandits.strategies import _eba_pick, _optimism_index, cell_means, rotation_counts
 
 from _oracles import (
     _rotation_counts,
@@ -44,24 +41,30 @@ class TestPullStats:
         stats = PullStats(2, 2)
         stats.update(0, 1, 1.0)
         stats.update(0, 1, 0.0)
-        assert stats.t == 2
+        assert stats.counts.sum() == 2
         assert stats.counts[0, 1] == 2
         assert stats.sums[0, 1] == 1.0
 
     def test_means_nan_when_unpulled(self):
         stats = PullStats(2, 1)
         stats.update(1, 0, 0.5)
-        means = stats.means
+        means = cell_means(stats.counts, stats.sums, np.nan)
         assert np.isnan(means[0, 0])
         assert means[1, 0] == 0.5
+
+
+def select(stats, state, t):
+    """The arm the optimism index plays at time t in the given state (alpha 3)."""
+    index = _optimism_index(stats.counts[:, state], stats.sums[:, state], t, 3.0, BOUNDED_UNIT)
+    return int(np.argmax(index))
 
 
 class TestOptimismIndex:
     def test_forced_exploration_picks_lowest_unpulled(self):
         stats = PullStats(3, 1)
-        assert sb_ucb_select(stats, 0, 1, 3.0, BOUNDED_UNIT) == 0
+        assert select(stats, 0, 1) == 0
         stats.update(0, 0, 1.0)
-        assert sb_ucb_select(stats, 0, 2, 3.0, BOUNDED_UNIT) == 1
+        assert select(stats, 0, 2) == 1
 
     def test_hand_evaluated_indices(self):
         stats = PullStats(2, 1)
@@ -74,26 +77,18 @@ class TestOptimismIndex:
         assert bonus1 == pytest.approx(1.8585, abs=2e-4)
         assert 0.5 + bonus0 == pytest.approx(1.4292, abs=2e-4)
         assert 0.4 + bonus1 == pytest.approx(2.2585, abs=2e-4)
-        assert sb_ucb_select(stats, 0, 10, 3.0, BOUNDED_UNIT) == 1
+        assert select(stats, 0, 10) == 1
 
     def test_alpha_must_exceed_two(self):
-        stats = PullStats(2, 1)
+        env = noiseless_env([[0.9], [0.2]], 10)
         with pytest.raises(ConfigurationError, match="alpha"):
-            sb_ucb_select(stats, 0, 1, 2.0, BOUNDED_UNIT)
-
-    @pytest.mark.parametrize("state, t", [(0, 0), (1, 1), (-1, 1)])
-    def test_time_and_state_checked(self, state, t):
-        stats = PullStats(2, 1)
-        stats.update(0, 0, 1.0)
-        stats.update(1, 0, 0.0)
-        with pytest.raises(ConfigurationError, match=rf"got t={t}, state={state}"):
-            sb_ucb_select(stats, state, t, 3.0, BOUNDED_UNIT)
+            run_sb_ucb(env, 10, 2.0, BOUNDED_UNIT, substream(0, "run"))
 
     def test_per_state_statistics_are_separate(self):
         stats = PullStats(2, 2)
         stats.update(0, 0, 1.0)
         stats.update(1, 0, 1.0)
-        assert sb_ucb_select(stats, 1, 3, 3.0, BOUNDED_UNIT) == 0
+        assert select(stats, 1, 3) == 0
 
 
 def rotation_arms(seq, K, S):
@@ -123,37 +118,42 @@ class TestUniformRotation:
             assert np.all(counts.max(axis=0) - counts.min(axis=0) <= 1)
 
 
+def recommend(stats):
+    """Best state-average arm of one run's statistics."""
+    return int(_eba_pick(cell_means(stats.counts, stats.sums, np.nan)[None])[0])
+
+
 class TestRecommendation:
     def test_best_row_average(self):
         stats = PullStats(2, 2)
         for (a, s), value in {(0, 0): 0.9, (0, 1): 0.5, (1, 0): 0.6, (1, 1): 0.7}.items():
             stats.update(a, s, value)
-        assert eba_recommend(stats) == 0
+        assert recommend(stats) == 0
 
     def test_tie_goes_to_lowest_index(self):
         stats = PullStats(3, 1)
         for a in range(3):
             stats.update(a, 0, 0.5)
-        assert eba_recommend(stats) == 0
+        assert recommend(stats) == 0
 
     def test_close_row_means(self):
         stats = PullStats(2, 2)
         for (a, s), value in {(0, 0): 0.6, (0, 1): 0.6, (1, 0): 0.61, (1, 1): 0.61}.items():
             stats.update(a, s, value)
-        assert eba_recommend(stats) == 1
+        assert recommend(stats) == 1
 
     def test_unpulled_arm_is_an_error(self):
         stats = PullStats(3, 2)
         stats.update(0, 0, 1.0)
         stats.update(2, 1, 1.0)
         with pytest.raises(RecommendationError, match="arm 1"):
-            eba_recommend(stats)
+            recommend(stats)
 
     def test_partial_cells_use_defined_means_only(self):
         stats = PullStats(2, 2)
         stats.update(0, 0, 0.2)
         stats.update(1, 1, 0.9)
-        assert eba_recommend(stats) == 1
+        assert recommend(stats) == 1
 
 
 class TestSchedules:
@@ -303,14 +303,11 @@ class TestSuccessiveRejects:
 
 
 class TestRunners:
-    def test_uniform_eba_counts_balanced(self):
-        spec = EnvironmentSpec(K=3, S=2, mu=(0.9, 0.5, 0.1), sigma2=0.01,
-                               state_sequence=make_state_sequence(2, 120, "round_robin"))
-        env = instantiate(spec)
-        pick, stats = run_uniform_eba(env, 120, substream(4, "run"))
-        assert stats.t == 120
-        assert stats.counts.max() - stats.counts.min() <= 1
-        assert pick in range(3)
+    @pytest.mark.parametrize("n", [0, -3, 201])
+    def test_sb_ucb_steps_must_fit_horizon(self, n):
+        env = noiseless_env([[0.9], [0.2]], 200)
+        with pytest.raises(ConfigurationError, match=rf"n {n} outside \[1, 200\]"):
+            run_sb_ucb(env, n, 3.0, BOUNDED_UNIT, substream(5, "run"))
 
     def test_sb_ucb_prefers_best_arm(self):
         env = noiseless_env([[0.9], [0.2]], 200)
@@ -344,7 +341,7 @@ class TestRunners:
                 for family, bonus in families:
                     stats, chosen = run_sb_ucb(env, 1500, 3.0, family, substream(seed, "ucb"))
                     assert chosen == state_ucb_run(env, 1500, 3.0, bonus, substream(seed, "ucb"))
-                    assert stats.t == 1500
+                    assert stats.counts.sum() == 1500
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

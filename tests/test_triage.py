@@ -20,7 +20,6 @@ from statebandits import (
     allocation_budgets,
     default_stages,
     dollars,
-    encode_risk,
     load_evaluations,
     metrics,
     parse_label,
@@ -48,17 +47,13 @@ class TestLabels:
 
     def test_encode_severe_is_one_everywhere(self):
         for scheme in ("linear", "binary", "exponential"):
-            assert encode_risk(RiskLabel.SEVERE, scheme) == 1.0
-            assert encode_risk(RiskLabel.NO, scheme) == 0.0
+            assert ENCODINGS[scheme][RiskLabel.SEVERE] == 1.0
+            assert ENCODINGS[scheme][RiskLabel.NO] == 0.0
 
     def test_encode_values(self):
-        assert encode_risk(RiskLabel.MODERATE, "linear") == pytest.approx(2 / 3)
-        assert encode_risk(RiskLabel.LOW, "exponential") == pytest.approx(1 / 7)
-        assert encode_risk(RiskLabel.MODERATE, "binary") == 0.0
-
-    def test_encode_unknown_scheme(self):
-        with pytest.raises(ConfigurationError, match="encoding"):
-            encode_risk(RiskLabel.LOW, "quadratic")
+        assert ENCODINGS["linear"][RiskLabel.MODERATE] == pytest.approx(2 / 3)
+        assert ENCODINGS["exponential"][RiskLabel.LOW] == pytest.approx(1 / 7)
+        assert ENCODINGS["binary"][RiskLabel.MODERATE] == 0.0
 
 
 class TestSynthPopulation:
@@ -371,8 +366,8 @@ class TestLoadEvaluations:
                           budget_milli=3 * 5350, cohort_out=2)
         result = run_pipeline(pop, [stage])
         u_hat = result.stages[0].u_hat
-        assert u_hat[2] == encode_risk(RiskLabel.SEVERE)
-        assert u_hat[3] == pytest.approx(encode_risk(RiskLabel.MODERATE))
+        assert u_hat[2] == ENCODINGS["linear"][RiskLabel.SEVERE]
+        assert u_hat[3] == pytest.approx(ENCODINGS["linear"][RiskLabel.MODERATE])
         assert result.final_cohort == (2, 3)
 
     def test_weighted_mean_across_stages(self, tmp_path):
