@@ -3,12 +3,12 @@
 Exploration bonuses and all closed-form error bounds in this package are
 written in terms of a convex envelope ``psi`` dominating the centered reward
 log-MGF, its Legendre transform ``psi_star`` and that transform's inverse.
-Two families are supported:
+Both supported families are sub-Gaussian envelopes, psi(l) = sigma^2 l^2/2,
+so psi_star(e) = e^2/(2 sigma^2) and psi_star_inv(x) = sqrt(2 sigma^2 x):
 
-* ``bounded_unit``: rewards supported on [0, 1]; psi(l) = l^2/8, so
-  psi_star(e) = 2 e^2 and psi_star_inv(x) = sqrt(x/2).
-* ``gaussian``: sigma^2-sub-Gaussian rewards; psi(l) = sigma^2 l^2/2, so
-  psi_star(e) = e^2/(2 sigma^2) and psi_star_inv(x) = sqrt(2 sigma^2 x).
+* ``gaussian``: sigma^2-sub-Gaussian rewards, sigma^2 given;
+* ``bounded_unit``: rewards supported on [0, 1], which are 1/4-sub-Gaussian
+  by Hoeffding's lemma, so sigma^2 = 1/4 (psi(l) = l^2/8).
 
 All three maps accept scalars or numpy arrays and are defined on the
 non-negative half-line only.
@@ -25,7 +25,8 @@ __all__ = ["PsiFamily", "BOUNDED_UNIT", "psi", "psi_star", "psi_star_inv"]
 
 @dataclass(frozen=True)
 class PsiFamily:
-    """A named envelope family; ``sigma2`` is used by ``gaussian`` only."""
+    """A named envelope family; ``sigma2`` is given for ``gaussian`` only and
+    set to 1/4 for ``bounded_unit``."""
 
     kind: str
     sigma2: float | None = None
@@ -38,6 +39,8 @@ class PsiFamily:
                 raise ValueError("gaussian family needs sigma2 > 0")
         elif self.sigma2 is not None:
             raise ValueError("bounded_unit takes no sigma2")
+        else:
+            object.__setattr__(self, "sigma2", 0.25)
 
     @staticmethod
     def bounded_unit() -> "PsiFamily":
@@ -60,10 +63,7 @@ def psi(family: PsiFamily, lam):
     """Envelope value psi(lam) for lam >= 0."""
     _check_nonneg(lam, "lam")
     lam = np.asarray(lam, dtype=float)
-    if family.kind == "bounded_unit":
-        out = lam * lam / 8.0
-    else:
-        out = family.sigma2 * lam * lam / 2.0
+    out = family.sigma2 * lam * lam / 2.0
     return out if out.ndim else float(out)
 
 
@@ -71,17 +71,12 @@ def psi_star(family: PsiFamily, eps):
     """Conjugate psi_star(eps) = sup_{lam >= 0} (lam * eps - psi(lam))."""
     _check_nonneg(eps, "eps")
     eps = np.asarray(eps, dtype=float)
-    if family.kind == "bounded_unit":
-        out = 2.0 * eps * eps
-    else:
-        out = eps * eps / (2.0 * family.sigma2)
+    out = eps * eps / (2.0 * family.sigma2)
     return out if out.ndim else float(out)
 
 
 def _psi_star_inv(family: PsiFamily, x: np.ndarray) -> np.ndarray:
     """``psi_star_inv`` of a float array known to be non-negative, unchecked."""
-    if family.kind == "bounded_unit":
-        return np.sqrt(x / 2.0)
     return np.sqrt(2.0 * family.sigma2 * x)
 
 

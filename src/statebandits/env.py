@@ -25,7 +25,6 @@ __all__ = [
     "GapReport",
     "make_state_sequence",
     "instantiate",
-    "pull",
     "state_counts",
     "gaps",
     "save_environment",
@@ -172,20 +171,6 @@ def _rewards(spec: EnvironmentSpec, mean, u) -> np.ndarray:
     if spec.reward_family == "bernoulli":
         return (u < mean).astype(float)
     return np.clip(mean + np.sqrt(spec.reward_sigma2) * u, 0.0, 1.0)
-
-
-def pull(env: Environment, arm: int, t: int, rng: np.random.Generator) -> float:
-    """Sample one reward for pulling ``arm`` at 1-based time ``t``.
-
-    Consumes exactly one variate from ``rng`` per call, which keeps scalar
-    loops and vectorized replays on the same stream trajectory-identical.
-    """
-    spec = env.spec
-    if not 0 <= arm < spec.K:
-        raise ValidationError(f"arm {arm} outside [0, {spec.K})", field="arm")
-    if not 1 <= t <= spec.horizon:
-        raise ValidationError(f"t {t} outside [1, {spec.horizon}]", field="t")
-    return float(_rewards(spec, env.m[arm, spec.state_sequence[t - 1]], _variates(spec, rng, 1))[0])
 
 
 def state_counts(state_sequence, S: int, n: int | None = None) -> np.ndarray:

@@ -271,7 +271,8 @@ def _run_tasks(record, config, workers: int):
     """Run every environment; re-issue their warnings here in index order, so
     stderr shows each warning once per sweep at any worker count."""
     args = [(record, config, i) for i in range(config.num_envs)]
-    if workers <= 1 or config.num_envs <= 1:
+    workers = min(workers, config.num_envs)  # a pool starts every worker it is given
+    if workers <= 1:
         results = [_env_task(a) for a in args]
     else:
         chunk = max(1, config.num_envs // (workers * 4))

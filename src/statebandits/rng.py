@@ -10,6 +10,9 @@ integers and short strings, e.g. ``substream(seed, env_index, run_index,
 paths differ in one integer at once, with the same numbers as ``substream``:
 numpy's ``SeedSequence`` hash of the path, PCG64 seeding from its state words,
 then the XSL-RR output function (O'Neill, *PCG*, 2014), in uint64 arithmetic.
+``substream_random`` and ``substream_integers`` map those outputs the way
+numpy's ``.random()`` and ``.integers(0, m)`` do; every numpy stream format
+the package relies on is written here.
 """
 
 import zlib
@@ -130,16 +133,12 @@ def substream_raw(prefix: tuple, ids, suffix: tuple = (), draws: int = 1) -> np.
     """The first ``draws`` raw 64-bit outputs of ``substream(*prefix, i, *suffix)``
     for every ``i`` of ``ids``, as a ``(len(ids), draws)`` uint64 array.
 
-    ``ids`` is an integer array or a sequence of path parts. Row ``r`` equals
+    ``ids`` is a sequence of path parts. Row ``r`` equals
     ``substream(*prefix, ids[r], *suffix).bit_generator.random_raw(draws)``
-    (negative ids map by two's complement, as there), and ``.random()`` of
-    that stream is ``(raw >> 11) * 2**-53``. All rows are derived in one pass
-    of array arithmetic.
+    (negative ids map by two's complement, as there). All rows are derived in
+    one pass of array arithmetic.
     """
-    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
-        ids = ids.astype(np.int64).astype(_U64) if ids.dtype.kind == "i" else ids.astype(_U64)
-    else:
-        ids = np.array([_coerce(i) for i in ids], dtype=_U64)
+    ids = np.array([_coerce(i) for i in ids], dtype=_U64)
     head = [w for p in prefix for w in _words(_coerce(p))]
     tail = [w for p in suffix for w in _words(_coerce(p))]
     out = np.empty((len(ids), draws), dtype=_U64)
@@ -154,3 +153,31 @@ def substream_raw(prefix: tuple, ids, suffix: tuple = (), draws: int = 1) -> np.
             np.full(rows.size, w, dtype=_U32) for w in tail]
         out[rows] = _raw_outputs(entropy, draws)
     return out
+
+
+def substream_random(prefix: tuple, ids, suffix: tuple = ()) -> list[float]:
+    """``substream(*prefix, i, *suffix).random()`` for each id ``i``: the top
+    53 bits of the first raw output, scaled by 2**-53."""
+    raw = substream_raw(prefix, ids, suffix)[:, 0]
+    return ((raw >> _U64(11)).astype(np.float64) * 2.0**-53).tolist()
+
+
+def substream_integers(prefix: tuple, ids, suffix: tuple, sizes) -> list[int]:
+    """``substream(*prefix, i, *suffix).integers(0, m)`` for each id ``i`` and
+    size ``m`` (m < 2**32), by numpy's Lemire rule: the stream's 32-bit words
+    (low half of each raw output, then the high half) are scaled by m, and the
+    first ``w`` with ``(w * m) mod 2**32 >= (2**32 - m) % m`` gives
+    ``(w * m) >> 32``. Rows whose words are all rejected derive more outputs."""
+    ids, m = list(ids), np.array(sizes, dtype=_U64)
+    low, shift = _U64(_MASK32), _U64(32)
+    threshold = (_U64(2**32) - m) % m
+    out = np.full(len(ids), -1, dtype=np.int64)
+    todo, draws = np.arange(len(ids)), 1
+    while todo.size:
+        raw = substream_raw(prefix, [ids[i] for i in todo], suffix, draws)
+        for word in np.stack([raw & low, raw >> shift], axis=2).reshape(len(todo), -1).T:
+            scaled = word * m[todo]
+            accept = (out[todo] < 0) & ((scaled & low) >= threshold[todo])
+            out[todo[accept]] = (scaled[accept] >> shift).astype(np.int64)
+        todo, draws = todo[out[todo] < 0], 2 * draws
+    return out.tolist()

@@ -6,7 +6,7 @@ phased successive elimination (for best-arm identification). Recommendation
 is by empirical best state-average. All tie-breaks are toward the lowest arm
 index, and forced exploration always picks the lowest-index unpulled arm.
 
-Each rule is written once: the step-by-step runs here and the batched
+Each rule is written once: the single runs here and the batched
 estimators in ``montecarlo`` share the count, recommendation, elimination and
 index functions, and ``run_sb_ucb`` is the lockstep engine with one run.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import PsiFamily, _psi_star_inv
-from .env import Environment, _check_steps, _rewards, _variates, pull
+from .env import Environment, _check_steps, _rewards, _variates
 from .errors import ConfigurationError, RecommendationError, ScheduleError
 
 __all__ = [
@@ -50,10 +50,6 @@ class PullStats:
         self.counts = np.zeros((K, S), dtype=np.int64)
         self.sums = np.zeros((K, S), dtype=float)
 
-    def update(self, arm: int, state: int, reward: float) -> None:
-        self.counts[arm, state] += 1
-        self.sums[arm, state] += reward
-
 
 def cell_means(counts: np.ndarray, sums: np.ndarray, fill: float) -> np.ndarray:
     """Per-cell sample means, ``fill`` where a cell has no pulls."""
@@ -80,10 +76,10 @@ def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n:
     """Play the optimism-index rule for n steps, one run per stream, in lockstep.
 
     Run r draws its reward variates from ``streams[r]`` in blocks of about
-    ``_BLOCK_VARIATES / runs`` steps; they equal one draw of n, the values n
-    calls of ``pull`` would draw. ``counts`` and ``sums`` of shape (runs, K,
-    S) are updated in place. Yields (t, state, choice, mean) per step, the
-    chosen arms and their local means being (runs,) arrays.
+    ``_BLOCK_VARIATES / runs`` steps; they equal one draw of n. ``counts`` and
+    ``sums`` of shape (runs, K, S) are updated in place. Yields (t, state,
+    choice, mean) per step, the chosen arms and their local means being
+    (runs,) arrays.
     """
     _check_alpha(alpha)
     spec = env.spec
@@ -256,32 +252,16 @@ class SRResult:
     stats: PullStats = field(repr=False)
 
 
-def _rotate(env: Environment, t_lo: int, t_hi: int, arms, stats: PullStats, rng) -> list:
-    """Pull ``arms`` in rotation over steps t_lo+1..t_hi, recording into ``stats``.
-
-    The v-th visit to a state within the span goes to arms[v mod len(arms)],
-    which is what ``rotation_counts`` counts. Returns one (t, state, arm,
-    reward) tuple per step.
-    """
-    visits = [0] * env.spec.S
-    steps = []
-    for t, s in enumerate(env.spec.state_sequence[t_lo:t_hi].tolist(), start=t_lo + 1):
-        visits[s] += 1
-        arm = arms[visits[s] % len(arms)]
-        reward = pull(env, arm, t, rng)
-        stats.update(arm, s, reward)
-        steps.append((t, s, arm, reward))
-    return steps
-
-
 def successive_rejects(env: Environment, schedule: SRSchedule, rng: np.random.Generator) -> SRResult:
     """Run phased elimination on ``env`` and return the surviving arm.
 
     Within a phase the active arms (ascending order) are rotated per state:
-    the phase-local visit rank of the current state, mod the number of active
-    arms, picks the arm. At each boundary the active arm with the lowest sum
-    of per-state sample means is dropped (unpulled cells count as 0, ties to
-    the lowest index).
+    the v-th visit to a state within the phase goes to arms[v mod len(arms)],
+    which is what ``rotation_counts`` counts. The phase is drawn as one batch
+    of variates, the same values as one draw per step, and recorded in step
+    order. At each boundary the active arm with the lowest sum of per-state
+    sample means is dropped (unpulled cells count as 0, ties to the lowest
+    index).
     """
     spec = env.spec
     n_table = sr_counts(spec.state_sequence, schedule, spec.K, spec.S)
@@ -291,8 +271,18 @@ def successive_rejects(env: Environment, schedule: SRSchedule, rng: np.random.Ge
     rejected: list[int] = []
     t_prev = 0
     for k, t_k in enumerate(schedule.t_k, start=1):
-        phase = _rotate(env, t_prev, t_k, active[0].tolist(), stats, rng)
-        steps += [(t, s, arm, reward, k) for t, s, arm, reward in phase]
+        states = spec.state_sequence[t_prev:t_k]
+        # 1-based visit number of each step to its state: rank within a stable sort by state
+        order = np.argsort(states, kind="stable")
+        visits = np.bincount(states, minlength=spec.S)
+        visit = np.empty_like(order)
+        visit[order] = np.arange(1, len(states) + 1) - np.repeat(np.cumsum(visits) - visits, visits)
+        arms = active[0][visit % active.shape[1]]
+        rewards = _rewards(spec, env.m[arms, states], _variates(spec, rng, len(states)))
+        np.add.at(stats.counts, (arms, states), 1)
+        np.add.at(stats.sums, (arms, states), rewards)
+        steps += zip(range(t_prev + 1, t_k + 1), states.tolist(), arms.tolist(), rewards.tolist(),
+                     [k] * len(states))
         scores = cell_means(stats.counts, stats.sums, 0.0).sum(axis=1)
         active, dropped = eliminate(scores[None], active)
         rejected.append(int(dropped[0]))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .divergence import BOUNDED_UNIT, _psi_star_inv
 from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError
-from .rng import substream, substream_raw
+from .rng import substream, substream_integers, substream_random
 
 __all__ = [
     "RiskLabel",
@@ -148,18 +148,19 @@ class Population:
         what ``substream(seed, ind.id, tag)`` picks with ``.random()`` from the
         confusion row (synthetic) or ``.integers(0, m)`` from the m recorded
         labels (replay). Labels not yet kept are derived in one pass and kept,
-        so the baselines of one seed derive each label once however many read it."""
+        so the baselines of one seed derive each label once however many read it;
+        only the latest seed's labels are kept."""
+        if any(key[0] != seed for key in self._rater_labels):
+            self._rater_labels.clear()
         kept = self._rater_labels.setdefault((seed, stage, tag), {})
         new = [ind for ind in inds if ind.id not in kept]
         if new:
             choices = [self._choices(ind, stage) for ind in new]
             ids = [ind.id for ind in new]
             if self.confusion is not None:
-                raw = substream_raw((seed,), ids, (tag,))[:, 0]
-                us = ((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
-                labels = map(_row_label, choices, us)
+                labels = map(_row_label, choices, substream_random((seed,), ids, (tag,)))
             else:
-                picks = _integers((seed,), ids, (tag,), [len(c) for c in choices])
+                picks = substream_integers((seed,), ids, (tag,), [len(c) for c in choices])
                 labels = (c[k] for c, k in zip(choices, picks))
             kept.update(zip(ids, labels))
         return [kept[ind.id] for ind in inds]
@@ -173,27 +174,6 @@ def _row_label(row: tuple, u: float) -> RiskLabel:
         if u < acc:
             return lab
     return RiskLabel.SEVERE
-
-
-def _integers(prefix: tuple, ids, suffix: tuple, sizes) -> list[int]:
-    """``substream(*prefix, i, *suffix).integers(0, m)`` for each id ``i`` and
-    size ``m`` (m < 2**32), by numpy's Lemire rule: the stream's 32-bit words
-    (low half of each raw output, then the high half) are scaled by m, and the
-    first ``w`` with ``(w * m) mod 2**32 >= (2**32 - m) % m`` gives
-    ``(w * m) >> 32``. Rows whose words are all rejected derive more outputs."""
-    ids, m = list(ids), np.array(sizes, dtype=np.uint64)
-    low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
-    threshold = (np.uint64(2**32) - m) % m
-    out = np.full(len(ids), -1, dtype=np.int64)
-    todo, draws = np.arange(len(ids)), 1
-    while todo.size:
-        raw = substream_raw(prefix, [ids[i] for i in todo], suffix, draws)
-        for word in np.stack([raw & low, raw >> shift], axis=2).reshape(len(todo), -1).T:
-            scaled = word * m[todo]
-            accept = (out[todo] < 0) & ((scaled & low) >= threshold[todo])
-            out[todo[accept]] = (scaled[accept] >> shift).astype(np.int64)
-        todo, draws = todo[out[todo] < 0], 2 * draws
-    return out.tolist()
 
 
 def synth_population(
@@ -541,8 +521,8 @@ _EXPERT = _Rater(1, STAGE_COSTS_MILLI[2],
 _NLP = _Rater(1, STAGE_COSTS_MILLI[0], _nlp_labels)
 _FLAG_ALL = _Rater(0, 0, lambda pop, inds, seed: [RiskLabel.SEVERE] * len(inds))
 
-# baseline: (who the rater sees, rater); the top views rank everyone by one
-# NLP pass first, so they evaluate everyone
+# baseline: (who the rater sees, rater); the top view ranks everyone by one
+# NLP pass first, so it evaluates everyone
 _BASELINE_TABLE = {
     "4Experts": ("everyone", _CONSENSUS),
     "1Expert": ("everyone", _EXPERT),
@@ -550,12 +530,14 @@ _BASELINE_TABLE = {
     "1Expert-Sub": ("cohort", _EXPERT),
     "NLP-Full": ("everyone", _NLP),
     "NLP-Sub": ("cohort", _NLP),
-    "NLP-Top-k": ("top-k", _FLAG_ALL),
-    "NLP-Top-100+1Expert-Sub": ("top-100", _EXPERT),
+    "NLP-Top-k": ("top", _FLAG_ALL),
+    "NLP-Top-100+1Expert-Sub": ("top", _EXPERT),
 }
 BASELINES = tuple(_BASELINE_TABLE)
 SUB_COHORT = 100
-"""Default size of the random cohort the COHORT_BASELINES evaluate."""
+"""Size of the random cohort the COHORT_BASELINES evaluate."""
+TOP_K = 100
+"""Size of the NLP-ranked list the top baselines keep."""
 COHORT_BASELINES = tuple(name for name, (view, _) in _BASELINE_TABLE.items() if view == "cohort")
 
 
@@ -568,18 +550,12 @@ def _nlp_ranked(pop: Population, inds: list[Individual], seed: int) -> list[Indi
     return [ind for _, ind in sorted(zip(scores, inds), key=lambda p: (-p[0], p[1].id))]
 
 
-def run_baseline(name: str, pop: Population, params: dict | None = None,
-                 seed: int = 0) -> BaselineResult:
+def run_baseline(name: str, pop: Population, seed: int = 0) -> BaselineResult:
     """Run a reference approach and return its flagged set with accounting.
 
-    ``params`` keys: ``cohort_size`` (default SUB_COHORT) for the
-    COHORT_BASELINES and ``k`` (default 100) for NLP-Top-k.
+    The COHORT_BASELINES rate a random cohort of SUB_COHORT people; the top
+    baselines rate the TOP_K people the NLP pass ranks first.
     """
-    params = dict(params or {})
-    cohort_size = int(params.pop("cohort_size", SUB_COHORT))
-    top_k = int(params.pop("k", 100))
-    if params:
-        raise ConfigurationError(f"unknown baseline params {sorted(params)}")
     if name not in _BASELINE_TABLE:
         raise ConfigurationError(f"unknown baseline {name!r}; known: {BASELINES}")
     view, rater = _BASELINE_TABLE[name]
@@ -588,13 +564,13 @@ def run_baseline(name: str, pop: Population, params: dict | None = None,
     if view == "everyone":
         seen = everyone
     elif view == "cohort":
-        if not 0 < cohort_size <= len(everyone):
-            raise ConfigurationError(f"cohort_size {cohort_size} outside [1, {len(everyone)}]")
-        picks = substream(seed, "cohort").choice(len(everyone), size=cohort_size, replace=False)
+        if SUB_COHORT > len(everyone):
+            raise ConfigurationError(f"cohort_size {SUB_COHORT} exceeds the population of {len(everyone)}")
+        picks = substream(seed, "cohort").choice(len(everyone), size=SUB_COHORT, replace=False)
         seen = [everyone[i] for i in sorted(int(p) for p in picks)]
     else:
         evaluations.append((_NLP, len(everyone)))
-        seen = _nlp_ranked(pop, everyone, seed)[: top_k if view == "top-k" else 100]
+        seen = _nlp_ranked(pop, everyone, seed)[:TOP_K]
     evaluations.append((rater, len(seen)))
     labels = rater.labels(pop, seen, seed)
     return BaselineResult(

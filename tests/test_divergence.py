@@ -28,6 +28,16 @@ def test_psi_star_inv_closed_forms():
     assert psi_star_inv(BOUNDED_UNIT, 8.0) == 2.0
 
 
+def test_bounded_unit_is_quarter_sub_gaussian():
+    # Hoeffding's lemma: a reward on [0, 1] is 1/4-sub-Gaussian, bit for bit
+    assert BOUNDED_UNIT.sigma2 == 0.25
+    grid = np.concatenate([np.linspace(0.0, 50.0, 5001), np.geomspace(1e-150, 1e150, 601)])
+    for fn in (psi, psi_star, psi_star_inv):
+        assert fn(BOUNDED_UNIT, grid).tobytes() == fn(GAUSS, grid).tobytes()
+    with pytest.raises(ValueError, match="takes no sigma2"):
+        PsiFamily("bounded_unit", 0.25)
+
+
 def test_arrays_pass_through():
     eps = np.array([0.0, 0.1, 0.5])
     out = psi_star(BOUNDED_UNIT, eps)
@@ -86,7 +96,7 @@ def test_fenchel_young_inequality(family):
     for eps in np.linspace(0.0, 1.0, 21):
         lhs = lams * eps - psi(family, lams)
         assert np.all(lhs <= psi_star(family, eps) + 1e-9)
-        maximizer = 4.0 * eps if family.kind == "bounded_unit" else eps / family.sigma2
+        maximizer = eps / family.sigma2
         at_max = maximizer * eps - psi(family, maximizer)
         assert abs(at_max - psi_star(family, eps)) <= 1e-9
 

@@ -11,11 +11,11 @@ from statebandits import (
     instantiate,
     load_environment,
     make_state_sequence,
-    pull,
     save_environment,
     state_counts,
     substream,
 )
+from statebandits.env import _rewards, _variates
 
 
 def spec_of(K=2, S=1, mu=(0.5, 0.3), sigma2=0.01, n=100, seed=0, **kw):
@@ -141,40 +141,36 @@ class TestInstantiate:
             env.m[0, 0] = 0.9
 
 
+def rewards(spec, mean, rng, size):
+    """``size`` rewards of pulls with local mean ``mean``."""
+    return _rewards(spec, mean, _variates(spec, rng, size))
+
+
 class TestPull:
     def test_degenerate_means(self):
         spec = spec_of()
-        env0 = Environment(spec=spec, m=np.array([[0.0], [0.0]]))
-        env1 = Environment(spec=spec, m=np.array([[1.0], [1.0]]))
         rng = substream(0, "pulls")
-        assert all(pull(env0, 0, t, rng) == 0.0 for t in range(1, 20))
-        assert all(pull(env1, 1, t, rng) == 1.0 for t in range(1, 20))
+        assert np.all(rewards(spec, 0.0, rng, 19) == 0.0)
+        assert np.all(rewards(spec, 1.0, rng, 19) == 1.0)
 
     def test_bernoulli_mean_converges(self):
         spec = EnvironmentSpec(K=2, S=1, mu=(0.3, 0.3), sigma2=0.01,
                                state_sequence=(0,) * 100_000)
-        env = Environment(spec=spec, m=np.array([[0.3], [0.3]]))
-        rng = substream(1, "pulls")
-        mean = np.mean([pull(env, 0, t, rng) for t in range(1, 100_001)])
+        mean = np.mean(rewards(spec, 0.3, substream(1, "pulls"), 100_000))
         assert abs(mean - 0.3) <= 3.0 * np.sqrt(0.3 * 0.7 / 100_000)
 
     def test_truncated_gaussian_in_range(self):
         spec = spec_of(n=2000, reward_family="truncated_gaussian", reward_sigma2=0.25)
-        env = Environment(spec=spec, m=np.array([[0.5], [0.5]]))
-        rng = substream(2, "pulls")
-        draws = [pull(env, 0, t, rng) for t in range(1, 2001)]
-        assert all(0.0 <= d <= 1.0 for d in draws)
-        assert len(set(draws)) > 100
+        draws = rewards(spec, 0.5, substream(2, "pulls"), 2000)
+        assert np.all((0.0 <= draws) & (draws <= 1.0))
+        assert len(set(draws.tolist())) > 100
 
-    def test_out_of_range_rejected(self):
-        env = instantiate(spec_of())
+    @pytest.mark.parametrize("family", ["bernoulli", "truncated_gaussian"])
+    def test_batch_draw_equals_one_draw_per_pull(self, family):
+        spec = spec_of(reward_family=family)
+        batch = _variates(spec, substream(3, "pulls"), 50)
         rng = substream(3, "pulls")
-        with pytest.raises(ValidationError, match="arm"):
-            pull(env, 2, 1, rng)
-        with pytest.raises(ValidationError, match="t 0 outside"):
-            pull(env, 0, 0, rng)
-        with pytest.raises(ValidationError, match="t 101 outside"):
-            pull(env, 0, 101, rng)
+        assert batch.tolist() == [_variates(spec, rng, 1)[0] for _ in range(50)]
 
 
 class TestCounts:

@@ -29,7 +29,7 @@ from statebandits import (
     tightness_sweep,
     write_sweep_csv,
 )
-from statebandits import strategies
+from statebandits import montecarlo, strategies
 from statebandits.env import STATE_MODES
 from statebandits.montecarlo import TIGHTNESS_HEADER
 
@@ -210,6 +210,30 @@ class TestSweeps:
         b, fb = tightness_sweep(config, workers=3)
         assert a == b and fa == fb
         assert [r.env_index for r in a] == list(range(6))
+
+    def test_pool_is_capped_at_num_envs(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            """Records the pool size it is given and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                return map(fn, args)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        config = SweepConfig(num_envs=3, runs_per_env=10, master_seed=11, k_max=4, s_max=3)
+        assert tightness_sweep(config, workers=64) == tightness_sweep(config, workers=1)
+        assert sr_compare(config, workers=8)[0] == sr_compare(config, workers=1)[0]
+        assert started == [3, 3]
 
     def test_estimates_are_probabilities(self):
         config = SweepConfig(num_envs=5, runs_per_env=30, master_seed=4, k_max=4, s_max=2)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statebandits import triage
-from statebandits.rng import substream, substream_raw
+from statebandits import rng
+from statebandits.rng import substream, substream_integers, substream_random, substream_raw
 
 # path parts of one and of two 32-bit words, negatives included (two's complement)
 seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1), st.integers(-2**63, -1))
@@ -20,8 +20,8 @@ tags = st.sampled_from(["nlp", "expert", "cohort", "rewards", ""])
        batch=st.lists(ids, min_size=1, max_size=6), m=st.integers(1, 8))
 def test_batch_matches_substream(prefix, suffix, batch, m):
     raw = substream_raw(tuple(prefix), batch, tuple(suffix), draws=3)
-    uniforms = ((raw[:, 0] >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
-    picks = triage._integers(tuple(prefix), batch, tuple(suffix), [m] * len(batch))
+    uniforms = substream_random(tuple(prefix), batch, tuple(suffix))
+    picks = substream_integers(tuple(prefix), batch, tuple(suffix), [m] * len(batch))
     for row, i in enumerate(batch):
         path = (*prefix, i, *suffix)
         assert raw[row].tolist() == substream(*path).bit_generator.random_raw(3).tolist()
@@ -64,7 +64,7 @@ def _pcg64_first_output(first: int) -> np.random.PCG64:
 ])
 def test_integers_follow_lemire_rejection(monkeypatch, first, m):
     assert _pcg64_first_output(first).random_raw() == first
-    monkeypatch.setattr(triage, "substream_raw", lambda prefix, ids, suffix, draws: np.array(
+    monkeypatch.setattr(rng, "substream_raw", lambda prefix, ids, suffix, draws: np.array(
         [_pcg64_first_output(first).random_raw(draws) for _ in ids], dtype=np.uint64))
     expected = np.random.Generator(_pcg64_first_output(first)).integers(0, m)
-    assert triage._integers((0,), [1, 2], (), [m, m]) == [expected, expected]
+    assert substream_integers((0,), [1, 2], (), [m, m]) == [expected, expected]

@@ -36,18 +36,18 @@ from _oracles import (
 )
 
 
-class TestPullStats:
-    def test_accumulates(self):
-        stats = PullStats(2, 2)
-        stats.update(0, 1, 1.0)
-        stats.update(0, 1, 0.0)
-        assert stats.counts.sum() == 2
-        assert stats.counts[0, 1] == 2
-        assert stats.sums[0, 1] == 1.0
+def stats_of(K, S, pulls=()):
+    """PullStats holding the given (arm, state, reward) pulls."""
+    stats = PullStats(K, S)
+    for arm, state, reward in pulls:
+        stats.counts[arm, state] += 1
+        stats.sums[arm, state] += reward
+    return stats
 
+
+class TestPullStats:
     def test_means_nan_when_unpulled(self):
-        stats = PullStats(2, 1)
-        stats.update(1, 0, 0.5)
+        stats = stats_of(2, 1, [(1, 0, 0.5)])
         means = cell_means(stats.counts, stats.sums, np.nan)
         assert np.isnan(means[0, 0])
         assert means[1, 0] == 0.5
@@ -61,16 +61,11 @@ def select(stats, state, t):
 
 class TestOptimismIndex:
     def test_forced_exploration_picks_lowest_unpulled(self):
-        stats = PullStats(3, 1)
-        assert select(stats, 0, 1) == 0
-        stats.update(0, 0, 1.0)
-        assert select(stats, 0, 2) == 1
+        assert select(stats_of(3, 1), 0, 1) == 0
+        assert select(stats_of(3, 1, [(0, 0, 1.0)]), 0, 2) == 1
 
     def test_hand_evaluated_indices(self):
-        stats = PullStats(2, 1)
-        for _ in range(4):
-            stats.update(0, 0, 0.5)
-        stats.update(1, 0, 0.4)
+        stats = stats_of(2, 1, [(0, 0, 0.5)] * 4 + [(1, 0, 0.4)])
         bonus0 = math.sqrt(3.0 * math.log(10) / (2.0 * 4.0))
         bonus1 = math.sqrt(3.0 * math.log(10) / 2.0)
         assert bonus0 == pytest.approx(0.9292, abs=2e-4)
@@ -85,9 +80,7 @@ class TestOptimismIndex:
             run_sb_ucb(env, 10, 2.0, BOUNDED_UNIT, substream(0, "run"))
 
     def test_per_state_statistics_are_separate(self):
-        stats = PullStats(2, 2)
-        stats.update(0, 0, 1.0)
-        stats.update(1, 0, 1.0)
+        stats = stats_of(2, 2, [(0, 0, 1.0), (1, 0, 1.0)])
         assert select(stats, 1, 3) == 0
 
 
@@ -125,35 +118,23 @@ def recommend(stats):
 
 class TestRecommendation:
     def test_best_row_average(self):
-        stats = PullStats(2, 2)
-        for (a, s), value in {(0, 0): 0.9, (0, 1): 0.5, (1, 0): 0.6, (1, 1): 0.7}.items():
-            stats.update(a, s, value)
+        stats = stats_of(2, 2, [(0, 0, 0.9), (0, 1, 0.5), (1, 0, 0.6), (1, 1, 0.7)])
         assert recommend(stats) == 0
 
     def test_tie_goes_to_lowest_index(self):
-        stats = PullStats(3, 1)
-        for a in range(3):
-            stats.update(a, 0, 0.5)
-        assert recommend(stats) == 0
+        assert recommend(stats_of(3, 1, [(a, 0, 0.5) for a in range(3)])) == 0
 
     def test_close_row_means(self):
-        stats = PullStats(2, 2)
-        for (a, s), value in {(0, 0): 0.6, (0, 1): 0.6, (1, 0): 0.61, (1, 1): 0.61}.items():
-            stats.update(a, s, value)
+        stats = stats_of(2, 2, [(0, 0, 0.6), (0, 1, 0.6), (1, 0, 0.61), (1, 1, 0.61)])
         assert recommend(stats) == 1
 
     def test_unpulled_arm_is_an_error(self):
-        stats = PullStats(3, 2)
-        stats.update(0, 0, 1.0)
-        stats.update(2, 1, 1.0)
+        stats = stats_of(3, 2, [(0, 0, 1.0), (2, 1, 1.0)])
         with pytest.raises(RecommendationError, match="arm 1"):
             recommend(stats)
 
     def test_partial_cells_use_defined_means_only(self):
-        stats = PullStats(2, 2)
-        stats.update(0, 0, 0.2)
-        stats.update(1, 1, 0.9)
-        assert recommend(stats) == 1
+        assert recommend(stats_of(2, 2, [(0, 0, 0.2), (1, 1, 0.9)])) == 1
 
 
 class TestSchedules:

@@ -28,7 +28,7 @@ from statebandits import (
     substream,
     synth_population,
 )
-from statebandits import triage
+from statebandits import rng, triage
 from statebandits.triage import ENCODINGS, STAGE_COSTS_MILLI, STAGE_GAINS, SUB_COHORT, BaselineResult
 
 from _oracles import triage_pipeline
@@ -434,13 +434,13 @@ class TestLoadEvaluations:
 
 class TestBaselines:
     def test_default_baselines_draw_each_label_once(self, monkeypatch):
-        real_raw, real_sub, labels, cohorts = triage.substream_raw, triage.substream, [], []
+        real_raw, real_sub, labels, cohorts = rng.substream_raw, triage.substream, [], []
 
         def counted_raw(prefix, ids, suffix, draws=1):
             labels.extend(ids)
             return real_raw(prefix, ids, suffix, draws)
 
-        monkeypatch.setattr(triage, "substream_raw", counted_raw)
+        monkeypatch.setattr(rng, "substream_raw", counted_raw)
         monkeypatch.setattr(triage, "substream", lambda *path: cohorts.append(path) or real_sub(*path))
         for n, n_severe in ((242, 42), (5000, 833)):
             pop = synth_population(n, n_severe, seed=42)
@@ -455,6 +455,19 @@ class TestBaselines:
         labels.clear(), cohorts.clear()
         run_baseline("1Expert-Sub", fresh, seed=42)
         assert len(labels) == SUB_COHORT and len(cohorts) == 1
+
+    def test_replay_store_keeps_one_seed(self):
+        n = 120
+        pop = Population(individuals=tuple(
+            Individual(id=i, true_risk=RiskLabel(i % 4), machine_probs=(0.1, 0.2, 0.3, 0.4),
+                       recorded={3: tuple(RiskLabel((i + r) % 4) for r in range(1 + i % 3))})
+            for i in range(n)))
+        first = pop.rater_labels(list(pop.individuals), 3, 0, "expert")
+        for seed in range(5):
+            for name in BASELINES:
+                run_baseline(name, pop, seed=seed)
+        assert sum(len(kept) for kept in pop._rater_labels.values()) <= 2 * n
+        assert pop.rater_labels(list(pop.individuals), 3, 0, "expert") == first
 
     def test_batch_labels_equal_one_substream_per_label(self):
         synth = synth_population(242, 42, seed=5)
@@ -514,9 +527,9 @@ class TestBaselines:
         assert four.evaluated == one.evaluated
         assert four.spend_milli == 4 * 100 * 5350
         assert metrics(four, pop).cohort_sensitivity == 1.0
-        small = run_baseline("NLP-Sub", pop, params={"cohort_size": 50}, seed=3)
-        assert len(small.evaluated) == 50
-        assert small.spend_milli == 50
+        nlp = run_baseline("NLP-Sub", pop, seed=3)
+        assert nlp.evaluated == one.evaluated
+        assert nlp.spend_milli == 100
 
     def test_nlp_full(self):
         pop = synth_population(242, 42, seed=1)
@@ -526,7 +539,7 @@ class TestBaselines:
 
     def test_nlp_top_k_degenerate(self):
         pop = synth_population(60, 12, seed=2)
-        result = run_baseline("NLP-Top-k", pop, params={"k": 60}, seed=2)
+        result = run_baseline("NLP-Top-k", pop, seed=2)  # the top 100 of 60 is everyone
         assert result.positives() == frozenset(pop.ids)
 
     def test_nlp_top_k_default_size(self):
@@ -549,22 +562,18 @@ class TestBaselines:
         pop = load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
         result = run_baseline("NLP-Full", pop)
         assert result.positives() == frozenset({1})
-        top = run_baseline("NLP-Top-k", pop, params={"k": 2})
-        assert top.positives() == frozenset({1, 3})
+        ranked = triage._nlp_ranked(pop, list(pop.individuals), 0)
+        assert [ind.id for ind in ranked] == [1, 3, 2]
 
     def test_cohort_cannot_exceed_population(self):
         pop = synth_population(20, 5, seed=0)
-        with pytest.raises(ConfigurationError, match="cohort_size"):
+        with pytest.raises(ConfigurationError, match="cohort_size 100 exceeds"):
             run_baseline("1Expert-Sub", pop)
-        small = run_baseline("1Expert-Sub", pop, params={"cohort_size": 10}, seed=0)
-        assert len(small.evaluated) == 10
 
     def test_unknown_baseline(self):
         pop = synth_population(20, 5, seed=0)
         with pytest.raises(ConfigurationError, match="unknown baseline"):
             run_baseline("2Experts", pop)
-        with pytest.raises(ConfigurationError, match="params"):
-            run_baseline("NLP-Top-k", pop, params={"kk": 3})
         assert "4Experts" in BASELINES and len(BASELINES) == 8
 
 
