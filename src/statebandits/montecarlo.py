@@ -132,35 +132,33 @@ class BAIEstimate:
 
 
 def _binomial_cell_means(counts, m, runs, rng):
-    """Sample per-run cell means: Binomial(counts, m)/counts, NaN where 0."""
-    sums = np.zeros((runs,) + counts.shape)
-    for a, s in zip(*np.nonzero(counts)):
-        sums[:, a, s] = rng.binomial(counts[a, s], m[a, s], size=runs)
-    return cell_means(counts, sums, np.nan)
+    """Sample per-run cell means: Binomial(counts, m)/counts, NaN where 0. One
+    call draws the cells in row-major order; cells without pulls draw nothing."""
+    sums = rng.binomial(counts[:, :, None], m[:, :, None], size=counts.shape + (runs,))
+    # in C order: a float sum over states, as in the state average, depends on the memory layout
+    return cell_means(counts, np.ascontiguousarray(sums.transpose(2, 0, 1)), np.nan)
 
 
 def _sr_sample(env: Environment, schedule: SRSchedule, runs: int, rng) -> np.ndarray:
     """Per-run surviving arm of successive elimination, sampled phase-wise.
 
-    Within a phase each (rotation rank, state) cell of the active arms gets
-    its ``rotation_counts`` pulls at once, with a Binomial reward sum; at the
-    boundary ``eliminate`` drops an arm by its sum of per-state means
-    (unpulled cells 0).
+    Arrays are indexed by active position: column j of the (runs, A, S)
+    ``counts`` and ``sums`` is arm ``active[:, j]``, rows ascending. Each phase
+    draws all (state, rotation rank) cells in one binomial call, state-major
+    with ranks ascending; a cell without pulls draws nothing, so the values
+    are those of one call per cell. ``eliminate`` then drops the lowest sum
+    of per-state means (unpulled cells 0).
     """
     K, S = env.spec.K, env.spec.S
     active = np.tile(np.arange(K), (runs, 1))
     counts = np.zeros((runs, K, S), dtype=np.int64)
     sums = np.zeros((runs, K, S))
-    rows = np.arange(runs)
-    for k, visits in enumerate(phase_visits(env.spec.state_sequence, schedule.t_k, S), start=1):
-        pulls = rotation_counts(visits, K + 1 - k)
-        for s in range(S):
-            for rank in np.flatnonzero(pulls[:, s]):
-                n_rs = int(pulls[rank, s])
-                arms = active[:, rank]
-                counts[rows, arms, s] += n_rs
-                sums[rows, arms, s] += rng.binomial(n_rs, env.m[arms, s])
-        active, _ = eliminate(cell_means(counts, sums, 0.0).sum(axis=2), active)
+    for visits in phase_visits(env.spec.state_sequence, schedule.t_k, S):
+        pulls = rotation_counts(visits, active.shape[1])
+        counts += pulls
+        sums += rng.binomial(pulls.T[:, :, None], env.m[active].T).T
+        scores = cell_means(counts, sums, 0.0).sum(axis=2)
+        _, active, counts, sums = eliminate(scores, active, counts, sums)
     return active[:, 0]
 
 

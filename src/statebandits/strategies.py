@@ -125,17 +125,18 @@ def _eba_pick(means: np.ndarray) -> np.ndarray:
     return np.argmax(np.nanmean(means, axis=2), axis=1)
 
 
-def eliminate(scores: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop the lowest-scoring active arm of each run, ties to the lowest index.
+def eliminate(scores: np.ndarray, *tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Drop each run's lowest-scoring active position from every table.
 
-    ``scores`` is (runs, K); ``active`` is (runs, A) with each row's arms in
-    ascending order. Returns the remaining (runs, A-1) arms and the dropped
-    arm of each run.
+    ``scores`` is (runs, A) and each table (runs, A, ...), column j of both
+    belonging to one arm. Positions hold arms in ascending order, so ties go
+    to the lowest arm index. Returns each run's dropped position, then each
+    table without that column, (runs, A-1, ...).
     """
-    runs, A = active.shape
-    pos = np.argmin(np.take_along_axis(scores, active, axis=1), axis=1)
+    runs, A = scores.shape
+    pos = np.argmin(scores, axis=1)
     keep = np.arange(A) != pos[:, None]
-    return active[keep].reshape(runs, A - 1), active[np.arange(runs), pos]
+    return (pos, *(t[keep].reshape(runs, A - 1, *t.shape[2:]) for t in tables))
 
 
 def log_bar(K: int) -> float:
@@ -284,9 +285,9 @@ def successive_rejects(env: Environment, schedule: SRSchedule, rng: np.random.Ge
         steps += zip(range(t_prev + 1, t_k + 1), states.tolist(), arms.tolist(), rewards.tolist(),
                      [k] * len(states))
         scores = cell_means(stats.counts, stats.sums, 0.0).sum(axis=1)
-        active, dropped = eliminate(scores[None], active)
-        rejected.append(int(dropped[0]))
-        t_prev = t_k
+        pos, remaining = eliminate(scores[active], active)
+        rejected.append(int(active[0, pos[0]]))
+        active, t_prev = remaining, t_k
     return SRResult(winner=int(active[0, 0]), rejected=rejected, steps=steps, n_table=n_table, stats=stats)
 
 

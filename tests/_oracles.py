@@ -264,6 +264,55 @@ def exact_sr(env, boundaries) -> np.ndarray:
     return pmf
 
 
+def binomial_cell_means_per_cell(counts, m, runs, rng):
+    """Per-run cell means of a fixed pull table, with one binomial call per
+    pulled (arm, state) cell in row-major order; NaN where a cell has no
+    pulls (the library draws all cells in one call)."""
+    K, S = counts.shape
+    means = np.full((runs, K, S), np.nan)
+    for a in range(K):
+        for s in range(S):
+            if counts[a, s]:
+                means[:, a, s] = rng.binomial(counts[a, s], m[a, s], size=runs) / counts[a, s]
+    return means
+
+
+def sr_sample_per_cell(env, boundaries, runs, rng):
+    """Per-run winner of successive elimination, with one binomial call per
+    (phase, state, rotation rank) cell on arm-indexed (runs, K, S) tables.
+
+    Cells go state by state, ranks ascending within a state, and each call
+    draws that cell's reward sum for every run. At a boundary each run drops
+    its active arm with the lowest sum of per-state means (unpulled cells 0,
+    ties to the lowest arm). The library draws a whole phase in one call on
+    tables indexed by active position.
+    """
+    spec = env.spec
+    K, S = spec.K, spec.S
+    active = np.tile(np.arange(K), (runs, 1))
+    counts = np.zeros((runs, K, S), dtype=np.int64)
+    sums = np.zeros((runs, K, S))
+    rows = np.arange(runs)
+    prev = 0
+    for tk in boundaries:
+        A = active.shape[1]
+        visits = np.bincount(spec.state_sequence[prev:tk], minlength=S)
+        prev = tk
+        for s in range(S):
+            q, rem = divmod(int(visits[s]), A)
+            for rank in range(A):
+                pulls = q + (1 if 1 <= rank <= rem else 0)
+                if pulls:
+                    arms = active[:, rank]
+                    counts[rows, arms, s] += pulls
+                    sums[rows, arms, s] += rng.binomial(pulls, env.m[arms, s])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scores = np.where(counts > 0, sums / counts, 0.0).sum(axis=2)
+        drop = np.argmin(np.take_along_axis(scores, active, axis=1), axis=1)
+        active = active[np.arange(A) != drop[:, None]].reshape(runs, A - 1)
+    return active[:, 0]
+
+
 def classical_ucb_run(m_vec, n: int, alpha: float, variates) -> list[int]:
     """Plain single-context optimism-index strategy on a pre-drawn uniform
     stream; bonus sqrt(x/2) matches the bounded-support exploration rate."""

@@ -25,6 +25,7 @@ from statebandits import (
     run_sb_ucb,
     sr_compare,
     sr_schedule,
+    state_counts,
     substream,
     tightness_sweep,
     write_sweep_csv,
@@ -33,7 +34,7 @@ from statebandits import montecarlo, strategies
 from statebandits.env import STATE_MODES
 from statebandits.montecarlo import TIGHTNESS_HEADER
 
-from _oracles import exact_sr, exact_uniform_eba
+from _oracles import binomial_cell_means_per_cell, exact_sr, exact_uniform_eba, sr_sample_per_cell
 
 
 class TestRandomEnv:
@@ -194,6 +195,33 @@ def test_batched_estimators_match_exact_laws(K, S, extra, mode, seed):
         est = estimate_bai(env, f"sr_{kind}", runs)
         assert _within_se(est.e, 1.0 - pmf[g.j_star], runs)
         assert _within_se(est.e_hat, 1.0 - pmf[g.j_hat_star], runs)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(K=st.integers(2, 8), S=st.integers(1, 10), extra=st.integers(0, 400),
+       mode=st.sampled_from(STATE_MODES), runs=st.integers(1, 50), seed=st.integers(0, 2**16))
+def test_batched_draws_equal_one_call_per_cell(K, S, extra, mode, runs, seed):
+    """The one-call-per-phase and one-call-per-environment draws give the
+    values, not just the law, of one binomial call per cell."""
+    n = K + extra
+    spec = EnvironmentSpec(K=K, S=S, mu=tuple(substream(seed, "mu").random(K)), sigma2=0.05,
+                           state_sequence=make_state_sequence(S, n, mode, seed=seed), seed=seed)
+    env = instantiate(spec)
+    counts = strategies.rotation_counts(state_counts(spec.state_sequence, S, n), K)
+    batched = montecarlo._binomial_cell_means(counts, env.m, runs, substream(seed, "cells"))
+    per_cell = binomial_cell_means_per_cell(counts, env.m, runs, substream(seed, "cells"))
+    assert np.array_equal(batched, per_cell, equal_nan=True)
+    # the state sums behind the recommendation add in the same order (at S >= 9 the layout decides it)
+    assert np.array_equal(np.nansum(batched, axis=2), np.nansum(per_cell, axis=2))
+    for kind in ("uniform", "reference"):
+        try:
+            sched = sr_schedule(kind, K, n)
+        except ScheduleError:
+            assert kind == "reference"
+            continue
+        picks = montecarlo._sr_sample(env, sched, runs, substream(seed, "sr"))
+        assert np.array_equal(picks, sr_sample_per_cell(env, sched.t_k, runs, substream(seed, "sr")))
 
 
 class TestSweeps:

@@ -25,7 +25,8 @@ from statebandits import (
     successive_rejects,
 )
 from statebandits.env import STATE_MODES
-from statebandits.strategies import _eba_pick, _optimism_index, cell_means, rotation_counts
+from statebandits.montecarlo import _sr_sample
+from statebandits.strategies import _eba_pick, _optimism_index, cell_means, eliminate, rotation_counts
 
 from _oracles import (
     _rotation_counts,
@@ -281,6 +282,33 @@ class TestSuccessiveRejects:
             successive_rejects(env, sr_schedule("uniform", 4, 28), substream(0, "sr"))
         with pytest.raises(ScheduleError):
             successive_rejects(env, sr_schedule("uniform", 3, 60), substream(0, "sr"))
+
+
+class TestEliminate:
+    def test_tie_drops_the_lower_arm_from_every_table(self):
+        # run 0 ties positions 1 and 2 (arms 2 and 5), run 1 ties positions 0 and 1 (arms 1 and 3)
+        active = np.array([[0, 2, 5], [1, 3, 4]])
+        scores = np.array([[0.7, 0.2, 0.2], [0.1, 0.1, 0.9]])
+        counts = np.arange(12).reshape(2, 3, 2)
+        sums = counts * 0.5
+        pos, kept, kept_counts, kept_sums = eliminate(scores, active, counts, sums)
+        assert pos.tolist() == [1, 0]
+        assert kept.tolist() == [[0, 5], [3, 4]]
+        assert np.all(np.diff(kept, axis=1) > 0)
+        assert np.array_equal(kept_counts, np.stack([counts[0, [0, 2]], counts[1, [1, 2]]]))
+        assert np.array_equal(kept_sums, np.stack([sums[0, [0, 2]], sums[1, [1, 2]]]))
+
+    def test_engines_break_a_tie_toward_the_lower_arm(self):
+        # Bernoulli rewards of mean 0 or 1 are exact: arms 1 and 2 tie at 0, arm 2 then trails,
+        # and arms 0 and 3 tie at 2 in the last phase, so the tie-break picks the winner
+        m = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        spec = EnvironmentSpec(K=4, S=2, mu=(1.0, 0.0, 0.0, 1.0), sigma2=0.05,
+                               state_sequence=make_state_sequence(2, 60, "round_robin"))
+        env = Environment(spec=spec, m=m)
+        sched = sr_schedule("uniform", 4, 60)
+        res = successive_rejects(env, sched, substream(0, "sr"))
+        assert (res.rejected, res.winner) == ([1, 2, 0], 3)
+        assert _sr_sample(env, sched, 7, substream(0, "sr")).tolist() == [3] * 7
 
 
 class TestRunners:
