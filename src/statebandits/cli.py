@@ -293,6 +293,8 @@ def cmd_regret(args, cfg: dict, seed: int) -> int:
     if cfg["m"]:
         if len(cfg["m"]) != cfg["K"] * cfg["S"]:
             raise ConfigurationError(f"m needs K*S={cfg['K'] * cfg['S']} entries, got {len(cfg['m'])}")
+        if cfg["sigma2"] != next(f.default for f in REGRET_SCHEMA if f.name == "sigma2"):
+            raise ConfigurationError("sigma2 shapes local means drawn from mu only; an explicit m cannot honour it")
         env = Environment(spec=spec, m=np.array(cfg["m"]).reshape(cfg["K"], cfg["S"]))
     else:
         env = instantiate(spec)

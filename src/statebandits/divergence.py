@@ -75,9 +75,10 @@ def psi_star(family: PsiFamily, eps):
     return out if out.ndim else float(out)
 
 
-def _psi_star_inv(family: PsiFamily, x: np.ndarray) -> np.ndarray:
-    """``psi_star_inv`` of a float array known to be non-negative, unchecked."""
-    return np.sqrt(2.0 * family.sigma2 * x)
+def _psi_star_inv(family: PsiFamily, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``psi_star_inv`` of a float array known to be non-negative, unchecked;
+    written into ``out`` when it is given."""
+    return np.sqrt(np.multiply(2.0 * family.sigma2, x, out=out), out=out)
 
 
 def psi_star_inv(family: PsiFamily, x):

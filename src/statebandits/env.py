@@ -153,10 +153,12 @@ def instantiate(spec: EnvironmentSpec) -> Environment:
     return Environment(spec=spec, m=m)
 
 
-def _check_steps(n: int, horizon: int) -> None:
-    """A run or bound of ``n`` steps must fit the environment's horizon."""
+def _check_steps(n: int, horizon: int, name: str = "n") -> None:
+    """A run or bound of ``n`` steps must be an integer, not a bool, that fits the horizon."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {n!r}")
     if not 1 <= n <= horizon:
-        raise ConfigurationError(f"n {n} outside [1, {horizon}]")
+        raise ConfigurationError(f"{name} {n} outside [1, {horizon}]")
 
 
 def _variates(spec: EnvironmentSpec, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -391,19 +391,20 @@ def estimate_pseudoregret(
     spec = env.spec
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
-    checkpoints = tuple(sorted(int(c) for c in checkpoints))
-    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > spec.horizon:
-        raise ConfigurationError(f"checkpoints must lie in [1, {spec.horizon}]")
+    checkpoints = tuple(sorted(checkpoints))
+    if not checkpoints:
+        raise ConfigurationError("checkpoints must list at least one horizon")
+    for c in checkpoints:
+        _check_steps(c, spec.horizon, "checkpoints")
+    checkpoints = tuple(map(int, checkpoints))
     repeated = sorted({c for c in checkpoints if checkpoints.count(c) > 1})
     if repeated:
         raise ConfigurationError(f"checkpoints must be distinct; repeated: {repeated}")
     streams = [substream(spec.seed, r, "rewards") for r in range(runs)]
     m_star = gaps(env).m_star_per_state
-    counts = np.zeros((runs, spec.K, spec.S), dtype=np.int64)
-    sums = np.zeros((runs, spec.K, spec.S))
     regret = np.zeros(runs)
     curve = []
-    for t, s, _, mean in optimism_play(env, alpha, family, streams, checkpoints[-1], counts, sums):
+    for t, s, _, mean in optimism_play(env, alpha, family, streams, checkpoints[-1]):
         regret += m_star[s] - mean
         if t in checkpoints:
             curve.append(_mean_se(regret))

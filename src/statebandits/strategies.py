@@ -61,42 +61,57 @@ def _check_alpha(alpha: float) -> None:
         raise ConfigurationError(f"alpha must exceed 2, got {alpha}")
 
 
-def _optimism_index(counts, sums, t: int, alpha: float, family: PsiFamily) -> np.ndarray:
-    """Sample mean plus the unchecked bonus on alpha*ln(t)/count (>= 0 as t >= 1);
-    an arm never pulled scores +inf, so argmax plays it first."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        score = sums / counts + _psi_star_inv(family, alpha * np.log(t) / counts)
-    return np.where(counts == 0, np.inf, score)
+def _optimism_pick(counts, sums, visit: int, alpha_log_t: float, family: PsiFamily, score, bonus):
+    """Arms played at the ``visit``-th earlier visit to a state, given its (runs,
+    K) float tables. Visit v < K is forced exploration: arm v, the lowest
+    unpulled one, in every run. After that every cell has pulls, and the arm
+    with the best sample mean plus the bonus on alpha*ln(t)/count (>= 0 as
+    t >= 1) is played, ties to the lowest; the index is written into the
+    scratch tables ``score`` and ``bonus``."""
+    if visit < counts.shape[1]:
+        return np.full(counts.shape[0], visit)
+    _psi_star_inv(family, np.divide(alpha_log_t, counts, out=bonus), out=bonus)
+    return np.argmax(np.add(np.divide(sums, counts, out=score), bonus, out=score), axis=1)
 
 
 _BLOCK_VARIATES = 1 << 18  # reward variates optimism_play holds at once: 2 MiB of float64
 
 
-def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n: int, counts, sums):
+def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n: int, counts=None, sums=None):
     """Play the optimism-index rule for n steps, one run per stream, in lockstep.
 
     Run r draws its reward variates from ``streams[r]`` in blocks of about
-    ``_BLOCK_VARIATES / runs`` steps; they equal one draw of n. ``counts`` and
-    ``sums`` of shape (runs, K, S) are updated in place. Yields (t, state,
-    choice, mean) per step, the chosen arms and their local means being
-    (runs,) arrays.
+    ``_BLOCK_VARIATES / runs`` steps; they equal one draw of n. The engine
+    keeps each state's counts and sums as contiguous float64 (runs, K) tables,
+    adds a one-hot mask of the chosen arms to them and, when ``counts`` and
+    ``sums`` of shape (runs, K, S) are given, writes them there once all n
+    steps are played. Yields (t, state, choice, mean) per step, the chosen
+    arms and their local means being (runs,) arrays.
     """
     _check_alpha(alpha)
     spec = env.spec
-    block = max(1, _BLOCK_VARIATES // len(streams))
-    rows = np.arange(len(streams))
+    runs, K = len(streams), spec.K
+    c, tot = np.zeros((2, spec.S, runs, K))
+    mask, score, bonus = np.empty((3, runs, K))
+    visits, means, onehot = [0] * spec.S, env.m.T, np.eye(K)
+    block = max(1, _BLOCK_VARIATES // runs)
     for lo in range(0, n, block):
-        size = min(block, n - lo)
-        variates = np.empty((size, len(streams)))
+        hi = min(lo + block, n)
+        variates = np.empty((hi - lo, runs))
         for r, stream in enumerate(streams):
-            variates[:, r] = _variates(spec, stream, size)
-        states = spec.state_sequence[lo:lo + size].tolist()
-        for t, s, u in zip(range(lo + 1, lo + size + 1), states, variates):
-            choice = np.argmax(_optimism_index(counts[:, :, s], sums[:, :, s], t, alpha, family), axis=1)
-            mean = env.m[choice, s]
-            counts[rows, choice, s] += 1
-            sums[rows, choice, s] += _rewards(spec, mean, u)
+            variates[:, r] = _variates(spec, stream, hi - lo)
+        alpha_log_t = (alpha * np.log(np.arange(lo + 1, hi + 1))).tolist()
+        states = spec.state_sequence[lo:hi].tolist()
+        for t, s, u, a in zip(range(lo + 1, hi + 1), states, variates, alpha_log_t):
+            choice = _optimism_pick(c[s], tot[s], visits[s], a, family, score, bonus)
+            visits[s] += 1
+            mean = means[s][choice]
+            np.take(onehot, choice, axis=0, out=mask)
+            c[s] += mask
+            tot[s] += np.multiply(mask, _rewards(spec, mean, u)[:, None], out=mask)
             yield t, s, choice, mean
+    if counts is not None:
+        counts[...], sums[...] = c.transpose(1, 2, 0), tot.transpose(1, 2, 0)
 
 
 def rotation_counts(visits, A: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import pathlib
@@ -83,6 +84,18 @@ class TestErrors:
         assert rc == 2
         assert "checkpoints must be distinct; repeated: [100]" in capsys.readouterr().err
         assert not (out / "regret.csv").exists()
+
+    def test_regret_explicit_m_rejects_sigma2(self, tmp_path, capsys):
+        # sigma2 only shapes local means drawn from mu, so with m given it would be ignored
+        base = "K = 2\nS = 1\nmu = 0.7,0.4\nm = 0.6,0.3\nruns = 5\ncheckpoints = 10\n"
+        cfg = write_cfg(tmp_path / "c.cfg", base + "sigma2 = 0.2\n")
+        out = tmp_path / "o"
+        rc = main(["regret", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert "sigma2" in capsys.readouterr().err
+        assert not (out / "regret.csv").exists()
+        cfg = write_cfg(tmp_path / "d.cfg", base + "sigma2 = 0.05\n")
+        assert main(["regret", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
 
     @pytest.mark.parametrize("command, line, message", [
         ("regret", "runs = 0\ncheckpoints = 10", "runs must be >= 1, got 0"),
@@ -295,6 +308,18 @@ class TestSRCompare:
         assert len(rows) == 6
 
 
+# regret.csv of a 20-run config per reward family and state mode: the engine's
+# table layout and update order must not move a byte of it
+REGRET_CSV_SHA256 = {
+    ("bernoulli", "iid_uniform"): "49dd6fc6142b8bd2b77310cbb1c5bbb704cd5820ca5b13646e6660e4c046828f",
+    ("bernoulli", "round_robin"): "fda4878c11fc972977ebdea72a923f30ea98a102ea1f3dccc0076d817572d733",
+    ("bernoulli", "blocks"): "998d815ed39a6fb5b8446d79f5c6a642740fbb916f8036173b7d7574640843a5",
+    ("truncated_gaussian", "iid_uniform"): "f1788921d940f23b3b62902d54cac288d6f2fdde2963a482e9d27536c2205485",
+    ("truncated_gaussian", "round_robin"): "e5ddd4030810e6a1745a9fe6ba0fb4d98050062b378af47cee52d77be34a60bc",
+    ("truncated_gaussian", "blocks"): "3e7d16e7440577010b2afa4c5f1c00d082d277fa155a586accb87882336d75ff",
+}
+
+
 class TestRegret:
     def test_equal_arms_zero_regret(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", "\n".join([
@@ -308,6 +333,16 @@ class TestRegret:
         assert rows[0] == ["checkpoint", "regret", "regret_se", "thm1_bound"]
         assert [r[0] for r in rows[1:]] == ["10", "20"]
         assert all(r[1] == "0.0" and r[3] == "0.0" for r in rows[1:])
+
+    @pytest.mark.parametrize("family, mode", sorted(REGRET_CSV_SHA256))
+    def test_regret_csv_bytes_pinned(self, tmp_path, family, mode):
+        cfg = write_cfg(tmp_path / "c.cfg", "K = 4\nS = 3\nmu = 0.8, 0.7, 0.5, 0.2\n"
+                        "checkpoints = 10, 100, 2500\nruns = 20\n"
+                        f"reward_family = {family}\nstate_mode = {mode}\n")
+        out = tmp_path / "o"
+        assert main(["regret", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "regret.csv").read_bytes()).hexdigest()
+        assert digest == REGRET_CSV_SHA256[family, mode]
 
     def test_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg",

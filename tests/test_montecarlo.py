@@ -384,6 +384,14 @@ class TestPseudoRegret:
         with pytest.raises(ConfigurationError, match="runs"):
             estimate_pseudoregret(env, 3.0, (10,), 0)
 
+    @pytest.mark.parametrize("checkpoints", [(100.7, 150.2), (10, 20.0), (True, 10)])
+    def test_checkpoints_must_be_integers(self, checkpoints):
+        env = fixed_env([[0.7], [0.4]], mu=(0.7, 0.4), n=200)
+        with pytest.raises(ConfigurationError, match="checkpoints must be an integer"):
+            estimate_pseudoregret(env, 3.0, checkpoints, 5)
+        curve = estimate_pseudoregret(env, 3.0, (np.int64(100), 150), 5)
+        assert curve.checkpoints == (100, 150) and type(curve.checkpoints[0]) is int
+
     def test_reproducible(self):
         env = fixed_env([[0.8], [0.3]], mu=(0.8, 0.3), n=100)
         a = estimate_pseudoregret(env, 3.0, (100,), 25)

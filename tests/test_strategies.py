@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statebandits import (
@@ -24,9 +24,11 @@ from statebandits import (
     substream,
     successive_rejects,
 )
-from statebandits.env import STATE_MODES
+from statebandits.env import REWARD_FAMILIES, STATE_MODES
 from statebandits.montecarlo import _sr_sample
-from statebandits.strategies import _eba_pick, _optimism_index, cell_means, eliminate, rotation_counts
+from statebandits.strategies import (
+    _eba_pick, _optimism_pick, cell_means, eliminate, optimism_play, rotation_counts,
+)
 
 from _oracles import (
     _rotation_counts,
@@ -55,9 +57,13 @@ class TestPullStats:
 
 
 def select(stats, state, t):
-    """The arm the optimism index plays at time t in the given state (alpha 3)."""
-    index = _optimism_index(stats.counts[:, state], stats.sums[:, state], t, 3.0, BOUNDED_UNIT)
-    return int(np.argmax(index))
+    """The arm the optimism rule plays at time t in the given state (alpha 3),
+    as a batch of one run whose tables hold the given pulls."""
+    counts = stats.counts[None, :, state].astype(float)
+    scratch = (np.empty_like(counts), np.empty_like(counts))
+    choice = _optimism_pick(counts, stats.sums[None, :, state], int(counts.sum()), 3.0 * np.log(t),
+                            BOUNDED_UNIT, *scratch)
+    return int(choice[0])
 
 
 class TestOptimismIndex:
@@ -318,6 +324,14 @@ class TestRunners:
         with pytest.raises(ConfigurationError, match=rf"n {n} outside \[1, 200\]"):
             run_sb_ucb(env, n, 3.0, BOUNDED_UNIT, substream(5, "run"))
 
+    @pytest.mark.parametrize("n", [100.5, 100.0, True])
+    def test_sb_ucb_steps_must_be_integers(self, n):
+        env = noiseless_env([[0.9], [0.2]], 200)
+        with pytest.raises(ConfigurationError, match="n must be an integer"):
+            run_sb_ucb(env, n, 3.0, BOUNDED_UNIT, substream(5, "run"))
+        _, chosen = run_sb_ucb(env, np.int64(100), 3.0, BOUNDED_UNIT, substream(5, "run"))
+        assert len(chosen) == 100
+
     def test_sb_ucb_prefers_best_arm(self):
         env = noiseless_env([[0.9], [0.2]], 200)
         stats, chosen = run_sb_ucb(env, 200, 3.0, BOUNDED_UNIT, substream(5, "run"))
@@ -376,3 +390,51 @@ def test_rotation_and_elimination_match_oracles(K, S, extra, mode, seed):
         winner, steps, rejected = sr_transcript(env, sched.t_k, substream(seed, "hyp"))
         assert (res.winner, res.rejected, res.steps) == (winner, rejected, steps)
         assert np.array_equal(res.n_table, sr_table_from_steps(steps, rejected, K, S))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning", "error::RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(K=8, S=5, n=3000, runs=20, mode="iid_uniform", reward_family="bernoulli", means="zero_one",
+         gaussian=False, alpha=3.0, seed=1)
+@example(K=8, S=1, n=3000, runs=20, mode="blocks", reward_family="truncated_gaussian", means="drawn",
+         gaussian=True, alpha=2.01, seed=2)
+@given(K=st.integers(2, 8), S=st.integers(1, 5), n=st.integers(1, 3000), runs=st.integers(1, 20),
+       mode=st.sampled_from(STATE_MODES), reward_family=st.sampled_from(REWARD_FAMILIES),
+       means=st.sampled_from(["drawn", "equal", "zero_one"]), gaussian=st.booleans(),
+       alpha=st.sampled_from([2.01, 3.0, 5.5]), seed=st.integers(0, 2**16))
+def test_lockstep_runs_match_per_state_oracle(K, S, n, runs, mode, reward_family, means, gaussian, alpha, seed):
+    # n stays below 9170, the first integer where math.log and np.log differ; equal and
+    # 0/1 local means make exact index ties, which must go to the lowest arm. The index
+    # only runs once every cell has pulls, so a zero-count division is an error here.
+    spec = EnvironmentSpec(K=K, S=S, mu=tuple(substream(seed, "mu").random(K)), sigma2=0.05,
+                           state_sequence=make_state_sequence(S, n, mode, seed=seed), seed=seed,
+                           reward_family=reward_family, reward_sigma2=0.04)
+    if means == "drawn":
+        env = instantiate(spec)
+    else:
+        m = np.full((K, S), 0.5) if means == "equal" else substream(seed, "m").integers(0, 2, (K, S))
+        env = Environment(spec=spec, m=m)
+    family, bonus = ((PsiFamily.gaussian(0.3), lambda x: math.sqrt(2.0 * 0.3 * x)) if gaussian
+                     else (BOUNDED_UNIT, lambda x: math.sqrt(x / 2.0)))
+    streams = [substream(seed, r, "lockstep") for r in range(runs)]
+    counts, sums = np.zeros((runs, K, S), dtype=np.int64), np.zeros((runs, K, S))
+    steps = list(optimism_play(env, alpha, family, streams, n, counts, sums))
+    choices = np.array([choice for _, _, choice, _ in steps])
+    seq = spec.state_sequence
+    assert [(t, s) for t, s, _, _ in steps] == list(zip(range(1, n + 1), seq.tolist()))
+    assert np.array_equal(np.array([mean for _, _, _, mean in steps]), env.m[choices, seq[:, None]])
+    for r in range(runs):
+        assert choices[:, r].tolist() == state_ucb_run(env, n, alpha, bonus, substream(seed, r, "lockstep"))
+        pulls = np.zeros((K, S), dtype=np.int64)
+        np.add.at(pulls, (choices[:, r], seq), 1)
+        assert np.array_equal(counts[r], pulls)
+
+
+def test_block_log_equals_per_step_log():
+    # the engine takes alpha*ln(t) from one vectorized log per variate block, as the
+    # per-step np.log(t) of a Python int gave it; blocks of 262 steps are those of 1000 runs
+    alpha, n = 3.0, 10**6
+    per_step = np.array([alpha * np.log(t) for t in range(1, n + 1)])
+    for block in (n, 262, 37):
+        blocked = [alpha * np.log(np.arange(lo + 1, min(lo + block, n) + 1)) for lo in range(0, n, block)]
+        assert np.array_equal(np.concatenate(blocked), per_step)
