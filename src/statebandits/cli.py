@@ -406,9 +406,9 @@ def cmd_triage(args, cfg: dict, seed: int) -> int:
             f"baselines {too_big} evaluate a {SUB_COHORT}-person cohort, more than n = {cfg['n']}")
     if replay:
         pop = load_evaluations(cfg["human_csv"], cfg["machine_pred"])
-        if len(pop.individuals) != cfg["n"]:
+        if len(pop.ids) != cfg["n"]:
             raise ConfigurationError(
-                f"n = {cfg['n']} but the replay roster has {len(pop.individuals)} individuals")
+                f"n = {cfg['n']} but the replay roster has {len(pop.ids)} individuals")
 
     approaches = ["MAB", "MAB*"] + list(cfg["baselines"])
     values: dict[str, list[tuple]] = {a: [] for a in approaches}

@@ -153,10 +153,15 @@ def instantiate(spec: EnvironmentSpec) -> Environment:
     return Environment(spec=spec, m=m)
 
 
-def _check_steps(n: int, horizon: int, name: str = "n") -> None:
-    """A run or bound of ``n`` steps must be an integer, not a bool, that fits the horizon."""
+def _check_integer(n: int, name: str) -> None:
+    """A count must be an integer, not a bool: a float is not truncated."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ConfigurationError(f"{name} must be an integer, got {n!r}")
+
+
+def _check_steps(n: int, horizon: int, name: str = "n") -> None:
+    """A run or bound of ``n`` steps must be an integer that fits the horizon."""
+    _check_integer(n, name)
     if not 1 <= n <= horizon:
         raise ConfigurationError(f"{name} {n} outside [1, {horizon}]")
 

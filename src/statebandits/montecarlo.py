@@ -27,8 +27,8 @@ from scipy.special import betainc
 from .bounds import thm1_bound, thm2_bounds, thm3_bounds, thm4_bounds
 from .divergence import BOUNDED_UNIT, PsiFamily
 from .env import (
-    STATE_MODES, Environment, EnvironmentSpec, _check_steps, gaps, instantiate, make_state_sequence,
-    state_counts,
+    STATE_MODES, Environment, EnvironmentSpec, _check_integer, _check_steps, gaps, instantiate,
+    make_state_sequence, state_counts,
 )
 from .errors import ConfigurationError
 from .rng import substream
@@ -389,6 +389,7 @@ def estimate_pseudoregret(
     run matches ``run_sb_ucb`` on that stream exactly.
     """
     spec = env.spec
+    _check_integer(runs, "runs")
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
     checkpoints = tuple(sorted(checkpoints))

@@ -30,7 +30,6 @@ __all__ = [
     "ENCODINGS",
     "STAGE_COSTS_MILLI",
     "STAGE_GAINS",
-    "Individual",
     "Population",
     "synth_population",
     "load_evaluations",
@@ -55,8 +54,6 @@ class RiskLabel(IntEnum):
     MODERATE = 2
     SEVERE = 3
 
-
-_LABELS = tuple(RiskLabel)
 
 _LABEL_NAMES = {"no": RiskLabel.NO, "low": RiskLabel.LOW,
                 "moderate": RiskLabel.MODERATE, "severe": RiskLabel.SEVERE}
@@ -87,93 +84,84 @@ def _encoding(scheme: str) -> tuple[float, ...]:
         raise ConfigurationError(f"unknown encoding scheme {scheme!r}") from None
 
 
-@dataclass(frozen=True)
-class Individual:
-    """One screened individual; replay individuals carry recorded labels per
-    stage plus the machine probability vector."""
-
-    id: int
-    true_risk: RiskLabel
-    recorded: dict | None = None
-    machine_probs: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Population:
-    """An ordered collection of individuals. A synthetic one samples
-    ``confusion[stage - 1][true][observed]`` probabilities; a replay one
-    (``confusion`` None) replays recorded labels. Rater labels drawn for the
-    baselines are kept on the population (see ``rater_labels``)."""
+    """Everyone screened, as arrays in ascending id order: row r is person
+    ``ids[r]`` with hidden label ``true_risk[r]``. A synthetic population
+    draws evaluations from ``confusion[stage - 1][true][observed]``. A replay
+    one (``confusion`` None) has ``recorded = (flat, start, size)``: row r's
+    stage-s labels in file order are ``size[s - 1, r]`` entries of ``flat``
+    from ``start[s - 1, r]``, and ``machine_probs[r]`` is its automated
+    probability vector. Baseline rater labels are kept (see ``rater_labels``).
+    """
 
-    individuals: tuple[Individual, ...]
-    confusion: tuple[tuple[tuple[float, ...], ...], ...] | None = None
-    _rater_labels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    ids: np.ndarray
+    true_risk: np.ndarray
+    confusion: np.ndarray | None = None
+    recorded: tuple | None = None
+    machine_probs: np.ndarray | None = None
+    _rater_labels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        ids = [ind.id for ind in self.individuals]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate individual ids", field="individuals")
-        if self.confusion is not None and np.shape(self.confusion) != (3, 4, 4):
-            raise ValidationError("need 3 stages x 4 true x 4 observed labels", field="confusion")
+        object.__setattr__(self, "ids", np.asarray(self.ids, dtype=np.int64))
+        object.__setattr__(self, "true_risk", np.asarray(self.true_risk, dtype=np.int64))
+        if np.any(np.diff(self.ids) <= 0) or self.true_risk.shape != self.ids.shape:
+            raise ValidationError("need ascending ids, no duplicates, one true label each", field="ids")
+        if self.confusion is not None:
+            object.__setattr__(self, "confusion", np.asarray(self.confusion, dtype=float))
+            if self.confusion.shape != (3, 4, 4):
+                raise ValidationError("need 3 stages x 4 true x 4 observed labels", field="confusion")
+
+    def __eq__(self, other):
+        if not isinstance(other, Population):
+            return NotImplemented
+        return all(map(np.array_equal, *([p.ids, p.true_risk, p.confusion, p.machine_probs,
+                                          *(p.recorded or [None] * 3)] for p in (self, other))))
 
     @property
     def kind(self) -> str:
         return "replay" if self.confusion is None else "synthetic"
 
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(ind.id for ind in self.individuals)
+    def _replayed(self, stage: int, rows: np.ndarray) -> Callable:
+        """The replay label rule: ``label(k, i)`` is the ``i``-th recorded stage
+        label of population row ``rows[k]``, cyclically in file order."""
+        flat, start, size = self.recorded
+        start, size = start[stage - 1, rows], size[stage - 1, rows]
+        if not size.all():
+            raise ValidationError(f"individual {self.ids[rows[size == 0][0]]} has no recorded "
+                                  f"stage-{stage} labels", field="recorded")
+        return lambda k, i: flat[start[k] + i % size[k]]
 
-    def _choices(self, ind: Individual, stage: int) -> tuple:
-        """The confusion row (synthetic) or the recorded labels (replay)."""
-        if self.confusion is not None:
-            return self.confusion[stage - 1][ind.true_risk]
-        labels = ind.recorded.get(stage, ())
-        if not labels:
-            raise ValidationError(f"individual {ind.id} has no recorded stage-{stage} labels",
-                                  field="recorded")
-        return labels
-
-    def pull_label(self, ind: Individual, stage: int, pull_index: int,
-                   rng: np.random.Generator) -> RiskLabel:
-        """One evaluation: sample the confusion row (synthetic) or replay the
-        recorded labels cyclically in file order (replay)."""
-        choices = self._choices(ind, stage)
-        if self.confusion is not None:
-            return _row_label(choices, rng.random())
-        return choices[pull_index % len(choices)]
-
-    def rater_labels(self, inds, stage: int, seed: int, tag: str) -> list[RiskLabel]:
-        """One evaluation each by a randomly assigned rater (used by baselines):
-        what ``substream(seed, ind.id, tag)`` picks with ``.random()`` from the
-        confusion row (synthetic) or ``.integers(0, m)`` from the m recorded
-        labels (replay). Labels not yet kept are derived in one pass and kept,
-        so the baselines of one seed derive each label once however many read it;
-        only the latest seed's labels are kept."""
+    def rater_labels(self, rows: np.ndarray, stage: int, seed: int, tag: str) -> np.ndarray:
+        """One evaluation each of population rows ``rows`` by a randomly
+        assigned rater (used by baselines): what ``substream(seed, id, tag)``
+        picks with ``.random()`` through the confusion row (synthetic) or
+        ``.integers(0, m)`` from the m recorded labels (replay). Labels not
+        yet kept are derived in one pass and kept, so the baselines of one
+        seed derive each label once however many read it; only the latest
+        seed's labels are kept."""
         if any(key[0] != seed for key in self._rater_labels):
             self._rater_labels.clear()
-        kept = self._rater_labels.setdefault((seed, stage, tag), {})
-        new = [ind for ind in inds if ind.id not in kept]
-        if new:
-            choices = [self._choices(ind, stage) for ind in new]
-            ids = [ind.id for ind in new]
+        kept = self._rater_labels.setdefault((seed, stage, tag), np.full(len(self.ids), -1))
+        new = rows[kept[rows] < 0]
+        if new.size:
+            ids = self.ids[new]
             if self.confusion is not None:
-                labels = map(_row_label, choices, substream_random((seed,), ids, (tag,)))
+                u = np.array(substream_random((seed,), ids, (tag,)))
+                kept[new] = _confusion_labels(self.confusion[stage - 1][self.true_risk[new]], u)
             else:
-                picks = substream_integers((seed,), ids, (tag,), [len(c) for c in choices])
-                labels = (c[k] for c, k in zip(choices, picks))
-            kept.update(zip(ids, labels))
-        return [kept[ind.id] for ind in inds]
+                label = self._replayed(stage, new)
+                picks = substream_integers((seed,), ids, (tag,), self.recorded[2][stage - 1, new])
+                kept[new] = label(slice(None), np.array(picks))
+        return kept[rows]
 
 
-def _row_label(row: tuple, u: float) -> RiskLabel:
-    """The label a uniform variate ``u`` picks from a confusion row."""
-    acc = 0.0
-    for lab, p in zip(_LABELS, row):
-        acc += p
-        if u < acc:
-            return lab
-    return RiskLabel.SEVERE
+def _confusion_labels(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The synthetic label rule: the label each uniform ``u`` picks from its
+    confusion row is the number of the row's cumulative sums at or below
+    ``u``, capped at SEVERE. ``np.cumsum`` adds in label order, so this is the
+    first label whose cumulative sum exceeds ``u``, or SEVERE if none does."""
+    return np.minimum((np.cumsum(rows, axis=-1) <= u[..., None]).sum(axis=-1), RiskLabel.SEVERE)
 
 
 def synth_population(
@@ -203,22 +191,10 @@ def synth_population(
     remainders = sorted(range(3), key=lambda i: (weights[i] * rest) - base[i], reverse=True)
     for i in range(rest - sum(base)):
         base[remainders[i % 3]] += 1
-    labels = ([RiskLabel.NO] * base[0] + [RiskLabel.LOW] * base[1]
-              + [RiskLabel.MODERATE] * base[2] + [RiskLabel.SEVERE] * n_severe)
-    rng = substream(seed, "population")
-    rng.shuffle(labels)
-
-    confusion = tuple(tuple(tuple((1.0 - err) if lab == true else err / 3.0 for lab in RiskLabel)
-                            for true in RiskLabel) for err in (e1, e2, e3))
-    return Population(tuple(Individual(id=i, true_risk=labels[i]) for i in range(n)), confusion)
-
-
-def _modal_label(labels) -> RiskLabel:
-    counts = {lab: 0 for lab in RiskLabel}
-    for lab in labels:
-        counts[lab] += 1
-    # ties resolve toward the less severe label
-    return max(RiskLabel, key=lambda lab: (counts[lab], -int(lab)))
+    labels = np.repeat(np.arange(4), base + [n_severe])
+    substream(seed, "population").shuffle(labels)
+    err = np.array(stage_noise, dtype=float)[:, None, None]
+    return Population(np.arange(n), labels, np.where(np.eye(4, dtype=bool), 1.0 - err, err / 3.0))
 
 
 def _records(path, kind: str, header: list[str], parse):
@@ -257,6 +233,8 @@ def load_evaluations(human_path, machine_path) -> Population:
     for lineno, (ind_id, vec) in machine:
         if ind_id in probs:
             raise ParseError(f"duplicate id {ind_id}", line=lineno)
+        if not -2**63 <= ind_id < 2**63:
+            raise ParseError(f"id {ind_id} does not fit in 64 bits", line=lineno)
         if any(p < 0 for p in vec) or abs(sum(vec) - 1.0) > 1e-6:
             raise ParseError(f"probabilities for id {ind_id} do not sum to 1", line=lineno)
         probs[ind_id] = vec
@@ -273,14 +251,22 @@ def load_evaluations(human_path, machine_path) -> Population:
         raise ReferentialError(
             f"id sets differ: only in human file {only_human}, only in machine file {only_machine}"
         )
-    individuals = []
-    for ind_id in sorted(probs):
-        recs = {stage: tuple(labels) for stage, labels in recorded.get(ind_id, {}).items()}
-        expert = recs.get(3, ())
-        true = _modal_label(expert) if expert else RiskLabel(int(np.argmax(probs[ind_id])))
-        individuals.append(Individual(id=ind_id, true_risk=true, recorded=recs,
-                                      machine_probs=probs[ind_id]))
-    return Population(individuals=tuple(individuals))
+    return _replay_population(probs, recorded)
+
+
+def _replay_population(probs: dict, recorded: dict) -> Population:
+    """The replay population of ``{id: machine probabilities}`` and ``{id: {stage:
+    labels in file order}}``, with true risk as ``load_evaluations`` defines it."""
+    ids = sorted(probs)
+    lists = [recorded.get(i, {}).get(stage, ()) for stage in (1, 2, 3) for i in ids]
+    size = np.array([len(labels) for labels in lists], dtype=np.int64).reshape(3, len(ids))
+    flat = np.array([lab for labels in lists for lab in labels], dtype=np.int64)
+    start = np.cumsum(size).reshape(3, -1) - size
+    machine = np.array([probs[i] for i in ids], dtype=float).reshape(-1, 4)
+    expert = np.zeros((len(ids), 4), dtype=np.int64)
+    np.add.at(expert, (np.repeat(np.arange(len(ids)), size[2]), flat[size[:2].sum():]), 1)
+    true = np.where(size[2] > 0, np.argmax(expert, axis=1), np.argmax(machine, axis=1))
+    return Population(ids, true, recorded=(flat, start, size), machine_probs=machine)
 
 
 @dataclass(frozen=True)
@@ -418,14 +404,14 @@ def run_pipeline(
     """
     if policy not in ("round_robin", "ucb"):
         raise ConfigurationError(f"unknown policy {policy!r}")
-    values = _encoding(encoding)
+    values = np.array(_encoding(encoding))
     if not stages:
         raise ValidationError("need at least one stage", field="stages")
     stages = sorted(stages, key=lambda st: st.index)
     indices = [st.index for st in stages]
     if len(set(indices)) != len(indices):
         raise ValidationError(f"stage indices must be distinct, got {indices}", field="index")
-    prev = len(pop.individuals)
+    prev = len(pop.ids)
     for st in stages:
         if st.cohort_out > prev:
             raise ValidationError(
@@ -434,55 +420,66 @@ def run_pipeline(
             )
         prev = st.cohort_out
     rng = substream(seed, "pipeline")
-    # per-survivor weighted sums as arrays, by position in id order
-    alive = sorted(pop.individuals, key=lambda ind: ind.id)
-    w_enc, w_sum = np.zeros((2, len(alive)))
-    evaluated: set[int] = set()
-    expert_severe: set[int] = set()
+    rows = np.arange(len(pop.ids))  # the survivors' population rows, in id order
+    w_enc, w_sum = np.zeros((2, len(rows)))  # per-survivor gain-weighted sums
+    evaluated, expert_severe = np.zeros((2, len(rows)), dtype=bool)
     outcomes: list[StageOutcome] = []
     for st in stages:
-        m = len(alive)
+        m = len(rows)
         max_pulls = st.budget_milli // st.cost_milli
         if max_pulls == 0:
             warnings.warn(f"stage {st.index}: budget funds no pulls; stage skipped", stacklevel=2)
         elif max_pulls < m:
             warnings.warn(f"stage {st.index}: budget funds {max_pulls} pulls for {m} survivors",
                           stacklevel=2)
-        first = min(m, max_pulls)  # the first pass, in one batch
-        pulls = [(k, pop.pull_label(alive[k], st.index, 0, rng)) for k in range(first)]
-        counts = np.zeros(m, dtype=np.int64)  # within-stage pulls, also the replay cursors
-        counts[:first] = 1
-        w_enc[:first] += st.gain * np.array([values[label] for _, label in pulls])
-        w_sum[:first] += st.gain
-        for j in range(first, max_pulls):
-            if policy == "round_robin":
-                k = j % m
-            else:
-                bonus = _psi_star_inv(BOUNDED_UNIT, UCB_ALPHA * math.log(j + 1) / counts)
-                k = int(np.argmax(w_enc / w_sum + bonus))
-            label = pop.pull_label(alive[k], st.index, int(counts[k]), rng)
-            pulls.append((k, label))
+        label = _stage_rule(pop, st.index, rows[:max_pulls], rng, max_pulls)
+        # round_robin pulls the whole stage in one batch, ucb its first pass
+        batch = max_pulls if policy == "round_robin" else min(m, max_pulls)
+        ks = np.arange(max_pulls) % m  # survivor of each pull; ucb fills in those past the batch
+        labels = np.empty(max_pulls, dtype=np.int64)
+        labels[:batch] = label(ks[:batch], np.arange(batch), np.arange(batch) // m)
+        np.add.at(w_enc, ks[:batch], st.gain * values[labels[:batch]])
+        np.add.at(w_sum, ks[:batch], st.gain)
+        counts = np.bincount(ks[:batch], minlength=m)  # within-stage pulls, also the replay cursors
+        for j in range(batch, max_pulls):
+            bonus = _psi_star_inv(BOUNDED_UNIT, UCB_ALPHA * math.log(j + 1) / counts)
+            k = ks[j] = int((w_enc / w_sum + bonus).argmax())
+            labels[j] = label(k, j, counts[k])
             counts[k] += 1
-            w_enc[k] += st.gain * values[label]
+            w_enc[k] += st.gain * values[labels[j]]
             w_sum[k] += st.gain
-        evaluated.update(alive[k].id for k, _ in pulls)
+        evaluated[rows[ks]] = True
         if st.index == 3:
-            expert_severe.update(alive[k].id for k, label in pulls if label == RiskLabel.SEVERE)
+            expert_severe[rows[ks[labels == RiskLabel.SEVERE]]] = True
         u_hat = np.divide(w_enc, w_sum, out=np.zeros(m), where=w_sum > 0)
         keep = np.sort(np.lexsort((np.arange(m), -u_hat))[: st.cohort_out])
-        alive, w_enc, w_sum = [alive[k] for k in keep], w_enc[keep], w_sum[keep]
+        rows, w_enc, w_sum = rows[keep], w_enc[keep], w_sum[keep]
+        survivors = tuple(pop.ids[rows].tolist())
         outcomes.append(StageOutcome(
             index=st.index, pulls=max_pulls, spend_milli=max_pulls * st.cost_milli,
-            survivors=tuple(ind.id for ind in alive),
-            u_hat={ind.id: u for ind, u in zip(alive, u_hat[keep].tolist())},
+            survivors=survivors, u_hat=dict(zip(survivors, u_hat[keep].tolist())),
         ))
     return PipelineResult(
         final_cohort=outcomes[-1].survivors,
-        evaluated=frozenset(evaluated),
-        expert_severe=frozenset(expert_severe),
+        evaluated=frozenset(pop.ids[evaluated].tolist()),
+        expert_severe=frozenset(pop.ids[expert_severe].tolist()),
         stages=tuple(outcomes),
         spend_milli=sum(o.spend_milli for o in outcomes),
     )
+
+
+def _stage_rule(pop: Population, stage: int, rows: np.ndarray, rng: np.random.Generator,
+                pulls: int) -> Callable:
+    """The label of a stage's pull ``j``, the ``c``-th of survivor ``k`` (population
+    row ``rows[k]``), as ``label(k, j, c)``. A synthetic stage draws one uniform per
+    pull in one call and reads a ``(4, pulls)`` table of the label each picks for
+    each true label; a replay stage reads the survivor's recorded labels."""
+    if pop.kind == "replay":
+        replayed = pop._replayed(stage, rows)
+        return lambda k, j, c: replayed(k, c)
+    table = _confusion_labels(pop.confusion[stage - 1][:, None], rng.random(pulls))
+    true = pop.true_risk[rows]
+    return lambda k, j, c: table[true[k], j]
 
 
 @dataclass(frozen=True)
@@ -499,27 +496,26 @@ class BaselineResult:
         return self._positives
 
 
-def _nlp_labels(pop: Population, inds: list[Individual], seed: int) -> list[RiskLabel]:
+def _nlp_labels(pop: Population, rows: np.ndarray, seed: int) -> np.ndarray:
     """The automated stage's predictions: the machine argmax (replay) or one
     stage-1 evaluation each (synthetic)."""
     if pop.kind == "replay":
-        return [RiskLabel(int(np.argmax(ind.machine_probs))) for ind in inds]
-    return pop.rater_labels(inds, 1, seed, "nlp")
+        return np.argmax(pop.machine_probs[rows], axis=1)
+    return pop.rater_labels(rows, 1, seed, "nlp")
 
 
 @dataclass(frozen=True)
 class _Rater:
     per_person: int  # evaluations per person rated
     cost_milli: int  # per evaluation
-    labels: Callable[[Population, list[Individual], int], list[RiskLabel]]
+    labels: Callable[[Population, np.ndarray, int], np.ndarray]  # of population rows
 
 
-_CONSENSUS = _Rater(4, STAGE_COSTS_MILLI[2],
-                    lambda pop, inds, seed: [ind.true_risk for ind in inds])
+_CONSENSUS = _Rater(4, STAGE_COSTS_MILLI[2], lambda pop, rows, seed: pop.true_risk[rows])
 _EXPERT = _Rater(1, STAGE_COSTS_MILLI[2],
-                 lambda pop, inds, seed: pop.rater_labels(inds, 3, seed, "expert"))
+                 lambda pop, rows, seed: pop.rater_labels(rows, 3, seed, "expert"))
 _NLP = _Rater(1, STAGE_COSTS_MILLI[0], _nlp_labels)
-_FLAG_ALL = _Rater(0, 0, lambda pop, inds, seed: [RiskLabel.SEVERE] * len(inds))
+_FLAG_ALL = _Rater(0, 0, lambda pop, rows, seed: np.full(len(rows), RiskLabel.SEVERE))
 
 # baseline: (who the rater sees, rater); the top view ranks everyone by one
 # NLP pass first, so it evaluates everyone
@@ -541,13 +537,12 @@ TOP_K = 100
 COHORT_BASELINES = tuple(name for name, (view, _) in _BASELINE_TABLE.items() if view == "cohort")
 
 
-def _nlp_ranked(pop: Population, inds: list[Individual], seed: int) -> list[Individual]:
-    """``inds`` with the likeliest Severe by NLP first, ties toward the lower id."""
-    if pop.kind == "replay":
-        scores = [ind.machine_probs[int(RiskLabel.SEVERE)] for ind in inds]
-    else:
-        scores = _nlp_labels(pop, inds, seed)
-    return [ind for _, ind in sorted(zip(scores, inds), key=lambda p: (-p[0], p[1].id))]
+def _nlp_ranked(pop: Population, rows: np.ndarray, seed: int) -> np.ndarray:
+    """Population rows ``rows`` (ascending) with the likeliest Severe by NLP
+    first, ties toward the lower id."""
+    replay = pop.kind == "replay"
+    scores = pop.machine_probs[rows, RiskLabel.SEVERE] if replay else _nlp_labels(pop, rows, seed)
+    return rows[np.argsort(-scores, kind="stable")]
 
 
 def run_baseline(name: str, pop: Population, seed: int = 0) -> BaselineResult:
@@ -559,15 +554,14 @@ def run_baseline(name: str, pop: Population, seed: int = 0) -> BaselineResult:
     if name not in _BASELINE_TABLE:
         raise ConfigurationError(f"unknown baseline {name!r}; known: {BASELINES}")
     view, rater = _BASELINE_TABLE[name]
-    everyone = list(pop.individuals)
+    everyone = np.arange(len(pop.ids))
     evaluations = []  # (rater, people it rates)
     if view == "everyone":
         seen = everyone
     elif view == "cohort":
         if SUB_COHORT > len(everyone):
             raise ConfigurationError(f"cohort_size {SUB_COHORT} exceeds the population of {len(everyone)}")
-        picks = substream(seed, "cohort").choice(len(everyone), size=SUB_COHORT, replace=False)
-        seen = [everyone[i] for i in sorted(int(p) for p in picks)]
+        seen = np.sort(substream(seed, "cohort").choice(len(everyone), size=SUB_COHORT, replace=False))
     else:
         evaluations.append((_NLP, len(everyone)))
         seen = _nlp_ranked(pop, everyone, seed)[:TOP_K]
@@ -575,8 +569,8 @@ def run_baseline(name: str, pop: Population, seed: int = 0) -> BaselineResult:
     labels = rater.labels(pop, seen, seed)
     return BaselineResult(
         name,
-        frozenset(ind.id for ind in (seen if view == "cohort" else everyone)),
-        frozenset(ind.id for ind, lab in zip(seen, labels) if lab == RiskLabel.SEVERE),
+        frozenset(pop.ids[seen if view == "cohort" else everyone].tolist()),
+        frozenset(pop.ids[seen[labels == RiskLabel.SEVERE]].tolist()),
         sum(count * r.per_person * r.cost_milli for r, count in evaluations),
         sum(count * r.per_person for r, count in evaluations),
     )
@@ -618,7 +612,7 @@ def metrics(result, pop: Population, mode: str = "mab") -> Metrics:
     negatives by definition); cohort counts restrict to the evaluated set.
     """
     positives = result.positives(mode)
-    severe = {ind.id for ind in pop.individuals if ind.true_risk == RiskLabel.SEVERE}
+    severe = set(pop.ids[pop.true_risk == RiskLabel.SEVERE].tolist())
 
     def count(universe) -> Counts:
         tp = len(universe & severe & positives)
@@ -627,7 +621,7 @@ def metrics(result, pop: Population, mode: str = "mab") -> Metrics:
         tn = len(universe) - tp - fp - fn
         return Counts(tp=tp, fp=fp, fn=fn, tn=tn)
 
-    pop_counts = count(set(pop.ids))
+    pop_counts = count(set(pop.ids.tolist()))
     coh_counts = count(set(result.evaluated))
     return Metrics(
         population=pop_counts,

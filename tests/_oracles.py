@@ -359,6 +359,18 @@ TRIAGE_ENCODINGS = {
 }
 
 
+def confusion_walk(row, u: float) -> int:
+    """The label a uniform ``u`` picks from a confusion row: walk the row
+    adding probabilities and stop at the first label whose running sum exceeds
+    ``u``; a row that never does gives 3 (Severe)."""
+    acc = 0.0
+    for level, p in enumerate(row):
+        acc += p
+        if u < acc:
+            return level
+    return 3
+
+
 def triage_pipeline(pop, stages, policy: str, encoding: str, rng) -> dict:
     """The staged screen re-implemented from its stated rules, with dicts
     keyed by individual id.
@@ -367,14 +379,14 @@ def triage_pipeline(pop, stages, policy: str, encoding: str, rng) -> dict:
     this stage goes first, lowest id first. Otherwise ``round_robin`` takes
     the next survivor of the id-order cycle and ``ucb`` the one with the
     largest estimate + sqrt(3 ln t / count / 2), lowest id on ties. A
-    synthetic pull takes one ``rng.random()`` and walks the stage's confusion
-    row; a replay pull reads the stage's recorded labels cyclically, from
-    the first in every stage. The estimate is the gain-weighted mean of the
+    synthetic pull takes one ``rng.random()`` through ``confusion_walk`` of
+    the stage's confusion row; a replay pull reads the stage's recorded labels
+    cyclically, from the first in every stage. The estimate is the gain-weighted mean of the
     encoded labels over all stages so far (0 before any pull); each cut keeps
     the ``cohort_out`` largest estimates, lowest id on ties.
     """
     value = TRIAGE_ENCODINGS[encoding]
-    by_id = {ind.id: ind for ind in pop.individuals}
+    by_id = {i: r for r, i in enumerate(pop.ids.tolist())}  # population row of each id
     weighted = {i: 0.0 for i in by_id}
     weight = {i: 0.0 for i in by_id}
     alive = sorted(by_id)
@@ -398,17 +410,14 @@ def triage_pipeline(pop, stages, policy: str, encoding: str, rng) -> dict:
                     score = estimate(i) + math.sqrt(3.0 * math.log(t) / count[i] / 2.0)
                     if score > best:
                         target, best = i, score
-            ind = by_id[target]
+            row = by_id[target]
             if pop.kind == "synthetic":
-                u, acc, level = rng.random(), 0.0, 3
-                for k, p in enumerate(pop.confusion[st.index - 1][ind.true_risk]):
-                    acc += p
-                    if u < acc:
-                        level = k
-                        break
+                level = confusion_walk(pop.confusion[st.index - 1][pop.true_risk[row]].tolist(),
+                                       rng.random())
             else:
-                labels = ind.recorded[st.index]
-                level = int(labels[count[target] % len(labels)])
+                flat, start, size = pop.recorded
+                labels = flat[start[st.index - 1, row]:][:size[st.index - 1, row]].tolist()
+                level = labels[count[target] % len(labels)]
             count[target] += 1
             weighted[target] += st.gain * value(level)
             weight[target] += st.gain

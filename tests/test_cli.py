@@ -401,6 +401,15 @@ NLP-Top-100+1Expert-Sub,535.242,242,0.6786±0.0337,0.6786±0.0337,0.9344±0.0030
 """
 
 
+# triage.csv of default-population runs at --seed 11, two seeds each; both
+# 2200 more2 runs go past every stage's first pass.
+TRIAGE_CSV_SHA256 = {
+    (2200, "more2", "round_robin", "binary"): "660a4f11ed6b6b30c901b121c33d5cdd0ca5d95ea4213445b2e36a888239b79a",
+    (2200, "more2", "ucb", "exponential"): "b541da2661bd2f368af72988f1e076a3df73a77b4f3122bc772d9e304b4092c7",
+    (553, "", "round_robin", "linear"): "65243d7bbe1725d2e00ec1ef323c60d345f66c412937d690cb8b1c8e49bdabdd",
+}
+
+
 class TestTriage:
     def test_replay_n_must_match_roster(self, tmp_path, capsys):
         human, machine = write_replay_pair(tmp_path)
@@ -460,6 +469,15 @@ class TestTriage:
         out = tmp_path / "o"
         assert main(["triage", "--config", cfg, "--seed", "11", "--out", str(out)]) == 0
         assert (out / "triage.csv").read_text(encoding="utf-8") == SYNTH_UCB_TABLE
+
+    @pytest.mark.parametrize("budget, scheme, policy, encoding", sorted(TRIAGE_CSV_SHA256))
+    def test_triage_csv_bytes_pinned(self, tmp_path, budget, scheme, policy, encoding):
+        cfg = write_cfg(tmp_path / "c.cfg", f"total_budget = {budget}\nscheme = {scheme}\n"
+                                            f"policy = {policy}\nencoding = {encoding}\nnum_seeds = 2\n")
+        out = tmp_path / "o"
+        assert main(["triage", "--config", cfg, "--seed", "11", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "triage.csv").read_bytes()).hexdigest()
+        assert digest == TRIAGE_CSV_SHA256[budget, scheme, policy, encoding]
 
     def test_small_run_table(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", "\n".join([

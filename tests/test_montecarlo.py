@@ -392,6 +392,14 @@ class TestPseudoRegret:
         curve = estimate_pseudoregret(env, 3.0, (np.int64(100), 150), 5)
         assert curve.checkpoints == (100, 150) and type(curve.checkpoints[0]) is int
 
+    @pytest.mark.parametrize("runs", [5.5, 5.0, True])
+    def test_runs_must_be_an_integer(self, runs):
+        env = fixed_env([[0.7], [0.4]], mu=(0.7, 0.4), n=200)
+        with pytest.raises(ConfigurationError, match="runs must be an integer"):
+            estimate_pseudoregret(env, 3.0, (100,), runs)
+        curve = estimate_pseudoregret(env, 3.0, (100,), np.int64(5))
+        assert curve.checkpoints == (100,)
+
     def test_reproducible(self):
         env = fixed_env([[0.8], [0.3]], mu=(0.8, 0.3), n=100)
         a = estimate_pseudoregret(env, 3.0, (100,), 25)

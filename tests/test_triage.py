@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from statebandits import (
     BASELINES,
     ConfigurationError,
-    Individual,
     ParseError,
     PipelineResult,
     Population,
@@ -31,7 +31,7 @@ from statebandits import (
 from statebandits import rng, triage
 from statebandits.triage import ENCODINGS, STAGE_COSTS_MILLI, STAGE_GAINS, SUB_COHORT, BaselineResult
 
-from _oracles import triage_pipeline
+from _oracles import confusion_walk, triage_pipeline
 
 
 class TestLabels:
@@ -60,8 +60,8 @@ class TestSynthPopulation:
     def test_label_counts(self):
         pop = synth_population(242, 42, seed=0)
         counts = {lab: 0 for lab in RiskLabel}
-        for ind in pop.individuals:
-            counts[ind.true_risk] += 1
+        for lab in pop.true_risk.tolist():
+            counts[lab] += 1
         assert counts[RiskLabel.SEVERE] == 42
         assert counts[RiskLabel.NO] == 100
         assert counts[RiskLabel.LOW] == 60
@@ -69,31 +69,32 @@ class TestSynthPopulation:
 
     def test_same_seed_identical(self):
         assert synth_population(50, 10, seed=3) == synth_population(50, 10, seed=3)
-        a = [i.true_risk for i in synth_population(50, 10, seed=3).individuals]
-        b = [i.true_risk for i in synth_population(50, 10, seed=4).individuals]
+        a = synth_population(50, 10, seed=3).true_risk.tolist()
+        b = synth_population(50, 10, seed=4).true_risk.tolist()
         assert a != b
 
     def test_confusion_rows(self):
         pop = synth_population(20, 5, stage_noise=(0.45, 0.30, 0.10), seed=1)
-        ind = next(i for i in pop.individuals if i.true_risk == RiskLabel.SEVERE)
-        row3 = pop.confusion[2][ind.true_risk]
+        true_risk = next(t for t in pop.true_risk if t == RiskLabel.SEVERE)
+        row3 = pop.confusion[2][true_risk]
         assert row3[int(RiskLabel.SEVERE)] == pytest.approx(0.90)
         assert row3[int(RiskLabel.NO)] == pytest.approx(0.10 / 3)
-        assert sum(pop.confusion[0][ind.true_risk]) == pytest.approx(1.0)
+        assert sum(pop.confusion[0][true_risk]) == pytest.approx(1.0)
 
     def test_kind_follows_confusion(self):
         assert synth_population(20, 5, seed=1).kind == "synthetic"
-        assert Population(individuals=(Individual(id=1, true_risk=RiskLabel.NO),)).kind == "replay"
+        assert Population(ids=[1], true_risk=[RiskLabel.NO]).kind == "replay"
         row = (0.25,) * 4
         for bad in (((row,) * 4,) * 2, ((row,) * 3,) * 3, (((0.5,) * 2,) * 4,) * 3):
             with pytest.raises(ValidationError, match="confusion"):
-                Population(individuals=(), confusion=bad)
+                Population(ids=[], true_risk=[], confusion=bad)
 
     def test_noiseless_final_stage(self):
         pop = synth_population(20, 5, stage_noise=(0.45, 0.30, 0.0), seed=2)
-        rng = substream(0, "check")
-        for ind in pop.individuals[:10]:
-            assert pop.pull_label(ind, 3, 0, rng) is ind.true_risk
+        true_risk = pop.true_risk[:10]
+        drawn = triage._confusion_labels(pop.confusion[2][true_risk], substream(0, "check").random(10))
+        for label, true in zip(drawn.tolist(), true_risk.tolist()):
+            assert RiskLabel(label) is RiskLabel(true)
 
     def test_noise_must_decrease(self):
         with pytest.raises(ValidationError, match="strictly decreasing"):
@@ -106,9 +107,14 @@ class TestSynthPopulation:
             synth_population(20, 20)
 
     def test_duplicate_ids_rejected(self):
-        ind = Individual(id=1, true_risk=RiskLabel.NO)
         with pytest.raises(ValidationError, match="duplicate"):
-            Population(individuals=(ind, ind))
+            Population(ids=[1, 1], true_risk=[RiskLabel.NO, RiskLabel.NO])
+
+    def test_rows_ascend_with_one_true_label_each(self):
+        with pytest.raises(ValidationError, match="ascending ids"):
+            Population(ids=[2, 1], true_risk=[RiskLabel.NO, RiskLabel.NO])
+        with pytest.raises(ValidationError, match="one true label each"):
+            Population(ids=[1, 2], true_risk=[RiskLabel.NO])
 
 
 class TestBudgets:
@@ -155,8 +161,7 @@ class TestBudgets:
 def identity_pop(labels):
     """Population whose every stage reports the true label with certainty."""
     rows = tuple(tuple(1.0 if k == lab else 0.0 for k in RiskLabel) for lab in RiskLabel)
-    individuals = tuple(Individual(id=i, true_risk=lab) for i, lab in enumerate(labels))
-    return Population(individuals=individuals, confusion=(rows, rows, rows))
+    return Population(ids=np.arange(len(labels)), true_risk=labels, confusion=(rows, rows, rows))
 
 
 def small_stages(n, k, scale=10):
@@ -280,10 +285,9 @@ def screens(draw):
         pop = synth_population(n, draw(st.integers(1, n - 1)), seed=draw(st.integers(0, 99)))
     else:
         labels = st.lists(st.sampled_from(list(RiskLabel)), min_size=1, max_size=4).map(tuple)
-        pop = Population(individuals=tuple(
-            Individual(id=3 * i + 1, true_risk=RiskLabel.NO,
-                       recorded={s: draw(labels) for s in (1, 2, 3)}, machine_probs=(0.25,) * 4)
-            for i in draw(st.permutations(range(n)))))
+        recorded = {3 * i + 1: {s: draw(labels) for s in (1, 2, 3)}
+                    for i in draw(st.permutations(range(n)))}
+        pop = triage._replay_population({i: (0.25,) * 4 for i in recorded}, recorded)
     indices = sorted(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True)))
     stages, alive = [], n
     for i in indices:
@@ -312,6 +316,84 @@ def test_pipeline_matches_dict_oracle(screen, policy, encoding, seed):
     assert result.spend_milli == sum(spend for _, _, spend, _, _ in ref["stages"])
 
 
+def true_risk_by_id(pop):
+    return {i: RiskLabel(t) for i, t in zip(pop.ids.tolist(), pop.true_risk.tolist())}
+
+
+@st.composite
+def confusion_cases(draw):
+    """A 3 x 4 x 4 confusion table whose rows may sum below 1, and uniforms
+    that include every cumulative sum of the rows."""
+    table = []
+    for _ in range(12):
+        row = draw(st.lists(st.floats(0, 1), min_size=4, max_size=4))
+        total = sum(row) / draw(st.sampled_from([1.0, 0.9, 0.5]))
+        table.append([p / total for p in row] if total > 1 else row)
+    sums = [sum(row[:k + 1]) for row in table for k in range(4)]
+    u = draw(st.lists(st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from(sums)),
+                      min_size=1, max_size=12))
+    return np.array(table).reshape(3, 4, 4), u
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=confusion_cases(), reverse=st.booleans())
+def test_synthetic_label_rule_matches_walk(case, reverse):
+    confusion, u = case
+    rows = confusion.reshape(12, 4)
+    for row in rows.tolist():  # the cumulative sums the rule reads are the walk's running sums
+        assert np.cumsum(row).tolist() == [sum(row[:k + 1]) for k in range(4)]
+    # one uniform per row (the rater labels)
+    picked = triage._confusion_labels(rows[np.arange(len(u)) % 12], np.array(u))
+    assert picked.tolist() == [confusion_walk(rows[j % 12].tolist(), x) for j, x in enumerate(u)]
+    # a pipeline stage's table over its one draw of uniforms, read by survivor and pull
+    true_risk = np.arange(len(u) + 3) % 4
+    pop = Population(ids=np.arange(len(true_risk)) * 2, true_risk=true_risk, confusion=confusion)
+    survivors = np.arange(len(true_risk))[::-1 if reverse else 1]
+    draw = SimpleNamespace(random=lambda size: np.array(u[:size]))
+    for stage in (1, 2, 3):
+        label = triage._stage_rule(pop, stage, survivors, draw, len(u))
+        for k, r in enumerate(survivors.tolist()):
+            row = confusion[stage - 1][true_risk[r]].tolist()
+            assert [label(k, j, 0) for j in range(len(u))] == [confusion_walk(row, x) for x in u]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(records=st.dictionaries(
+           st.integers(-2**40, 2**62), st.dictionaries(
+               st.sampled_from([1, 2, 3]), st.lists(st.sampled_from(list(RiskLabel)), min_size=1,
+                                                    max_size=5), min_size=3),
+           min_size=1, max_size=6),
+       cursors=st.lists(st.integers(0, 50), min_size=1, max_size=8))
+def test_replay_label_rule_reads_recorded_cyclically(records, cursors):
+    pop = triage._replay_population({i: (0.25,) * 4 for i in records}, records)
+    rows = np.arange(len(pop.ids))
+    for stage in (1, 2, 3):
+        label = triage._stage_rule(pop, stage, rows, substream(0, "unused"), 0)
+        for k, i in enumerate(pop.ids.tolist()):
+            recorded = records[i][stage]
+            assert [label(k, 0, c) for c in cursors] == [recorded[c % len(recorded)] for c in cursors]
+            assert label(np.full(len(cursors), k), None, np.array(cursors)).tolist() == [
+                recorded[c % len(recorded)] for c in cursors]
+
+
+def test_missing_recorded_stage_message():
+    pop = triage._replay_population({4: (0.25,) * 4, 7: (0.25,) * 4},
+                                    {4: {1: (RiskLabel.LOW,), 2: (RiskLabel.NO,)}, 7: {1: (RiskLabel.NO,)}})
+    message = r"^recorded: individual 7 has no recorded stage-2 labels$"
+    with pytest.raises(ValidationError, match=message):
+        triage._stage_rule(pop, 2, np.arange(2), substream(0, "unused"), 0)
+    with pytest.raises(ValidationError, match=message):
+        pop.rater_labels(np.arange(2), 2, 0, "expert")
+    stage = StageSpec(index=2, cost_milli=90, gain=10.0, budget_milli=2 * 90, cohort_out=1)
+    with pytest.raises(ValidationError, match=message):
+        run_pipeline(pop, [stage])
+    # a survivor the budget never reaches needs no labels
+    with pytest.warns(UserWarning, match="1 pulls for 2 survivors"):
+        result = run_pipeline(pop, [StageSpec(index=2, cost_milli=90, gain=10.0,
+                                              budget_milli=90, cohort_out=1)])
+    assert result.evaluated == frozenset({4})
+
+
 class TestLoadEvaluations:
     @staticmethod
     def write_machine(path, rows):
@@ -330,10 +412,10 @@ class TestLoadEvaluations:
         self.write_human(tmp_path / "human.csv", [])
         pop = load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
         assert pop.kind == "replay"
-        assert pop.ids == (1, 2, 3)
-        by_id = {ind.id: ind for ind in pop.individuals}
-        assert by_id[1].true_risk is RiskLabel.NO
-        assert by_id[2].true_risk is RiskLabel.SEVERE
+        assert tuple(pop.ids.tolist()) == (1, 2, 3)
+        by_id = true_risk_by_id(pop)
+        assert by_id[1] is RiskLabel.NO
+        assert by_id[2] is RiskLabel.SEVERE
 
     def test_expert_records_define_truth(self, tmp_path):
         self.write_machine(tmp_path / "machine.csv", [
@@ -344,15 +426,15 @@ class TestLoadEvaluations:
             "2,7,3,no",
         ])
         pop = load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
-        by_id = {ind.id: ind for ind in pop.individuals}
-        assert by_id[1].true_risk is RiskLabel.SEVERE
-        assert by_id[2].true_risk is RiskLabel.NO
+        by_id = true_risk_by_id(pop)
+        assert by_id[1] is RiskLabel.SEVERE
+        assert by_id[2] is RiskLabel.NO
 
     def test_modal_tie_prefers_less_severe(self, tmp_path):
         self.write_machine(tmp_path / "machine.csv", ["1,0.25,0.25,0.25,0.25"])
         self.write_human(tmp_path / "human.csv", ["1,7,3,severe", "1,8,3,low"])
         pop = load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
-        assert {ind.id: ind for ind in pop.individuals}[1].true_risk is RiskLabel.LOW
+        assert true_risk_by_id(pop)[1] is RiskLabel.LOW
 
     def test_u_hat_after_one_expert_pull(self, tmp_path):
         self.write_machine(tmp_path / "machine.csv", [
@@ -416,6 +498,13 @@ class TestLoadEvaluations:
         with pytest.raises(ParseError, match="duplicate id 1"):
             load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
 
+    def test_ids_must_fit_64_bits(self, tmp_path):
+        self.write_machine(tmp_path / "machine.csv", [f"{2**63 - 1},1,0,0,0", f"{2**63},1,0,0,0"])
+        self.write_human(tmp_path / "human.csv", [])
+        with pytest.raises(ParseError, match="does not fit in 64 bits") as err:
+            load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
+        assert err.value.line == 3
+
     def test_id_sets_must_agree(self, tmp_path):
         self.write_machine(tmp_path / "machine.csv", ["1,1,0,0,0", "2,0,1,0,0"])
         self.write_human(tmp_path / "human.csv", ["1,7,3,severe", "3,7,3,low"])
@@ -458,39 +547,37 @@ class TestBaselines:
 
     def test_replay_store_keeps_one_seed(self):
         n = 120
-        pop = Population(individuals=tuple(
-            Individual(id=i, true_risk=RiskLabel(i % 4), machine_probs=(0.1, 0.2, 0.3, 0.4),
-                       recorded={3: tuple(RiskLabel((i + r) % 4) for r in range(1 + i % 3))})
-            for i in range(n)))
-        first = pop.rater_labels(list(pop.individuals), 3, 0, "expert")
+        pop = triage._replay_population(
+            {i: (0.1, 0.2, 0.3, 0.4) for i in range(n)},
+            {i: {3: tuple(RiskLabel((i + r) % 4) for r in range(1 + i % 3))} for i in range(n)})
+        first = pop.rater_labels(np.arange(n), 3, 0, "expert")
         for seed in range(5):
             for name in BASELINES:
                 run_baseline(name, pop, seed=seed)
         assert sum(len(kept) for kept in pop._rater_labels.values()) <= 2 * n
-        assert pop.rater_labels(list(pop.individuals), 3, 0, "expert") == first
+        assert np.array_equal(pop.rater_labels(np.arange(n), 3, 0, "expert"), first)
 
     def test_batch_labels_equal_one_substream_per_label(self):
         synth = synth_population(242, 42, seed=5)
-        inds = list(synth.individuals)
+        rows = np.arange(len(synth.ids))
         for stage, tag in ((1, "nlp"), (3, "expert")):
             # the later full batch derives only the labels the first one did not
-            part = synth.rater_labels(inds[::3], stage, 2**61 + 9, tag)
-            full = synth.rater_labels(inds, stage, 2**61 + 9, tag)
+            part = synth.rater_labels(rows[::3], stage, 2**61 + 9, tag).tolist()
+            full = synth.rater_labels(rows, stage, 2**61 + 9, tag).tolist()
             assert full[::3] == part
-            assert full == [synth.pull_label(ind, stage, 0, substream(2**61 + 9, ind.id, tag))
-                            for ind in inds]
+            assert full == [triage._confusion_labels(synth.confusion[stage - 1][t],
+                                                     np.array(substream(2**61 + 9, i, tag).random()))
+                            for i, t in zip(synth.ids.tolist(), synth.true_risk.tolist())]
         # replay: ids of one and two 32-bit words, 1 to 7 recorded labels each
         rng = substream(3, "replay-test")
-        replay = Population(individuals=tuple(
-            Individual(id=int(i), true_risk=RiskLabel.NO, machine_probs=(0.25,) * 4,
-                       recorded={3: tuple(RiskLabel(int(x))
-                                          for x in rng.integers(0, 4, size=1 + int(i) % 7))})
-            for i in (*range(60), *rng.integers(2**32, 2**62, size=20))))
+        records = {int(i): {3: tuple(RiskLabel(int(x)) for x in rng.integers(0, 4, size=1 + int(i) % 7))}
+                   for i in (*range(60), *rng.integers(2**32, 2**62, size=20))}
+        replay = triage._replay_population({i: (0.25,) * 4 for i in records}, records)
         for seed in (0, 7, 2**40 + 1):
-            got = replay.rater_labels(list(replay.individuals), 3, seed, "expert")
-            for ind, lab in zip(replay.individuals, got):
-                recorded = ind.recorded[3]
-                assert lab is recorded[int(substream(seed, ind.id, "expert").integers(0, len(recorded)))]
+            got = replay.rater_labels(np.arange(len(replay.ids)), 3, seed, "expert")
+            for i, lab in zip(replay.ids.tolist(), got.tolist()):
+                recorded = records[i][3]
+                assert RiskLabel(lab) is recorded[int(substream(seed, i, "expert").integers(0, len(recorded)))]
 
     def test_four_experts_exact_cost(self):
         pop = synth_population(242, 42, seed=0)
@@ -562,8 +649,8 @@ class TestBaselines:
         pop = load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
         result = run_baseline("NLP-Full", pop)
         assert result.positives() == frozenset({1})
-        ranked = triage._nlp_ranked(pop, list(pop.individuals), 0)
-        assert [ind.id for ind in ranked] == [1, 3, 2]
+        ranked = triage._nlp_ranked(pop, np.arange(len(pop.ids)), 0)
+        assert pop.ids[ranked].tolist() == [1, 3, 2]
 
     def test_cohort_cannot_exceed_population(self):
         pop = synth_population(20, 5, seed=0)
@@ -591,8 +678,8 @@ class TestMetrics:
 
     def test_all_severe_missed(self):
         pop = synth_population(242, 42, seed=0)
-        severe = {i.id for i in pop.individuals if i.true_risk == RiskLabel.SEVERE}
-        cohort = frozenset(list(sorted(set(pop.ids) - severe))[:58] + sorted(severe))
+        severe = set(pop.ids[pop.true_risk == RiskLabel.SEVERE].tolist())
+        cohort = frozenset(list(sorted(set(pop.ids.tolist()) - severe))[:58] + sorted(severe))
         result = BaselineResult(name="x", evaluated=cohort, _positives=frozenset(),
                                 spend_milli=0, n_evaluations=100)
         scores = metrics(result, pop)
