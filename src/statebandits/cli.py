@@ -283,21 +283,24 @@ def cmd_regret(args, cfg: dict, seed: int) -> int:
     checkpoints = tuple(sorted(cfg["checkpoints"]))
     if not checkpoints:
         raise ConfigurationError("checkpoints must list at least one horizon")
-    if cfg["K"] != len(cfg["mu"]):
-        raise ConfigurationError(f"mu has {len(cfg['mu'])} entries for K={cfg['K']}")
-    seq = make_state_sequence(cfg["S"], checkpoints[-1], mode=cfg["state_mode"], seed=seed)
-    spec = EnvironmentSpec(
-        K=cfg["K"], S=cfg["S"], mu=cfg["mu"], sigma2=cfg["sigma2"],
-        state_sequence=seq, seed=cfg["env_seed"], reward_family=cfg["reward_family"],
-    )
+    mu = cfg["mu"]
     if cfg["m"]:
         if len(cfg["m"]) != cfg["K"] * cfg["S"]:
             raise ConfigurationError(f"m needs K*S={cfg['K'] * cfg['S']} entries, got {len(cfg['m'])}")
-        if cfg["sigma2"] != next(f.default for f in REGRET_SCHEMA if f.name == "sigma2"):
-            raise ConfigurationError("sigma2 shapes local means drawn from mu only; an explicit m cannot honour it")
-        env = Environment(spec=spec, m=np.array(cfg["m"]).reshape(cfg["K"], cfg["S"]))
-    else:
-        env = instantiate(spec)
+        ignored = [f.name for f in REGRET_SCHEMA if f.name in ("mu", "sigma2") and cfg[f.name] != f.default]
+        if ignored:
+            raise ConfigurationError(f"{ignored} shape local means drawn from mu only; an explicit m cannot honour them")
+        m = np.array(cfg["m"]).reshape(cfg["K"], cfg["S"])
+        # clipped so that an m outside [0, 1] is reported as m, by Environment
+        mu = tuple(np.clip(m, 0.0, 1.0).mean(axis=1))
+    elif cfg["K"] != len(mu):
+        raise ConfigurationError(f"mu has {len(mu)} entries for K={cfg['K']}")
+    seq = make_state_sequence(cfg["S"], checkpoints[-1], mode=cfg["state_mode"], seed=seed)
+    spec = EnvironmentSpec(
+        K=cfg["K"], S=cfg["S"], mu=mu, sigma2=cfg["sigma2"],
+        state_sequence=seq, seed=cfg["env_seed"], reward_family=cfg["reward_family"],
+    )
+    env = Environment(spec=spec, m=m) if cfg["m"] else instantiate(spec)
     curve = estimate_pseudoregret(env, cfg["alpha"], checkpoints, cfg["runs"])
     rows = list(zip(curve.checkpoints, curve.mean, curve.se, curve.bound))
     _write_rows(args, "regret", ["checkpoint", "regret", "regret_se", "thm1_bound"], rows)
@@ -378,15 +381,9 @@ def _triage_values(res, pop, mode: str) -> tuple:
 
 
 def cmd_triage(args, cfg: dict, seed: int) -> int:
-    k = tuple(cfg["k"])
-    if len(k) != 3:
-        raise ConfigurationError(f"k needs exactly 3 entries, got {k}")
     if cfg["num_seeds"] < 1:
         raise ConfigurationError(f"num_seeds must be >= 1, got {cfg['num_seeds']}")
-    if cfg["total_budget"] == 553 and cfg["scheme"]:
-        raise ConfigurationError(
-            f"total_budget = 553 has a single split; scheme {cfg['scheme']!r} applies only to 1300 and 2200")
-    stages = default_stages(cfg["n"], k, cfg["total_budget"], cfg["scheme"] or None)
+    stages = default_stages(cfg["n"], tuple(cfg["k"]), cfg["total_budget"], cfg["scheme"])
     replay = bool(cfg["human_csv"] or cfg["machine_pred"])
     if replay and not (cfg["human_csv"] and cfg["machine_pred"]):
         raise ConfigurationError("replay needs both human_csv and machine_pred")
@@ -394,9 +391,6 @@ def cmd_triage(args, cfg: dict, seed: int) -> int:
                   if f.name in ("n_severe", "stage_noise") and cfg[f.name] != f.default]
     if replay and synth_only:
         raise ConfigurationError(f"replay mode cannot honour {synth_only}: they shape synthetic populations only")
-    noise = tuple(cfg["stage_noise"])
-    if len(noise) != 3:
-        raise ConfigurationError(f"stage_noise needs exactly 3 entries, got {noise}")
     unknown = [b for b in cfg["baselines"] if b not in BASELINES]
     if unknown:
         raise ConfigurationError(f"baselines: unknown {unknown}; known: {list(BASELINES)}")
@@ -415,7 +409,7 @@ def cmd_triage(args, cfg: dict, seed: int) -> int:
     for s in range(cfg["num_seeds"]):
         run_seed = int(substream(seed, s, "triage-seed").integers(0, 2**62))
         if not replay:
-            pop = synth_population(cfg["n"], cfg["n_severe"], noise, seed=run_seed)
+            pop = synth_population(cfg["n"], cfg["n_severe"], tuple(cfg["stage_noise"]), seed=run_seed)
         result = run_pipeline(pop, stages, policy=cfg["policy"], seed=run_seed,
                               encoding=cfg["encoding"])
         values["MAB"].append(_triage_values(result, pop, "mab"))
@@ -439,18 +433,18 @@ def cmd_triage(args, cfg: dict, seed: int) -> int:
 
 def _suite_transforms() -> tuple[bool, str]:
     grid = np.linspace(0.0, 1.0, 101)
-    for family in (BOUNDED_UNIT, PsiFamily.gaussian(0.2)):
+    for family in (BOUNDED_UNIT, PsiFamily(0.2)):
         rt = psi_star_inv(family, psi_star(family, grid))
         if np.max(np.abs(rt - grid)) > 1e-12:
-            return False, f"round trip off for {family.kind}"
+            return False, f"round trip off for sigma2={family.sigma2}"
         lams = np.linspace(0.0, 8.0, 33)
         for eps in grid[::10]:
             vals = lams * eps - psi(family, lams)
             if np.any(vals > psi_star(family, eps) + 1e-9):
-                return False, f"conjugate not an upper envelope for {family.kind}"
+                return False, f"conjugate not an upper envelope for sigma2={family.sigma2}"
         star = psi_star(family, grid)
         if np.any(np.diff(star) < -1e-15):
-            return False, f"conjugate not monotone for {family.kind}"
+            return False, f"conjugate not monotone for sigma2={family.sigma2}"
     return True, "round trip, envelope and monotonicity hold"
 
 

@@ -3,12 +3,9 @@
 Exploration bonuses and all closed-form error bounds in this package are
 written in terms of a convex envelope ``psi`` dominating the centered reward
 log-MGF, its Legendre transform ``psi_star`` and that transform's inverse.
-Both supported families are sub-Gaussian envelopes, psi(l) = sigma^2 l^2/2,
-so psi_star(e) = e^2/(2 sigma^2) and psi_star_inv(x) = sqrt(2 sigma^2 x):
-
-* ``gaussian``: sigma^2-sub-Gaussian rewards, sigma^2 given;
-* ``bounded_unit``: rewards supported on [0, 1], which are 1/4-sub-Gaussian
-  by Hoeffding's lemma, so sigma^2 = 1/4 (psi(l) = l^2/8).
+The envelope is the sigma^2-sub-Gaussian one, psi(l) = sigma^2 l^2/2, so
+psi_star(e) = e^2/(2 sigma^2) and psi_star_inv(x) = sqrt(2 sigma^2 x).
+Rewards supported on [0, 1] take ``BOUNDED_UNIT``, sigma^2 = 1/4.
 
 All three maps accept scalars or numpy arrays and are defined on the
 non-negative half-line only.
@@ -25,33 +22,17 @@ __all__ = ["PsiFamily", "BOUNDED_UNIT", "psi", "psi_star", "psi_star_inv"]
 
 @dataclass(frozen=True)
 class PsiFamily:
-    """A named envelope family; ``sigma2`` is given for ``gaussian`` only and
-    set to 1/4 for ``bounded_unit``."""
+    """The sigma^2-sub-Gaussian envelope psi(l) = sigma^2 l^2/2."""
 
-    kind: str
-    sigma2: float | None = None
+    sigma2: float
 
     def __post_init__(self):
-        if self.kind not in ("bounded_unit", "gaussian"):
-            raise ValueError(f"unknown psi family {self.kind!r}")
-        if self.kind == "gaussian":
-            if self.sigma2 is None or not self.sigma2 > 0:
-                raise ValueError("gaussian family needs sigma2 > 0")
-        elif self.sigma2 is not None:
-            raise ValueError("bounded_unit takes no sigma2")
-        else:
-            object.__setattr__(self, "sigma2", 0.25)
-
-    @staticmethod
-    def bounded_unit() -> "PsiFamily":
-        return PsiFamily("bounded_unit")
-
-    @staticmethod
-    def gaussian(sigma2: float) -> "PsiFamily":
-        return PsiFamily("gaussian", float(sigma2))
+        if not self.sigma2 > 0:
+            raise ValueError(f"envelope needs sigma2 > 0, got {self.sigma2!r}")
 
 
-BOUNDED_UNIT = PsiFamily.bounded_unit()
+# Hoeffding's lemma: a reward supported on [0, 1] is 1/4-sub-Gaussian.
+BOUNDED_UNIT = PsiFamily(0.25)
 
 
 def _check_nonneg(x, name: str):

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .bounds import thm1_bound, thm2_bounds, thm3_bounds, thm4_bounds
-from .divergence import BOUNDED_UNIT, PsiFamily
+from .divergence import BOUNDED_UNIT
 from .env import (
     STATE_MODES, Environment, EnvironmentSpec, _check_integer, _check_steps, gaps, instantiate,
     make_state_sequence, state_counts,
@@ -128,7 +128,6 @@ class BAIEstimate:
     r_se: float
     r_hat: float
     r_hat_se: float
-    runs: int
 
 
 def _binomial_cell_means(counts, m, runs, rng):
@@ -205,7 +204,7 @@ def estimate_bai(env: Environment, strategy: str, runs: int, n: int | None = Non
     r_hat, r_hat_se = _mean_se(row_means[g.j_hat_star] - row_means[picks])
     return BAIEstimate(
         e=e, e_se=_prob_se(e, runs), e_hat=e_hat, e_hat_se=_prob_se(e_hat, runs),
-        r=r, r_se=r_se, r_hat=r_hat, r_hat_se=r_hat_se, runs=runs,
+        r=r, r_se=r_se, r_hat=r_hat, r_hat_se=r_hat_se,
     )
 
 
@@ -375,14 +374,9 @@ class RegretCurve:
     bound: np.ndarray = field(repr=False)
 
 
-def estimate_pseudoregret(
-    env: Environment,
-    alpha: float,
-    checkpoints,
-    runs: int,
-    family: PsiFamily = BOUNDED_UNIT,
-) -> RegretCurve:
-    """Monte Carlo pseudo-regret of the optimism-index strategy.
+def estimate_pseudoregret(env: Environment, alpha: float, checkpoints, runs: int) -> RegretCurve:
+    """Monte Carlo pseudo-regret of the optimism-index strategy, with the
+    bounded-unit envelope as exploration bonus and in the bound.
 
     All runs are advanced in lockstep by ``optimism_play``; run r consumes
     the substream (spec.seed, r, "rewards") one variate per step, so a single
@@ -405,12 +399,12 @@ def estimate_pseudoregret(
     m_star = gaps(env).m_star_per_state
     regret = np.zeros(runs)
     curve = []
-    for t, s, _, mean in optimism_play(env, alpha, family, streams, checkpoints[-1]):
+    for t, s, _, mean in optimism_play(env, alpha, BOUNDED_UNIT, streams, checkpoints[-1]):
         regret += m_star[s] - mean
         if t in checkpoints:
             curve.append(_mean_se(regret))
     mu, se = np.array(curve).T
-    bound = np.array([thm1_bound(env, alpha, c, family).raw_value for c in checkpoints])
+    bound = np.array([thm1_bound(env, alpha, c, BOUNDED_UNIT).raw_value for c in checkpoints])
     return RegretCurve(checkpoints=checkpoints, mean=mu, se=se, bound=bound)
 
 

@@ -166,7 +166,6 @@ class SRSchedule:
     """Phase boundaries for successive elimination: K-1 strictly increasing
     rejection times, the last equal to the horizon."""
 
-    kind: str
     t_k: tuple[int, ...]
 
     def __post_init__(self):
@@ -220,7 +219,7 @@ def sr_schedule(kind: str, K: int, n: int) -> SRSchedule:
                 f"a phase would be empty (boundaries {tuple(t_k)})", field="n")
     else:
         raise ScheduleError(f"unknown schedule kind {kind!r}", field="kind")
-    return SRSchedule(kind=kind, t_k=tuple(t_k))
+    return SRSchedule(tuple(t_k))
 
 
 def phase_visits(state_sequence, t_k, S: int) -> np.ndarray:
@@ -231,14 +230,13 @@ def phase_visits(state_sequence, t_k, S: int) -> np.ndarray:
                      for lo, hi in zip(edges, edges[1:])], dtype=np.int64)
 
 
-def sr_counts(state_sequence, schedule: SRSchedule, K: int, S: int | None = None) -> np.ndarray:
+def sr_counts(state_sequence, schedule: SRSchedule, K: int, S: int) -> np.ndarray:
     """Evenly-allocated per-arm pull counts n_{s,k} through each phase.
 
     Entry [s, k-1] accumulates floor(phase-k visits to s / active arms in
     phase k), the pulls of the lowest rotation rank; this is exactly the
     table a successive-elimination run reports. States that are never
-    visited keep all-zero rows. ``S`` defaults to the largest state in the
-    sequence plus one.
+    visited keep all-zero rows.
     """
     if schedule.K != K:
         raise ScheduleError(f"schedule is for {schedule.K} arms, got K={K}", field="t_k")
@@ -246,8 +244,6 @@ def sr_counts(state_sequence, schedule: SRSchedule, K: int, S: int | None = None
         raise ScheduleError(
             f"schedule horizon {schedule.n} exceeds sequence length {len(state_sequence)}", field="t_k"
         )
-    if S is None:
-        S = int(np.max(state_sequence)) + 1
     active = np.arange(K, 1, -1)[:, None]
     return np.cumsum(phase_visits(state_sequence, schedule.t_k, S) // active, axis=0).T
 

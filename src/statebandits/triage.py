@@ -181,9 +181,8 @@ def synth_population(
     """
     if not 0 < n_severe < n:
         raise ValidationError("need 0 < n_severe < n", field="n_severe")
-    e1, e2, e3 = stage_noise
-    if not (1 > e1 > e2 > e3 >= 0):
-        raise ValidationError("stage noise must be strictly decreasing in [0, 1)",
+    if len(stage_noise) != 3 or not 1 > stage_noise[0] > stage_noise[1] > stage_noise[2] >= 0:
+        raise ValidationError(f"need 3 entries, strictly decreasing in [0, 1), got {tuple(stage_noise)}",
                               field="stage_noise")
     rest = n - n_severe
     weights = (0.5, 0.3, 0.2)
@@ -220,12 +219,12 @@ def _records(path, kind: str, header: list[str], parse):
 def load_evaluations(human_path, machine_path) -> Population:
     """Build a replay population from recorded evaluations.
 
-    ``machine_path`` rows are ``id,p_no,p_low,p_mod,p_sev`` (probabilities
-    summing to 1 within 1e-6) and define the roster. ``human_path`` rows are
-    ``id,rater_id,stage,label``; when present, its id set must equal the
-    roster. True risk is the modal recorded expert label (ties toward less
-    severe), falling back to the machine argmax for individuals without
-    expert records.
+    ``machine_path`` rows are ``id,p_no,p_low,p_mod,p_sev`` (finite,
+    non-negative probabilities summing to 1 within 1e-6) and define the
+    roster. ``human_path`` rows are ``id,rater_id,stage,label``; when
+    present, its id set must equal the roster. True risk is the modal
+    recorded expert label (ties toward less severe), falling back to the
+    machine argmax for individuals without expert records.
     """
     probs: dict[int, tuple[float, ...]] = {}
     machine = _records(machine_path, "machine", ["id", "p_no", "p_low", "p_mod", "p_sev"],
@@ -235,8 +234,10 @@ def load_evaluations(human_path, machine_path) -> Population:
             raise ParseError(f"duplicate id {ind_id}", line=lineno)
         if not -2**63 <= ind_id < 2**63:
             raise ParseError(f"id {ind_id} does not fit in 64 bits", line=lineno)
-        if any(p < 0 for p in vec) or abs(sum(vec) - 1.0) > 1e-6:
-            raise ParseError(f"probabilities for id {ind_id} do not sum to 1", line=lineno)
+        # a NaN fails p >= 0 and an infinity the sum
+        if not all(p >= 0 for p in vec) or abs(sum(vec) - 1.0) > 1e-6:
+            raise ParseError(f"probabilities for id {ind_id} must be finite, non-negative and sum to 1",
+                             line=lineno)
         probs[ind_id] = vec
     recorded: dict[int, dict[int, list[RiskLabel]]] = {}
     human = _records(human_path, "human", ["id", "rater_id", "stage", "label"],
@@ -306,22 +307,19 @@ _ALLOCATION_TABLE = {
 
 
 def _norm_scheme(scheme: str | None) -> str | None:
-    if scheme is None:
-        return None
-    return scheme.strip().lower().replace(" ", "")
+    """A scheme name in table form; ``None`` and ``""`` both mean no scheme."""
+    return (scheme or "").strip().lower().replace(" ", "") or None
 
 
 def allocation_budgets(total_dollars: int, scheme: str | None = None) -> tuple[int, int]:
     """(T2, T3) in milli-dollars for a named total budget.
 
     $553 admits a single split (one pull per stage-2 entrant, one per
-    stage-3 entrant); $1,300 and $2,200 require a scheme of more3, more2 or
-    equal.
+    stage-3 entrant) and takes no scheme; $1,300 and $2,200 require a scheme
+    of more3, more2 or equal.
     """
-    total = int(total_dollars)
-    key = (total, None) if total == 553 else (total, _norm_scheme(scheme))
     try:
-        return _ALLOCATION_TABLE[key]
+        return _ALLOCATION_TABLE[int(total_dollars), _norm_scheme(scheme)]
     except KeyError:
         raise ConfigurationError(
             f"no budget split for total ${total_dollars} scheme {scheme!r}"
@@ -335,15 +333,14 @@ def default_stages(
     scheme: str | None = None,
 ) -> list[StageSpec]:
     """Three stages with protocol costs/gains and a named budget split."""
-    k1, k2, k3 = k
-    if not n > k1 >= k2 >= k3 >= 1:
-        raise ValidationError(f"need n > k1 >= k2 >= k3 >= 1, got n={n}, k={k}",
+    if len(k) != 3 or not n > k[0] >= k[1] >= k[2] >= 1:
+        raise ValidationError(f"need 3 sizes with n > k1 >= k2 >= k3 >= 1, got n={n}, k={k}",
                               field="cohort_out")
     t2, t3 = allocation_budgets(total_dollars, scheme)
     budgets = (n * STAGE_COSTS_MILLI[0], t2, t3)
     return [
         StageSpec(index=i + 1, cost_milli=STAGE_COSTS_MILLI[i], gain=STAGE_GAINS[i],
-                  budget_milli=budgets[i], cohort_out=(k1, k2, k3)[i])
+                  budget_milli=budgets[i], cohort_out=k[i])
         for i in range(3)
     ]
 

@@ -144,7 +144,7 @@ def test_criterion_05_single_state_matches_classical_ucb():
 def test_criterion_06_transforms_match_numeric_oracles():
     worst = 0.0
     for family, eps_hi, lam_hi in ((BOUNDED_UNIT, 1.0, 32.0),
-                                   (PsiFamily.gaussian(0.2), 2.0, 64.0)):
+                                   (PsiFamily(0.2), 2.0, 64.0)):
         for eps in np.linspace(0.0, eps_hi, 100):
             numeric = numeric_sup_conjugate(lambda lam: psi(family, lam), float(eps), lam_hi)
             worst = max(worst, abs(psi_star(family, float(eps)) - numeric))

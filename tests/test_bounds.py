@@ -242,5 +242,5 @@ class TestGaussianFamilyBounds:
     def test_family_changes_rates(self):
         env = env_of([[0.6], [0.4]], n=100)
         _, bounded = thm2_bounds(env, 100, BOUNDED_UNIT)
-        _, gauss = thm2_bounds(env, 100, PsiFamily.gaussian(0.5))
+        _, gauss = thm2_bounds(env, 100, PsiFamily(0.5))
         assert gauss.raw_value > bounded.raw_value

@@ -87,7 +87,7 @@ class TestErrors:
 
     def test_regret_explicit_m_rejects_sigma2(self, tmp_path, capsys):
         # sigma2 only shapes local means drawn from mu, so with m given it would be ignored
-        base = "K = 2\nS = 1\nmu = 0.7,0.4\nm = 0.6,0.3\nruns = 5\ncheckpoints = 10\n"
+        base = "K = 2\nS = 1\nm = 0.6,0.3\nruns = 5\ncheckpoints = 10\n"
         cfg = write_cfg(tmp_path / "c.cfg", base + "sigma2 = 0.2\n")
         out = tmp_path / "o"
         rc = main(["regret", "--config", cfg, "--out", str(out)])
@@ -96,6 +96,22 @@ class TestErrors:
         assert not (out / "regret.csv").exists()
         cfg = write_cfg(tmp_path / "d.cfg", base + "sigma2 = 0.05\n")
         assert main(["regret", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+
+    def test_regret_explicit_m_rejects_mu(self, tmp_path, capsys):
+        # mu only feeds the draw of local means; with m given the spec takes m's row means
+        base = "K = 2\nS = 1\nm = 0.6,0.3\nruns = 5\ncheckpoints = 10\n"
+        cfg = write_cfg(tmp_path / "c.cfg", base + "mu = 0.7,0.4\n")
+        out = tmp_path / "o"
+        assert main(["regret", "--config", cfg, "--out", str(out)]) == 2
+        assert "['mu'] shape local means drawn from mu only" in capsys.readouterr().err
+        assert not (out / "regret.csv").exists()
+        # the default mu has 3 entries; its length is checked against K only for drawn means
+        cfg = write_cfg(tmp_path / "d.cfg", base + "mu = 0.8, 0.6, 0.4\n")
+        assert main(["regret", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+        # an m outside [0, 1] is reported as m, not as the row means it implies
+        cfg = write_cfg(tmp_path / "e.cfg", "K = 2\nS = 1\nm = 1.5,1.2\nruns = 5\ncheckpoints = 10\n")
+        assert main(["regret", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
+        assert "m: entries must lie in [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, line, message", [
         ("regret", "runs = 0\ncheckpoints = 10", "runs must be >= 1, got 0"),
@@ -323,7 +339,7 @@ REGRET_CSV_SHA256 = {
 class TestRegret:
     def test_equal_arms_zero_regret(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", "\n".join([
-            "K = 2", "S = 1", "mu = 0.5,0.5", "m = 0.5,0.5",
+            "K = 2", "S = 1", "m = 0.5,0.5",
             "checkpoints = 10,20", "runs = 5", "",
         ]))
         out = tmp_path / "o"
@@ -438,7 +454,7 @@ class TestTriage:
         cfg = write_cfg(tmp_path / "c.cfg", "total_budget = 553\nscheme = bogus\nnum_seeds = 1\n")
         out = tmp_path / "o"
         assert main(["triage", "--config", cfg, "--out", str(out)]) == 2
-        assert "total_budget = 553 has a single split; scheme 'bogus'" in capsys.readouterr().err
+        assert "no budget split for total $553 scheme 'bogus'" in capsys.readouterr().err
         assert not (out / "triage.csv").exists()
 
     def test_replay_manifest_reruns(self, tmp_path):

@@ -197,6 +197,29 @@ def test_batched_estimators_match_exact_laws(K, S, extra, mode, seed):
         assert _within_se(est.e_hat, 1.0 - pmf[g.j_hat_star], runs)
 
 
+def test_uniform_simple_regret_matches_exact_law():
+    """r and r_hat of uniform rotation agree with the enumerated pick law on
+    small environments with drawn mu, prior-flipped ones among them, within 4
+    standard errors computed from that law."""
+    runs, flipped = 4000, 0
+    for case in range(100):
+        rng = substream(0, case, "exact-regret")
+        K, S = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        n = int(rng.integers(K * S, 13))
+        spec = EnvironmentSpec(K=K, S=S, mu=tuple(rng.random(K)), sigma2=0.05,
+                               state_sequence=make_state_sequence(S, n, "round_robin"), seed=case)
+        env = instantiate(spec)
+        g = gaps(env)
+        flipped += g.j_star != g.j_hat_star
+        exact = exact_uniform_eba(env, n)
+        est = estimate_bai(env, "uniform_eba", runs)
+        for key, means in (("r", np.asarray(spec.mu)), ("r_hat", env.m.mean(axis=1))):
+            loss = means.max() - means
+            se = math.sqrt(max(exact["pick_pmf"] @ loss**2 - exact[key] ** 2, 0.0) / runs)
+            assert abs(getattr(est, key) - exact[key]) <= 4.0 * se + 1e-12, (case, key)
+    assert flipped > 0
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(K=st.integers(2, 8), S=st.integers(1, 10), extra=st.integers(0, 400),

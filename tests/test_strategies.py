@@ -354,7 +354,7 @@ class TestRunners:
     def test_sb_ucb_matches_per_state_oracle(self, reward_family):
         # n stays below 9170, the first integer where math.log and np.log differ
         families = [(BOUNDED_UNIT, lambda x: math.sqrt(x / 2.0)),
-                    (PsiFamily.gaussian(0.3), lambda x: math.sqrt(2.0 * 0.3 * x))]
+                    (PsiFamily(0.3), lambda x: math.sqrt(2.0 * 0.3 * x))]
         for seed in range(3):
             for S, mode in ((2, "iid_uniform"), (3, "round_robin"), (4, "blocks")):
                 spec = EnvironmentSpec(K=3, S=S, mu=(0.8, 0.6, 0.4), sigma2=0.05,
@@ -414,7 +414,7 @@ def test_lockstep_runs_match_per_state_oracle(K, S, n, runs, mode, reward_family
     else:
         m = np.full((K, S), 0.5) if means == "equal" else substream(seed, "m").integers(0, 2, (K, S))
         env = Environment(spec=spec, m=m)
-    family, bonus = ((PsiFamily.gaussian(0.3), lambda x: math.sqrt(2.0 * 0.3 * x)) if gaussian
+    family, bonus = ((PsiFamily(0.3), lambda x: math.sqrt(2.0 * 0.3 * x)) if gaussian
                      else (BOUNDED_UNIT, lambda x: math.sqrt(x / 2.0)))
     streams = [substream(seed, r, "lockstep") for r in range(runs)]
     counts, sums = np.zeros((runs, K, S), dtype=np.int64), np.zeros((runs, K, S))

@@ -100,6 +100,10 @@ class TestSynthPopulation:
         with pytest.raises(ValidationError, match="strictly decreasing"):
             synth_population(20, 5, stage_noise=(0.30, 0.30, 0.10))
 
+    def test_noise_needs_three_stages(self):
+        with pytest.raises(ValidationError, match=r"stage_noise: need 3 entries.*\(0\.4, 0\.2\)"):
+            synth_population(50, 10, (0.4, 0.2))
+
     def test_severe_count_bounds(self):
         with pytest.raises(ValidationError, match="n_severe"):
             synth_population(20, 0)
@@ -133,8 +137,10 @@ class TestBudgets:
         assert allocation_budgets(2200, "more2") == (1_500_000, 700_000)
         assert allocation_budgets(2200, "equal") == (1_100_000, 1_100_000)
 
-    def test_553_ignores_scheme(self):
-        assert allocation_budgets(553, "more3") == (18_000, 535_000)
+    def test_553_rejects_scheme(self):
+        assert allocation_budgets(553, "") == (18_000, 535_000)
+        with pytest.raises(ConfigurationError, match="no budget split for total \\$553 scheme 'more3'"):
+            allocation_budgets(553, "more3")
 
     def test_unknown_budget(self):
         with pytest.raises(ConfigurationError, match="no budget split"):
@@ -156,6 +162,10 @@ class TestBudgets:
             default_stages(100, k=(200, 100, 50))
         stages = default_stages(242, k=(200, 100, 100))
         assert [s.cohort_out for s in stages] == [200, 100, 100]
+
+    def test_default_stages_need_three_sizes(self):
+        with pytest.raises(ValidationError, match=r"cohort_out: need 3 sizes.*k=\(200, 100\)"):
+            default_stages(242, (200, 100))
 
 
 def identity_pop(labels):
@@ -497,6 +507,15 @@ class TestLoadEvaluations:
         self.write_human(tmp_path / "human.csv", [])
         with pytest.raises(ParseError, match="duplicate id 1"):
             load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_probabilities_must_be_finite(self, tmp_path, bad):
+        # a NaN passes a sum check, and np.argmax would pick it as the machine label
+        self.write_machine(tmp_path / "machine.csv", [f"1,{bad},0,0,1", "2,0,0,0,1"])
+        self.write_human(tmp_path / "human.csv", [])
+        with pytest.raises(ParseError, match="probabilities for id 1 must be finite") as err:
+            load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
+        assert err.value.line == 2
 
     def test_ids_must_fit_64_bits(self, tmp_path):
         self.write_machine(tmp_path / "machine.csv", [f"{2**63 - 1},1,0,0,0", f"{2**63},1,0,0,0"])
