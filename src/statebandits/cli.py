@@ -25,13 +25,7 @@ from . import __version__
 from .bounds import thm2_bounds
 from .divergence import BOUNDED_UNIT, PsiFamily, psi, psi_star, psi_star_inv
 from .env import EnvironmentSpec, Environment, gaps, instantiate, make_state_sequence, state_counts
-from .errors import (
-    ConfigurationError,
-    ParseError,
-    ReferentialError,
-    ScheduleError,
-    ValidationError,
-)
+from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError
 from .montecarlo import (
     SR_HEADER,
     TIGHTNESS_HEADER,
@@ -59,14 +53,7 @@ from .triage import (
     synth_population,
 )
 
-_CONFIG_ERRORS = (
-    ConfigurationError,
-    ValidationError,
-    ParseError,
-    ReferentialError,
-    ScheduleError,
-    FileNotFoundError,
-)
+_CONFIG_ERRORS = (ConfigurationError, ValidationError, ParseError, ReferentialError, FileNotFoundError)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +280,6 @@ def cmd_regret(args, cfg: dict, seed: int) -> int:
         m = np.array(cfg["m"]).reshape(cfg["K"], cfg["S"])
         # clipped so that an m outside [0, 1] is reported as m, by Environment
         mu = tuple(np.clip(m, 0.0, 1.0).mean(axis=1))
-    elif cfg["K"] != len(mu):
-        raise ConfigurationError(f"mu has {len(mu)} entries for K={cfg['K']}")
     seq = make_state_sequence(cfg["S"], checkpoints[-1], mode=cfg["state_mode"], seed=seed)
     spec = EnvironmentSpec(
         K=cfg["K"], S=cfg["S"], mu=mu, sigma2=cfg["sigma2"],
@@ -391,13 +376,6 @@ def cmd_triage(args, cfg: dict, seed: int) -> int:
                   if f.name in ("n_severe", "stage_noise") and cfg[f.name] != f.default]
     if replay and synth_only:
         raise ConfigurationError(f"replay mode cannot honour {synth_only}: they shape synthetic populations only")
-    unknown = [b for b in cfg["baselines"] if b not in BASELINES]
-    if unknown:
-        raise ConfigurationError(f"baselines: unknown {unknown}; known: {list(BASELINES)}")
-    too_big = [b for b in cfg["baselines"] if b in COHORT_BASELINES and cfg["n"] < SUB_COHORT]
-    if too_big:
-        raise ConfigurationError(
-            f"baselines {too_big} evaluate a {SUB_COHORT}-person cohort, more than n = {cfg['n']}")
     if replay:
         pop = load_evaluations(cfg["human_csv"], cfg["machine_pred"])
         if len(pop.ids) != cfg["n"]:

@@ -159,6 +159,13 @@ def _check_integer(n: int, name: str) -> None:
         raise ConfigurationError(f"{name} must be an integer, got {n!r}")
 
 
+def _check_runs(runs: int, name: str = "runs") -> None:
+    """A Monte Carlo run count must be an integer of at least 1."""
+    _check_integer(runs, name)
+    if runs < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {runs}")
+
+
 def _check_steps(n: int, horizon: int, name: str = "n") -> None:
     """A run or bound of ``n`` steps must be an integer that fits the horizon."""
     _check_integer(n, name)

@@ -27,7 +27,7 @@ from scipy.special import betainc
 from .bounds import thm1_bound, thm2_bounds, thm3_bounds, thm4_bounds
 from .divergence import BOUNDED_UNIT
 from .env import (
-    STATE_MODES, Environment, EnvironmentSpec, _check_integer, _check_steps, gaps, instantiate,
+    STATE_MODES, Environment, EnvironmentSpec, _check_runs, _check_steps, gaps, instantiate,
     make_state_sequence, state_counts,
 )
 from .errors import ConfigurationError
@@ -81,8 +81,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.num_envs < 0:
             raise ConfigurationError("num_envs must be non-negative")
-        if self.runs_per_env < 1:
-            raise ConfigurationError("runs_per_env must be positive")
+        _check_runs(self.runs_per_env, "runs_per_env")
         if not 2 <= self.k_min <= self.k_max:
             raise ConfigurationError("need 2 <= k_min <= k_max")
         if not 1 <= self.s_min <= self.s_max:
@@ -183,6 +182,7 @@ def estimate_bai(env: Environment, strategy: str, runs: int, n: int | None = Non
     spec = env.spec
     n = spec.horizon if n is None else n
     _check_steps(n, spec.horizon)
+    _check_runs(runs)
     if spec.reward_family != "bernoulli":
         raise ConfigurationError(f"estimate_bai needs bernoulli rewards, got {spec.reward_family!r}")
     if strategy == "uniform_eba":
@@ -272,10 +272,8 @@ def _run_tasks(record, config, workers: int):
     if workers <= 1:
         results = [_env_task(a) for a in args]
     else:
-        chunk = max(1, config.num_envs // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_env_task, args, chunksize=chunk))
-    results.sort(key=lambda r: r[0])
+            results = list(pool.map(_env_task, args))  # in submission order
     registry = {}  # the default action shows each (message, category, line) once per sweep
     for warning in (w for *_, caught in results for w in caught):
         warnings.warn_explicit(*warning, registry=registry)
@@ -383,9 +381,7 @@ def estimate_pseudoregret(env: Environment, alpha: float, checkpoints, runs: int
     run matches ``run_sb_ucb`` on that stream exactly.
     """
     spec = env.spec
-    _check_integer(runs, "runs")
-    if runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {runs}")
+    _check_runs(runs)
     checkpoints = tuple(sorted(checkpoints))
     if not checkpoints:
         raise ConfigurationError("checkpoints must list at least one horizon")

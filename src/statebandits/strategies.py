@@ -14,7 +14,7 @@ index functions, and ``run_sb_ucb`` is the lockstep engine with one run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,7 +261,6 @@ class SRResult:
     rejected: list[int]
     steps: list[tuple[int, int, int, float, int]]
     n_table: np.ndarray
-    stats: PullStats = field(repr=False)
 
 
 def successive_rejects(env: Environment, schedule: SRSchedule, rng: np.random.Generator) -> SRResult:
@@ -277,7 +276,8 @@ def successive_rejects(env: Environment, schedule: SRSchedule, rng: np.random.Ge
     """
     spec = env.spec
     n_table = sr_counts(spec.state_sequence, schedule, spec.K, spec.S)
-    stats = PullStats(spec.K, spec.S)
+    counts = np.zeros((spec.K, spec.S), dtype=np.int64)
+    sums = np.zeros((spec.K, spec.S))
     active = np.arange(spec.K)[None, :]
     steps: list[tuple[int, int, int, float, int]] = []
     rejected: list[int] = []
@@ -291,15 +291,15 @@ def successive_rejects(env: Environment, schedule: SRSchedule, rng: np.random.Ge
         visit[order] = np.arange(1, len(states) + 1) - np.repeat(np.cumsum(visits) - visits, visits)
         arms = active[0][visit % active.shape[1]]
         rewards = _rewards(spec, env.m[arms, states], _variates(spec, rng, len(states)))
-        np.add.at(stats.counts, (arms, states), 1)
-        np.add.at(stats.sums, (arms, states), rewards)
+        np.add.at(counts, (arms, states), 1)
+        np.add.at(sums, (arms, states), rewards)
         steps += zip(range(t_prev + 1, t_k + 1), states.tolist(), arms.tolist(), rewards.tolist(),
                      [k] * len(states))
-        scores = cell_means(stats.counts, stats.sums, 0.0).sum(axis=1)
+        scores = cell_means(counts, sums, 0.0).sum(axis=1)
         pos, remaining = eliminate(scores[active], active)
         rejected.append(int(active[0, pos[0]]))
         active, t_prev = remaining, t_k
-    return SRResult(winner=int(active[0, 0]), rejected=rejected, steps=steps, n_table=n_table, stats=stats)
+    return SRResult(winner=int(active[0, 0]), rejected=rejected, steps=steps, n_table=n_table)
 
 
 def run_sb_ucb(

@@ -24,6 +24,7 @@ import numpy as np
 from .divergence import BOUNDED_UNIT, _psi_star_inv
 from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError
 from .rng import substream, substream_integers, substream_random
+from .strategies import cell_means
 
 __all__ = [
     "RiskLabel",
@@ -272,25 +273,28 @@ def _replay_population(probs: dict, recorded: dict) -> Population:
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One pipeline stage: unit cost, gain weight, budget, survivor count."""
+    """One pipeline stage: which of the three it is, its budget and its
+    survivor count. The index fixes the unit cost and the gain weight."""
 
     index: int
-    cost_milli: int
-    gain: float
     budget_milli: int
     cohort_out: int
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValidationError("must be >= 1", field="index")
-        if self.cost_milli <= 0:
-            raise ValidationError("must be positive", field="cost_milli")
-        if self.gain <= 0:
-            raise ValidationError("must be positive", field="gain")
+        if self.index not in (1, 2, 3):
+            raise ValidationError(f"must be 1, 2 or 3, got {self.index!r}", field="index")
         if self.budget_milli < 0:
             raise ValidationError("must be non-negative", field="budget_milli")
         if self.cohort_out < 1:
             raise ValidationError("must be >= 1", field="cohort_out")
+
+    @property
+    def cost_milli(self) -> int:
+        return STAGE_COSTS_MILLI[self.index - 1]
+
+    @property
+    def gain(self) -> float:
+        return STAGE_GAINS[self.index - 1]
 
 
 # (T2, T3) milli-dollar splits for the named total budgets; stage 1 is
@@ -332,17 +336,13 @@ def default_stages(
     total_dollars: int = 553,
     scheme: str | None = None,
 ) -> list[StageSpec]:
-    """Three stages with protocol costs/gains and a named budget split."""
+    """The three protocol stages with a named budget split."""
     if len(k) != 3 or not n > k[0] >= k[1] >= k[2] >= 1:
         raise ValidationError(f"need 3 sizes with n > k1 >= k2 >= k3 >= 1, got n={n}, k={k}",
                               field="cohort_out")
     t2, t3 = allocation_budgets(total_dollars, scheme)
     budgets = (n * STAGE_COSTS_MILLI[0], t2, t3)
-    return [
-        StageSpec(index=i + 1, cost_milli=STAGE_COSTS_MILLI[i], gain=STAGE_GAINS[i],
-                  budget_milli=budgets[i], cohort_out=k[i])
-        for i in range(3)
-    ]
+    return [StageSpec(index=i + 1, budget_milli=budgets[i], cohort_out=k[i]) for i in range(3)]
 
 
 @dataclass(frozen=True)
@@ -448,7 +448,7 @@ def run_pipeline(
         evaluated[rows[ks]] = True
         if st.index == 3:
             expert_severe[rows[ks[labels == RiskLabel.SEVERE]]] = True
-        u_hat = np.divide(w_enc, w_sum, out=np.zeros(m), where=w_sum > 0)
+        u_hat = cell_means(w_sum, w_enc, 0.0)
         keep = np.sort(np.lexsort((np.arange(m), -u_hat))[: st.cohort_out])
         rows, w_enc, w_sum = rows[keep], w_enc[keep], w_sum[keep]
         survivors = tuple(pop.ids[rows].tolist())
@@ -557,7 +557,8 @@ def run_baseline(name: str, pop: Population, seed: int = 0) -> BaselineResult:
         seen = everyone
     elif view == "cohort":
         if SUB_COHORT > len(everyone):
-            raise ConfigurationError(f"cohort_size {SUB_COHORT} exceeds the population of {len(everyone)}")
+            raise ConfigurationError(f"baseline {name!r} evaluates a {SUB_COHORT}-person cohort, "
+                                     f"more than n = {len(everyone)}")
         seen = np.sort(substream(seed, "cohort").choice(len(everyone), size=SUB_COHORT, replace=False))
     else:
         evaluations.append((_NLP, len(everyone)))

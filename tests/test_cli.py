@@ -75,7 +75,7 @@ class TestErrors:
         cfg = write_cfg(tmp_path / "c.cfg", "K = 3\nmu = 0.5,0.4\nruns = 2\ncheckpoints = 10\n")
         rc = main(["regret", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "mu has 2 entries" in capsys.readouterr().err
+        assert "mu: expected 3 entries, got 2" in capsys.readouterr().err
 
     def test_regret_repeated_checkpoints_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", "checkpoints = 100, 100, 1000\nruns = 50\n")
@@ -137,12 +137,43 @@ class TestErrors:
         ("reward_family = foo", "reward_family must be 'bernoulli'"),
         ("reward_family = truncated_gaussian", "reward_family must be 'bernoulli'"),
         ("state_mode = nope", "state_mode must be one of"),
+        ("num_envs = -1", "num_envs must be non-negative"),
+        ("runs_per_env = 0", "runs_per_env must be >= 1, got 0"),
+        ("horizon = 0", "horizon must be positive"),
+        ("k_min = 1", "need 2 <= k_min <= k_max"),
+        ("k_max = 2", "need 2 <= k_min <= k_max"),
+        ("s_min = 0", "need 1 <= s_min <= s_max"),
+        ("s_max = 0", "need 1 <= s_min <= s_max"),
+        ("sigma2_min = -0.1", "need 0 <= sigma2_min < sigma2_max"),
+        ("sigma2_max = 0", "need 0 <= sigma2_min < sigma2_max"),
     ])
     def test_sweep_rejects_keys_it_cannot_honour(self, tmp_path, capsys, command, line, message):
         cfg = write_cfg(tmp_path / "c.cfg", f"num_envs = 2\nruns_per_env = 5\n{line}\n")
-        rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = main([command, "--config", cfg, "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("regret", "K = 1\nmu = 0.5", "K: need at least 2 arms"),
+        ("regret", "S = 0", "state_sequence: need S >= 1"),
+        ("regret", "sigma2 = 0", "sigma2: must be positive"),
+        ("regret", "reward_family = foo", "reward_family: must be one of"),
+        ("regret", "state_mode = nope", "state_sequence: unknown mode 'nope'"),
+        ("regret", "alpha = 2", "alpha must exceed 2, got 2.0"),
+        ("triage", "n_severe = 0", "n_severe: need 0 < n_severe < n"),
+        ("triage", "total_budget = 999", "no budget split for total $999"),
+        ("triage", "total_budget = 1300\nscheme = more9", "no budget split for total $1300 scheme 'more9'"),
+        ("triage", "policy = greedy", "unknown policy 'greedy'"),
+        ("triage", "encoding = quadratic", "unknown encoding scheme 'quadratic'"),
+    ])
+    def test_study_range_exits_2(self, tmp_path, capsys, command, line, message):
+        cfg = write_cfg(tmp_path / "c.cfg", f"{line}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("value", [150.7, True])
     def test_json_horizon_must_be_an_integer(self, tmp_path, capsys, value):
@@ -247,10 +278,11 @@ class TestErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("line, message", [
-        ("baselines = 4Experts, 2Experts", "baselines: unknown ['2Experts']"),
-        ("baselines = NLP-Full, NLP-Sub", "baselines ['NLP-Sub'] evaluate a 100-person cohort, more than n = 60"),
-        ("", "baselines ['4Experts-Sub', '1Expert-Sub', 'NLP-Sub'] evaluate a 100-person cohort"),
-    ])
+        ("baselines = 4Experts, 2Experts", "unknown baseline '2Experts'"),
+        ("baselines = NLP-Full, NLP-Sub", "baseline 'NLP-Sub' evaluates a 100-person cohort, more than n = 60"),
+        # the defaults list 4Experts-Sub first of the cohort baselines
+        ("", "baseline '4Experts-Sub' evaluates a 100-person cohort, more than n = 60"),
+    ], ids=["unknown", "cohort", "default-cohort"])
     def test_triage_baselines_checked_up_front(self, tmp_path, capsys, line, message):
         cfg = write_cfg(tmp_path / "c.cfg", f"n = 60\nn_severe = 10\nk = 30,20,10\nnum_seeds = 1\n{line}\n")
         out = tmp_path / "o"

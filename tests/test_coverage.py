@@ -1,0 +1,112 @@
+"""Every config key the CLI accepts is backed by a test.
+
+Each key of the four study schemas maps to the tests that back it: oracle
+tests, whose numbers for the values the key admits agree with an independent
+oracle or with exact enumeration, and exit-2 tests, which reject the values
+it cannot honour. A key added to a schema without an entry here fails, and
+so does an entry naming a test that does not exist.
+"""
+
+import importlib
+import pathlib
+
+from statebandits.cli import COMMANDS
+
+ERRORS = "tests/test_cli.py::TestErrors::"
+TRIAGE_CLI = "tests/test_cli.py::TestTriage::"
+MONTECARLO = "tests/test_montecarlo.py::"
+STRATEGIES = "tests/test_strategies.py::"
+TRIAGE = "tests/test_triage.py::"
+
+_SWEEP_EXIT_2 = ERRORS + "test_sweep_rejects_keys_it_cannot_honour"
+_EXACT_LAWS = MONTECARLO + "test_batched_estimators_match_exact_laws"
+_RANDOM_ENV = MONTECARLO + "TestRandomEnv::test_ranges_respected"
+_STUDY_EXIT_2 = ERRORS + "test_study_range_exits_2"
+_LOCKSTEP = STRATEGIES + "test_lockstep_runs_match_per_state_oracle"
+_PIPELINE = TRIAGE + "test_pipeline_matches_dict_oracle"
+
+# tightness and sr-compare read the same keys, through one SweepConfig
+_SWEEP = {
+    "num_envs": (_SWEEP_EXIT_2, ERRORS + "test_only_whole_lines_are_comments"),
+    "runs_per_env": (_EXACT_LAWS, _SWEEP_EXIT_2,
+                     MONTECARLO + "TestRandomEnv::test_runs_per_env_must_be_a_positive_integer"),
+    "horizon": (_EXACT_LAWS, _SWEEP_EXIT_2, ERRORS + "test_json_horizon_must_be_an_integer",
+                ERRORS + "test_horizon_too_short_for_reference_schedule"),
+    "k_min": (_RANDOM_ENV, MONTECARLO + "TestRandomEnv::test_k_distribution_uniform", _SWEEP_EXIT_2),
+    "k_max": (_RANDOM_ENV, MONTECARLO + "TestRandomEnv::test_k_distribution_uniform", _SWEEP_EXIT_2),
+    "s_min": (_RANDOM_ENV, MONTECARLO + "TestRandomEnv::test_s_range_forced", _SWEEP_EXIT_2),
+    "s_max": (_RANDOM_ENV, MONTECARLO + "TestRandomEnv::test_s_range_forced", _SWEEP_EXIT_2),
+    "sigma2_min": (_RANDOM_ENV, _SWEEP_EXIT_2),
+    "sigma2_max": (_RANDOM_ENV, _SWEEP_EXIT_2),
+    "reward_family": (_SWEEP_EXIT_2,),
+    "state_mode": (_EXACT_LAWS, _SWEEP_EXIT_2),
+}
+
+COVERAGE = {
+    "tightness": _SWEEP,
+    "sr-compare": _SWEEP,
+    "regret": {
+        "K": (_LOCKSTEP, ERRORS + "test_regret_shape_mismatch", _STUDY_EXIT_2),
+        "S": (_LOCKSTEP, _STUDY_EXIT_2),
+        "mu": (_LOCKSTEP, ERRORS + "test_regret_shape_mismatch", ERRORS + "test_regret_explicit_m_rejects_mu",
+               ERRORS + "test_json_list_entries_parse_like_scalars"),
+        "sigma2": (_LOCKSTEP, _STUDY_EXIT_2, ERRORS + "test_regret_explicit_m_rejects_sigma2"),
+        "m": (_LOCKSTEP, ERRORS + "test_regret_explicit_m_rejects_mu"),
+        "env_seed": (_LOCKSTEP, "tests/test_env.py::TestInstantiate::test_deterministic"),
+        "reward_family": (_LOCKSTEP, _STUDY_EXIT_2),
+        "state_mode": (_LOCKSTEP, _STUDY_EXIT_2),
+        "alpha": (_LOCKSTEP, _STUDY_EXIT_2),
+        "checkpoints": (MONTECARLO + "TestPseudoRegret::test_single_run_matches_scalar_loop",
+                        ERRORS + "test_regret_repeated_checkpoints_exit_2",
+                        ERRORS + "test_empty_monte_carlo_count_exits_2",
+                        ERRORS + "test_json_list_entries_parse_like_scalars"),
+        "runs": (_LOCKSTEP, ERRORS + "test_empty_monte_carlo_count_exits_2"),
+    },
+    "triage": {
+        "n": (_PIPELINE, TRIAGE_CLI + "test_replay_n_must_match_roster",
+              ERRORS + "test_triage_baselines_checked_up_front"),
+        "n_severe": (TRIAGE + "TestSynthPopulation::test_label_counts", _STUDY_EXIT_2,
+                     TRIAGE_CLI + "test_replay_rejects_synthetic_keys"),
+        "stage_noise": (TRIAGE + "TestSynthPopulation::test_confusion_rows",
+                        TRIAGE + "test_synthetic_label_rule_matches_walk",
+                        TRIAGE + "TestSynthPopulation::test_noise_must_decrease",
+                        TRIAGE_CLI + "test_replay_rejects_synthetic_keys"),
+        "k": (_PIPELINE, TRIAGE + "TestBudgets::test_default_stages_validation",
+              ERRORS + "test_json_list_entries_parse_like_scalars"),
+        "total_budget": (TRIAGE + "TestBudgets::test_allocation_table", _STUDY_EXIT_2),
+        "scheme": (TRIAGE + "TestBudgets::test_allocation_table", TRIAGE_CLI + "test_553_rejects_scheme",
+                   _STUDY_EXIT_2),
+        "policy": (_PIPELINE, _STUDY_EXIT_2),
+        "encoding": (_PIPELINE, _STUDY_EXIT_2),
+        "num_seeds": (ERRORS + "test_empty_monte_carlo_count_exits_2",),
+        "baselines": (ERRORS + "test_triage_baselines_checked_up_front",),
+        "human_csv": (_PIPELINE, ERRORS + "test_triage_replay_needs_both_files",
+                      TRIAGE + "TestLoadEvaluations::test_bad_headers"),
+        "machine_pred": (_PIPELINE, ERRORS + "test_triage_replay_needs_both_files",
+                         TRIAGE + "TestLoadEvaluations::test_probabilities_must_be_finite"),
+    },
+}
+
+
+def _resolve(node: str):
+    """The test function a ``path::[Class::]name`` node id names, or None."""
+    path, *names = node.split("::")
+    if not (pathlib.Path(__file__).parent / pathlib.Path(path).name).is_file():
+        return None
+    obj = importlib.import_module(pathlib.Path(path).stem)
+    for name in names:
+        obj = getattr(obj, name, None)
+    return obj if callable(obj) and names[-1].startswith("test_") else None
+
+
+def test_every_schema_key_has_an_entry():
+    for command, (_, schema) in COMMANDS.items():
+        assert sorted(COVERAGE.get(command, {})) == sorted(f.name for f in schema), command
+
+
+def test_every_entry_names_existing_tests():
+    for command, table in COVERAGE.items():
+        for key, nodes in table.items():
+            assert nodes, (command, key)
+            for node in nodes:
+                assert _resolve(node) is not None, (command, key, node)

@@ -80,6 +80,15 @@ class TestRandomEnv:
         for mode in ("iid_uniform", "round_robin", "blocks"):
             SweepConfig(state_mode=mode)
 
+    @pytest.mark.parametrize("runs, message", [
+        (5.5, "runs_per_env must be an integer, got 5.5"),
+        (True, "runs_per_env must be an integer, got True"),
+        (0, "runs_per_env must be >= 1, got 0"),
+    ])
+    def test_runs_per_env_must_be_a_positive_integer(self, runs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SweepConfig(runs_per_env=runs)
+
 
 def fixed_env(m, mu, n, state_mode="round_robin", seed=0):
     m = np.asarray(m, dtype=float)
@@ -123,6 +132,18 @@ class TestEstimateBAI:
         env = fixed_env([[0.7], [0.4]], mu=(0.7, 0.4), n=20)
         with pytest.raises(ConfigurationError, match="outside"):
             estimate_bai(env, "uniform_eba", 10, n=21)
+
+    @pytest.mark.parametrize("strategy", ["uniform_eba", "sr_uniform"])
+    @pytest.mark.parametrize("runs, message", [
+        (0, "runs must be >= 1, got 0"),
+        (5.5, "runs must be an integer, got 5.5"),
+        (True, "runs must be an integer, got True"),
+    ])
+    def test_runs_must_be_a_positive_integer(self, strategy, runs, message):
+        env = fixed_env([[0.7], [0.4]], mu=(0.7, 0.4), n=20)
+        with pytest.raises(ConfigurationError, match=message):
+            estimate_bai(env, strategy, runs)
+        assert estimate_bai(env, strategy, np.int64(5)) == estimate_bai(env, strategy, 5)
 
     def test_matches_enumeration_uniform(self):
         env = fixed_env([[0.7], [0.4]], mu=(0.7, 0.4), n=6)

@@ -155,6 +155,11 @@ class TestBudgets:
         assert [s.cost_milli for s in stages] == [1, 90, 5350]
         assert [s.gain for s in stages] == [1.0, 10.0, 100.0]
 
+    @pytest.mark.parametrize("index", [0, 4])
+    def test_stage_index_is_one_of_the_three(self, index):
+        with pytest.raises(ValidationError, match=f"^index: must be 1, 2 or 3, got {index}$"):
+            StageSpec(index=index, budget_milli=0, cohort_out=1)
+
     def test_default_stages_validation(self):
         with pytest.raises(ValidationError, match="cohort_out"):
             default_stages(242, k=(200, 100, 150))
@@ -177,11 +182,7 @@ def identity_pop(labels):
 def small_stages(n, k, scale=10):
     k1, k2, k3 = k
     budgets = (n * 1 * scale, k1 * 90 * scale, k2 * 5350 * scale)
-    return [
-        StageSpec(index=i + 1, cost_milli=STAGE_COSTS_MILLI[i], gain=STAGE_GAINS[i],
-                  budget_milli=budgets[i], cohort_out=k[i])
-        for i in range(3)
-    ]
+    return [StageSpec(index=i + 1, budget_milli=budgets[i], cohort_out=k[i]) for i in range(3)]
 
 
 class TestPipeline:
@@ -219,8 +220,7 @@ class TestPipeline:
     def test_cohort_monotonicity_enforced(self):
         pop = identity_pop(self.labels)
         stages = small_stages(20, (12, 8, 5))
-        stages[1] = StageSpec(index=2, cost_milli=90, gain=10.0,
-                              budget_milli=10_000, cohort_out=15)
+        stages[1] = StageSpec(index=2, budget_milli=10_000, cohort_out=15)
         with pytest.raises(ValidationError, match="must not grow"):
             run_pipeline(pop, stages)
 
@@ -239,8 +239,7 @@ class TestPipeline:
     def test_empty_budget_skips_stage_with_warning(self):
         pop = identity_pop(self.labels)
         stages = small_stages(20, (12, 8, 5))
-        stages[1] = StageSpec(index=2, cost_milli=90, gain=10.0,
-                              budget_milli=10, cohort_out=8)
+        stages[1] = StageSpec(index=2, budget_milli=10, cohort_out=8)
         with pytest.warns(UserWarning, match="no pulls"):
             result = run_pipeline(pop, stages)
         assert result.stages[1].pulls == 0
@@ -249,8 +248,7 @@ class TestPipeline:
     def test_partial_coverage_warning(self):
         pop = identity_pop(self.labels)
         stages = small_stages(20, (12, 8, 5))
-        stages[1] = StageSpec(index=2, cost_milli=90, gain=10.0,
-                              budget_milli=90 * 5, cohort_out=8)
+        stages[1] = StageSpec(index=2, budget_milli=90 * 5, cohort_out=8)
         with pytest.warns(UserWarning, match="5 pulls for 12 survivors"):
             run_pipeline(pop, stages)
 
@@ -265,8 +263,7 @@ class TestPipeline:
     def test_duplicate_stage_indices_rejected(self):
         pop = identity_pop(self.labels)
         stages = small_stages(20, (12, 8, 5))
-        stages[2] = StageSpec(index=2, cost_milli=5350, gain=100.0,
-                              budget_milli=5350 * 8, cohort_out=5)
+        stages[2] = StageSpec(index=2, budget_milli=5350 * 8, cohort_out=5)
         with pytest.raises(ValidationError, match=r"stage indices must be distinct, got \[1, 2, 2\]"):
             run_pipeline(pop, stages)
 
@@ -304,8 +301,7 @@ def screens(draw):
         cost = STAGE_COSTS_MILLI[i - 1]
         budget = cost * draw(st.integers(0, 4 * alive)) + draw(st.integers(0, cost - 1))
         alive = draw(st.integers(1, alive))
-        stages.append(StageSpec(index=i, cost_milli=cost, gain=STAGE_GAINS[i - 1],
-                                budget_milli=budget, cohort_out=alive))
+        stages.append(StageSpec(index=i, budget_milli=budget, cohort_out=alive))
     return pop, stages[::-1] if draw(st.booleans()) else stages
 
 
@@ -394,13 +390,12 @@ def test_missing_recorded_stage_message():
         triage._stage_rule(pop, 2, np.arange(2), substream(0, "unused"), 0)
     with pytest.raises(ValidationError, match=message):
         pop.rater_labels(np.arange(2), 2, 0, "expert")
-    stage = StageSpec(index=2, cost_milli=90, gain=10.0, budget_milli=2 * 90, cohort_out=1)
+    stage = StageSpec(index=2, budget_milli=2 * 90, cohort_out=1)
     with pytest.raises(ValidationError, match=message):
         run_pipeline(pop, [stage])
     # a survivor the budget never reaches needs no labels
     with pytest.warns(UserWarning, match="1 pulls for 2 survivors"):
-        result = run_pipeline(pop, [StageSpec(index=2, cost_milli=90, gain=10.0,
-                                              budget_milli=90, cohort_out=1)])
+        result = run_pipeline(pop, [StageSpec(index=2, budget_milli=90, cohort_out=1)])
     assert result.evaluated == frozenset({4})
 
 
@@ -454,8 +449,7 @@ class TestLoadEvaluations:
             "1,7,3,no", "2,7,3,severe", "3,7,3,moderate",
         ])
         pop = load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
-        stage = StageSpec(index=3, cost_milli=5350, gain=100.0,
-                          budget_milli=3 * 5350, cohort_out=2)
+        stage = StageSpec(index=3, budget_milli=3 * 5350, cohort_out=2)
         result = run_pipeline(pop, [stage])
         u_hat = result.stages[0].u_hat
         assert u_hat[2] == ENCODINGS["linear"][RiskLabel.SEVERE]
@@ -473,8 +467,8 @@ class TestLoadEvaluations:
         ])
         pop = load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
         stages = [
-            StageSpec(index=1, cost_milli=1, gain=1.0, budget_milli=3, cohort_out=2),
-            StageSpec(index=2, cost_milli=90, gain=10.0, budget_milli=180, cohort_out=1),
+            StageSpec(index=1, budget_milli=3, cohort_out=2),
+            StageSpec(index=2, budget_milli=180, cohort_out=1),
         ]
         result = run_pipeline(pop, stages)
         assert result.stages[1].u_hat[2] == pytest.approx(1.0)
@@ -673,7 +667,8 @@ class TestBaselines:
 
     def test_cohort_cannot_exceed_population(self):
         pop = synth_population(20, 5, seed=0)
-        with pytest.raises(ConfigurationError, match="cohort_size 100 exceeds"):
+        with pytest.raises(ConfigurationError,
+                           match="baseline '1Expert-Sub' evaluates a 100-person cohort, more than n = 20"):
             run_baseline("1Expert-Sub", pop)
 
     def test_unknown_baseline(self):
