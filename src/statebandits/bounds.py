@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .divergence import PsiFamily, psi_star
 from .env import Environment, _check_steps, gaps, state_counts
@@ -41,6 +40,8 @@ __all__ = [
 
 def normal_cdf(x):
     """Standard normal CDF, accurate to ~1e-16 relative; scalar or array."""
+    from scipy.special import ndtr  # deferred: start-up of the studies that never call it skips scipy
+
     out = ndtr(np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
 

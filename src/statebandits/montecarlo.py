@@ -18,11 +18,9 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from scipy.special import betainc
 
 from .bounds import thm1_bound, thm2_bounds, thm3_bounds, thm4_bounds
 from .divergence import BOUNDED_UNIT
@@ -272,6 +270,8 @@ def _run_tasks(record, config, workers: int):
     if workers <= 1:
         results = [_env_task(a) for a in args]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: a serial run skips multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_env_task, args))  # in submission order
     registry = {}  # the default action shows each (message, category, line) once per sweep
@@ -344,6 +344,8 @@ def sr_compare(config: SweepConfig, workers: int = 1):
     n_pos = int(np.sum(diffs > 0))
     n_neg = int(np.sum(diffs < 0))
     if n_pos + n_neg > 0:
+        from scipy.special import betainc  # deferred: only the sign test needs scipy here
+
         # P(Binomial(n_pos + n_neg, 1/2) >= n_pos), the one-sided sign test
         p_value = float(betainc(n_pos, n_neg + 1, 0.5))
     else:

@@ -422,7 +422,7 @@ def run_pipeline(
     evaluated, expert_severe = np.zeros((2, len(rows)), dtype=bool)
     outcomes: list[StageOutcome] = []
     for st in stages:
-        m = len(rows)
+        m, gain = len(rows), st.gain  # the ucb loop reads the gain twice per pull
         max_pulls = st.budget_milli // st.cost_milli
         if max_pulls == 0:
             warnings.warn(f"stage {st.index}: budget funds no pulls; stage skipped", stacklevel=2)
@@ -435,16 +435,16 @@ def run_pipeline(
         ks = np.arange(max_pulls) % m  # survivor of each pull; ucb fills in those past the batch
         labels = np.empty(max_pulls, dtype=np.int64)
         labels[:batch] = label(ks[:batch], np.arange(batch), np.arange(batch) // m)
-        np.add.at(w_enc, ks[:batch], st.gain * values[labels[:batch]])
-        np.add.at(w_sum, ks[:batch], st.gain)
+        np.add.at(w_enc, ks[:batch], gain * values[labels[:batch]])
+        np.add.at(w_sum, ks[:batch], gain)
         counts = np.bincount(ks[:batch], minlength=m)  # within-stage pulls, also the replay cursors
         for j in range(batch, max_pulls):
             bonus = _psi_star_inv(BOUNDED_UNIT, UCB_ALPHA * math.log(j + 1) / counts)
             k = ks[j] = int((w_enc / w_sum + bonus).argmax())
             labels[j] = label(k, j, counts[k])
             counts[k] += 1
-            w_enc[k] += st.gain * values[labels[j]]
-            w_sum[k] += st.gain
+            w_enc[k] += gain * values[labels[j]]
+            w_sum[k] += gain
         evaluated[rows[ks]] = True
         if st.index == 3:
             expert_severe[rows[ks[labels == RiskLabel.SEVERE]]] = True

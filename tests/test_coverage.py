@@ -24,6 +24,7 @@ _RANDOM_ENV = MONTECARLO + "TestRandomEnv::test_ranges_respected"
 _STUDY_EXIT_2 = ERRORS + "test_study_range_exits_2"
 _LOCKSTEP = STRATEGIES + "test_lockstep_runs_match_per_state_oracle"
 _PIPELINE = TRIAGE + "test_pipeline_matches_dict_oracle"
+_CURVE = MONTECARLO + "TestPseudoRegret::test_curve_matches_per_run_oracle"
 
 # tightness and sr-compare read the same keys, through one SweepConfig
 _SWEEP = {
@@ -53,14 +54,14 @@ COVERAGE = {
         "sigma2": (_LOCKSTEP, _STUDY_EXIT_2, ERRORS + "test_regret_explicit_m_rejects_sigma2"),
         "m": (_LOCKSTEP, ERRORS + "test_regret_explicit_m_rejects_mu"),
         "env_seed": (_LOCKSTEP, "tests/test_env.py::TestInstantiate::test_deterministic"),
-        "reward_family": (_LOCKSTEP, _STUDY_EXIT_2),
+        "reward_family": (_LOCKSTEP, _CURVE, _STUDY_EXIT_2),
         "state_mode": (_LOCKSTEP, _STUDY_EXIT_2),
         "alpha": (_LOCKSTEP, _STUDY_EXIT_2),
-        "checkpoints": (MONTECARLO + "TestPseudoRegret::test_single_run_matches_scalar_loop",
+        "checkpoints": (_CURVE, MONTECARLO + "TestPseudoRegret::test_single_run_matches_scalar_loop",
                         ERRORS + "test_regret_repeated_checkpoints_exit_2",
                         ERRORS + "test_empty_monte_carlo_count_exits_2",
                         ERRORS + "test_json_list_entries_parse_like_scalars"),
-        "runs": (_LOCKSTEP, ERRORS + "test_empty_monte_carlo_count_exits_2"),
+        "runs": (_LOCKSTEP, _CURVE, ERRORS + "test_empty_monte_carlo_count_exits_2"),
     },
     "triage": {
         "n": (_PIPELINE, TRIAGE_CLI + "test_replay_n_must_match_roster",

@@ -2,8 +2,13 @@
 
 Every name a module imports must be used in it (a name listed in the
 module's ``__all__`` counts as used, since it is re-exported), and every name
-an ``__all__`` lists must resolve. Start-up stays light: importing the CLI
-loads no ``scipy.stats``.
+an ``__all__`` lists must resolve.
+
+Start-up loads only what the study runs, checked in a fresh interpreter each:
+importing the CLI loads no ``scipy`` module and no process pool, ``triage``
+and ``regret`` run without ``scipy``, and ``tightness`` and ``sr-compare``
+find ``scipy.special`` loaded when their handler is entered, so the workers
+of a pool forked there inherit it instead of each importing it.
 """
 
 import ast
@@ -73,10 +78,55 @@ def test_all_names_resolve(module):
     assert not missing, f"{name}.__all__ lists names that do not exist: {missing}"
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    code = ("import sys, statebandits.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this package; its stdout."""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
                              [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = ("import sys, statebandits.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_cli_import_leaves_out_scipy_and_the_process_pool():
+    code = ("import sys, statebandits.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m == 'concurrent.futures.process'))")
+    assert _fresh_python(code) == "[]"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("triage", "n = 40\nn_severe = 8\nk = 20,10,5\nnum_seeds = 2\nbaselines = 1Expert\n"),
+    ("regret", "checkpoints = 20, 50\nruns = 5\n"),
+], ids=["triage", "regret"])
+def test_study_runs_without_scipy(tmp_path, command, config):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = ("import contextlib, io, sys, statebandits.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = cli.main({argv!r})\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code) == "0 []"
+
+
+@pytest.mark.parametrize("command", ["tightness", "sr-compare"])
+def test_sweep_handler_starts_with_scipy_special_loaded(tmp_path, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("num_envs = 2\nruns_per_env = 5\nk_max = 3\ns_max = 2\n", encoding="utf-8")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = ("import contextlib, io, sys, statebandits.cli as cli\n"
+            f"handler, schema = cli.COMMANDS[{command!r}]\n"
+            "seen = []\n"
+            "def entered(*args):\n"
+            "    seen.append('scipy.special' in sys.modules)\n"
+            "    return handler(*args)\n"
+            f"cli.COMMANDS[{command!r}] = (entered, schema)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = cli.main({argv!r})\n"
+            "print(rc, seen)")
+    assert _fresh_python(code) == "0 [True]"

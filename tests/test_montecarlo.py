@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -34,7 +35,8 @@ from statebandits import montecarlo, strategies
 from statebandits.env import STATE_MODES
 from statebandits.montecarlo import TIGHTNESS_HEADER
 
-from _oracles import binomial_cell_means_per_cell, exact_sr, exact_uniform_eba, sr_sample_per_cell
+from _oracles import (binomial_cell_means_per_cell, exact_sr, exact_uniform_eba, sr_sample_per_cell,
+                      state_ucb_run)
 
 
 class TestRandomEnv:
@@ -301,7 +303,8 @@ class TestSweeps:
             def map(self, fn, args, chunksize=1):
                 return map(fn, args)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        # _run_tasks imports the pool class from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         config = SweepConfig(num_envs=3, runs_per_env=10, master_seed=11, k_max=4, s_max=3)
         assert tightness_sweep(config, workers=64) == tightness_sweep(config, workers=1)
         assert sr_compare(config, workers=8)[0] == sr_compare(config, workers=1)[0]
@@ -381,6 +384,34 @@ class TestPseudoRegret:
             for t in range(150)
         )
         assert curve.mean[0] == scalar_regret
+
+    @pytest.mark.parametrize("family", ["bernoulli", "truncated_gaussian"])
+    def test_curve_matches_per_run_oracle(self, family):
+        # n stays below 9170, the first integer where math.log and np.log differ
+        runs, n, checkpoints = 9, 400, (4, 150, 400)
+        spec = EnvironmentSpec(K=3, S=2, mu=(0.8, 0.5, 0.2), sigma2=0.05,
+                               state_sequence=make_state_sequence(2, n, "iid_uniform", seed=4),
+                               seed=23, reward_family=family, reward_sigma2=0.04)
+        env = instantiate(spec)
+        m_star = env.m.max(axis=0)
+        oracle = np.zeros((len(checkpoints), runs))  # each run's pseudo-regret at each checkpoint
+        for r in range(runs):
+            chosen = state_ucb_run(env, n, 3.0, lambda x: math.sqrt(x / 2.0), substream(23, r, "rewards"))
+            total = 0.0
+            for t, (s, arm) in enumerate(zip(spec.state_sequence.tolist(), chosen), start=1):
+                total += m_star[s] - env.m[arm, s]
+                if t in checkpoints:
+                    oracle[checkpoints.index(t), r] = total
+        streams = [substream(23, r, "rewards") for r in range(runs)]
+        engine, at = np.zeros(runs), []
+        for t, s, _, mean in strategies.optimism_play(env, 3.0, BOUNDED_UNIT, streams, n):
+            engine += m_star[s] - mean
+            if t in checkpoints:
+                at.append(engine.copy())
+        assert np.array_equal(np.array(at), oracle)
+        curve = estimate_pseudoregret(env, 3.0, checkpoints, runs)
+        assert curve.mean.tolist() == [np.mean(row) for row in oracle]
+        assert curve.se.tolist() == [np.std(row, ddof=1) / np.sqrt(runs) for row in oracle]
 
     @pytest.mark.parametrize("family", ["bernoulli", "truncated_gaussian"])
     def test_variate_blocks_change_nothing(self, monkeypatch, family):
