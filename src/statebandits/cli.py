@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration/validation problem, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import sys
@@ -25,7 +24,9 @@ import numpy as np
 from . import __version__
 from .bounds import thm2_bounds
 from .divergence import BOUNDED_UNIT, PsiFamily, psi, psi_star, psi_star_inv
-from .env import EnvironmentSpec, Environment, gaps, instantiate, make_state_sequence, state_counts
+from .env import (
+    EnvironmentSpec, Environment, _check_distinct, gaps, instantiate, make_state_sequence, state_counts,
+)
 from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError
 from .montecarlo import (
     SR_HEADER,
@@ -369,9 +370,7 @@ def _triage_values(res, pop, mode: str) -> tuple:
 def cmd_triage(args, cfg: dict, seed: int) -> int:
     if cfg["num_seeds"] < 1:
         raise ConfigurationError(f"num_seeds must be >= 1, got {cfg['num_seeds']}")
-    repeated = sorted({b for b in cfg["baselines"] if cfg["baselines"].count(b) > 1})
-    if repeated:  # a repeated name would pool its runs into one row and narrow its spread
-        raise ConfigurationError(f"baselines lists {', '.join(repeated)} more than once")
+    _check_distinct(cfg["baselines"], "baselines")  # a repeated name would pool its runs into one row
     stages = default_stages(cfg["n"], tuple(cfg["k"]), cfg["total_budget"], cfg["scheme"])
     replay = bool(cfg["human_csv"] or cfg["machine_pred"])
     if replay and not (cfg["human_csv"] and cfg["machine_pred"]):
@@ -550,9 +549,6 @@ COMMANDS = {
     "verify": (cmd_verify, []),
 }
 
-# the sweeps' bounds and sign test need scipy.special: loaded before the pool forks, so no worker pays it
-_SCIPY_COMMANDS = ("tightness", "sr-compare")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -589,8 +585,6 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         os.makedirs(args.out, exist_ok=True)
-        if args.command in _SCIPY_COMMANDS:
-            importlib.import_module("scipy.special")
         return handler(args, cfg, seed)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

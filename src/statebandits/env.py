@@ -166,6 +166,13 @@ def _check_runs(runs: int, name: str = "runs") -> None:
         raise ConfigurationError(f"{name} must be >= 1, got {runs}")
 
 
+def _check_distinct(values, name: str) -> None:
+    """A list whose entries each select one output must not repeat any."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigurationError(f"{name} must be distinct; repeated: {repeated}")
+
+
 def _check_steps(n: int, horizon: int, name: str = "n") -> None:
     """A run or bound of ``n`` steps must be an integer that fits the horizon."""
     _check_integer(n, name)

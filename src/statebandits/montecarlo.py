@@ -16,6 +16,7 @@ any worker count.
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
@@ -25,8 +26,8 @@ import numpy as np
 from .bounds import thm1_bound, thm2_bounds, thm3_bounds, thm4_bounds
 from .divergence import BOUNDED_UNIT
 from .env import (
-    STATE_MODES, Environment, EnvironmentSpec, _check_runs, _check_steps, gaps, instantiate,
-    make_state_sequence, state_counts,
+    STATE_MODES, Environment, EnvironmentSpec, _check_distinct, _check_runs, _check_steps, gaps,
+    instantiate, make_state_sequence, state_counts,
 )
 from .errors import ConfigurationError
 from .rng import substream
@@ -284,6 +285,8 @@ def _run_tasks(record, config, workers: int):
 
 def tightness_sweep(config: SweepConfig, workers: int = 1):
     """Run the uniform-rotation tightness study; returns (records, failures)."""
+    if workers > 1:  # each record's bounds call normal_cdf: a worker forked after this inherits scipy
+        importlib.import_module("scipy.special")
     return _run_tasks(_tightness_record, config, workers)
 
 
@@ -390,9 +393,7 @@ def estimate_pseudoregret(env: Environment, alpha: float, checkpoints, runs: int
     for c in checkpoints:
         _check_steps(c, spec.horizon, "checkpoints")
     checkpoints = tuple(map(int, checkpoints))
-    repeated = sorted({c for c in checkpoints if checkpoints.count(c) > 1})
-    if repeated:
-        raise ConfigurationError(f"checkpoints must be distinct; repeated: {repeated}")
+    _check_distinct(checkpoints, "checkpoints")
     streams = [substream(spec.seed, r, "rewards") for r in range(runs)]
     m_star = gaps(env).m_star_per_state
     regret = np.zeros(runs)

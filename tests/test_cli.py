@@ -282,7 +282,7 @@ class TestErrors:
         ("baselines = NLP-Full, NLP-Sub", "baseline 'NLP-Sub' evaluates a 100-person cohort, more than n = 60"),
         # the defaults list 4Experts-Sub first of the cohort baselines
         ("", "baseline '4Experts-Sub' evaluates a 100-person cohort, more than n = 60"),
-        ("baselines = 1Expert, NLP-Full, 1Expert", "baselines lists 1Expert more than once"),
+        ("baselines = 1Expert, NLP-Full, 1Expert", "baselines must be distinct; repeated: ['1Expert']"),
     ], ids=["unknown", "cohort", "default-cohort", "repeated"])
     def test_triage_baselines_checked_up_front(self, tmp_path, capsys, line, message):
         cfg = write_cfg(tmp_path / "c.cfg", f"n = 60\nn_severe = 10\nk = 30,20,10\nnum_seeds = 1\n{line}\n")

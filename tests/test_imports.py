@@ -6,9 +6,9 @@ an ``__all__`` lists must resolve.
 
 Start-up loads only what the study runs, checked in a fresh interpreter each:
 importing the CLI loads no ``scipy`` module and no process pool, ``triage``
-and ``regret`` run without ``scipy``, and ``tightness`` and ``sr-compare``
-find ``scipy.special`` loaded when their handler is entered, so the workers
-of a pool forked there inherit it instead of each importing it.
+and ``regret`` run without ``scipy``, and ``tightness_sweep`` loads
+``scipy.special`` before it starts a pool, so the forked workers, whose bounds
+call the normal CDF, inherit it instead of each importing it.
 """
 
 import ast
@@ -114,19 +114,15 @@ def test_study_runs_without_scipy(tmp_path, command, config):
     assert _fresh_python(code) == "0 []"
 
 
-@pytest.mark.parametrize("command", ["tightness", "sr-compare"])
-def test_sweep_handler_starts_with_scipy_special_loaded(tmp_path, command):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("num_envs = 2\nruns_per_env = 5\nk_max = 3\ns_max = 2\n", encoding="utf-8")
-    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
-    code = ("import contextlib, io, sys, statebandits.cli as cli\n"
-            f"handler, schema = cli.COMMANDS[{command!r}]\n"
+def test_tightness_pool_starts_with_scipy_special_loaded():
+    code = ("import sys, concurrent.futures as cf\n"
+            "from statebandits.montecarlo import SweepConfig, tightness_sweep\n"
             "seen = []\n"
-            "def entered(*args):\n"
-            "    seen.append('scipy.special' in sys.modules)\n"
-            "    return handler(*args)\n"
-            f"cli.COMMANDS[{command!r}] = (entered, schema)\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    rc = cli.main({argv!r})\n"
-            "print(rc, seen)")
-    assert _fresh_python(code) == "0 [True]"
+            "class Pool(cf.ProcessPoolExecutor):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        seen.append('scipy.special' in sys.modules)\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "cf.ProcessPoolExecutor = Pool\n"
+            "records, failures = tightness_sweep(SweepConfig(num_envs=2, runs_per_env=5, k_max=3, s_max=2), 2)\n"
+            "print(len(records), failures, seen)")
+    assert _fresh_python(code) == "2 [] [True]"
