@@ -458,6 +458,27 @@ TRIAGE_CSV_SHA256 = {
     (553, "", "round_robin", "linear"): "65243d7bbe1725d2e00ec1ef323c60d345f66c412937d690cb8b1c8e49bdabdd",
 }
 
+# triage.csv of studies whose seeds span several batches, pinned when every
+# seed still ran on its own: the benchmark's triage-ucb inputs, stages past
+# the first pass, and the replay pair.
+TRIAGE_STUDY_SHA256 = {
+    "553-ucb-100": ("policy = ucb\nnum_seeds = 100\nn = 242\nn_severe = 42\nk = 200, 100, 50\n"
+                    "total_budget = 553\n", 1000,
+                    "270053b7e4f19a31011da4cd038e95f11f3e48b9a56d143caff95f7f56606f87"),
+    "1300-more2-ucb": ("total_budget = 1300\nscheme = more2\npolicy = ucb\nnum_seeds = 60\n", 11,
+                       "560f2eac05c14297ad3e742b12c9e7e9fb09151e61edf6139145c88eff190247"),
+    "2200-more2-round_robin-exponential": (
+        "total_budget = 2200\nscheme = more2\npolicy = round_robin\nencoding = exponential\n"
+        "num_seeds = 60\n", 11, "c8675c4ca56a966a90c97506dd2da7428d30caffc65b11e0ce91be86116a34c6"),
+    "2200-more2-ucb-exponential": (
+        "total_budget = 2200\nscheme = more2\npolicy = ucb\nencoding = exponential\nnum_seeds = 60\n", 11,
+        "856d11b408e02663247b4619ea7b110100fb9d347a7cf200f7b16598d554233e"),
+    "replay-ucb": ("n = 150\nk = 100,60,30\npolicy = ucb\nnum_seeds = 60\n", 11,
+                   "a71ffd286ff3c098d8bfbffafb62bb1f06181f0aac9386b14a3269c3f0a89f5f"),
+    "replay-round_robin": ("n = 150\nk = 100,60,30\npolicy = round_robin\nnum_seeds = 60\n", 11,
+                           "10f88e42b5bfc964cb3af0071ab109506c4ad61c9f7e761819f80990afc2b2c8"),
+}
+
 
 class TestTriage:
     def test_replay_n_must_match_roster(self, tmp_path, capsys):
@@ -527,6 +548,17 @@ class TestTriage:
         assert main(["triage", "--config", cfg, "--seed", "11", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "triage.csv").read_bytes()).hexdigest()
         assert digest == TRIAGE_CSV_SHA256[budget, scheme, policy, encoding]
+
+    @pytest.mark.parametrize("name", sorted(TRIAGE_STUDY_SHA256))
+    def test_triage_study_bytes_pinned(self, tmp_path, name):
+        text, seed, expected = TRIAGE_STUDY_SHA256[name]
+        if name.startswith("replay"):
+            human, machine = write_replay_pair(tmp_path)
+            text += f"human_csv = {human}\nmachine_pred = {machine}\n"
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "o"
+        assert main(["triage", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "triage.csv").read_bytes()).hexdigest() == expected
 
     def test_small_run_table(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", "\n".join([
