@@ -46,12 +46,16 @@ from .triage import (
     COHORT_BASELINES,
     STAGE_COSTS_MILLI,
     SUB_COHORT,
+    SeedBatch,
     default_stages,
     dollars,
     load_evaluations,
     metrics,
+    metrics_batch,
     run_baseline,
+    run_baseline_batch,
     run_pipeline,
+    run_pipeline_batch,
     synth_population,
 )
 
@@ -359,12 +363,18 @@ TRIAGE_COLUMNS = [("budget", _money_cell), ("evaluated", _count_cell)] + [
 ] + [(name, _count_cell) for name in ("tp", "fp", "fn", "tn")]
 
 
-def _triage_values(res, pop, mode: str) -> tuple:
-    """One seed's values of an approach, in TRIAGE_COLUMNS order."""
-    m = metrics(res, pop, mode)
-    return (dollars(res.spend_milli), len(res.evaluated), m.pop_sensitivity,
-            m.cohort_sensitivity, m.cohort_precision, m.cohort_specificity,
-            m.cohort.tp, m.cohort.fp, m.cohort.fn, m.cohort.tn)
+SEEDS_PER_BATCH = 50
+"""Seeds whose populations, pipelines and baselines triage runs as one batch.
+It bounds the ``(seeds, n)`` tables a batch holds, and the ``(seeds, 4, pulls)``
+label table of its largest stage; a larger batch pays less per ``ucb`` pull."""
+
+
+def _triage_values(res, batch: SeedBatch, mode: str) -> list[tuple]:
+    """Each seed's values of an approach, in TRIAGE_COLUMNS order."""
+    spend = dollars(res.spend_milli)
+    return [(spend, evaluated, m.pop_sensitivity, m.cohort_sensitivity, m.cohort_precision,
+             m.cohort_specificity, m.cohort.tp, m.cohort.fp, m.cohort.fn, m.cohort.tn)
+            for evaluated, m in zip(res.evaluated.sum(axis=1).tolist(), metrics_batch(res, batch, mode))]
 
 
 def cmd_triage(args, cfg: dict, seed: int) -> int:
@@ -387,16 +397,17 @@ def cmd_triage(args, cfg: dict, seed: int) -> int:
 
     approaches = ["MAB", "MAB*"] + list(cfg["baselines"])
     values: dict[str, list[tuple]] = {a: [] for a in approaches}
-    for s in range(cfg["num_seeds"]):
-        run_seed = int(substream(seed, s, "triage-seed").integers(0, 2**62))
-        if not replay:
-            pop = synth_population(cfg["n"], cfg["n_severe"], tuple(cfg["stage_noise"]), seed=run_seed)
-        result = run_pipeline(pop, stages, policy=cfg["policy"], seed=run_seed,
-                              encoding=cfg["encoding"])
-        values["MAB"].append(_triage_values(result, pop, "mab"))
-        values["MAB*"].append(_triage_values(result, pop, "mab_star"))
+    for first in range(0, cfg["num_seeds"], SEEDS_PER_BATCH):
+        run_seeds = [int(substream(seed, s, "triage-seed").integers(0, 2**62))
+                     for s in range(first, min(first + SEEDS_PER_BATCH, cfg["num_seeds"]))]
+        pops = [pop] * len(run_seeds) if replay else [
+            synth_population(cfg["n"], cfg["n_severe"], tuple(cfg["stage_noise"]), seed=s) for s in run_seeds]
+        batch = SeedBatch(pops, run_seeds)
+        result = run_pipeline_batch(batch, stages, policy=cfg["policy"], encoding=cfg["encoding"])
+        values["MAB"] += _triage_values(result, batch, "mab")
+        values["MAB*"] += _triage_values(result, batch, "mab_star")
         for name in cfg["baselines"]:
-            values[name].append(_triage_values(run_baseline(name, pop, seed=run_seed), pop, "mab"))
+            values[name] += _triage_values(run_baseline_batch(name, batch), batch, "mab")
     header = ["approach"] + [name for name, _ in TRIAGE_COLUMNS]
     table = [[a] + [fmt(col) for (_, fmt), col in zip(TRIAGE_COLUMNS, zip(*values[a]))]
              for a in approaches]

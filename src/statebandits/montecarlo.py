@@ -252,7 +252,7 @@ def _tightness_record(env: Environment, env_index: int, runs: int) -> SweepRecor
 
 def _env_task(args):
     """(index, record, None, warnings) or, if any step raised, (index, None,
-    "Type: message", warnings); warnings as (message, category, file, line)."""
+    "Type: message", warnings); warnings as (message, category)."""
     record, config, env_index = args
     with warnings.catch_warnings(record=True) as caught:
         try:
@@ -260,12 +260,14 @@ def _env_task(args):
             row, err = record(env, env_index, config.runs_per_env), None
         except Exception as exc:  # noqa: BLE001 - sweep must survive bad rows
             row, err = None, f"{type(exc).__name__}: {exc}"
-    return env_index, row, err, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    return env_index, row, err, [(str(w.message), w.category) for w in caught]
 
 
 def _run_tasks(record, config, workers: int):
-    """Run every environment; re-issue their warnings here in index order, so
-    stderr shows each warning once per sweep at any worker count."""
+    """Run every environment; re-issue their warnings here in index order,
+    named by this module rather than by a source file and line, so stderr
+    shows each warning once per sweep at any worker count and from any
+    checkout."""
     args = [(record, config, i) for i in range(config.num_envs)]
     workers = min(workers, config.num_envs)  # a pool starts every worker it is given
     if workers <= 1:
@@ -275,9 +277,9 @@ def _run_tasks(record, config, workers: int):
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_env_task, args))  # in submission order
-    registry = {}  # the default action shows each (message, category, line) once per sweep
-    for warning in (w for *_, caught in results for w in caught):
-        warnings.warn_explicit(*warning, registry=registry)
+    registry = {}  # the default action shows each (message, category) once per sweep
+    for message, category in (w for *_, caught in results for w in caught):
+        warnings.warn_explicit(message, category, __name__, 0, registry=registry)
     records = [rec for _, rec, err, _ in results if err is None]
     failures = [(idx, err) for idx, _, err, _ in results if err is not None]
     return records, failures

@@ -6,8 +6,9 @@ work is scheduled across processes. A substream is addressed by a path of
 integers and short strings, e.g. ``substream(seed, env_index, run_index,
 "rewards")``; equal paths always yield identical generators.
 
-``substream_raw`` computes the first raw outputs of many substreams whose
-paths differ in one integer at once, with the same numbers as ``substream``:
+``substream_raw`` computes the first raw outputs of many substreams at once,
+any of whose integer path parts may vary by row, with the same numbers as
+``substream``:
 numpy's ``SeedSequence`` hash of the path, PCG64 seeding from its state words,
 then the XSL-RR output function (O'Neill, *PCG*, 2014), in uint64 arithmetic.
 ``substream_random`` and ``substream_integers`` map those outputs the way
@@ -28,6 +29,7 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 # PCG64's 128-bit LCG multiplier as (high, low) 64-bit halves
 _PCG_MULT = (2549297995355413924, 4865540595714422341)
 _U32, _U64 = np.uint32, np.uint64
+_HASH_ROWS = 2048  # rows hashed at once: bounds the temporaries at about 0.5 MiB
 
 
 def _coerce(part) -> int:
@@ -46,11 +48,6 @@ def substream(*path) -> np.random.Generator:
     if not path:
         raise TypeError("substream needs at least one path element")
     return np.random.default_rng(np.random.SeedSequence([_coerce(p) for p in path]))
-
-
-def _words(value: int) -> list[int]:
-    """SeedSequence's little-endian 32-bit words of a coerced path part."""
-    return [value & _MASK32, value >> 32] if value >> 32 else [value]
 
 
 def _pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
@@ -129,55 +126,72 @@ def _raw_outputs(entropy: list[np.ndarray], draws: int) -> np.ndarray:
     return out
 
 
-def substream_raw(prefix: tuple, ids, suffix: tuple = (), draws: int = 1) -> np.ndarray:
-    """The first ``draws`` raw 64-bit outputs of ``substream(*prefix, i, *suffix)``
-    for every ``i`` of ``ids``, as a ``(len(ids), draws)`` uint64 array.
+def _part(part) -> np.ndarray:
+    """A path part as uint64: a scalar (int or str), or an array or nested
+    sequence of per-row ones."""
+    if isinstance(part, np.ndarray) and part.dtype.kind in "iu":
+        return part.astype(_U64)  # a negative int64 maps by two's complement, as _coerce does
+    return np.asarray(np.frompyfunc(_coerce, 1, 1)(np.array(part, dtype=object)), dtype=_U64)
 
-    ``ids`` is a sequence of path parts. Row ``r`` equals
-    ``substream(*prefix, ids[r], *suffix).bit_generator.random_raw(draws)``
-    (negative ids map by two's complement, as there). All rows are derived in
-    one pass of array arithmetic.
+
+def substream_raw(*path, draws: int = 1) -> np.ndarray:
+    """The first ``draws`` raw 64-bit outputs of ``substream(*path)`` for many paths at once.
+
+    Each part is a scalar (int or str) or an array of per-row ints; array
+    parts broadcast together, and the result has their shape plus a trailing
+    ``draws`` axis. Row ``r`` equals ``substream(*row_r).bit_generator.random_raw(draws)``
+    for the path ``row_r`` of scalars at that position (negative ints map by
+    two's complement, as there). All rows are derived in one pass of array
+    arithmetic per word count: a part of two 32-bit words lengthens the
+    entropy, which changes the mixing.
     """
-    ids = np.array([_coerce(i) for i in ids], dtype=_U64)
-    head = [w for p in prefix for w in _words(_coerce(p))]
-    tail = [w for p in suffix for w in _words(_coerce(p))]
-    out = np.empty((len(ids), draws), dtype=_U64)
-    # an id of two 32-bit words lengthens the entropy, which changes the mixing
-    wide = ids > _U64(_MASK32)
-    for rows in (np.flatnonzero(~wide), np.flatnonzero(wide)):
-        if rows.size == 0:
-            continue
-        lo = (ids[rows] & _U64(_MASK32)).astype(_U32)
-        middle = [lo, (ids[rows] >> _U64(32)).astype(_U32)] if wide[rows[0]] else [lo]
-        entropy = [np.full(rows.size, w, dtype=_U32) for w in head] + middle + [
-            np.full(rows.size, w, dtype=_U32) for w in tail]
-        out[rows] = _raw_outputs(entropy, draws)
-    return out
+    if not path:
+        raise TypeError("substream needs at least one path element")
+    parts = [_part(p) for p in path]
+    shape = np.broadcast_shapes(*(p.shape for p in parts))
+    table = np.stack([np.broadcast_to(p, shape).ravel() for p in parts])  # (parts, rows)
+    wide = table > _U64(_MASK32)
+    pattern = (wide << np.arange(len(parts))[:, None]).sum(axis=0)
+    out = np.empty((table.shape[1], draws), dtype=_U64)
+    for key in np.flatnonzero(np.bincount(pattern)):  # each word-count pattern present
+        same = np.flatnonzero(pattern == key)
+        for rows in np.split(same, range(_HASH_ROWS, same.size, _HASH_ROWS)):
+            entropy = []
+            for values, two_words in zip(table[:, rows], wide[:, rows[0]]):
+                entropy.append((values & _U64(_MASK32)).astype(_U32))
+                if two_words:
+                    entropy.append((values >> _U64(32)).astype(_U32))
+            out[rows] = _raw_outputs(entropy, draws)
+    return out.reshape(shape + (draws,))
 
 
-def substream_random(prefix: tuple, ids, suffix: tuple = ()) -> list[float]:
-    """``substream(*prefix, i, *suffix).random()`` for each id ``i``: the top
-    53 bits of the first raw output, scaled by 2**-53."""
-    raw = substream_raw(prefix, ids, suffix)[:, 0]
-    return ((raw >> _U64(11)).astype(np.float64) * 2.0**-53).tolist()
+def substream_random(*path) -> np.ndarray:
+    """``substream(*row).random()`` for each row of the path (as ``substream_raw``
+    takes it): the top 53 bits of the first raw output, scaled by 2**-53."""
+    raw = substream_raw(*path)[..., 0]
+    return (raw >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
-def substream_integers(prefix: tuple, ids, suffix: tuple, sizes) -> list[int]:
-    """``substream(*prefix, i, *suffix).integers(0, m)`` for each id ``i`` and
-    size ``m`` (m < 2**32), by numpy's Lemire rule: the stream's 32-bit words
-    (low half of each raw output, then the high half) are scaled by m, and the
-    first ``w`` with ``(w * m) mod 2**32 >= (2**32 - m) % m`` gives
-    ``(w * m) >> 32``. Rows whose words are all rejected derive more outputs."""
-    ids, m = list(ids), np.array(sizes, dtype=_U64)
+def substream_integers(*path, sizes) -> np.ndarray:
+    """``substream(*row).integers(0, m)`` for each row of the path (as
+    ``substream_raw`` takes it) and size ``m`` of ``sizes`` (m < 2**32, broadcast
+    with the rows), by numpy's Lemire rule: the stream's 32-bit words (low half
+    of each raw output, then the high half) are scaled by m, and the first
+    ``w`` with ``(w * m) mod 2**32 >= (2**32 - m) % m`` gives ``(w * m) >> 32``.
+    Rows whose words are all rejected derive more outputs."""
+    parts = [_part(p) for p in path]
+    shape = np.broadcast_shapes(np.shape(sizes), *(p.shape for p in parts))
+    rows = [np.broadcast_to(p, shape).ravel() for p in parts]
+    m = np.broadcast_to(np.asarray(sizes, dtype=_U64), shape).ravel()
     low, shift = _U64(_MASK32), _U64(32)
     threshold = (_U64(2**32) - m) % m
-    out = np.full(len(ids), -1, dtype=np.int64)
-    todo, draws = np.arange(len(ids)), 1
+    out = np.full(m.size, -1, dtype=np.int64)
+    todo, draws = np.arange(m.size), 1
     while todo.size:
-        raw = substream_raw(prefix, [ids[i] for i in todo], suffix, draws)
+        raw = substream_raw(*(r[todo] for r in rows), draws=draws)
         for word in np.stack([raw & low, raw >> shift], axis=2).reshape(len(todo), -1).T:
             scaled = word * m[todo]
             accept = (out[todo] < 0) & ((scaled & low) >= threshold[todo])
             out[todo[accept]] = (scaled[accept] >> shift).astype(np.int64)
         todo, draws = todo[out[todo] < 0], 2 * draws
-    return out.tolist()
+    return out.reshape(shape)

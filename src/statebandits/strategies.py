@@ -61,17 +61,20 @@ def _check_alpha(alpha: float) -> None:
         raise ConfigurationError(f"alpha must exceed 2, got {alpha}")
 
 
-def _optimism_pick(counts, sums, visit: int, alpha_log_t: float, family: PsiFamily, score, bonus):
+def _optimism_pick(counts, sums, visit: int, alpha_log_t: float, family: PsiFamily, score, bonus,
+                   weights=None):
     """Arms played at the ``visit``-th earlier visit to a state, given its (runs,
-    K) float tables. Visit v < K is forced exploration: arm v, the lowest
-    unpulled one, in every run. After that every cell has pulls, and the arm
-    with the best sample mean plus the bonus on alpha*ln(t)/count (>= 0 as
-    t >= 1) is played, ties to the lowest; the index is written into the
-    scratch tables ``score`` and ``bonus``."""
+    K) tables. Visit v < K is forced exploration: arm v, the lowest unpulled
+    one, in every run. After that every cell has pulls, and the arm with the
+    best mean ``sums / weights`` (the sample mean when ``weights`` is None)
+    plus the bonus on alpha*ln(t)/count (>= 0 as t >= 1) is played, ties to
+    the lowest; the index is written into the scratch tables ``score`` and
+    ``bonus``."""
     if visit < counts.shape[1]:
         return np.full(counts.shape[0], visit)
     _psi_star_inv(family, np.divide(alpha_log_t, counts, out=bonus), out=bonus)
-    return np.argmax(np.add(np.divide(sums, counts, out=score), bonus, out=score), axis=1)
+    mean = np.divide(sums, counts if weights is None else weights, out=score)
+    return np.add(mean, bonus, out=score).argmax(axis=1)
 
 
 _BLOCK_VARIATES = 1 << 18  # reward variates optimism_play holds at once: 2 MiB of float64

@@ -16,15 +16,15 @@ import csv
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .divergence import BOUNDED_UNIT, _psi_star_inv
+from .divergence import BOUNDED_UNIT
 from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError
 from .rng import substream, substream_integers, substream_random
-from .strategies import cell_means
+from .strategies import _optimism_pick, cell_means
 
 __all__ = [
     "RiskLabel",
@@ -32,19 +32,25 @@ __all__ = [
     "STAGE_COSTS_MILLI",
     "STAGE_GAINS",
     "Population",
+    "SeedBatch",
     "synth_population",
     "load_evaluations",
     "StageSpec",
     "allocation_budgets",
     "default_stages",
     "PipelineResult",
+    "PipelineBatch",
     "run_pipeline",
+    "run_pipeline_batch",
     "BaselineResult",
+    "BaselineBatch",
     "run_baseline",
+    "run_baseline_batch",
     "BASELINES",
     "Counts",
     "Metrics",
     "metrics",
+    "metrics_batch",
     "dollars",
 ]
 
@@ -93,7 +99,7 @@ class Population:
     one (``confusion`` None) has ``recorded = (flat, start, size)``: row r's
     stage-s labels in file order are ``size[s - 1, r]`` entries of ``flat``
     from ``start[s - 1, r]``, and ``machine_probs[r]`` is its automated
-    probability vector. Baseline rater labels are kept (see ``rater_labels``).
+    probability vector.
     """
 
     ids: np.ndarray
@@ -101,7 +107,6 @@ class Population:
     confusion: np.ndarray | None = None
     recorded: tuple | None = None
     machine_probs: np.ndarray | None = None
-    _rater_labels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ids", np.asarray(self.ids, dtype=np.int64))
@@ -123,38 +128,77 @@ class Population:
     def kind(self) -> str:
         return "replay" if self.confusion is None else "synthetic"
 
-    def _replayed(self, stage: int, rows: np.ndarray) -> Callable:
-        """The replay label rule: ``label(k, i)`` is the ``i``-th recorded stage
-        label of population row ``rows[k]``, cyclically in file order."""
-        flat, start, size = self.recorded
-        start, size = start[stage - 1, rows], size[stage - 1, rows]
-        if not size.all():
-            raise ValidationError(f"individual {self.ids[rows[size == 0][0]]} has no recorded "
-                                  f"stage-{stage} labels", field="recorded")
-        return lambda k, i: flat[start[k] + i % size[k]]
 
-    def rater_labels(self, rows: np.ndarray, stage: int, seed: int, tag: str) -> np.ndarray:
-        """One evaluation each of population rows ``rows`` by a randomly
-        assigned rater (used by baselines): what ``substream(seed, id, tag)``
-        picks with ``.random()`` through the confusion row (synthetic) or
-        ``.integers(0, m)`` from the m recorded labels (replay). Labels not
-        yet kept are derived in one pass and kept, so the baselines of one
-        seed derive each label once however many read it; only the latest
-        seed's labels are kept."""
-        if any(key[0] != seed for key in self._rater_labels):
-            self._rater_labels.clear()
-        kept = self._rater_labels.setdefault((seed, stage, tag), np.full(len(self.ids), -1))
-        new = rows[kept[rows] < 0]
-        if new.size:
-            ids = self.ids[new]
-            if self.confusion is not None:
-                u = np.array(substream_random((seed,), ids, (tag,)))
-                kept[new] = _confusion_labels(self.confusion[stage - 1][self.true_risk[new]], u)
-            else:
-                label = self._replayed(stage, new)
-                picks = substream_integers((seed,), ids, (tag,), self.recorded[2][stage - 1, new])
-                kept[new] = label(slice(None), np.array(picks))
-        return kept[rows]
+class SeedBatch:
+    """Populations of one size and kind, one per seed, run as one batch: row b
+    of every ``(seeds, n)`` table is population ``pops[b]`` under ``seeds[b]``.
+    A replay batch keeps every population's recorded labels in one ``flat``
+    array with ``start`` and ``size`` of shape ``(seeds, 3, n)``. Rater labels
+    are derived for everyone in one pass the first time a baseline reads them,
+    and the baselines' random cohort is drawn once per seed; both are kept
+    while the batch lives, so every baseline of a batch reads the same ones.
+    """
+
+    def __init__(self, pops, seeds):
+        pops, self.seeds = list(pops), [int(s) for s in seeds]
+        if not pops or len(pops) != len(self.seeds):
+            raise ValidationError(f"need one population per seed, got {len(pops)} for {len(self.seeds)}",
+                                  field="seeds")
+        if len({(p.kind, len(p.ids)) for p in pops}) > 1:
+            raise ValidationError("populations of one batch need one size and one kind", field="pops")
+        self.kind = pops[0].kind
+        self.ids = np.stack([p.ids for p in pops])
+        self.everyone = np.tile(np.arange(self.ids.shape[1]), (len(pops), 1))  # each seed's rows, in id order
+        self.true_risk = np.stack([p.true_risk for p in pops])
+        if self.kind == "synthetic":
+            self.confusion = np.stack([p.confusion for p in pops])
+        else:
+            self.machine_probs = np.stack([p.machine_probs for p in pops])
+            flats = [p.recorded[0] for p in pops]
+            offsets = np.cumsum([0] + [len(f) for f in flats[:-1]])
+            self.flat = np.concatenate(flats)
+            self.start = np.stack([p.recorded[1] + o for p, o in zip(pops, offsets)])
+            self.size = np.stack([p.recorded[2] for p in pops])
+        self._kept: dict = {}
+
+    def recorded(self, stage: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A replay batch's ``(start, size)`` of the stage labels of population
+        rows ``rows`` (seeds, k); each of them needs at least one label."""
+        b = np.arange(len(rows))[:, None]
+        size = self.size[b, stage - 1, rows]
+        if not size.all():
+            seed, k = np.argwhere(size == 0)[0]
+            raise ValidationError(f"individual {self.ids[seed, rows[seed, k]]} has no recorded "
+                                  f"stage-{stage} labels", field="recorded")
+        return self.start[b, stage - 1, rows], size
+
+    def rater_labels(self, rows: np.ndarray, stage: int, tag: str) -> np.ndarray:
+        """One evaluation each of population rows ``rows`` (seeds, k) by a
+        randomly assigned rater (used by baselines): what ``substream(seed, id,
+        tag)`` picks with ``.random()`` through the confusion row (synthetic) or
+        ``.integers(0, m)`` from the m recorded labels (replay)."""
+        if self.kind == "replay":
+            self.recorded(stage, rows)
+        if (stage, tag) not in self._kept:
+            seeds = np.array(self.seeds, dtype=object)[:, None]  # one per row of ids
+            if self.kind == "synthetic":
+                b = np.arange(len(self.seeds))[:, None]
+                labels = _confusion_labels(self.confusion[b, stage - 1, self.true_risk],
+                                           substream_random(seeds, self.ids, tag))
+            else:  # people without stage labels get none; recorded() keeps them unread
+                size, labels = self.size[:, stage - 1], np.full(self.ids.shape, -1)
+                picks = substream_integers(seeds, self.ids, tag, sizes=np.maximum(size, 1))
+                labels[size > 0] = self.flat[(self.start[:, stage - 1] + picks)[size > 0]]
+            self._kept[stage, tag] = labels
+        return np.take_along_axis(self._kept[stage, tag], rows, axis=1)
+
+    def cohort(self) -> np.ndarray:
+        """Each seed's random SUB_COHORT-person cohort, as ascending rows."""
+        if "cohort" not in self._kept:
+            self._kept["cohort"] = np.stack([
+                np.sort(substream(seed, "cohort").choice(self.ids.shape[1], size=SUB_COHORT, replace=False))
+                for seed in self.seeds])
+        return self._kept["cohort"]
 
 
 def _confusion_labels(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -162,7 +206,8 @@ def _confusion_labels(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     confusion row is the number of the row's cumulative sums at or below
     ``u``, capped at SEVERE. ``np.cumsum`` adds in label order, so this is the
     first label whose cumulative sum exceeds ``u``, or SEVERE if none does."""
-    return np.minimum((np.cumsum(rows, axis=-1) <= u[..., None]).sum(axis=-1), RiskLabel.SEVERE)
+    cumulative = np.cumsum(rows, axis=-1)
+    return np.minimum(sum((cumulative[..., label] <= u for label in RiskLabel), np.int8(0)), RiskLabel.SEVERE)
 
 
 def synth_population(
@@ -369,15 +414,42 @@ class PipelineResult:
     spend_milli: int
 
     def positives(self, mode: str = "mab") -> frozenset:
-        if mode == "mab":
-            return frozenset(self.final_cohort)
-        if mode == "mab_star":
-            return frozenset(self.final_cohort) & self.expert_severe
-        raise ConfigurationError(f"unknown mode {mode!r}")
+        return _flagged(frozenset(self.final_cohort), self.expert_severe, mode)
+
+
+@dataclass(frozen=True)
+class PipelineBatch:
+    """One pipeline run per seed of a SeedBatch, as ``PipelineResult`` fields
+    over population rows: ``evaluated`` and ``expert_severe`` are ``(seeds, n)``
+    masks, and each of ``stages`` is ``(index, pulls, spend_milli, survivors,
+    u_hat)`` with the survivors' rows and estimates as ``(seeds, cohort_out)``."""
+
+    stages: tuple
+    evaluated: np.ndarray
+    expert_severe: np.ndarray
+    spend_milli: int
+
+    def positives(self, mode: str = "mab") -> np.ndarray:
+        final = np.zeros_like(self.evaluated)
+        np.put_along_axis(final, self.stages[-1][3], True, axis=1)
+        return _flagged(final, self.expert_severe, mode)
+
+
+def _flagged(final, expert_severe, mode: str):
+    """A pipeline's positives in each mode, from frozensets or masks alike."""
+    if mode == "mab":
+        return final
+    if mode == "mab_star":
+        return final & expert_severe
+    raise ConfigurationError(f"unknown mode {mode!r}")
 
 
 UCB_ALPHA = 3.0
 """Exploration rate of the ``ucb`` policy's optimism bonus."""
+
+_WARNED: dict = {}
+"""Registry of the stage-budget warnings: each text shows once per process,
+named by the module rather than by a source line."""
 
 
 def run_pipeline(
@@ -397,8 +469,34 @@ def run_pipeline(
     the within-stage pull numbers), ties toward the lower id. Replay
     individuals cycle their recorded labels for the stage in file order, from
     the first in every stage. Cohort cuts keep the top ``cohort_out`` by
-    gain-weighted encoded mean, ties toward the lower id.
+    gain-weighted encoded mean, ties toward the lower id. This is
+    ``run_pipeline_batch`` with one seed.
     """
+    res = run_pipeline_batch(SeedBatch([pop], [seed]), stages, policy, encoding)
+    outcomes = []
+    for index, pulls, spend, rows, u_hat in res.stages:
+        survivors = tuple(pop.ids[rows[0]].tolist())
+        outcomes.append(StageOutcome(index, pulls, spend, survivors, dict(zip(survivors, u_hat[0].tolist()))))
+    return PipelineResult(
+        final_cohort=outcomes[-1].survivors,
+        evaluated=frozenset(pop.ids[res.evaluated[0]].tolist()),
+        expert_severe=frozenset(pop.ids[res.expert_severe[0]].tolist()),
+        stages=tuple(outcomes),
+        spend_milli=res.spend_milli,
+    )
+
+
+def run_pipeline_batch(
+    batch: SeedBatch,
+    stages: list[StageSpec],
+    policy: str = "round_robin",
+    encoding: str = "linear",
+) -> PipelineBatch:
+    """``run_pipeline`` for every seed of a batch at once. The seeds' runs keep
+    ``(seeds, survivors)`` tables and step in lockstep: every seed funds the
+    same pulls, each draws its stage uniforms from its own ``substream(seed,
+    "pipeline")`` in the calls a single run makes, and each ``ucb`` pull after
+    the first pass is one optimism pick over all seeds."""
     if policy not in ("round_robin", "ucb"):
         raise ConfigurationError(f"unknown policy {policy!r}")
     values = np.array(_encoding(encoding))
@@ -408,7 +506,8 @@ def run_pipeline(
     indices = [st.index for st in stages]
     if len(set(indices)) != len(indices):
         raise ValidationError(f"stage indices must be distinct, got {indices}", field="index")
-    prev = len(pop.ids)
+    seeds, n = batch.ids.shape
+    prev = n
     for st in stages:
         if st.cohort_out > prev:
             raise ValidationError(
@@ -416,67 +515,73 @@ def run_pipeline(
                 field="cohort_out",
             )
         prev = st.cohort_out
-    rng = substream(seed, "pipeline")
-    rows = np.arange(len(pop.ids))  # the survivors' population rows, in id order
-    w_enc, w_sum = np.zeros((2, len(rows)))  # per-survivor gain-weighted sums
-    evaluated, expert_severe = np.zeros((2, len(rows)), dtype=bool)
-    outcomes: list[StageOutcome] = []
+    b = np.arange(seeds)[:, None]
+    rngs = [substream(seed, "pipeline") for seed in batch.seeds]
+    rows = batch.everyone  # the survivors' population rows, in id order
+    w_enc, w_sum = np.zeros((2, seeds, n))  # per-survivor gain-weighted sums
+    evaluated, expert_severe = np.zeros((2, seeds, n), dtype=bool)
+    outcomes = []
     for st in stages:
-        m, gain = len(rows), st.gain  # the ucb loop reads the gain twice per pull
+        m, gain = rows.shape[1], st.gain
         max_pulls = st.budget_milli // st.cost_milli
         if max_pulls == 0:
-            warnings.warn(f"stage {st.index}: budget funds no pulls; stage skipped", stacklevel=2)
+            warnings.warn_explicit(f"stage {st.index}: budget funds no pulls; stage skipped",
+                                   UserWarning, __name__, 0, registry=_WARNED)
         elif max_pulls < m:
-            warnings.warn(f"stage {st.index}: budget funds {max_pulls} pulls for {m} survivors",
-                          stacklevel=2)
-        label = _stage_rule(pop, st.index, rows[:max_pulls], rng, max_pulls)
-        # round_robin pulls the whole stage in one batch, ucb its first pass
-        batch = max_pulls if policy == "round_robin" else min(m, max_pulls)
-        ks = np.arange(max_pulls) % m  # survivor of each pull; ucb fills in those past the batch
-        labels = np.empty(max_pulls, dtype=np.int64)
-        labels[:batch] = label(ks[:batch], np.arange(batch), np.arange(batch) // m)
-        np.add.at(w_enc, ks[:batch], gain * values[labels[:batch]])
-        np.add.at(w_sum, ks[:batch], gain)
-        counts = np.bincount(ks[:batch], minlength=m)  # within-stage pulls, also the replay cursors
-        for j in range(batch, max_pulls):
-            bonus = _psi_star_inv(BOUNDED_UNIT, UCB_ALPHA * math.log(j + 1) / counts)
-            k = ks[j] = int((w_enc / w_sum + bonus).argmax())
-            labels[j] = label(k, j, counts[k])
-            counts[k] += 1
-            w_enc[k] += gain * values[labels[j]]
-            w_sum[k] += gain
-        evaluated[rows[ks]] = True
+            warnings.warn_explicit(f"stage {st.index}: budget funds {max_pulls} pulls for {m} survivors",
+                                   UserWarning, __name__, 0, registry=_WARNED)
+        reached = min(m, max_pulls)  # every pull is of one of the first `reached` survivors
+        label = _stage_rule(batch, st.index, rows[:, :reached], rngs, max_pulls)
+        # within-stage pulls as floats, as the optimism pick divides by them; also the replay
+        # cursors; and whether a pull of the survivor saw Severe
+        counts, severe = np.zeros((seeds, m)), np.zeros((seeds, m), dtype=bool)
+        # round_robin cycles the survivors in id order all stage, ucb for its first pass;
+        # one pass of pulls j = lo, lo + 1, ... reads survivors 0, 1, ... at once
+        first = max_pulls if policy == "round_robin" else reached
+        for lo in range(0, first, m):
+            width = min(m, first - lo)
+            labels = label(b * reached + np.arange(width), np.arange(lo, lo + width), counts[:, :width])
+            w_enc[:, :width] += gain * values[labels]
+            w_sum[:, :width] += gain
+            counts[:, :width] += 1
+            severe[:, :width] |= labels == RiskLabel.SEVERE
+        # past the first pass reached == m, and a pull's flat position in these C-order tables is seed * m + k
+        score, bonus = np.empty((2, seeds, m))
+        offsets = np.arange(seeds) * m
+        pulls_of, enc_of, sum_of, severe_of = (a.reshape(-1) for a in (counts, w_enc, w_sum, severe))
+        for j in range(first, max_pulls):
+            f = offsets + _optimism_pick(counts, w_enc, j, UCB_ALPHA * math.log(j + 1), BOUNDED_UNIT,
+                                         score, bonus, w_sum)
+            c = pulls_of[f]
+            lab = label(f, j, c)
+            pulls_of[f] = c + 1
+            enc_of[f] += gain * values[lab]
+            sum_of[f] += gain
+            severe_of[f] |= lab == RiskLabel.SEVERE
+        evaluated[b, rows[:, :reached]] = True
         if st.index == 3:
-            expert_severe[rows[ks[labels == RiskLabel.SEVERE]]] = True
+            expert_severe[b, rows] = severe
         u_hat = cell_means(w_sum, w_enc, 0.0)
-        keep = np.sort(np.lexsort((np.arange(m), -u_hat))[: st.cohort_out])
-        rows, w_enc, w_sum = rows[keep], w_enc[keep], w_sum[keep]
-        survivors = tuple(pop.ids[rows].tolist())
-        outcomes.append(StageOutcome(
-            index=st.index, pulls=max_pulls, spend_milli=max_pulls * st.cost_milli,
-            survivors=survivors, u_hat=dict(zip(survivors, u_hat[keep].tolist())),
-        ))
-    return PipelineResult(
-        final_cohort=outcomes[-1].survivors,
-        evaluated=frozenset(pop.ids[evaluated].tolist()),
-        expert_severe=frozenset(pop.ids[expert_severe].tolist()),
-        stages=tuple(outcomes),
-        spend_milli=sum(o.spend_milli for o in outcomes),
-    )
+        keep = np.sort(np.argsort(-u_hat, axis=1, kind="stable")[:, :st.cohort_out], axis=1)
+        rows, w_enc, w_sum, u_hat = (np.take_along_axis(a, keep, axis=1) for a in (rows, w_enc, w_sum, u_hat))
+        outcomes.append((st.index, max_pulls, max_pulls * st.cost_milli, rows, u_hat))
+    return PipelineBatch(tuple(outcomes), evaluated, expert_severe, sum(o[2] for o in outcomes))
 
 
-def _stage_rule(pop: Population, stage: int, rows: np.ndarray, rng: np.random.Generator,
-                pulls: int) -> Callable:
-    """The label of a stage's pull ``j``, the ``c``-th of survivor ``k`` (population
-    row ``rows[k]``), as ``label(k, j, c)``. A synthetic stage draws one uniform per
-    pull in one call and reads a ``(4, pulls)`` table of the label each picks for
-    each true label; a replay stage reads the survivor's recorded labels."""
-    if pop.kind == "replay":
-        replayed = pop._replayed(stage, rows)
-        return lambda k, j, c: replayed(k, c)
-    table = _confusion_labels(pop.confusion[stage - 1][:, None], rng.random(pulls))
-    true = pop.true_risk[rows]
-    return lambda k, j, c: table[true[k], j]
+def _stage_rule(batch: SeedBatch, stage: int, rows: np.ndarray, rngs: list, pulls: int) -> Callable:
+    """The labels of a stage's pulls ``j``, the ``c``-th (a whole float) of the
+    survivor at flat position ``f`` of ``rows`` (seeds, k), as ``label(f, j, c)``.
+    A synthetic stage draws one uniform per pull in one call per seed and reads
+    a table of the label each picks for each seed and true label; a replay
+    stage reads the survivor's recorded labels."""
+    b = np.arange(len(rows))[:, None]
+    if batch.kind == "replay":
+        start, size = (a.reshape(-1) for a in batch.recorded(stage, rows))
+        return lambda f, j, c: batch.flat[start[f] + c.astype(np.int64) % size[f]]
+    u = np.stack([rng.random(pulls) for rng in rngs])
+    table = _confusion_labels(batch.confusion[:, stage - 1, :, None], u[:, None]).reshape(len(rows) * 4, pulls)
+    row = (b * 4 + batch.true_risk[b, rows]).reshape(-1)  # the table row of a survivor's seed and true label
+    return lambda f, j, c: table[row[f], j]
 
 
 @dataclass(frozen=True)
@@ -493,26 +598,40 @@ class BaselineResult:
         return self._positives
 
 
-def _nlp_labels(pop: Population, rows: np.ndarray, seed: int) -> np.ndarray:
+@dataclass(frozen=True)
+class BaselineBatch:
+    """A reference approach per seed of a SeedBatch: ``BaselineResult`` with
+    ``(seeds, n)`` masks of population rows."""
+
+    name: str
+    evaluated: np.ndarray
+    _positives: np.ndarray
+    spend_milli: int
+    n_evaluations: int
+
+    def positives(self, mode: str = "mab") -> np.ndarray:
+        return self._positives
+
+
+def _nlp_labels(batch: SeedBatch, rows: np.ndarray) -> np.ndarray:
     """The automated stage's predictions: the machine argmax (replay) or one
     stage-1 evaluation each (synthetic)."""
-    if pop.kind == "replay":
-        return np.argmax(pop.machine_probs[rows], axis=1)
-    return pop.rater_labels(rows, 1, seed, "nlp")
+    if batch.kind == "replay":
+        return np.argmax(batch.machine_probs[np.arange(len(rows))[:, None], rows], axis=-1)
+    return batch.rater_labels(rows, 1, "nlp")
 
 
 @dataclass(frozen=True)
 class _Rater:
     per_person: int  # evaluations per person rated
     cost_milli: int  # per evaluation
-    labels: Callable[[Population, np.ndarray, int], np.ndarray]  # of population rows
+    labels: Callable[[SeedBatch, np.ndarray], np.ndarray]  # of population rows (seeds, k)
 
 
-_CONSENSUS = _Rater(4, STAGE_COSTS_MILLI[2], lambda pop, rows, seed: pop.true_risk[rows])
-_EXPERT = _Rater(1, STAGE_COSTS_MILLI[2],
-                 lambda pop, rows, seed: pop.rater_labels(rows, 3, seed, "expert"))
+_CONSENSUS = _Rater(4, STAGE_COSTS_MILLI[2], lambda batch, rows: np.take_along_axis(batch.true_risk, rows, 1))
+_EXPERT = _Rater(1, STAGE_COSTS_MILLI[2], lambda batch, rows: batch.rater_labels(rows, 3, "expert"))
 _NLP = _Rater(1, STAGE_COSTS_MILLI[0], _nlp_labels)
-_FLAG_ALL = _Rater(0, 0, lambda pop, rows, seed: np.full(len(rows), RiskLabel.SEVERE))
+_FLAG_ALL = _Rater(0, 0, lambda batch, rows: np.full(rows.shape, RiskLabel.SEVERE))
 
 # baseline: (who the rater sees, rater); the top view ranks everyone by one
 # NLP pass first, so it evaluates everyone
@@ -534,41 +653,53 @@ TOP_K = 100
 COHORT_BASELINES = tuple(name for name, (view, _) in _BASELINE_TABLE.items() if view == "cohort")
 
 
-def _nlp_ranked(pop: Population, rows: np.ndarray, seed: int) -> np.ndarray:
-    """Population rows ``rows`` (ascending) with the likeliest Severe by NLP
-    first, ties toward the lower id."""
-    replay = pop.kind == "replay"
-    scores = pop.machine_probs[rows, RiskLabel.SEVERE] if replay else _nlp_labels(pop, rows, seed)
-    return rows[np.argsort(-scores, kind="stable")]
+def _nlp_ranked(batch: SeedBatch) -> np.ndarray:
+    """Each seed's population rows with the likeliest Severe by NLP first, ties
+    toward the lower id."""
+    replay = batch.kind == "replay"
+    scores = batch.machine_probs[:, :, RiskLabel.SEVERE] if replay else _nlp_labels(batch, batch.everyone)
+    return np.argsort(-scores, axis=1, kind="stable")
 
 
 def run_baseline(name: str, pop: Population, seed: int = 0) -> BaselineResult:
     """Run a reference approach and return its flagged set with accounting.
 
     The COHORT_BASELINES rate a random cohort of SUB_COHORT people; the top
-    baselines rate the TOP_K people the NLP pass ranks first.
+    baselines rate the TOP_K people the NLP pass ranks first. This is
+    ``run_baseline_batch`` with one seed.
     """
+    res = run_baseline_batch(name, SeedBatch([pop], [seed]))
+    return BaselineResult(name, frozenset(pop.ids[res.evaluated[0]].tolist()),
+                          frozenset(pop.ids[res.positives()[0]].tolist()), res.spend_milli, res.n_evaluations)
+
+
+def run_baseline_batch(name: str, batch: SeedBatch) -> BaselineBatch:
+    """``run_baseline`` for every seed of a batch at once; the baselines of one
+    batch share its rater labels and cohorts."""
     if name not in _BASELINE_TABLE:
         raise ConfigurationError(f"unknown baseline {name!r}; known: {BASELINES}")
     view, rater = _BASELINE_TABLE[name]
-    everyone = np.arange(len(pop.ids))
+    seeds, n = batch.ids.shape
     evaluations = []  # (rater, people it rates)
     if view == "everyone":
-        seen = everyone
+        seen = batch.everyone
     elif view == "cohort":
-        if SUB_COHORT > len(everyone):
+        if SUB_COHORT > n:
             raise ConfigurationError(f"baseline {name!r} evaluates a {SUB_COHORT}-person cohort, "
-                                     f"more than n = {len(everyone)}")
-        seen = np.sort(substream(seed, "cohort").choice(len(everyone), size=SUB_COHORT, replace=False))
+                                     f"more than n = {n}")
+        seen = batch.cohort()
     else:
-        evaluations.append((_NLP, len(everyone)))
-        seen = _nlp_ranked(pop, everyone, seed)[:TOP_K]
-    evaluations.append((rater, len(seen)))
-    labels = rater.labels(pop, seen, seed)
-    return BaselineResult(
+        evaluations.append((_NLP, n))
+        seen = _nlp_ranked(batch)[:, :TOP_K]
+    evaluations.append((rater, seen.shape[1]))
+    b = np.arange(seeds)[:, None]
+    evaluated, positives = np.zeros((2, seeds, n), dtype=bool)
+    evaluated[b, seen] = True
+    positives[b, seen] = rater.labels(batch, seen) == RiskLabel.SEVERE
+    return BaselineBatch(
         name,
-        frozenset(pop.ids[seen if view == "cohort" else everyone].tolist()),
-        frozenset(pop.ids[seen[labels == RiskLabel.SEVERE]].tolist()),
+        evaluated if view == "cohort" else np.ones_like(evaluated),
+        positives,
         sum(count * r.per_person * r.cost_milli for r, count in evaluations),
         sum(count * r.per_person for r, count in evaluations),
     )
@@ -608,29 +739,38 @@ def metrics(result, pop: Population, mode: str = "mab") -> Metrics:
 
     Population counts run over everyone (unevaluated individuals are
     negatives by definition); cohort counts restrict to the evaluated set.
+    This is ``metrics_batch`` with one seed.
     """
-    positives = result.positives(mode)
-    severe = set(pop.ids[pop.true_risk == RiskLabel.SEVERE].tolist())
+    evaluated, positives = (np.isin(pop.ids, list(ids)) for ids in (result.evaluated, result.positives(mode)))
+    return _metrics(evaluated[None], positives[None], pop.true_risk[None] == RiskLabel.SEVERE)[0]
 
-    def count(universe) -> Counts:
-        tp = len(universe & severe & positives)
-        fp = len((universe & positives) - severe)
-        fn = len((universe & severe) - positives)
-        tn = len(universe) - tp - fp - fn
-        return Counts(tp=tp, fp=fp, fn=fn, tn=tn)
 
-    pop_counts = count(set(pop.ids.tolist()))
-    coh_counts = count(set(result.evaluated))
-    return Metrics(
-        population=pop_counts,
-        cohort=coh_counts,
-        pop_sensitivity=_rate(pop_counts.tp, pop_counts.tp + pop_counts.fn),
-        pop_precision=_rate(pop_counts.tp, pop_counts.tp + pop_counts.fp),
-        pop_specificity=_rate(pop_counts.tn, pop_counts.tn + pop_counts.fp),
-        cohort_sensitivity=_rate(coh_counts.tp, coh_counts.tp + coh_counts.fn),
-        cohort_precision=_rate(coh_counts.tp, coh_counts.tp + coh_counts.fp),
-        cohort_specificity=_rate(coh_counts.tn, coh_counts.tn + coh_counts.fp),
-    )
+def metrics_batch(result, batch: SeedBatch, mode: str = "mab") -> list[Metrics]:
+    """``metrics`` of a ``PipelineBatch`` or ``BaselineBatch`` for each seed."""
+    return _metrics(result.evaluated, result.positives(mode), batch.true_risk == RiskLabel.SEVERE)
+
+
+def _metrics(evaluated: np.ndarray, positives: np.ndarray, severe: np.ndarray) -> list[Metrics]:
+    """Each row's Metrics, counted from ``(seeds, n)`` masks."""
+
+    def count(universe) -> list[Counts]:
+        flagged = universe & positives
+        tp = (flagged & severe).sum(axis=1)
+        fp = flagged.sum(axis=1) - tp
+        fn = (universe & severe).sum(axis=1) - tp
+        tn = universe.sum(axis=1) - tp - fp - fn
+        return [Counts(*c) for c in zip(tp.tolist(), fp.tolist(), fn.tolist(), tn.tolist())]
+
+    return [Metrics(
+        population=p,
+        cohort=c,
+        pop_sensitivity=_rate(p.tp, p.tp + p.fn),
+        pop_precision=_rate(p.tp, p.tp + p.fp),
+        pop_specificity=_rate(p.tn, p.tn + p.fp),
+        cohort_sensitivity=_rate(c.tp, c.tp + c.fn),
+        cohort_precision=_rate(c.tp, c.tp + c.fp),
+        cohort_specificity=_rate(c.tn, c.tn + c.fp),
+    ) for p, c in zip(count(np.ones_like(severe)), count(evaluated))]
 
 
 def dollars(milli: int) -> float:

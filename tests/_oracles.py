@@ -429,3 +429,76 @@ def triage_pipeline(pop, stages, policy: str, encoding: str, rng) -> dict:
                     {i: estimate(i) for i in alive}))
     return {"final_cohort": tuple(alive), "evaluated": evaluated,
             "expert_severe": expert_severe, "stages": log}
+
+
+# baseline: (who is rated, rater); rater: (evaluations per person, milli-dollars each)
+BASELINE_RULES = {
+    "4Experts": ("everyone", "consensus"),
+    "1Expert": ("everyone", "expert"),
+    "4Experts-Sub": ("cohort", "consensus"),
+    "1Expert-Sub": ("cohort", "expert"),
+    "NLP-Full": ("everyone", "nlp"),
+    "NLP-Sub": ("cohort", "nlp"),
+    "NLP-Top-k": ("top", "flag"),
+    "NLP-Top-100+1Expert-Sub": ("top", "expert"),
+}
+RATERS = {"consensus": (4, 5350), "expert": (1, 5350), "nlp": (1, 1), "flag": (0, 0)}
+
+
+def triage_baseline(name: str, pop, seed: int, substream) -> dict:
+    """A reference approach re-implemented from its stated rules, with dicts
+    keyed by individual id.
+
+    ``everyone`` rates all n people. ``cohort`` rates the 100 population rows
+    that ``substream(seed, "cohort").choice(n, 100, replace=False)`` picks.
+    ``top`` first makes one NLP pass over everyone, ranks people by NLP score
+    (the machine P(Severe) for a replay, the NLP label for a synthetic
+    population), highest first and lowest id on ties, and rates the first 100.
+    The consensus rates with the true label, four evaluations each. The
+    expert and the synthetic NLP each take one draw of ``substream(seed, id,
+    tag)`` per person: ``.random()`` through ``confusion_walk`` of the stage's
+    confusion row (synthetic) or ``.integers(0, m)`` among the m recorded
+    stage labels in file order (replay); the expert reads stage 3 with tag
+    "expert", the NLP stage 1 with tag "nlp". A replay NLP label is the
+    machine argmax, lowest label on ties. Flag-all labels everyone Severe and
+    costs nothing. The positives are the rated people labelled Severe; the
+    evaluated set is the cohort, or everyone for the other views.
+    """
+    view, rater = BASELINE_RULES[name]
+    ids = pop.ids.tolist()
+    row = {i: r for r, i in enumerate(ids)}
+    true = dict(zip(ids, pop.true_risk.tolist()))
+    replay = pop.kind == "replay"
+
+    def label(who, i):
+        if who == "consensus":
+            return true[i]
+        if who == "flag":
+            return 3
+        if who == "nlp" and replay:
+            probs = pop.machine_probs[row[i]].tolist()
+            return probs.index(max(probs))
+        stage, tag = (3, "expert") if who == "expert" else (1, "nlp")
+        stream = substream(seed, i, tag)
+        if replay:
+            flat, start, size = pop.recorded
+            recorded = flat[start[stage - 1, row[i]]:][:size[stage - 1, row[i]]].tolist()
+            return recorded[int(stream.integers(0, len(recorded)))]
+        return confusion_walk(pop.confusion[stage - 1][true[i]].tolist(), stream.random())
+
+    passes = []  # (rater, people it rates)
+    if view == "everyone":
+        seen = ids
+    elif view == "cohort":
+        seen = [ids[r] for r in sorted(substream(seed, "cohort").choice(len(ids), size=100, replace=False))]
+    else:
+        passes.append(("nlp", len(ids)))
+        score = {i: pop.machine_probs[row[i]][3] if replay else label("nlp", i) for i in ids}
+        seen = sorted(ids, key=lambda i: (-score[i], i))[:100]
+    passes.append((rater, len(seen)))
+    return {
+        "evaluated": set(seen if view == "cohort" else ids),
+        "positives": {i for i in seen if label(rater, i) == 3},
+        "spend_milli": sum(RATERS[r][0] * RATERS[r][1] * people for r, people in passes),
+        "n_evaluations": sum(RATERS[r][0] * people for r, people in passes),
+    }

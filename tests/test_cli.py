@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import statebandits
-from statebandits import montecarlo
+from statebandits import cli, montecarlo
 from statebandits.cli import main
 
 
@@ -271,6 +271,27 @@ class TestErrors:
         assert errs[1] == errs[0]
         assert errs[0].count(b"UserWarning: horizon 3 is shorter than K*S = 4") == 1
         assert errs[0].count(b"failed: RecommendationError") == 6
+
+    def test_warnings_name_modules_not_source_paths(self, tmp_path):
+        # stderr must not depend on the checkout path or on line numbers: the sweep
+        # re-issues its environments' warnings, and the pipeline its stage-budget ones,
+        # at the module name, once per study however many seeds or batches warn
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(statebandits.__file__).parents[1])}
+        runs = [
+            ("tightness", "num_envs = 12\nruns_per_env = 20\nk_min = 2\nk_max = 4\ns_min = 1\ns_max = 1\n"
+                          "horizon = 3\n",
+             "statebandits.montecarlo:0: UserWarning: horizon 3 is shorter than K*S = 4"),
+            ("triage", f"k = 230, 100, 50\nnum_seeds = {cli.SEEDS_PER_BATCH + 2}\nbaselines =\n",
+             "statebandits.triage:0: UserWarning: stage 2: budget funds 200 pulls for 230 survivors"),
+        ]
+        for command, text, line in runs:
+            cfg = write_cfg(tmp_path / f"{command}.cfg", text)
+            proc = subprocess.run(
+                [sys.executable, "-m", "statebandits.cli", command, "--config", cfg, "--seed", "4",
+                 "--out", str(tmp_path / command)], capture_output=True, env=env, text=True, check=False)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.count(line) == 1, proc.stderr
+            assert ".py:" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["tightness", "sr-compare"])
     def test_empty_sweep_exits_0(self, tmp_path, command):
@@ -559,6 +580,40 @@ class TestTriage:
         out = tmp_path / "o"
         assert main(["triage", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
         assert hashlib.sha256((out / "triage.csv").read_bytes()).hexdigest() == expected
+
+    @pytest.mark.parametrize("replay", [False, True], ids=["synthetic", "replay"])
+    def test_batched_study_equals_per_seed_runs(self, tmp_path, monkeypatch, replay):
+        # 7 seeds in batches of 3, the last one partial; ucb goes past the first pass in stages 2 and 3
+        monkeypatch.setattr(cli, "SEEDS_PER_BATCH", 3)
+        text = "k = 100, 60, 30\npolicy = ucb\nnum_seeds = 7\n"
+        if replay:
+            human, machine = write_replay_pair(tmp_path)
+            text += f"n = 150\nhuman_csv = {human}\nmachine_pred = {machine}\n"
+        else:
+            text += "n = 120\nn_severe = 20\n"
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "o"
+        assert main(["triage", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+        # each seed on its own, through the single-run calls, then aggregated as the study does
+        stages = statebandits.default_stages(150 if replay else 120, (100, 60, 30))
+        approaches = ["MAB", "MAB*", *statebandits.BASELINES]
+        values = {a: [] for a in approaches}
+        for s in range(7):
+            run_seed = int(statebandits.substream(5, s, "triage-seed").integers(0, 2**62))
+            pop = (statebandits.load_evaluations(human, machine) if replay
+                   else statebandits.synth_population(120, 20, seed=run_seed))
+            result = statebandits.run_pipeline(pop, stages, "ucb", run_seed)
+            runs = [(result, "mab"), (result, "mab_star")] + [
+                (statebandits.run_baseline(name, pop, run_seed), "mab") for name in statebandits.BASELINES]
+            for approach, (res, mode) in zip(approaches, runs):
+                m = statebandits.metrics(res, pop, mode)
+                values[approach].append((res.spend_milli / 1000, len(res.evaluated), m.pop_sensitivity,
+                                         m.cohort_sensitivity, m.cohort_precision, m.cohort_specificity,
+                                         m.cohort.tp, m.cohort.fp, m.cohort.fn, m.cohort.tn))
+        with open(out / "triage.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [[a] + [fmt(col) for (_, fmt), col in zip(cli.TRIAGE_COLUMNS, zip(*values[a]))]
+                        for a in approaches]
 
     def test_small_run_table(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", "\n".join([

@@ -19,9 +19,9 @@ tags = st.sampled_from(["nlp", "expert", "cohort", "rewards", ""])
 @given(prefix=st.lists(seeds, min_size=0, max_size=3), suffix=st.lists(tags, max_size=2),
        batch=st.lists(ids, min_size=1, max_size=6), m=st.integers(1, 8))
 def test_batch_matches_substream(prefix, suffix, batch, m):
-    raw = substream_raw(tuple(prefix), batch, tuple(suffix), draws=3)
-    uniforms = substream_random(tuple(prefix), batch, tuple(suffix))
-    picks = substream_integers(tuple(prefix), batch, tuple(suffix), [m] * len(batch))
+    raw = substream_raw(*prefix, batch, *suffix, draws=3)
+    uniforms = substream_random(*prefix, batch, *suffix)
+    picks = substream_integers(*prefix, batch, *suffix, sizes=m)
     for row, i in enumerate(batch):
         path = (*prefix, i, *suffix)
         assert raw[row].tolist() == substream(*path).bit_generator.random_raw(3).tolist()
@@ -29,16 +29,35 @@ def test_batch_matches_substream(prefix, suffix, batch, m):
         assert picks[row] == substream(*path).integers(0, m)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(seeds, ids), min_size=1, max_size=5), cols=st.lists(ids, min_size=1, max_size=4),
+       tag=tags, m=st.integers(1, 8))
+def test_several_per_row_parts_broadcast(rows, cols, tag, m):
+    # a (seed, id) column against a row of ids, as rater labels of many seeds take them
+    seed_col, id_col = (np.array([r[i] % 2**64 for r in rows], dtype=np.uint64)[:, None] for i in (0, 1))
+    raw = substream_raw(seed_col, id_col, tag, cols, draws=2)
+    sizes = np.arange(len(cols)) % m + 1
+    picks = substream_integers(seed_col, id_col, tag, cols, sizes=sizes)
+    assert raw.shape == (len(rows), len(cols), 2) and picks.shape == (len(rows), len(cols))
+    for r, (s, i) in enumerate(rows):
+        for c, j in enumerate(cols):
+            assert raw[r, c].tolist() == substream(s, i, tag, j).bit_generator.random_raw(2).tolist()
+            assert picks[r, c] == substream(s, i, tag, j).integers(0, sizes[c])
+
+
 def test_integer_arrays_and_path_parts_agree():
     values = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, -1, -2**40]
-    as_parts = substream_raw((7,), values, ("t",))
-    assert np.array_equal(substream_raw((7,), np.array(values[:5], dtype=np.uint64), ("t",)),
-                          as_parts[:5])
-    assert np.array_equal(substream_raw((7,), np.array(values[5:], dtype=np.int64), ("t",)),
-                          as_parts[5:])
-    assert substream_raw((7,), [], ("t",), draws=2).shape == (0, 2)
+    as_parts = substream_raw(7, values, "t")
+    assert np.array_equal(substream_raw(7, np.array(values[:5], dtype=np.uint64), "t"), as_parts[:5])
+    assert np.array_equal(substream_raw(7, np.array(values[5:], dtype=np.int64), "t"), as_parts[5:])
+    # scalars alone are one row
+    assert np.array_equal(substream_raw(7, values[3], "t"), as_parts[3])
+    assert substream_raw(7, [], "t", draws=2).shape == (0, 2)
+    for bad in ([0.5], np.array([0.5]), np.array([True]), 0.5):
+        with pytest.raises(TypeError):
+            substream_raw(7, bad)
     with pytest.raises(TypeError):
-        substream_raw((7,), [0.5])
+        substream_raw()
 
 
 _PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
@@ -64,7 +83,7 @@ def _pcg64_first_output(first: int) -> np.random.PCG64:
 ])
 def test_integers_follow_lemire_rejection(monkeypatch, first, m):
     assert _pcg64_first_output(first).random_raw() == first
-    monkeypatch.setattr(rng, "substream_raw", lambda prefix, ids, suffix, draws: np.array(
-        [_pcg64_first_output(first).random_raw(draws) for _ in ids], dtype=np.uint64))
+    monkeypatch.setattr(rng, "substream_raw", lambda *path, draws: np.array(
+        [_pcg64_first_output(first).random_raw(draws) for _ in np.broadcast(*path)], dtype=np.uint64))
     expected = np.random.Generator(_pcg64_first_output(first)).integers(0, m)
-    assert substream_integers((0,), [1, 2], (), [m, m]) == [expected, expected]
+    assert substream_integers(0, [1, 2], sizes=[m, m]).tolist() == [expected, expected]

@@ -22,16 +22,21 @@ from statebandits import (
     dollars,
     load_evaluations,
     metrics,
+    metrics_batch,
     parse_label,
     run_baseline,
+    run_baseline_batch,
     run_pipeline,
+    run_pipeline_batch,
     substream,
     synth_population,
 )
 from statebandits import rng, triage
-from statebandits.triage import ENCODINGS, STAGE_COSTS_MILLI, STAGE_GAINS, SUB_COHORT, BaselineResult
+from statebandits.triage import (
+    COHORT_BASELINES, ENCODINGS, STAGE_COSTS_MILLI, STAGE_GAINS, SUB_COHORT, BaselineResult, SeedBatch,
+)
 
-from _oracles import confusion_walk, triage_pipeline
+from _oracles import confusion_walk, triage_baseline, triage_pipeline
 
 
 class TestLabels:
@@ -295,6 +300,13 @@ def screens(draw):
         recorded = {3 * i + 1: {s: draw(labels) for s in (1, 2, 3)}
                     for i in draw(st.permutations(range(n)))}
         pop = triage._replay_population({i: (0.25,) * 4 for i in recorded}, recorded)
+    return pop, draw(stage_lists(n))
+
+
+@st.composite
+def stage_lists(draw, n):
+    """1-3 stages for n people whose budgets fund from 0 to about 4 passes
+    over their survivors, in either order."""
     indices = sorted(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True)))
     stages, alive = [], n
     for i in indices:
@@ -302,7 +314,7 @@ def screens(draw):
         budget = cost * draw(st.integers(0, 4 * alive)) + draw(st.integers(0, cost - 1))
         alive = draw(st.integers(1, alive))
         stages.append(StageSpec(index=i, budget_milli=budget, cohort_out=alive))
-    return pop, stages[::-1] if draw(st.booleans()) else stages
+    return stages[::-1] if draw(st.booleans()) else stages
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -320,6 +332,84 @@ def test_pipeline_matches_dict_oracle(screen, policy, encoding, seed):
     assert [(o.index, o.pulls, o.spend_milli, o.survivors, o.u_hat)
             for o in result.stages] == ref["stages"]
     assert result.spend_milli == sum(spend for _, _, spend, _, _ in ref["stages"])
+
+
+@st.composite
+def replay_populations(draw, n):
+    """A replay population of n people with ids of one and two 32-bit words,
+    1 to 4 recorded labels per stage, and machine vectors with and without
+    ties for the top probability."""
+    ids = draw(st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**62)),
+                        min_size=n, max_size=n, unique=True))
+    labels = st.lists(st.sampled_from(list(RiskLabel)), min_size=1, max_size=4).map(tuple)
+    vectors = st.sampled_from([(0.25,) * 4, (0.1, 0.2, 0.3, 0.4), (0.4, 0.0, 0.2, 0.4), (0.7, 0.1, 0.1, 0.1),
+                               (0.0, 0.0, 0.5, 0.5)])
+    return triage._replay_population({i: draw(vectors) for i in ids},
+                                     {i: {s: draw(labels) for s in (1, 2, 3)} for i in ids})
+
+
+@st.composite
+def seed_batches(draw, n_min=2, n_max=9):
+    """1 to 3 seeds with one population each, all of one size and kind: a
+    synthetic population per seed, or replay populations (one shared by every
+    seed, or one each)."""
+    n = draw(st.integers(n_min, n_max))
+    seeds = draw(st.lists(st.integers(0, 2**62), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        severe = draw(st.integers(1, n - 1))
+        pops = [synth_population(n, severe, seed=draw(st.integers(0, 99))) for _ in seeds]
+    elif draw(st.booleans()):
+        pops = [draw(replay_populations(n))] * len(seeds)
+    else:
+        pops = [draw(replay_populations(n)) for _ in seeds]
+    return pops, seeds
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=seed_batches(), data=st.data(), policy=st.sampled_from(["round_robin", "ucb"]),
+       encoding=st.sampled_from(sorted(ENCODINGS)))
+def test_pipeline_batch_rows_equal_single_runs(case, data, policy, encoding):
+    # a batch of seeds is the single runs side by side, and so are its metrics
+    pops, seeds = case
+    stages = data.draw(stage_lists(len(pops[0].ids)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        batch = SeedBatch(pops, seeds)
+        res = run_pipeline_batch(batch, stages, policy, encoding)
+        singles = [run_pipeline(pop, stages, policy, seed, encoding) for pop, seed in zip(pops, seeds)]
+    for b, (pop, single) in enumerate(zip(pops, singles)):
+        ids = pop.ids
+        assert [(i, p, spend, tuple(ids[rows[b]].tolist()), dict(zip(ids[rows[b]].tolist(), u[b].tolist())))
+                for i, p, spend, rows, u in res.stages] == [
+            (o.index, o.pulls, o.spend_milli, o.survivors, o.u_hat) for o in single.stages]
+        assert set(ids[res.evaluated[b]].tolist()) == single.evaluated
+        assert set(ids[res.expert_severe[b]].tolist()) == single.expert_severe
+        assert res.spend_milli == single.spend_milli
+        for mode in ("mab", "mab_star"):
+            assert set(ids[res.positives(mode)[b]].tolist()) == single.positives(mode)
+            assert metrics_batch(res, batch, mode)[b] == metrics(single, pop, mode)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=seed_batches(n_max=130))
+def test_baselines_match_dict_oracle(case):
+    pops, seeds = case
+    batch = SeedBatch(pops, seeds)
+    for name in BASELINES:
+        if name in COHORT_BASELINES and len(pops[0].ids) < SUB_COHORT:
+            with pytest.raises(ConfigurationError, match="cohort"):
+                run_baseline_batch(name, batch)
+            continue
+        res = run_baseline_batch(name, batch)
+        for b, (pop, seed) in enumerate(zip(pops, seeds)):
+            ref = triage_baseline(name, pop, seed, substream)
+            single = run_baseline(name, pop, seed)
+            assert (single.evaluated, single.positives(), single.spend_milli, single.n_evaluations) == (
+                ref["evaluated"], ref["positives"], ref["spend_milli"], ref["n_evaluations"]), name
+            assert set(pop.ids[res.evaluated[b]].tolist()) == ref["evaluated"]
+            assert set(pop.ids[res.positives()[b]].tolist()) == ref["positives"]
+            assert (res.spend_milli, res.n_evaluations) == (ref["spend_milli"], ref["n_evaluations"])
+            assert metrics_batch(res, batch)[b] == metrics(single, pop)
 
 
 def true_risk_by_id(pop):
@@ -356,11 +446,12 @@ def test_synthetic_label_rule_matches_walk(case, reverse):
     pop = Population(ids=np.arange(len(true_risk)) * 2, true_risk=true_risk, confusion=confusion)
     survivors = np.arange(len(true_risk))[::-1 if reverse else 1]
     draw = SimpleNamespace(random=lambda size: np.array(u[:size]))
+    batch = triage.SeedBatch([pop], [0])
     for stage in (1, 2, 3):
-        label = triage._stage_rule(pop, stage, survivors, draw, len(u))
+        label = triage._stage_rule(batch, stage, survivors[None], [draw], len(u))
         for k, r in enumerate(survivors.tolist()):
             row = confusion[stage - 1][true_risk[r]].tolist()
-            assert [label(k, j, 0) for j in range(len(u))] == [confusion_walk(row, x) for x in u]
+            assert label(k, np.arange(len(u)), 0.0).tolist() == [confusion_walk(row, x) for x in u]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -372,13 +463,14 @@ def test_synthetic_label_rule_matches_walk(case, reverse):
        cursors=st.lists(st.integers(0, 50), min_size=1, max_size=8))
 def test_replay_label_rule_reads_recorded_cyclically(records, cursors):
     pop = triage._replay_population({i: (0.25,) * 4 for i in records}, records)
-    rows = np.arange(len(pop.ids))
+    batch = triage.SeedBatch([pop], [0])
+    rows = np.arange(len(pop.ids))[None]
     for stage in (1, 2, 3):
-        label = triage._stage_rule(pop, stage, rows, substream(0, "unused"), 0)
+        label = triage._stage_rule(batch, stage, rows, [substream(0, "unused")], 0)
         for k, i in enumerate(pop.ids.tolist()):
             recorded = records[i][stage]
-            assert [label(k, 0, c) for c in cursors] == [recorded[c % len(recorded)] for c in cursors]
-            assert label(np.full(len(cursors), k), None, np.array(cursors)).tolist() == [
+            assert [label(k, 0, np.float64(c)) for c in cursors] == [recorded[c % len(recorded)] for c in cursors]
+            assert label(np.full(len(cursors), k), None, np.array(cursors, dtype=float)).tolist() == [
                 recorded[c % len(recorded)] for c in cursors]
 
 
@@ -386,10 +478,14 @@ def test_missing_recorded_stage_message():
     pop = triage._replay_population({4: (0.25,) * 4, 7: (0.25,) * 4},
                                     {4: {1: (RiskLabel.LOW,), 2: (RiskLabel.NO,)}, 7: {1: (RiskLabel.NO,)}})
     message = r"^recorded: individual 7 has no recorded stage-2 labels$"
+    batch = triage.SeedBatch([pop], [0])
     with pytest.raises(ValidationError, match=message):
-        triage._stage_rule(pop, 2, np.arange(2), substream(0, "unused"), 0)
+        triage._stage_rule(batch, 2, np.arange(2)[None], [substream(0, "unused")], 0)
     with pytest.raises(ValidationError, match=message):
-        pop.rater_labels(np.arange(2), 2, 0, "expert")
+        batch.rater_labels(np.arange(2)[None], 2, "expert")
+    assert batch.rater_labels(np.array([[0]]), 2, "expert").tolist() == [[RiskLabel.NO]]
+    with pytest.raises(ValidationError, match=r"^recorded: individual 4 has no recorded stage-3 labels$"):
+        run_baseline("1Expert", pop)
     stage = StageSpec(index=2, budget_milli=2 * 90, cohort_out=1)
     with pytest.raises(ValidationError, match=message):
         run_pipeline(pop, [stage])
@@ -538,57 +634,46 @@ class TestBaselines:
     def test_default_baselines_draw_each_label_once(self, monkeypatch):
         real_raw, real_sub, labels, cohorts = rng.substream_raw, triage.substream, [], []
 
-        def counted_raw(prefix, ids, suffix, draws=1):
-            labels.extend(ids)
-            return real_raw(prefix, ids, suffix, draws)
+        def counted_raw(*path, draws=1):
+            labels.append(np.broadcast(*path).size)
+            return real_raw(*path, draws=draws)
 
         monkeypatch.setattr(rng, "substream_raw", counted_raw)
         monkeypatch.setattr(triage, "substream", lambda *path: cohorts.append(path) or real_sub(*path))
         for n, n_severe in ((242, 42), (5000, 833)):
-            pop = synth_population(n, n_severe, seed=42)
+            batch = triage.SeedBatch([synth_population(n, n_severe, seed=s) for s in (42, 43, 44)], [42, 43, 44])
             labels.clear(), cohorts.clear()
             for name in BASELINES:
-                run_baseline(name, pop, seed=42)
-            # n NLP labels, n expert labels and one cohort draw per -Sub baseline
-            assert len(labels) + len(cohorts) <= 2 * n + 3
-            assert len(cohorts) == 3
-        # a fresh population derives its own labels, and only those it reads
-        fresh = synth_population(242, 42, seed=42)
+                run_baseline_batch(name, batch)
+            # per seed: n NLP labels, n expert labels, each in one pass, and one cohort draw
+            assert labels == [3 * n, 3 * n] and len(cohorts) == 3
+        # a fresh batch derives everyone's labels of the one rater it reads
+        fresh = triage.SeedBatch([synth_population(242, 42, seed=42)], [42])
         labels.clear(), cohorts.clear()
-        run_baseline("1Expert-Sub", fresh, seed=42)
-        assert len(labels) == SUB_COHORT and len(cohorts) == 1
-
-    def test_replay_store_keeps_one_seed(self):
-        n = 120
-        pop = triage._replay_population(
-            {i: (0.1, 0.2, 0.3, 0.4) for i in range(n)},
-            {i: {3: tuple(RiskLabel((i + r) % 4) for r in range(1 + i % 3))} for i in range(n)})
-        first = pop.rater_labels(np.arange(n), 3, 0, "expert")
-        for seed in range(5):
-            for name in BASELINES:
-                run_baseline(name, pop, seed=seed)
-        assert sum(len(kept) for kept in pop._rater_labels.values()) <= 2 * n
-        assert np.array_equal(pop.rater_labels(np.arange(n), 3, 0, "expert"), first)
+        run_baseline_batch("1Expert-Sub", fresh)
+        assert labels == [242] and len(cohorts) == 1
 
     def test_batch_labels_equal_one_substream_per_label(self):
-        synth = synth_population(242, 42, seed=5)
-        rows = np.arange(len(synth.ids))
+        seeds = (2**61 + 9, 5, 2**32 + 1)
+        pops = [synth_population(242, 42, seed=s) for s in seeds]
+        batch = triage.SeedBatch(pops, seeds)
+        rows = np.tile(np.arange(242), (3, 1))
         for stage, tag in ((1, "nlp"), (3, "expert")):
-            # the later full batch derives only the labels the first one did not
-            part = synth.rater_labels(rows[::3], stage, 2**61 + 9, tag).tolist()
-            full = synth.rater_labels(rows, stage, 2**61 + 9, tag).tolist()
-            assert full[::3] == part
-            assert full == [triage._confusion_labels(synth.confusion[stage - 1][t],
-                                                     np.array(substream(2**61 + 9, i, tag).random()))
-                            for i, t in zip(synth.ids.tolist(), synth.true_risk.tolist())]
+            got = batch.rater_labels(rows[:, ::-3], stage, tag)  # any rows, in any order
+            assert got.tolist() == [[
+                triage._confusion_labels(pop.confusion[stage - 1][pop.true_risk[r]],
+                                         np.array(substream(seed, int(pop.ids[r]), tag).random()))
+                for r in range(241, -1, -3)] for seed, pop in zip(seeds, pops)]
         # replay: ids of one and two 32-bit words, 1 to 7 recorded labels each
-        rng = substream(3, "replay-test")
-        records = {int(i): {3: tuple(RiskLabel(int(x)) for x in rng.integers(0, 4, size=1 + int(i) % 7))}
-                   for i in (*range(60), *rng.integers(2**32, 2**62, size=20))}
+        gen = substream(3, "replay-test")
+        records = {int(i): {3: tuple(RiskLabel(int(x)) for x in gen.integers(0, 4, size=1 + int(i) % 7))}
+                   for i in (*range(60), *gen.integers(2**32, 2**62, size=20))}
         replay = triage._replay_population({i: (0.25,) * 4 for i in records}, records)
-        for seed in (0, 7, 2**40 + 1):
-            got = replay.rater_labels(np.arange(len(replay.ids)), 3, seed, "expert")
-            for i, lab in zip(replay.ids.tolist(), got.tolist()):
+        seeds = (0, 7, 2**40 + 1)
+        got = triage.SeedBatch([replay] * 3, seeds).rater_labels(
+            np.tile(np.arange(len(replay.ids)), (3, 1)), 3, "expert")
+        for seed, row in zip(seeds, got.tolist()):
+            for i, lab in zip(replay.ids.tolist(), row):
                 recorded = records[i][3]
                 assert RiskLabel(lab) is recorded[int(substream(seed, i, "expert").integers(0, len(recorded)))]
 
@@ -662,7 +747,7 @@ class TestBaselines:
         pop = load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
         result = run_baseline("NLP-Full", pop)
         assert result.positives() == frozenset({1})
-        ranked = triage._nlp_ranked(pop, np.arange(len(pop.ids)), 0)
+        ranked = triage._nlp_ranked(triage.SeedBatch([pop], [0]))[0]
         assert pop.ids[ranked].tolist() == [1, 3, 2]
 
     def test_cohort_cannot_exceed_population(self):
