@@ -365,8 +365,9 @@ TRIAGE_COLUMNS = [("budget", _money_cell), ("evaluated", _count_cell)] + [
 
 SEEDS_PER_BATCH = 50
 """Seeds whose populations, pipelines and baselines triage runs as one batch.
-It bounds the ``(seeds, n)`` tables a batch holds, and the ``(seeds, 4, pulls)``
-label table of its largest stage; a larger batch pays less per ``ucb`` pull."""
+It bounds the ``(seeds, n)`` tables a batch holds, and the ``(seeds, pulls)``
+uniforms and ``(seeds, 4, pulls)`` labels of its costliest stage; a larger
+batch pays less per ``ucb`` pull."""
 
 
 def _triage_values(res, batch: SeedBatch, mode: str) -> list[tuple]:

@@ -134,6 +134,14 @@ def _part(part) -> np.ndarray:
     return np.asarray(np.frompyfunc(_coerce, 1, 1)(np.array(part, dtype=object)), dtype=_U64)
 
 
+def _rows(path) -> tuple[list[np.ndarray], tuple]:
+    """The path's parts as uint64 broadcast to one shape and flattened to rows,
+    and that shape."""
+    parts = [_part(p) for p in path]
+    shape = np.broadcast_shapes(*(p.shape for p in parts))
+    return [np.broadcast_to(p, shape).ravel() for p in parts], shape
+
+
 def substream_raw(*path, draws: int = 1) -> np.ndarray:
     """The first ``draws`` raw 64-bit outputs of ``substream(*path)`` for many paths at once.
 
@@ -147,9 +155,8 @@ def substream_raw(*path, draws: int = 1) -> np.ndarray:
     """
     if not path:
         raise TypeError("substream needs at least one path element")
-    parts = [_part(p) for p in path]
-    shape = np.broadcast_shapes(*(p.shape for p in parts))
-    table = np.stack([np.broadcast_to(p, shape).ravel() for p in parts])  # (parts, rows)
+    parts, shape = _rows(path)
+    table = np.stack(parts)  # (parts, rows)
     wide = table > _U64(_MASK32)
     pattern = (wide << np.arange(len(parts))[:, None]).sum(axis=0)
     out = np.empty((table.shape[1], draws), dtype=_U64)
@@ -179,10 +186,7 @@ def substream_integers(*path, sizes) -> np.ndarray:
     of each raw output, then the high half) are scaled by m, and the first
     ``w`` with ``(w * m) mod 2**32 >= (2**32 - m) % m`` gives ``(w * m) >> 32``.
     Rows whose words are all rejected derive more outputs."""
-    parts = [_part(p) for p in path]
-    shape = np.broadcast_shapes(np.shape(sizes), *(p.shape for p in parts))
-    rows = [np.broadcast_to(p, shape).ravel() for p in parts]
-    m = np.broadcast_to(np.asarray(sizes, dtype=_U64), shape).ravel()
+    (m, *rows), shape = _rows((np.asarray(sizes, dtype=_U64), *path))
     low, shift = _U64(_MASK32), _U64(32)
     threshold = (_U64(2**32) - m) % m
     out = np.full(m.size, -1, dtype=np.int64)

@@ -206,8 +206,8 @@ def _confusion_labels(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     confusion row is the number of the row's cumulative sums at or below
     ``u``, capped at SEVERE. ``np.cumsum`` adds in label order, so this is the
     first label whose cumulative sum exceeds ``u``, or SEVERE if none does."""
-    cumulative = np.cumsum(rows, axis=-1)
-    return np.minimum(sum((cumulative[..., label] <= u for label in RiskLabel), np.int8(0)), RiskLabel.SEVERE)
+    cumulative, severe = np.cumsum(rows, axis=-1), np.int8(RiskLabel.SEVERE)  # int8 keeps stage tables small
+    return np.minimum(sum((cumulative[..., label] <= u for label in RiskLabel), np.int8(0)), severe)
 
 
 def synth_population(
@@ -447,9 +447,13 @@ def _flagged(final, expert_severe, mode: str):
 UCB_ALPHA = 3.0
 """Exploration rate of the ``ucb`` policy's optimism bonus."""
 
-_WARNED: dict = {}
-"""Registry of the stage-budget warnings: each text shows once per process,
-named by the module rather than by a source line."""
+
+def _warn(message: str) -> None:
+    """Warn at this module's name rather than at a source file and line, so
+    stderr does not depend on the checkout; like ``warnings.warn``, the
+    default action shows each text once per process."""
+    warnings.warn_explicit(message, UserWarning, __name__, 0,
+                           registry=globals().setdefault("__warningregistry__", {}))
 
 
 def run_pipeline(
@@ -525,15 +529,13 @@ def run_pipeline_batch(
         m, gain = rows.shape[1], st.gain
         max_pulls = st.budget_milli // st.cost_milli
         if max_pulls == 0:
-            warnings.warn_explicit(f"stage {st.index}: budget funds no pulls; stage skipped",
-                                   UserWarning, __name__, 0, registry=_WARNED)
+            _warn(f"stage {st.index}: budget funds no pulls; stage skipped")
         elif max_pulls < m:
-            warnings.warn_explicit(f"stage {st.index}: budget funds {max_pulls} pulls for {m} survivors",
-                                   UserWarning, __name__, 0, registry=_WARNED)
+            _warn(f"stage {st.index}: budget funds {max_pulls} pulls for {m} survivors")
         reached = min(m, max_pulls)  # every pull is of one of the first `reached` survivors
         label = _stage_rule(batch, st.index, rows[:, :reached], rngs, max_pulls)
-        # within-stage pulls as floats, as the optimism pick divides by them; also the replay
-        # cursors; and whether a pull of the survivor saw Severe
+        # per survivor: its pulls in this stage (floats, as the optimism pick divides by them;
+        # also the replay cursors) and whether one of them saw Severe
         counts, severe = np.zeros((seeds, m)), np.zeros((seeds, m), dtype=bool)
         # round_robin cycles the survivors in id order all stage, ucb for its first pass;
         # one pass of pulls j = lo, lo + 1, ... reads survivors 0, 1, ... at once

@@ -22,18 +22,16 @@ from statebandits import (
     dollars,
     load_evaluations,
     metrics,
-    metrics_batch,
     parse_label,
     run_baseline,
-    run_baseline_batch,
     run_pipeline,
-    run_pipeline_batch,
     substream,
     synth_population,
 )
 from statebandits import rng, triage
 from statebandits.triage import (
-    COHORT_BASELINES, ENCODINGS, STAGE_COSTS_MILLI, STAGE_GAINS, SUB_COHORT, BaselineResult, SeedBatch,
+    COHORT_BASELINES, ENCODINGS, STAGE_COSTS_MILLI, STAGE_GAINS, SUB_COHORT, BaselineResult, SeedBatch, metrics_batch,
+    run_baseline_batch, run_pipeline_batch,
 )
 
 from _oracles import confusion_walk, triage_baseline, triage_pipeline
@@ -446,7 +444,7 @@ def test_synthetic_label_rule_matches_walk(case, reverse):
     pop = Population(ids=np.arange(len(true_risk)) * 2, true_risk=true_risk, confusion=confusion)
     survivors = np.arange(len(true_risk))[::-1 if reverse else 1]
     draw = SimpleNamespace(random=lambda size: np.array(u[:size]))
-    batch = triage.SeedBatch([pop], [0])
+    batch = SeedBatch([pop], [0])
     for stage in (1, 2, 3):
         label = triage._stage_rule(batch, stage, survivors[None], [draw], len(u))
         for k, r in enumerate(survivors.tolist()):
@@ -463,7 +461,7 @@ def test_synthetic_label_rule_matches_walk(case, reverse):
        cursors=st.lists(st.integers(0, 50), min_size=1, max_size=8))
 def test_replay_label_rule_reads_recorded_cyclically(records, cursors):
     pop = triage._replay_population({i: (0.25,) * 4 for i in records}, records)
-    batch = triage.SeedBatch([pop], [0])
+    batch = SeedBatch([pop], [0])
     rows = np.arange(len(pop.ids))[None]
     for stage in (1, 2, 3):
         label = triage._stage_rule(batch, stage, rows, [substream(0, "unused")], 0)
@@ -478,7 +476,7 @@ def test_missing_recorded_stage_message():
     pop = triage._replay_population({4: (0.25,) * 4, 7: (0.25,) * 4},
                                     {4: {1: (RiskLabel.LOW,), 2: (RiskLabel.NO,)}, 7: {1: (RiskLabel.NO,)}})
     message = r"^recorded: individual 7 has no recorded stage-2 labels$"
-    batch = triage.SeedBatch([pop], [0])
+    batch = SeedBatch([pop], [0])
     with pytest.raises(ValidationError, match=message):
         triage._stage_rule(batch, 2, np.arange(2)[None], [substream(0, "unused")], 0)
     with pytest.raises(ValidationError, match=message):
@@ -641,14 +639,14 @@ class TestBaselines:
         monkeypatch.setattr(rng, "substream_raw", counted_raw)
         monkeypatch.setattr(triage, "substream", lambda *path: cohorts.append(path) or real_sub(*path))
         for n, n_severe in ((242, 42), (5000, 833)):
-            batch = triage.SeedBatch([synth_population(n, n_severe, seed=s) for s in (42, 43, 44)], [42, 43, 44])
+            batch = SeedBatch([synth_population(n, n_severe, seed=s) for s in (42, 43, 44)], [42, 43, 44])
             labels.clear(), cohorts.clear()
             for name in BASELINES:
                 run_baseline_batch(name, batch)
             # per seed: n NLP labels, n expert labels, each in one pass, and one cohort draw
             assert labels == [3 * n, 3 * n] and len(cohorts) == 3
         # a fresh batch derives everyone's labels of the one rater it reads
-        fresh = triage.SeedBatch([synth_population(242, 42, seed=42)], [42])
+        fresh = SeedBatch([synth_population(242, 42, seed=42)], [42])
         labels.clear(), cohorts.clear()
         run_baseline_batch("1Expert-Sub", fresh)
         assert labels == [242] and len(cohorts) == 1
@@ -656,7 +654,7 @@ class TestBaselines:
     def test_batch_labels_equal_one_substream_per_label(self):
         seeds = (2**61 + 9, 5, 2**32 + 1)
         pops = [synth_population(242, 42, seed=s) for s in seeds]
-        batch = triage.SeedBatch(pops, seeds)
+        batch = SeedBatch(pops, seeds)
         rows = np.tile(np.arange(242), (3, 1))
         for stage, tag in ((1, "nlp"), (3, "expert")):
             got = batch.rater_labels(rows[:, ::-3], stage, tag)  # any rows, in any order
@@ -670,7 +668,7 @@ class TestBaselines:
                    for i in (*range(60), *gen.integers(2**32, 2**62, size=20))}
         replay = triage._replay_population({i: (0.25,) * 4 for i in records}, records)
         seeds = (0, 7, 2**40 + 1)
-        got = triage.SeedBatch([replay] * 3, seeds).rater_labels(
+        got = SeedBatch([replay] * 3, seeds).rater_labels(
             np.tile(np.arange(len(replay.ids)), (3, 1)), 3, "expert")
         for seed, row in zip(seeds, got.tolist()):
             for i, lab in zip(replay.ids.tolist(), row):
@@ -747,7 +745,7 @@ class TestBaselines:
         pop = load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
         result = run_baseline("NLP-Full", pop)
         assert result.positives() == frozenset({1})
-        ranked = triage._nlp_ranked(triage.SeedBatch([pop], [0]))[0]
+        ranked = triage._nlp_ranked(SeedBatch([pop], [0]))[0]
         assert pop.ids[ranked].tolist() == [1, 3, 2]
 
     def test_cohort_cannot_exceed_population(self):
