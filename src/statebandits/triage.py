@@ -741,7 +741,7 @@ def metrics(result, pop: Population, mode: str = "mab") -> Metrics:
 
     Population counts run over everyone (unevaluated individuals are
     negatives by definition); cohort counts restrict to the evaluated set.
-    This is ``metrics_batch`` with one seed.
+    The counting is ``metrics_batch``'s, on one seed's masks.
     """
     evaluated, positives = (np.isin(pop.ids, list(ids)) for ids in (result.evaluated, result.positives(mode)))
     return _metrics(evaluated[None], positives[None], pop.true_risk[None] == RiskLabel.SEVERE)[0]

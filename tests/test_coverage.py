@@ -81,7 +81,8 @@ COVERAGE = {
         "encoding": (_PIPELINE, _STUDY_EXIT_2),
         "num_seeds": (TRIAGE_CLI + "test_batched_study_equals_per_seed_runs",
                       ERRORS + "test_empty_monte_carlo_count_exits_2"),
-        "baselines": (TRIAGE + "test_baselines_match_dict_oracle", ERRORS + "test_triage_baselines_checked_up_front"),
+        "baselines": (TRIAGE + "test_baselines_match_dict_oracle",
+                      ERRORS + "test_triage_baselines_checked_up_front"),
         "human_csv": (_PIPELINE, ERRORS + "test_triage_replay_needs_both_files",
                       TRIAGE + "TestLoadEvaluations::test_bad_headers"),
         "machine_pred": (_PIPELINE, ERRORS + "test_triage_replay_needs_both_files",

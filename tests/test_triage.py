@@ -30,8 +30,8 @@ from statebandits import (
 )
 from statebandits import rng, triage
 from statebandits.triage import (
-    COHORT_BASELINES, ENCODINGS, STAGE_COSTS_MILLI, STAGE_GAINS, SUB_COHORT, BaselineResult, SeedBatch, metrics_batch,
-    run_baseline_batch, run_pipeline_batch,
+    COHORT_BASELINES, ENCODINGS, STAGE_COSTS_MILLI, STAGE_GAINS, SUB_COHORT, BaselineResult, SeedBatch,
+    metrics_batch, run_baseline_batch, run_pipeline_batch,
 )
 
 from _oracles import confusion_walk, triage_baseline, triage_pipeline
