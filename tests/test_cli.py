@@ -377,6 +377,19 @@ class TestSRCompare:
         assert rows[0][:4] == ["env_index", "K", "S", "n"]
         assert len(rows) == 6
 
+    def test_sr_compare_bytes_pinned(self, tmp_path):
+        # the default K and S ranges; seed 7 draws a K = 10, S = 10 environment (9 phases, 10 states),
+        # so the elimination engine's draw order and table layout must not move a byte of either file
+        cfg = write_cfg(tmp_path / "c.cfg", "num_envs = 6\nruns_per_env = 20\n")
+        out = tmp_path / "o"
+        assert main(["sr-compare", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("sr_compare.csv", "sr_compare_summary.json")}
+        assert digests == {
+            "sr_compare.csv": "b7669bba0921b72d4bae1e707c798966146c952aaab90755d78e7fe4c6506e07",
+            "sr_compare_summary.json": "d956c4607ca001e6537872bb85e30f65ab33358641cb2ce03502dc1ece4b3ee7",
+        }
+
 
 # regret.csv of a 20-run config per reward family and state mode: the engine's
 # table layout and update order must not move a byte of it
@@ -675,6 +688,8 @@ class TestVerify:
         payload = json.loads((out / "verify.json").read_text())
         assert len(payload["suites"]) == 6
         assert all(s["passed"] for s in payload["suites"])
+        digest = hashlib.sha256((out / "verify.json").read_bytes()).hexdigest()
+        assert digest == "955c77c009b0caf980501349509bbab464e010bc813d80aba678779f1b960c82"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "verify"
 
