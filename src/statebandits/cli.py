@@ -40,7 +40,7 @@ from .montecarlo import (
     write_table,
 )
 from .rng import substream
-from .strategies import sr_schedule, successive_rejects
+from .strategies import phase_visits, rotation_counts, sr_schedule, successive_rejects
 from .triage import (
     BASELINES,
     COHORT_BASELINES,
@@ -463,17 +463,20 @@ def _suite_allocation() -> tuple[bool, str]:
     env = instantiate(spec)
     schedule = sr_schedule("uniform", 3, 90)
     res = successive_rejects(env, schedule, substream(1, "verify"))
-    if len(res.steps) != 90:
+    # each arm is pulled up to the phase that rejects it, so the run must name each arm once
+    if sorted([res.winner, *res.rejected]) != [0, 1, 2]:
         return False, "SR pull count mismatch"
-    per_phase = np.zeros((2, 3, 2), dtype=int)
-    for _, s, arm, _, phase in res.steps:
-        per_phase[phase - 1, arm, s] += 1
-    # the evenly-allocated count of a phase is the fewest pulls any active arm got
-    fewest = [per_phase[k][[a for a in range(3) if a not in res.rejected[:k]]].min(axis=0)
-              for k in range(2)]
+    pulls, fewest = 0, []
+    for k, visits in enumerate(phase_visits(spec.state_sequence, schedule.t_k, 2)):
+        # phase k+1 rotates each state's visits over the arms not yet rejected
+        active = [a for a in range(3) if a not in res.rejected[:k]]
+        table = rotation_counts(visits, len(active))
+        pulls += table.sum(axis=0)
+        # the evenly-allocated count of a phase is the fewest pulls any active arm got
+        fewest.append(table.min(axis=0))
     if not np.array_equal(res.n_table, np.cumsum(fewest, axis=0).T):
         return False, "SR count table mismatch"
-    if np.any(per_phase.sum(axis=(0, 1)) != state_counts(spec.state_sequence, 2, 90)):
+    if np.any(pulls != state_counts(spec.state_sequence, 2, 90)):
         return False, "per-state pulls do not add up"
     return True, "SR trace agrees with the closed-form counters"
 

@@ -166,6 +166,12 @@ def _check_runs(runs: int, name: str = "runs") -> None:
         raise ConfigurationError(f"{name} must be >= 1, got {runs}")
 
 
+def _check_bernoulli(spec: EnvironmentSpec) -> None:
+    """Cell reward sums drawn as Binomials need Bernoulli rewards."""
+    if spec.reward_family != "bernoulli":
+        raise ConfigurationError(f"binomial cell sums need bernoulli rewards, got {spec.reward_family!r}")
+
+
 def _check_distinct(values, name: str) -> None:
     """A list whose entries each select one output must not repeat any."""
     repeated = sorted({v for v in values if values.count(v) > 1})

@@ -5,7 +5,7 @@ Estimators exploit the fact that the rotation strategies are
 reward-independent (uniform rotation always, successive elimination within a
 phase given the active set): per-cell reward sums are Binomial draws, which
 lets whole run batches be sampled at once. Pull counts, recommendation,
-elimination and optimism-index play all come from ``strategies``;
+the elimination sampler and optimism-index play all come from ``strategies``;
 exact-enumeration tests pin the batched sampling to the same distribution.
 
 Parallelism is per environment only. Every random quantity derives from
@@ -26,15 +26,12 @@ import numpy as np
 from .bounds import thm1_bound, thm2_bounds, thm3_bounds, thm4_bounds
 from .divergence import BOUNDED_UNIT
 from .env import (
-    STATE_MODES, Environment, EnvironmentSpec, _check_distinct, _check_runs, _check_steps, gaps,
-    instantiate, make_state_sequence, state_counts,
+    STATE_MODES, Environment, EnvironmentSpec, _check_bernoulli, _check_distinct, _check_integer, _check_runs,
+    _check_steps, gaps, instantiate, make_state_sequence, state_counts,
 )
 from .errors import ConfigurationError
 from .rng import substream
-from .strategies import (
-    SRSchedule, _eba_pick, cell_means, eliminate, optimism_play, phase_visits, rotation_counts,
-    sr_schedule,
-)
+from .strategies import _eba_pick, _sr_sample, cell_means, optimism_play, rotation_counts, sr_schedule
 
 __all__ = [
     "SweepConfig",
@@ -78,6 +75,8 @@ class SweepConfig:
     state_mode: str = "iid_uniform"
 
     def __post_init__(self):
+        for name in ("num_envs", "master_seed", "k_min", "k_max", "s_min", "s_max"):
+            _check_integer(getattr(self, name), name)
         if self.num_envs < 0:
             raise ConfigurationError("num_envs must be non-negative")
         _check_runs(self.runs_per_env, "runs_per_env")
@@ -87,8 +86,10 @@ class SweepConfig:
             raise ConfigurationError("need 1 <= s_min <= s_max")
         if not 0.0 <= self.sigma2_min < self.sigma2_max:
             raise ConfigurationError("need 0 <= sigma2_min < sigma2_max")
-        if self.horizon is not None and self.horizon < 1:
-            raise ConfigurationError("horizon must be positive")
+        if self.horizon is not None:
+            _check_integer(self.horizon, "horizon")
+            if self.horizon < 1:
+                raise ConfigurationError("horizon must be positive")
         if self.reward_family != "bernoulli":
             raise ConfigurationError(f"reward_family must be 'bernoulli', got {self.reward_family!r}")
         if self.state_mode not in STATE_MODES:
@@ -136,29 +137,6 @@ def _binomial_cell_means(counts, m, runs, rng):
     return cell_means(counts, np.ascontiguousarray(sums.transpose(2, 0, 1)), np.nan)
 
 
-def _sr_sample(env: Environment, schedule: SRSchedule, runs: int, rng) -> np.ndarray:
-    """Per-run surviving arm of successive elimination, sampled phase-wise.
-
-    Arrays are indexed by active position: column j of the (runs, A, S)
-    ``counts`` and ``sums`` is arm ``active[:, j]``, rows ascending. Each phase
-    draws all (state, rotation rank) cells in one binomial call, state-major
-    with ranks ascending; a cell without pulls draws nothing, so the values
-    are those of one call per cell. ``eliminate`` then drops the lowest sum
-    of per-state means (unpulled cells 0).
-    """
-    K, S = env.spec.K, env.spec.S
-    active = np.tile(np.arange(K), (runs, 1))
-    counts = np.zeros((runs, K, S), dtype=np.int64)
-    sums = np.zeros((runs, K, S))
-    for visits in phase_visits(env.spec.state_sequence, schedule.t_k, S):
-        pulls = rotation_counts(visits, active.shape[1])
-        counts += pulls
-        sums += rng.binomial(pulls.T[:, :, None], env.m[active].T).T
-        scores = cell_means(counts, sums, 0.0).sum(axis=2)
-        _, active, counts, sums = eliminate(scores, active, counts, sums)
-    return active[:, 0]
-
-
 def _prob_se(p: float, runs: int) -> float:
     return float(np.sqrt(p * (1.0 - p) / runs))
 
@@ -182,16 +160,15 @@ def estimate_bai(env: Environment, strategy: str, runs: int, n: int | None = Non
     n = spec.horizon if n is None else n
     _check_steps(n, spec.horizon)
     _check_runs(runs)
-    if spec.reward_family != "bernoulli":
-        raise ConfigurationError(f"estimate_bai needs bernoulli rewards, got {spec.reward_family!r}")
     if strategy == "uniform_eba":
+        _check_bernoulli(spec)
         rng = substream(spec.seed, "bai", "uniform_eba")
         counts = rotation_counts(state_counts(spec.state_sequence, spec.S, n), spec.K)
         picks = _eba_pick(_binomial_cell_means(counts, env.m, runs, rng))
     elif strategy in ("sr_uniform", "sr_reference"):
         schedule = sr_schedule(strategy.removeprefix("sr_"), spec.K, n)
         rng = substream(spec.seed, "bai", "sr")
-        picks = _sr_sample(env, schedule, runs, rng)
+        picks, _ = _sr_sample(env, schedule, runs, rng)
     else:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
     g = gaps(env)

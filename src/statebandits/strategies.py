@@ -8,7 +8,8 @@ index, and forced exploration always picks the lowest-index unpulled arm.
 
 Each rule is written once: the single runs here and the batched
 estimators in ``montecarlo`` share the count, recommendation, elimination and
-index functions, and ``run_sb_ucb`` is the lockstep engine with one run.
+index functions; ``successive_rejects`` is the phase-batched elimination
+sampler with one run, and ``run_sb_ucb`` the lockstep engine with one run.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import PsiFamily, _psi_star_inv
-from .env import Environment, _check_steps, _rewards, _variates
+from .env import Environment, _check_bernoulli, _check_integer, _check_steps, _rewards, _variates
 from .errors import ConfigurationError, RecommendationError, ScheduleError
 
 __all__ = [
@@ -167,12 +168,14 @@ def log_bar(K: int) -> float:
 @dataclass(frozen=True)
 class SRSchedule:
     """Phase boundaries for successive elimination: K-1 strictly increasing
-    rejection times, the last equal to the horizon."""
+    integer rejection times, the last equal to the horizon."""
 
     t_k: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "t_k", tuple(int(t) for t in self.t_k))
+        for t in self.t_k:
+            _check_integer(t, "a boundary")
+        object.__setattr__(self, "t_k", tuple(map(int, self.t_k)))
         if len(self.t_k) < 1:
             raise ScheduleError("need at least one phase boundary", field="t_k")
         prev = 0
@@ -201,6 +204,8 @@ def sr_schedule(kind: str, K: int, n: int) -> SRSchedule:
     last boundary forced to it. When n is close to K that leaves a phase with
     no steps, and the schedule is rejected.
     """
+    _check_integer(K, "K")
+    _check_integer(n, "n")
     if K < 2:
         raise ScheduleError("need K >= 2", field="K")
     if n < K:
@@ -251,58 +256,59 @@ def sr_counts(state_sequence, schedule: SRSchedule, K: int, S: int) -> np.ndarra
     return np.cumsum(phase_visits(state_sequence, schedule.t_k, S) // active, axis=0).T
 
 
+def _sr_sample(env: Environment, schedule: SRSchedule, runs: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Per-run surviving arm and (runs, K-1) rejected arms of successive
+    elimination, sampled phase-wise.
+
+    Within a phase the v-th visit to a state goes to active position v mod A,
+    which is what ``rotation_counts`` counts. Arrays are indexed by active
+    position: column j of the (runs, A, S) ``counts`` and ``sums`` is arm
+    ``active[:, j]``, rows ascending. Each phase draws all (state, rotation
+    rank) cells in one binomial call, state-major with ranks ascending; a cell
+    without pulls draws nothing, so the values are those of one call per cell.
+    ``eliminate`` then drops the lowest sum of per-state means (unpulled cells
+    0, ties to the lowest arm). Cell sums are Binomials, so the environment's
+    rewards must be Bernoulli.
+    """
+    spec = env.spec
+    _check_bernoulli(spec)
+    K, S = spec.K, spec.S
+    active = np.tile(np.arange(K), (runs, 1))
+    counts = np.zeros((runs, K, S), dtype=np.int64)
+    sums = np.zeros((runs, K, S))
+    rows = np.arange(runs)
+    rejected = np.empty((runs, K - 1), dtype=np.int64)
+    for k, visits in enumerate(phase_visits(spec.state_sequence, schedule.t_k, S)):
+        pulls = rotation_counts(visits, active.shape[1])
+        counts += pulls
+        sums += rng.binomial(pulls.T[:, :, None], env.m[active].T).T
+        scores = cell_means(counts, sums, 0.0).sum(axis=2)
+        pos, remaining, counts, sums = eliminate(scores, active, counts, sums)
+        rejected[:, k] = active[rows, pos]
+        active = remaining
+    return active[:, 0], rejected
+
+
 @dataclass
 class SRResult:
-    """Outcome of a successive-elimination run.
-
-    ``steps`` holds one (t, state, arm, reward, phase) tuple per pull;
-    ``n_table[s, k-1]`` is the evenly-allocated per-arm pull count for state
-    s through phase k (the quantity the closed-form counters reproduce).
-    """
+    """Outcome of a successive-elimination run: the surviving arm, the arms
+    dropped at each boundary in order, and ``n_table[s, k-1]``, the
+    evenly-allocated per-arm pull count for state s through phase k."""
 
     winner: int
     rejected: list[int]
-    steps: list[tuple[int, int, int, float, int]]
     n_table: np.ndarray
 
 
 def successive_rejects(env: Environment, schedule: SRSchedule, rng: np.random.Generator) -> SRResult:
     """Run phased elimination on ``env`` and return the surviving arm.
 
-    Within a phase the active arms (ascending order) are rotated per state:
-    the v-th visit to a state within the phase goes to arms[v mod len(arms)],
-    which is what ``rotation_counts`` counts. The phase is drawn as one batch
-    of variates, the same values as one draw per step, and recorded in step
-    order. At each boundary the active arm with the lowest sum of per-state
-    sample means is dropped (unpulled cells count as 0, ties to the lowest
-    index).
+    This is ``_sr_sample`` with one run, so the rewards must be Bernoulli.
     """
     spec = env.spec
     n_table = sr_counts(spec.state_sequence, schedule, spec.K, spec.S)
-    counts = np.zeros((spec.K, spec.S), dtype=np.int64)
-    sums = np.zeros((spec.K, spec.S))
-    active = np.arange(spec.K)[None, :]
-    steps: list[tuple[int, int, int, float, int]] = []
-    rejected: list[int] = []
-    t_prev = 0
-    for k, t_k in enumerate(schedule.t_k, start=1):
-        states = spec.state_sequence[t_prev:t_k]
-        # 1-based visit number of each step to its state: rank within a stable sort by state
-        order = np.argsort(states, kind="stable")
-        visits = np.bincount(states, minlength=spec.S)
-        visit = np.empty_like(order)
-        visit[order] = np.arange(1, len(states) + 1) - np.repeat(np.cumsum(visits) - visits, visits)
-        arms = active[0][visit % active.shape[1]]
-        rewards = _rewards(spec, env.m[arms, states], _variates(spec, rng, len(states)))
-        np.add.at(counts, (arms, states), 1)
-        np.add.at(sums, (arms, states), rewards)
-        steps += zip(range(t_prev + 1, t_k + 1), states.tolist(), arms.tolist(), rewards.tolist(),
-                     [k] * len(states))
-        scores = cell_means(counts, sums, 0.0).sum(axis=1)
-        pos, remaining = eliminate(scores[active], active)
-        rejected.append(int(active[0, pos[0]]))
-        active, t_prev = remaining, t_k
-    return SRResult(winner=int(active[0, 0]), rejected=rejected, steps=steps, n_table=n_table)
+    winner, rejected = _sr_sample(env, schedule, 1, rng)
+    return SRResult(winner=int(winner[0]), rejected=rejected[0].tolist(), n_table=n_table)
 
 
 def run_sb_ucb(

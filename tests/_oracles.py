@@ -278,8 +278,9 @@ def binomial_cell_means_per_cell(counts, m, runs, rng):
 
 
 def sr_sample_per_cell(env, boundaries, runs, rng):
-    """Per-run winner of successive elimination, with one binomial call per
-    (phase, state, rotation rank) cell on arm-indexed (runs, K, S) tables.
+    """Per-run winner and (runs, K-1) rejected arms of successive elimination,
+    with one binomial call per (phase, state, rotation rank) cell on
+    arm-indexed (runs, K, S) tables.
 
     Cells go state by state, ranks ascending within a state, and each call
     draws that cell's reward sum for every run. At a boundary each run drops
@@ -293,6 +294,7 @@ def sr_sample_per_cell(env, boundaries, runs, rng):
     counts = np.zeros((runs, K, S), dtype=np.int64)
     sums = np.zeros((runs, K, S))
     rows = np.arange(runs)
+    rejected = []
     prev = 0
     for tk in boundaries:
         A = active.shape[1]
@@ -309,8 +311,9 @@ def sr_sample_per_cell(env, boundaries, runs, rng):
         with np.errstate(invalid="ignore", divide="ignore"):
             scores = np.where(counts > 0, sums / counts, 0.0).sum(axis=2)
         drop = np.argmin(np.take_along_axis(scores, active, axis=1), axis=1)
+        rejected.append(active[rows, drop])
         active = active[np.arange(A) != drop[:, None]].reshape(runs, A - 1)
-    return active[:, 0]
+    return active[:, 0], np.stack(rejected, axis=1)
 
 
 def classical_ucb_run(m_vec, n: int, alpha: float, variates) -> list[int]:

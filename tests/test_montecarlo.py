@@ -91,6 +91,26 @@ class TestRandomEnv:
         with pytest.raises(ConfigurationError, match=message):
             SweepConfig(runs_per_env=runs)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"num_envs": 2.5}, "num_envs must be an integer, got 2.5"),
+        ({"num_envs": True}, "num_envs must be an integer, got True"),
+        ({"horizon": 100.5}, "horizon must be an integer, got 100.5"),
+        ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
+        ({"k_min": 2.5, "k_max": 3}, "k_min must be an integer, got 2.5"),
+        ({"k_max": 10.0}, "k_max must be an integer, got 10.0"),
+        ({"s_min": True}, "s_min must be an integer, got True"),
+        ({"s_max": 3.5}, "s_max must be an integer, got 3.5"),
+    ])
+    def test_integer_fields_must_be_integers(self, fields, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SweepConfig(**fields)
+
+    def test_numpy_integer_fields_accepted(self):
+        names = ("num_envs", "master_seed", "horizon", "k_min", "k_max", "s_min", "s_max")
+        plain = dict(zip(names, (3, 4, 40, 2, 3, 1, 2)))
+        config = SweepConfig(**{k: np.int64(v) for k, v in plain.items()})
+        assert random_env(config, 1) == random_env(SweepConfig(**plain), 1)
+
 
 def fixed_env(m, mu, n, state_mode="round_robin", seed=0):
     m = np.asarray(m, dtype=float)
@@ -123,12 +143,13 @@ class TestEstimateBAI:
         with pytest.raises(ConfigurationError, match="strategy"):
             estimate_bai(env, "thompson", 10)
 
-    def test_non_bernoulli_rewards_rejected(self):
+    @pytest.mark.parametrize("strategy", ["uniform_eba", "sr_uniform", "sr_reference"])
+    def test_non_bernoulli_rewards_rejected(self, strategy):
         m = np.array([[0.55], [0.45]])
         spec = EnvironmentSpec(K=2, S=1, mu=(0.55, 0.45), sigma2=0.05, state_sequence=(0,) * 40,
                                reward_family="truncated_gaussian", reward_sigma2=1e-4)
         with pytest.raises(ConfigurationError, match="bernoulli"):
-            estimate_bai(Environment(spec=spec, m=m), "uniform_eba", 10)
+            estimate_bai(Environment(spec=spec, m=m), strategy, 10)
 
     def test_n_out_of_range(self):
         env = fixed_env([[0.7], [0.4]], mu=(0.7, 0.4), n=20)
@@ -266,8 +287,11 @@ def test_batched_draws_equal_one_call_per_cell(K, S, extra, mode, runs, seed):
         except ScheduleError:
             assert kind == "reference"
             continue
-        picks = montecarlo._sr_sample(env, sched, runs, substream(seed, "sr"))
-        assert np.array_equal(picks, sr_sample_per_cell(env, sched.t_k, runs, substream(seed, "sr")))
+        for r in (1, runs):
+            picks, rejected = strategies._sr_sample(env, sched, r, substream(seed, "sr"))
+            oracle_picks, oracle_rejected = sr_sample_per_cell(env, sched.t_k, r, substream(seed, "sr"))
+            assert np.array_equal(picks, oracle_picks)
+            assert np.array_equal(rejected, oracle_rejected)
 
 
 class TestSweeps:

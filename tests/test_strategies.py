@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from statebandits import (
     PullStats,
     RecommendationError,
     ScheduleError,
+    SRSchedule,
     instantiate,
     log_bar,
     make_state_sequence,
@@ -25,14 +27,14 @@ from statebandits import (
     successive_rejects,
 )
 from statebandits.env import REWARD_FAMILIES, STATE_MODES
-from statebandits.montecarlo import _sr_sample
 from statebandits.strategies import (
-    _eba_pick, _optimism_pick, cell_means, eliminate, optimism_play, rotation_counts,
+    _eba_pick, _optimism_pick, _sr_sample, cell_means, eliminate, optimism_play, rotation_counts,
 )
 
 from _oracles import (
     _rotation_counts,
     classical_ucb_run,
+    sr_sample_per_cell,
     sr_table_from_steps,
     sr_transcript,
     state_ucb_run,
@@ -196,6 +198,22 @@ class TestSchedules:
             with pytest.raises(ScheduleError, match=f"n={n} .* K={K} arms: a phase would be empty"):
                 sr_schedule("reference", K, n)
 
+    @pytest.mark.parametrize("t_k", [(10.7, 20.2), (True, 5), (10, 20.0)])
+    def test_boundaries_must_be_integers(self, t_k):
+        with pytest.raises(ConfigurationError, match="a boundary must be an integer"):
+            SRSchedule(t_k)
+
+    @pytest.mark.parametrize("K, n, name", [(3, 30.5, "n"), (3, True, "n"), (3.0, 30, "K"), (True, 30, "K")])
+    def test_arms_and_horizon_must_be_integers(self, K, n, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            sr_schedule("uniform", K, n)
+
+    def test_numpy_integers_accepted(self):
+        assert SRSchedule(np.array([4, 8, 12])).t_k == (4, 8, 12)
+        assert all(type(t) is int for t in SRSchedule(np.array([4, 8])).t_k)
+        for kind in ("uniform", "reference"):
+            assert sr_schedule(kind, np.int64(4), np.int64(90)) == sr_schedule(kind, 4, 90)
+
 
 def noiseless_env(m, n, state_mode="round_robin"):
     m = np.asarray(m, dtype=float)
@@ -208,33 +226,48 @@ def noiseless_env(m, n, state_mode="round_robin"):
     return Environment(spec=spec, m=m)
 
 
+def zero_one_env(m, n, state_mode="round_robin"):
+    """Bernoulli rewards of local means 0 or 1, which every draw reproduces exactly."""
+    m = np.asarray(m, dtype=float)
+    K, S = m.shape
+    spec = EnvironmentSpec(K=K, S=S, mu=tuple(float(v) for v in m.mean(axis=1)), sigma2=0.01,
+                           state_sequence=make_state_sequence(S, n, state_mode))
+    return Environment(spec=spec, m=m)
+
+
 class TestSuccessiveRejects:
     def test_noiseless_ordering(self):
-        env = noiseless_env([[0.9], [0.5], [0.1]], 30)
+        env = zero_one_env([[1, 1], [1, 0], [0, 0]], 30)
         res = successive_rejects(env, sr_schedule("uniform", 3, 30), substream(0, "sr"))
         assert res.rejected == [2, 1]
         assert res.winner == 0
 
     def test_two_arms_match_uniform_rotation(self):
+        # with two arms elimination is a single phase of the uniform rotation
         spec = EnvironmentSpec(K=2, S=2, mu=(0.7, 0.4), sigma2=0.05,
                                state_sequence=make_state_sequence(2, 40, "iid_uniform", seed=2))
         env = instantiate(spec)
-        res = successive_rejects(env, sr_schedule("uniform", 2, 40), substream(1, "sr"))
+        sched = sr_schedule("uniform", 2, 40)
+        res = successive_rejects(env, sched, substream(1, "sr"))
         assert len(res.rejected) == 1
-        assert all(phase == 1 for *_, phase in res.steps)
-        assert [arm for _, _, arm, _, _ in res.steps] == rotation_arms(spec.state_sequence, 2, 2)
+        _, steps, _ = sr_transcript(env, sched.t_k, substream(1, "sr"))
+        assert [arm for _, _, arm, _, _ in steps] == rotation_arms(spec.state_sequence, 2, 2)
+        rotation = rotation_counts(state_counts(spec.state_sequence, 2), 2)
+        assert np.array_equal(res.n_table[:, 0], rotation.min(axis=0))
 
-    def test_transcript_matches_independent_resimulation(self):
-        spec = EnvironmentSpec(K=3, S=2, mu=(0.8, 0.5, 0.2), sigma2=0.05,
-                               state_sequence=make_state_sequence(2, 60, "iid_uniform", seed=4),
-                               seed=11)
+    def test_one_run_is_row_zero_of_the_engine(self):
+        spec = EnvironmentSpec(K=4, S=3, mu=(0.8, 0.6, 0.5, 0.2), sigma2=0.05,
+                               state_sequence=make_state_sequence(3, 120, "iid_uniform", seed=4), seed=11)
         env = instantiate(spec)
-        sched = sr_schedule("uniform", 3, 60)
-        res = successive_rejects(env, sched, substream(9, "sr-test"))
-        winner, steps, rejected = sr_transcript(env, sched.t_k, substream(9, "sr-test"))
-        assert res.winner == winner
-        assert res.rejected == rejected
-        assert res.steps == steps
+        for kind in ("uniform", "reference"):
+            sched = sr_schedule(kind, 4, 120)
+            res = successive_rejects(env, sched, substream(9, "sr-test"))
+            winners, rejected = _sr_sample(env, sched, 1, substream(9, "sr-test"))
+            assert (res.winner, res.rejected) == (winners[0], rejected[0].tolist())
+            assert type(res.winner) is int and all(type(a) is int for a in res.rejected)
+        gaussian = Environment(spec=replace(spec, reward_family="truncated_gaussian"), m=env.m)
+        with pytest.raises(ConfigurationError, match="bernoulli"):
+            successive_rejects(gaussian, sched, substream(9, "sr-test"))
 
     def test_count_table_matches_closed_form(self):
         for seed in range(5):
@@ -245,41 +278,9 @@ class TestSuccessiveRejects:
             for kind in ("uniform", "reference"):
                 sched = sr_schedule(kind, 4, 90)
                 res = successive_rejects(env, sched, substream(seed, "sr-table"))
-                assert np.array_equal(res.n_table, sr_table_from_steps(res.steps, res.rejected, 4, 3))
+                _, steps, rejected = sr_transcript(env, sched.t_k, substream(seed, "sr-table"))
+                assert np.array_equal(sr_table_from_steps(steps, rejected, 4, 3), sr_counts(seq, sched, 4, 3))
                 assert np.array_equal(res.n_table, sr_counts(seq, sched, 4, 3))
-
-    def test_pull_accounting(self):
-        spec = EnvironmentSpec(K=3, S=2, mu=(0.8, 0.5, 0.2), sigma2=0.05,
-                               state_sequence=make_state_sequence(2, 45, "iid_uniform", seed=6))
-        env = instantiate(spec)
-        sched = sr_schedule("uniform", 3, 45)
-        res = successive_rejects(env, sched, substream(2, "sr"))
-        assert len(res.steps) == 45
-        phases = [phase for _, _, _, _, phase in res.steps]
-        boundaries = [0] + list(sched.t_k)
-        for k in range(1, 3):
-            assert phases[boundaries[k - 1]:boundaries[k]] == [k] * (boundaries[k] - boundaries[k - 1])
-        active_per_phase = {k: set() for k in (1, 2)}
-        for _, _, arm, _, phase in res.steps:
-            active_per_phase[phase].add(arm)
-        assert len(active_per_phase[1]) == 3
-        assert len(active_per_phase[2]) == 2
-
-    def test_within_phase_balance(self):
-        spec = EnvironmentSpec(K=3, S=2, mu=(0.8, 0.5, 0.2), sigma2=0.05,
-                               state_sequence=make_state_sequence(2, 66, "iid_uniform", seed=8))
-        env = instantiate(spec)
-        sched = sr_schedule("uniform", 3, 66)
-        res = successive_rejects(env, sched, substream(3, "sr"))
-        for k, (lo, hi) in enumerate(zip((0,) + sched.t_k, sched.t_k), start=1):
-            per_cell: dict = {}
-            for t, s, arm, _, phase in res.steps[lo:hi]:
-                assert phase == k
-                per_cell[(arm, s)] = per_cell.get((arm, s), 0) + 1
-            for s in range(2):
-                vals = [per_cell.get((arm, s), 0) for arm in set(a for a, ss in per_cell if ss == s)]
-                if vals:
-                    assert max(vals) - min(vals) <= 1
 
     def test_schedule_env_mismatch(self):
         env = instantiate(EnvironmentSpec(K=3, S=1, mu=(0.8, 0.5, 0.2), sigma2=0.05,
@@ -314,7 +315,9 @@ class TestEliminate:
         sched = sr_schedule("uniform", 4, 60)
         res = successive_rejects(env, sched, substream(0, "sr"))
         assert (res.rejected, res.winner) == ([1, 2, 0], 3)
-        assert _sr_sample(env, sched, 7, substream(0, "sr")).tolist() == [3] * 7
+        winners, rejected = _sr_sample(env, sched, 7, substream(0, "sr"))
+        assert winners.tolist() == [3] * 7
+        assert rejected.tolist() == [[1, 2, 0]] * 7
 
 
 class TestRunners:
@@ -387,9 +390,13 @@ def test_rotation_and_elimination_match_oracles(K, S, extra, mode, seed):
             assert kind == "reference"
             continue
         res = successive_rejects(env, sched, substream(seed, "hyp"))
-        winner, steps, rejected = sr_transcript(env, sched.t_k, substream(seed, "hyp"))
-        assert (res.winner, res.rejected, res.steps) == (winner, rejected, steps)
-        assert np.array_equal(res.n_table, sr_table_from_steps(steps, rejected, K, S))
+        winners, rejected = sr_sample_per_cell(env, sched.t_k, 1, substream(seed, "hyp"))
+        assert (res.winner, res.rejected) == (winners[0], rejected[0].tolist())
+        winners, rejected = sr_sample_per_cell(env, sched.t_k, 6, substream(seed, "hyp"))
+        batch = _sr_sample(env, sched, 6, substream(seed, "hyp"))
+        assert np.array_equal(batch[0], winners) and np.array_equal(batch[1], rejected)
+        _, steps, transcript_rejected = sr_transcript(env, sched.t_k, substream(seed, "hyp"))
+        assert np.array_equal(res.n_table, sr_table_from_steps(steps, transcript_rejected, K, S))
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning", "error::RuntimeWarning")
