@@ -226,18 +226,12 @@ def noiseless_env(m, n, state_mode="round_robin"):
     return Environment(spec=spec, m=m)
 
 
-def zero_one_env(m, n, state_mode="round_robin"):
-    """Bernoulli rewards of local means 0 or 1, which every draw reproduces exactly."""
-    m = np.asarray(m, dtype=float)
-    K, S = m.shape
-    spec = EnvironmentSpec(K=K, S=S, mu=tuple(float(v) for v in m.mean(axis=1)), sigma2=0.01,
-                           state_sequence=make_state_sequence(S, n, state_mode))
-    return Environment(spec=spec, m=m)
-
-
 class TestSuccessiveRejects:
     def test_noiseless_ordering(self):
-        env = zero_one_env([[1, 1], [1, 0], [0, 0]], 30)
+        # Bernoulli rewards of mean 0 or 1 are exact: the arms' sums of state means are 2, 1 and 0
+        spec = EnvironmentSpec(K=3, S=2, mu=(1.0, 0.5, 0.0), sigma2=0.05,
+                               state_sequence=make_state_sequence(2, 30, "round_robin"))
+        env = Environment(spec=spec, m=np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]]))
         res = successive_rejects(env, sr_schedule("uniform", 3, 30), substream(0, "sr"))
         assert res.rejected == [2, 1]
         assert res.winner == 0
@@ -393,8 +387,8 @@ def test_rotation_and_elimination_match_oracles(K, S, extra, mode, seed):
         winners, rejected = sr_sample_per_cell(env, sched.t_k, 1, substream(seed, "hyp"))
         assert (res.winner, res.rejected) == (winners[0], rejected[0].tolist())
         winners, rejected = sr_sample_per_cell(env, sched.t_k, 6, substream(seed, "hyp"))
-        batch = _sr_sample(env, sched, 6, substream(seed, "hyp"))
-        assert np.array_equal(batch[0], winners) and np.array_equal(batch[1], rejected)
+        engine_winners, engine_rejected = _sr_sample(env, sched, 6, substream(seed, "hyp"))
+        assert np.array_equal(engine_winners, winners) and np.array_equal(engine_rejected, rejected)
         _, steps, transcript_rejected = sr_transcript(env, sched.t_k, substream(seed, "hyp"))
         assert np.array_equal(res.n_table, sr_table_from_steps(steps, transcript_rejected, K, S))
 
