@@ -25,7 +25,8 @@ from . import __version__
 from .bounds import thm2_bounds
 from .divergence import BOUNDED_UNIT, PsiFamily, psi, psi_star, psi_star_inv
 from .env import (
-    EnvironmentSpec, Environment, _check_distinct, gaps, instantiate, make_state_sequence, state_counts,
+    EnvironmentSpec, Environment, _check_distinct, _check_integer, gaps, instantiate, make_state_sequence,
+    state_counts,
 )
 from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError
 from .montecarlo import (
@@ -597,6 +598,7 @@ def main(argv=None) -> int:
             raw, manifest_seed = load_config(args.config, args.command)
         cfg = resolve_config(schema, raw)
         seed = args.seed if args.seed is not None else (manifest_seed if manifest_seed is not None else 0)
+        _check_integer(seed, "seed")  # a manifest's, which JSON may give as a string, float or bool
         if args.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         os.makedirs(args.out, exist_ok=True)

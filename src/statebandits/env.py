@@ -11,12 +11,11 @@ sequence is known in advance and shared by every strategy.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, _warn
 from .rng import substream
 
 __all__ = [
@@ -55,6 +54,8 @@ class EnvironmentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple(float(u) for u in self.mu))
+        for name in ("K", "S", "seed"):
+            _check_integer(getattr(self, name), name)
         if self.K < 2:
             raise ValidationError("need at least 2 arms", field="K")
         if self.S < 1:
@@ -80,11 +81,8 @@ class EnvironmentSpec:
         if self.reward_family == "truncated_gaussian" and not self.reward_sigma2 > 0:
             raise ValidationError("must be positive", field="reward_sigma2")
         if self.horizon < self.K * self.S:
-            warnings.warn(
-                f"horizon {self.horizon} is shorter than K*S = {self.K * self.S}; "
-                "some (arm, state) cells cannot be visited",
-                stacklevel=3,
-            )
+            _warn(f"horizon {self.horizon} is shorter than K*S = {self.K * self.S}; "
+                  "some (arm, state) cells cannot be visited", __name__)
 
     def __eq__(self, other):
         if not isinstance(other, EnvironmentSpec):
@@ -101,6 +99,8 @@ class EnvironmentSpec:
 def make_state_sequence(S: int, n: int, mode: str = "iid_uniform", seed: int = 0) -> np.ndarray:
     """Generate a length-n int64 state sequence: iid_uniform, round_robin or
     blocks (S equal blocks, the last one taking the remainder)."""
+    _check_integer(S, "S")
+    _check_integer(n, "n")
     if S < 1 or n < 1:
         raise ValidationError("need S >= 1 and n >= 1", field="state_sequence")
     if mode == "iid_uniform":

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the warning rule shared across the package."""
+
+import warnings
+
+_REGISTRY: dict = {}  # the process's: shows each warning text once
 
 
 class ValidationError(ValueError):
@@ -38,3 +42,11 @@ class ParseError(ValueError):
 
 class ReferentialError(ValueError):
     """Cross-file identifiers do not agree."""
+
+
+def _warn(message: str, module: str, registry: dict | None = None, category=UserWarning) -> None:
+    """Warn at a module's name and line 0 rather than at a source file and
+    line, so stderr depends on neither the checkout nor line numbers; like
+    ``warnings.warn``, the default action shows each text once per registry,
+    the process's unless the caller passes its own."""
+    warnings.warn_explicit(message, category, module, 0, registry=_REGISTRY if registry is None else registry)

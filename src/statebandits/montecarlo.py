@@ -29,7 +29,7 @@ from .env import (
     STATE_MODES, Environment, EnvironmentSpec, _check_bernoulli, _check_distinct, _check_integer, _check_runs,
     _check_steps, gaps, instantiate, make_state_sequence, state_counts,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _warn
 from .rng import substream
 from .strategies import _eba_pick, _sr_sample, cell_means, optimism_play, rotation_counts, sr_schedule
 
@@ -256,7 +256,7 @@ def _run_tasks(record, config, workers: int):
             results = list(pool.map(_env_task, args))  # in submission order
     registry = {}  # the default action shows each (message, category) once per sweep
     for message, category in (w for *_, caught in results for w in caught):
-        warnings.warn_explicit(message, category, __name__, 0, registry=registry)
+        _warn(message, __name__, registry, category)
     records = [rec for _, rec, err, _ in results if err is None]
     failures = [(idx, err) for idx, _, err, _ in results if err is not None]
     return records, failures

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
 from .divergence import BOUNDED_UNIT
-from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError
+from .env import _check_integer
+from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError, _warn
 from .rng import substream, substream_integers, substream_random
 from .strategies import _optimism_pick, cell_means
 
@@ -39,11 +40,9 @@ __all__ = [
     "allocation_budgets",
     "default_stages",
     "PipelineResult",
-    "PipelineBatch",
     "run_pipeline",
     "run_pipeline_batch",
     "BaselineResult",
-    "BaselineBatch",
     "run_baseline",
     "run_baseline_batch",
     "BASELINES",
@@ -140,7 +139,9 @@ class SeedBatch:
     """
 
     def __init__(self, pops, seeds):
-        pops, self.seeds = list(pops), [int(s) for s in seeds]
+        pops, self.seeds = list(pops), list(seeds)
+        for seed in self.seeds:
+            _check_integer(seed, "seed")
         if not pops or len(pops) != len(self.seeds):
             raise ValidationError(f"need one population per seed, got {len(pops)} for {len(self.seeds)}",
                                   field="seeds")
@@ -225,6 +226,8 @@ def synth_population(
     accurate. With noise (0.45, 0.30, 0.10) a single full-coverage expert
     pass has expected sensitivity 0.9.
     """
+    _check_integer(n, "n")
+    _check_integer(n_severe, "n_severe")
     if not 0 < n_severe < n:
         raise ValidationError("need 0 < n_severe < n", field="n_severe")
     if len(stage_noise) != 3 or not 1 > stage_noise[0] > stage_noise[1] > stage_noise[2] >= 0:
@@ -326,6 +329,8 @@ class StageSpec:
     cohort_out: int
 
     def __post_init__(self):
+        for name in ("index", "budget_milli", "cohort_out"):
+            _check_integer(getattr(self, name), name)
         if self.index not in (1, 2, 3):
             raise ValidationError(f"must be 1, 2 or 3, got {self.index!r}", field="index")
         if self.budget_milli < 0:
@@ -382,6 +387,9 @@ def default_stages(
     scheme: str | None = None,
 ) -> list[StageSpec]:
     """The three protocol stages with a named budget split."""
+    _check_integer(n, "n")
+    for size in k:
+        _check_integer(size, "k")
     if len(k) != 3 or not n > k[0] >= k[1] >= k[2] >= 1:
         raise ValidationError(f"need 3 sizes with n > k1 >= k2 >= k3 >= 1, got n={n}, k={k}",
                               field="cohort_out")
@@ -390,70 +398,44 @@ def default_stages(
     return [StageSpec(index=i + 1, budget_milli=budgets[i], cohort_out=k[i]) for i in range(3)]
 
 
-@dataclass(frozen=True)
-class StageOutcome:
+class StageOutcome(NamedTuple):
+    """One stage of a pipeline run. A single run holds its survivors' ids in
+    id order and ``{id: estimate}``; a batch holds their population rows and
+    estimates as ``(seeds, cohort_out)`` arrays."""
+
     index: int
     pulls: int
     spend_milli: int
-    survivors: tuple[int, ...]
-    u_hat: dict
+    survivors: tuple | np.ndarray
+    u_hat: dict | np.ndarray
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Outcome of one pipeline run; positives depend on the evaluation mode.
+    """Outcome of a pipeline run; positives depend on the evaluation mode.
 
     ``mab`` counts every final-cohort member as flagged; ``mab_star`` only
-    those whose expert evaluations included a Severe observation.
+    those whose expert evaluations included a Severe observation. A single
+    run's sets are frozensets of ids; a batch's are ``(seeds, n)`` masks of
+    population rows.
     """
 
-    final_cohort: tuple[int, ...]
-    evaluated: frozenset
-    expert_severe: frozenset
+    final_cohort: frozenset | np.ndarray
+    evaluated: frozenset | np.ndarray
+    expert_severe: frozenset | np.ndarray
     stages: tuple[StageOutcome, ...]
     spend_milli: int
 
-    def positives(self, mode: str = "mab") -> frozenset:
-        return _flagged(frozenset(self.final_cohort), self.expert_severe, mode)
-
-
-@dataclass(frozen=True)
-class PipelineBatch:
-    """One pipeline run per seed of a SeedBatch, as ``PipelineResult`` fields
-    over population rows: ``evaluated`` and ``expert_severe`` are ``(seeds, n)``
-    masks, and each of ``stages`` is ``(index, pulls, spend_milli, survivors,
-    u_hat)`` with the survivors' rows and estimates as ``(seeds, cohort_out)``."""
-
-    stages: tuple
-    evaluated: np.ndarray
-    expert_severe: np.ndarray
-    spend_milli: int
-
-    def positives(self, mode: str = "mab") -> np.ndarray:
-        final = np.zeros_like(self.evaluated)
-        np.put_along_axis(final, self.stages[-1][3], True, axis=1)
-        return _flagged(final, self.expert_severe, mode)
-
-
-def _flagged(final, expert_severe, mode: str):
-    """A pipeline's positives in each mode, from frozensets or masks alike."""
-    if mode == "mab":
-        return final
-    if mode == "mab_star":
-        return final & expert_severe
-    raise ConfigurationError(f"unknown mode {mode!r}")
+    def positives(self, mode: str = "mab"):
+        if mode == "mab":
+            return self.final_cohort
+        if mode == "mab_star":
+            return self.final_cohort & self.expert_severe
+        raise ConfigurationError(f"unknown mode {mode!r}")
 
 
 UCB_ALPHA = 3.0
 """Exploration rate of the ``ucb`` policy's optimism bonus."""
-
-
-def _warn(message: str) -> None:
-    """Warn at this module's name rather than at a source file and line, so
-    stderr does not depend on the checkout; like ``warnings.warn``, the
-    default action shows each text once per process."""
-    warnings.warn_explicit(message, UserWarning, __name__, 0,
-                           registry=globals().setdefault("__warningregistry__", {}))
 
 
 def run_pipeline(
@@ -478,16 +460,16 @@ def run_pipeline(
     """
     res = run_pipeline_batch(SeedBatch([pop], [seed]), stages, policy, encoding)
     outcomes = []
-    for index, pulls, spend, rows, u_hat in res.stages:
-        survivors = tuple(pop.ids[rows[0]].tolist())
-        outcomes.append(StageOutcome(index, pulls, spend, survivors, dict(zip(survivors, u_hat[0].tolist()))))
-    return PipelineResult(
-        final_cohort=outcomes[-1].survivors,
-        evaluated=frozenset(pop.ids[res.evaluated[0]].tolist()),
-        expert_severe=frozenset(pop.ids[res.expert_severe[0]].tolist()),
-        stages=tuple(outcomes),
-        spend_milli=res.spend_milli,
-    )
+    for o in res.stages:
+        survivors = tuple(pop.ids[o.survivors[0]].tolist())
+        outcomes.append(o._replace(survivors=survivors, u_hat=dict(zip(survivors, o.u_hat[0].tolist()))))
+    id_sets = (_id_set(pop, mask) for mask in (res.final_cohort, res.evaluated, res.expert_severe))
+    return PipelineResult(*id_sets, tuple(outcomes), res.spend_milli)
+
+
+def _id_set(pop: Population, mask: np.ndarray) -> frozenset:
+    """The ids of a batch of one's ``(1, n)`` row mask."""
+    return frozenset(pop.ids[mask[0]].tolist())
 
 
 def run_pipeline_batch(
@@ -495,7 +477,7 @@ def run_pipeline_batch(
     stages: list[StageSpec],
     policy: str = "round_robin",
     encoding: str = "linear",
-) -> PipelineBatch:
+) -> PipelineResult:
     """``run_pipeline`` for every seed of a batch at once. The seeds' runs keep
     ``(seeds, survivors)`` tables and step in lockstep: every seed funds the
     same pulls, each draws its stage uniforms from its own ``substream(seed,
@@ -529,9 +511,9 @@ def run_pipeline_batch(
         m, gain = rows.shape[1], st.gain
         max_pulls = st.budget_milli // st.cost_milli
         if max_pulls == 0:
-            _warn(f"stage {st.index}: budget funds no pulls; stage skipped")
+            _warn(f"stage {st.index}: budget funds no pulls; stage skipped", __name__)
         elif max_pulls < m:
-            _warn(f"stage {st.index}: budget funds {max_pulls} pulls for {m} survivors")
+            _warn(f"stage {st.index}: budget funds {max_pulls} pulls for {m} survivors", __name__)
         reached = min(m, max_pulls)  # every pull is of one of the first `reached` survivors
         label = _stage_rule(batch, st.index, rows[:, :reached], rngs, max_pulls)
         # per survivor: its pulls in this stage (floats, as the optimism pick divides by them;
@@ -566,8 +548,11 @@ def run_pipeline_batch(
         u_hat = cell_means(w_sum, w_enc, 0.0)
         keep = np.sort(np.argsort(-u_hat, axis=1, kind="stable")[:, :st.cohort_out], axis=1)
         rows, w_enc, w_sum, u_hat = (np.take_along_axis(a, keep, axis=1) for a in (rows, w_enc, w_sum, u_hat))
-        outcomes.append((st.index, max_pulls, max_pulls * st.cost_milli, rows, u_hat))
-    return PipelineBatch(tuple(outcomes), evaluated, expert_severe, sum(o[2] for o in outcomes))
+        outcomes.append(StageOutcome(st.index, max_pulls, max_pulls * st.cost_milli, rows, u_hat))
+    final = np.zeros_like(evaluated)
+    final[b, rows] = True
+    return PipelineResult(final, evaluated, expert_severe, tuple(outcomes),
+                          sum(o.spend_milli for o in outcomes))
 
 
 def _stage_rule(batch: SeedBatch, stage: int, rows: np.ndarray, rngs: list, pulls: int) -> Callable:
@@ -588,30 +573,17 @@ def _stage_rule(batch: SeedBatch, stage: int, rows: np.ndarray, rngs: list, pull
 
 @dataclass(frozen=True)
 class BaselineResult:
-    """Outcome of a reference screening approach; positives are fixed."""
+    """Outcome of a reference screening approach; positives are fixed. A
+    single run's sets are frozensets of ids; a batch's are ``(seeds, n)``
+    masks of population rows."""
 
     name: str
-    evaluated: frozenset
-    _positives: frozenset
+    evaluated: frozenset | np.ndarray
+    _positives: frozenset | np.ndarray
     spend_milli: int
     n_evaluations: int
 
-    def positives(self, mode: str = "mab") -> frozenset:
-        return self._positives
-
-
-@dataclass(frozen=True)
-class BaselineBatch:
-    """A reference approach per seed of a SeedBatch: ``BaselineResult`` with
-    ``(seeds, n)`` masks of population rows."""
-
-    name: str
-    evaluated: np.ndarray
-    _positives: np.ndarray
-    spend_milli: int
-    n_evaluations: int
-
-    def positives(self, mode: str = "mab") -> np.ndarray:
+    def positives(self, mode: str = "mab"):
         return self._positives
 
 
@@ -671,11 +643,11 @@ def run_baseline(name: str, pop: Population, seed: int = 0) -> BaselineResult:
     ``run_baseline_batch`` with one seed.
     """
     res = run_baseline_batch(name, SeedBatch([pop], [seed]))
-    return BaselineResult(name, frozenset(pop.ids[res.evaluated[0]].tolist()),
-                          frozenset(pop.ids[res.positives()[0]].tolist()), res.spend_milli, res.n_evaluations)
+    return BaselineResult(name, _id_set(pop, res.evaluated), _id_set(pop, res.positives()), res.spend_milli,
+                          res.n_evaluations)
 
 
-def run_baseline_batch(name: str, batch: SeedBatch) -> BaselineBatch:
+def run_baseline_batch(name: str, batch: SeedBatch) -> BaselineResult:
     """``run_baseline`` for every seed of a batch at once; the baselines of one
     batch share its rater labels and cohorts."""
     if name not in _BASELINE_TABLE:
@@ -698,7 +670,7 @@ def run_baseline_batch(name: str, batch: SeedBatch) -> BaselineBatch:
     evaluated, positives = np.zeros((2, seeds, n), dtype=bool)
     evaluated[b, seen] = True
     positives[b, seen] = rater.labels(batch, seen) == RiskLabel.SEVERE
-    return BaselineBatch(
+    return BaselineResult(
         name,
         evaluated if view == "cohort" else np.ones_like(evaluated),
         positives,
@@ -748,7 +720,7 @@ def metrics(result, pop: Population, mode: str = "mab") -> Metrics:
 
 
 def metrics_batch(result, batch: SeedBatch, mode: str = "mab") -> list[Metrics]:
-    """``metrics`` of a ``PipelineBatch`` or ``BaselineBatch`` for each seed."""
+    """``metrics`` of a batch's ``PipelineResult`` or ``BaselineResult`` for each seed."""
     return _metrics(result.evaluated, result.positives(mode), batch.true_risk == RiskLabel.SEVERE)
 
 

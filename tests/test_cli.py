@@ -71,6 +71,23 @@ class TestErrors:
         assert rc == 2
         assert "manifest is for command" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config", [
+        ("regret", {"K": 3, "S": 2, "checkpoints": [10], "runs": 2}),
+        ("triage", {"num_seeds": 1, "baselines": []}),
+        ("tightness", {"num_envs": 1, "runs_per_env": 2}),
+        ("verify", {}),
+    ])
+    @pytest.mark.parametrize("seed", ["5", 1.5, True])
+    def test_manifest_seed_must_be_an_integer(self, tmp_path, capsys, command, config, seed):
+        # a string seed would be hashed as a tag and run the study on other numbers; the check
+        # comes before --out is made, so nothing is written
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": command, "seed": seed, "config": config}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(manifest), "--out", str(out)]) == 2
+        assert f"seed must be an integer, got {seed!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_regret_shape_mismatch(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", "K = 3\nmu = 0.5,0.4\nruns = 2\ncheckpoints = 10\n")
         rc = main(["regret", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -274,8 +291,9 @@ class TestErrors:
 
     def test_warnings_name_modules_not_source_paths(self, tmp_path):
         # stderr must not depend on the checkout path or on line numbers: the sweep
-        # re-issues its environments' warnings, and the pipeline its stage-budget ones,
-        # at the module name, once per study however many seeds or batches warn
+        # re-issues its environments' warnings, the pipeline its stage-budget ones and
+        # EnvironmentSpec its own at the module name, once per study however many seeds
+        # or batches warn
         env = {**os.environ, "PYTHONPATH": str(pathlib.Path(statebandits.__file__).parents[1])}
         runs = [
             ("tightness", "num_envs = 12\nruns_per_env = 20\nk_min = 2\nk_max = 4\ns_min = 1\ns_max = 1\n"
@@ -283,6 +301,9 @@ class TestErrors:
              "statebandits.montecarlo:0: UserWarning: horizon 3 is shorter than K*S = 4"),
             ("triage", f"k = 230, 100, 50\nnum_seeds = {cli.SEEDS_PER_BATCH + 2}\nbaselines =\n",
              "statebandits.triage:0: UserWarning: stage 2: budget funds 200 pulls for 230 survivors"),
+            # EnvironmentSpec's own warning, made in cli.py, is attributed to env too
+            ("regret", "K = 3\nS = 2\ncheckpoints = 5\nruns = 10\n",
+             "statebandits.env:0: UserWarning: horizon 5 is shorter than K*S = 6"),
         ]
         for command, text, line in runs:
             cfg = write_cfg(tmp_path / f"{command}.cfg", text)

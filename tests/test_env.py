@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from statebandits import (
+    ConfigurationError,
     Environment,
     EnvironmentSpec,
     ValidationError,
@@ -82,8 +83,20 @@ class TestSpecValidation:
             spec_of(reward_family="poisson")
 
     def test_short_horizon_warns(self):
-        with pytest.warns(UserWarning, match="shorter than K\\*S"):
+        # at the module name and line 0, so neither the caller's line nor the checkout shows
+        with pytest.warns(UserWarning, match="shorter than K\\*S") as caught:
             EnvironmentSpec(K=3, S=2, mu=(0.1, 0.2, 0.3), sigma2=0.01, state_sequence=(0, 1, 0))
+        assert [(w.filename, w.lineno) for w in caught] == [("statebandits.env", 0)]
+
+    def test_counts_and_seed_must_be_integers(self):
+        # a float count would fail later in instantiate, and a string seed would draw other local means
+        for key, value in [("K", 3.0), ("S", 2.0), ("S", True), ("seed", "3"), ("seed", 1.5), ("seed", True)]:
+            with pytest.raises(ConfigurationError, match=f"{key} must be an integer"):
+                EnvironmentSpec(**{"K": 3, "S": 2, "seed": 0, key: value}, mu=(0.1, 0.2, 0.3), sigma2=0.01,
+                                state_sequence=(0, 1) * 5)
+        spec = EnvironmentSpec(K=np.int64(3), S=np.int32(2), mu=(0.1, 0.2, 0.3), sigma2=0.01,
+                               state_sequence=(0, 1) * 5, seed=np.uint64(3))
+        assert np.array_equal(instantiate(spec).m, instantiate(spec_of(3, 2, (0.1, 0.2, 0.3), n=10, seed=3)).m)
 
     def test_horizon_property(self):
         assert spec_of(n=64).horizon == 64
@@ -105,6 +118,11 @@ class TestStateSequences:
     def test_unknown_mode(self):
         with pytest.raises(ValidationError, match="unknown mode"):
             make_state_sequence(2, 10, "sorted")
+
+    @pytest.mark.parametrize("S, n, name", [(2.5, 10, "S"), (2, 10.0, "n"), (2, True, "n")])
+    def test_counts_must_be_integers(self, S, n, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            make_state_sequence(S, n, "round_robin")
 
 
 class TestInstantiate:

@@ -309,6 +309,16 @@ class TestSweeps:
         assert a == b and fa == fb
         assert [r.env_index for r in a] == list(range(6))
 
+    def test_num_envs_selects_the_first_environments(self):
+        # a sweep of num_envs = n holds the records of environments 0, ..., n - 1, each built
+        # from its own random_env draw alone, so a larger sweep extends a smaller one
+        for n in (0, 1, 4):
+            config = SweepConfig(num_envs=n, runs_per_env=20, master_seed=5, k_max=4, s_max=3)
+            envs = [instantiate(random_env(config, i)) for i in range(n)]
+            assert tightness_sweep(config) == ([montecarlo._tightness_record(env, i, 20)
+                                                for i, env in enumerate(envs)], [])
+            assert sr_compare(config)[0] == [montecarlo._sr_record(env, i, 20) for i, env in enumerate(envs)]
+
     def test_pool_is_capped_at_num_envs(self, monkeypatch):
         started = []
 

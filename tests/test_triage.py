@@ -31,7 +31,7 @@ from statebandits import (
 from statebandits import rng, triage
 from statebandits.triage import (
     COHORT_BASELINES, ENCODINGS, STAGE_COSTS_MILLI, STAGE_GAINS, SUB_COHORT, BaselineResult, SeedBatch,
-    metrics_batch, run_baseline_batch, run_pipeline_batch,
+    StageOutcome, metrics_batch, run_baseline_batch, run_pipeline_batch,
 )
 
 from _oracles import confusion_walk, triage_baseline, triage_pipeline
@@ -113,6 +113,11 @@ class TestSynthPopulation:
         with pytest.raises(ValidationError, match="n_severe"):
             synth_population(20, 20)
 
+    @pytest.mark.parametrize("n, n_severe, name", [(10.5, 3, "n"), (10, 2.5, "n_severe"), (10, True, "n_severe")])
+    def test_counts_must_be_integers(self, n, n_severe, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            synth_population(n, n_severe)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
             Population(ids=[1, 1], true_risk=[RiskLabel.NO, RiskLabel.NO])
@@ -175,6 +180,18 @@ class TestBudgets:
         with pytest.raises(ValidationError, match=r"cohort_out: need 3 sizes.*k=\(200, 100\)"):
             default_stages(242, (200, 100))
 
+    @pytest.mark.parametrize("fields, name", [((1, 10.5, 5), "budget_milli"), ((1, 10, 4.5), "cohort_out"),
+                                              ((1.0, 10, 5), "index"), ((True, 10, 5), "index")])
+    def test_stage_fields_must_be_integers(self, fields, name):
+        # a float budget or cohort size would pass here and fail in run_pipeline with a TypeError
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            StageSpec(*fields)
+
+    @pytest.mark.parametrize("n, k, name", [(242.0, (200, 100, 50), "n"), (242, (200, 100.0, 50), "k")])
+    def test_default_stages_counts_must_be_integers(self, n, k, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            default_stages(n, k)
+
 
 def identity_pop(labels):
     """Population whose every stage reports the true label with certainty."""
@@ -196,7 +213,7 @@ class TestPipeline:
         pop = identity_pop(self.labels)
         for policy in ("round_robin", "ucb"):
             result = run_pipeline(pop, small_stages(20, (12, 8, 5), scale=1), policy=policy)
-            assert result.final_cohort == (0, 1, 2, 3, 4)
+            assert result.final_cohort == frozenset({0, 1, 2, 3, 4})
             assert result.positives("mab") == result.positives("mab_star")
             scores = metrics(result, pop)
             assert scores.pop_sensitivity == 1.0
@@ -263,6 +280,20 @@ class TestPipeline:
         b = run_pipeline(pop, stages, seed=9, policy="ucb")
         assert a == b
 
+    def test_seeds_must_be_integers(self):
+        # a float seed would be truncated and a string one hashed as a tag
+        pop = synth_population(60, 12, seed=5)
+        stages = default_stages(60, k=(40, 20, 10))
+        for seed in (1.9, "7", True):
+            with pytest.raises(ConfigurationError, match="seed must be an integer"):
+                run_pipeline(pop, stages, seed=seed)
+            with pytest.raises(ConfigurationError, match="seed must be an integer"):
+                run_baseline("1Expert", pop, seed=seed)
+            with pytest.raises(ConfigurationError, match="seed must be an integer"):
+                SeedBatch([pop, pop], [3, seed])
+        assert run_pipeline(pop, stages, seed=np.int64(9)) == run_pipeline(pop, stages, seed=9)
+        assert run_baseline("1Expert", pop, seed=np.uint32(9)) == run_baseline("1Expert", pop, seed=9)
+
     def test_duplicate_stage_indices_rejected(self):
         pop = identity_pop(self.labels)
         stages = small_stages(20, (12, 8, 5))
@@ -324,7 +355,7 @@ def test_pipeline_matches_dict_oracle(screen, policy, encoding, seed):
         warnings.simplefilter("ignore", UserWarning)
         result = run_pipeline(pop, stages, policy=policy, seed=seed, encoding=encoding)
     ref = triage_pipeline(pop, stages, policy, encoding, substream(seed, "pipeline"))
-    assert result.final_cohort == ref["final_cohort"]
+    assert result.final_cohort == frozenset(ref["final_cohort"])
     assert result.evaluated == ref["evaluated"]
     assert result.expert_severe == ref["expert_severe"]
     assert [(o.index, o.pulls, o.spend_milli, o.survivors, o.u_hat)
@@ -375,12 +406,14 @@ def test_pipeline_batch_rows_equal_single_runs(case, data, policy, encoding):
         batch = SeedBatch(pops, seeds)
         res = run_pipeline_batch(batch, stages, policy, encoding)
         singles = [run_pipeline(pop, stages, policy, seed, encoding) for pop, seed in zip(pops, seeds)]
+    assert isinstance(res, PipelineResult) and all(isinstance(o, StageOutcome) for o in res.stages)
     for b, (pop, single) in enumerate(zip(pops, singles)):
         ids = pop.ids
         assert [(i, p, spend, tuple(ids[rows[b]].tolist()), dict(zip(ids[rows[b]].tolist(), u[b].tolist())))
                 for i, p, spend, rows, u in res.stages] == [
             (o.index, o.pulls, o.spend_milli, o.survivors, o.u_hat) for o in single.stages]
         assert set(ids[res.evaluated[b]].tolist()) == single.evaluated
+        assert set(ids[res.final_cohort[b]].tolist()) == single.final_cohort
         assert set(ids[res.expert_severe[b]].tolist()) == single.expert_severe
         assert res.spend_milli == single.spend_milli
         for mode in ("mab", "mab_star"):
@@ -399,6 +432,7 @@ def test_baselines_match_dict_oracle(case):
                 run_baseline_batch(name, batch)
             continue
         res = run_baseline_batch(name, batch)
+        assert isinstance(res, BaselineResult)
         for b, (pop, seed) in enumerate(zip(pops, seeds)):
             ref = triage_baseline(name, pop, seed, substream)
             single = run_baseline(name, pop, seed)
@@ -548,7 +582,7 @@ class TestLoadEvaluations:
         u_hat = result.stages[0].u_hat
         assert u_hat[2] == ENCODINGS["linear"][RiskLabel.SEVERE]
         assert u_hat[3] == pytest.approx(ENCODINGS["linear"][RiskLabel.MODERATE])
-        assert result.final_cohort == (2, 3)
+        assert result.final_cohort == frozenset({2, 3})
 
     def test_weighted_mean_across_stages(self, tmp_path):
         self.write_machine(tmp_path / "machine.csv", [
@@ -566,7 +600,7 @@ class TestLoadEvaluations:
         ]
         result = run_pipeline(pop, stages)
         assert result.stages[1].u_hat[2] == pytest.approx(1.0)
-        assert result.final_cohort == (2,)
+        assert result.final_cohort == frozenset({2})
         outcome1 = result.stages[0]
         assert outcome1.u_hat[1] == pytest.approx(1.0)
         assert outcome1.u_hat[2] == pytest.approx(1.0)
@@ -796,7 +830,7 @@ class TestMetrics:
         assert scores.cohort_sensitivity is None
 
     def test_positive_modes(self):
-        result = PipelineResult(final_cohort=(1, 2), evaluated=frozenset({1, 2, 3}),
+        result = PipelineResult(final_cohort=frozenset({1, 2}), evaluated=frozenset({1, 2, 3}),
                                 expert_severe=frozenset({2, 3}), stages=(), spend_milli=0)
         assert result.positives("mab") == frozenset({1, 2})
         assert result.positives("mab_star") == frozenset({2})
