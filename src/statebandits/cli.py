@@ -41,7 +41,7 @@ from .montecarlo import (
     write_table,
 )
 from .rng import substream
-from .strategies import phase_visits, rotation_counts, sr_schedule, successive_rejects
+from .strategies import phase_visits, rotation_counts, sr_counts, sr_schedule, successive_rejects
 from .triage import (
     BASELINES,
     COHORT_BASELINES,
@@ -404,7 +404,8 @@ def cmd_triage(args, cfg: dict, seed: int) -> int:
                      for s in range(first, min(first + SEEDS_PER_BATCH, cfg["num_seeds"]))]
         pops = [pop] * len(run_seeds) if replay else [
             synth_population(cfg["n"], cfg["n_severe"], tuple(cfg["stage_noise"]), seed=s) for s in run_seeds]
-        batch = SeedBatch(pops, run_seeds)
+        # one study's synthetic populations share ids and a confusion table, so the first is the roster
+        batch = SeedBatch(pops[0], run_seeds, np.stack([p.true_risk for p in pops]))
         result = run_pipeline_batch(batch, stages, policy=cfg["policy"], encoding=cfg["encoding"])
         values["MAB"] += _triage_values(result, batch, "mab")
         values["MAB*"] += _triage_values(result, batch, "mab_star")
@@ -475,7 +476,7 @@ def _suite_allocation() -> tuple[bool, str]:
         pulls += table.sum(axis=0)
         # the evenly-allocated count of a phase is the fewest pulls any active arm got
         fewest.append(table.min(axis=0))
-    if not np.array_equal(res.n_table, np.cumsum(fewest, axis=0).T):
+    if not np.array_equal(sr_counts(spec.state_sequence, schedule, 3, 2), np.cumsum(fewest, axis=0).T):
         return False, "SR count table mismatch"
     if np.any(pulls != state_counts(spec.state_sequence, 2, 90)):
         return False, "per-state pulls do not add up"

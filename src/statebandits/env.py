@@ -99,8 +99,8 @@ class EnvironmentSpec:
 def make_state_sequence(S: int, n: int, mode: str = "iid_uniform", seed: int = 0) -> np.ndarray:
     """Generate a length-n int64 state sequence: iid_uniform, round_robin or
     blocks (S equal blocks, the last one taking the remainder)."""
-    _check_integer(S, "S")
-    _check_integer(n, "n")
+    for value, name in ((S, "S"), (n, "n"), (seed, "seed")):
+        _check_integer(value, name)
     if S < 1 or n < 1:
         raise ValidationError("need S >= 1 and n >= 1", field="state_sequence")
     if mode == "iid_uniform":

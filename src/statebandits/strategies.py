@@ -24,7 +24,6 @@ from .env import Environment, _check_bernoulli, _check_integer, _check_steps, _r
 from .errors import ConfigurationError, RecommendationError, ScheduleError
 
 __all__ = [
-    "PullStats",
     "cell_means",
     "optimism_play",
     "rotation_counts",
@@ -38,18 +37,6 @@ __all__ = [
     "successive_rejects",
     "run_sb_ucb",
 ]
-
-
-class PullStats:
-    """Per-(arm, state) pull counts and reward sums for K arms and S states."""
-
-    def __init__(self, K: int, S: int):
-        if K < 1 or S < 1:
-            raise ConfigurationError("need K >= 1 and S >= 1")
-        self.K = K
-        self.S = S
-        self.counts = np.zeros((K, S), dtype=np.int64)
-        self.sums = np.zeros((K, S), dtype=float)
 
 
 def cell_means(counts: np.ndarray, sums: np.ndarray, fill: float) -> np.ndarray:
@@ -81,19 +68,19 @@ def _optimism_pick(counts, sums, visit: int, alpha_log_t: float, family: PsiFami
 _BLOCK_VARIATES = 1 << 18  # reward variates optimism_play holds at once: 2 MiB of float64
 
 
-def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n: int, counts=None, sums=None):
+def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n: int):
     """Play the optimism-index rule for n steps, one run per stream, in lockstep.
 
     Run r draws its reward variates from ``streams[r]`` in blocks of about
     ``_BLOCK_VARIATES / runs`` steps; they equal one draw of n. The engine
-    keeps each state's counts and sums as contiguous float64 (runs, K) tables,
-    adds a one-hot mask of the chosen arms to them and, when ``counts`` and
-    ``sums`` of shape (runs, K, S) are given, writes them there once all n
-    steps are played. Yields (t, state, choice, mean) per step, the chosen
-    arms and their local means being (runs,) arrays.
+    keeps each state's counts and sums as contiguous float64 (runs, K) tables
+    and adds a one-hot mask of the chosen arms to them. Yields (t, state,
+    choice, mean) per step, the chosen arms and their local means being
+    (runs,) arrays.
     """
-    _check_alpha(alpha)
     spec = env.spec
+    _check_steps(n, spec.horizon)
+    _check_alpha(alpha)
     runs, K = len(streams), spec.K
     c, tot = np.zeros((2, spec.S, runs, K))
     mask, score, bonus = np.empty((3, runs, K))
@@ -114,8 +101,6 @@ def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n:
             c[s] += mask
             tot[s] += np.multiply(mask, _rewards(spec, mean, u)[:, None], out=mask)
             yield t, s, choice, mean
-    if counts is not None:
-        counts[...], sums[...] = c.transpose(1, 2, 0), tot.transpose(1, 2, 0)
 
 
 def rotation_counts(visits, A: int) -> np.ndarray:
@@ -238,6 +223,14 @@ def phase_visits(state_sequence, t_k, S: int) -> np.ndarray:
                      for lo, hi in zip(edges, edges[1:])], dtype=np.int64)
 
 
+def _check_schedule(schedule: SRSchedule, K: int, horizon: int) -> None:
+    """A schedule must be for K arms and end within the horizon."""
+    if schedule.K != K:
+        raise ScheduleError(f"schedule is for {schedule.K} arms, got K={K}", field="t_k")
+    if schedule.n > horizon:
+        raise ScheduleError(f"schedule horizon {schedule.n} exceeds sequence length {horizon}", field="t_k")
+
+
 def sr_counts(state_sequence, schedule: SRSchedule, K: int, S: int) -> np.ndarray:
     """Evenly-allocated per-arm pull counts n_{s,k} through each phase.
 
@@ -246,12 +239,7 @@ def sr_counts(state_sequence, schedule: SRSchedule, K: int, S: int) -> np.ndarra
     table a successive-elimination run reports. States that are never
     visited keep all-zero rows.
     """
-    if schedule.K != K:
-        raise ScheduleError(f"schedule is for {schedule.K} arms, got K={K}", field="t_k")
-    if schedule.n > len(state_sequence):
-        raise ScheduleError(
-            f"schedule horizon {schedule.n} exceeds sequence length {len(state_sequence)}", field="t_k"
-        )
+    _check_schedule(schedule, K, len(state_sequence))
     active = np.arange(K, 1, -1)[:, None]
     return np.cumsum(phase_visits(state_sequence, schedule.t_k, S) // active, axis=0).T
 
@@ -272,6 +260,7 @@ def _sr_sample(env: Environment, schedule: SRSchedule, runs: int, rng) -> tuple[
     """
     spec = env.spec
     _check_bernoulli(spec)
+    _check_schedule(schedule, spec.K, spec.horizon)
     K, S = spec.K, spec.S
     active = np.tile(np.arange(K), (runs, 1))
     counts = np.zeros((runs, K, S), dtype=np.int64)
@@ -291,13 +280,12 @@ def _sr_sample(env: Environment, schedule: SRSchedule, runs: int, rng) -> tuple[
 
 @dataclass
 class SRResult:
-    """Outcome of a successive-elimination run: the surviving arm, the arms
-    dropped at each boundary in order, and ``n_table[s, k-1]``, the
-    evenly-allocated per-arm pull count for state s through phase k."""
+    """Outcome of a successive-elimination run: the surviving arm and the arms
+    dropped at each boundary in order. Its evenly-allocated pull counts do not
+    depend on the run; ``sr_counts`` gives them."""
 
     winner: int
     rejected: list[int]
-    n_table: np.ndarray
 
 
 def successive_rejects(env: Environment, schedule: SRSchedule, rng: np.random.Generator) -> SRResult:
@@ -305,10 +293,8 @@ def successive_rejects(env: Environment, schedule: SRSchedule, rng: np.random.Ge
 
     This is ``_sr_sample`` with one run, so the rewards must be Bernoulli.
     """
-    spec = env.spec
-    n_table = sr_counts(spec.state_sequence, schedule, spec.K, spec.S)
     winner, rejected = _sr_sample(env, schedule, 1, rng)
-    return SRResult(winner=int(winner[0]), rejected=rejected[0].tolist(), n_table=n_table)
+    return SRResult(winner=int(winner[0]), rejected=rejected[0].tolist())
 
 
 def run_sb_ucb(
@@ -317,13 +303,9 @@ def run_sb_ucb(
     alpha: float,
     family: PsiFamily,
     rng: np.random.Generator,
-) -> tuple[PullStats, list[int]]:
-    """Optimism-index allocation for ``n`` steps; returns stats and choices.
+) -> list[int]:
+    """Optimism-index allocation for ``n`` steps; returns the arm of each step.
 
     This is ``optimism_play`` with one run.
     """
-    spec = env.spec
-    _check_steps(n, spec.horizon)
-    stats = PullStats(spec.K, spec.S)
-    play = optimism_play(env, alpha, family, [rng], n, stats.counts[None], stats.sums[None])
-    return stats, [int(choice[0]) for _, _, choice, _ in play]
+    return [int(choice[0]) for _, _, choice, _ in optimism_play(env, alpha, family, [rng], n)]

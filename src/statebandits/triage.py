@@ -129,67 +129,55 @@ class Population:
 
 
 class SeedBatch:
-    """Populations of one size and kind, one per seed, run as one batch: row b
-    of every ``(seeds, n)`` table is population ``pops[b]`` under ``seeds[b]``.
-    A replay batch keeps every population's recorded labels in one ``flat``
-    array with ``start`` and ``size`` of shape ``(seeds, 3, n)``. Rater labels
-    are derived for everyone in one pass the first time a baseline reads them,
-    and the baselines' random cohort is drawn once per seed; both are kept
-    while the batch lives, so every baseline of a batch reads the same ones.
+    """One roster ``pop`` run under many seeds as one batch: row b of every
+    ``(seeds, n)`` table is the roster under ``seeds[b]``, whose hidden labels
+    are ``true_risk[b]``. Rater labels are derived for everyone in one pass
+    the first time a baseline reads them, and the baselines' random cohort is
+    drawn once per seed; both are kept while the batch lives, so every
+    baseline of a batch reads the same ones.
     """
 
-    def __init__(self, pops, seeds):
-        pops, self.seeds = list(pops), list(seeds)
+    def __init__(self, pop: Population, seeds, true_risk):
+        self.pop, self.seeds = pop, list(seeds)
         for seed in self.seeds:
             _check_integer(seed, "seed")
-        if not pops or len(pops) != len(self.seeds):
-            raise ValidationError(f"need one population per seed, got {len(pops)} for {len(self.seeds)}",
-                                  field="seeds")
-        if len({(p.kind, len(p.ids)) for p in pops}) > 1:
-            raise ValidationError("populations of one batch need one size and one kind", field="pops")
-        self.kind = pops[0].kind
-        self.ids = np.stack([p.ids for p in pops])
-        self.everyone = np.tile(np.arange(self.ids.shape[1]), (len(pops), 1))  # each seed's rows, in id order
-        self.true_risk = np.stack([p.true_risk for p in pops])
-        if self.kind == "synthetic":
-            self.confusion = np.stack([p.confusion for p in pops])
-        else:
-            self.machine_probs = np.stack([p.machine_probs for p in pops])
-            flats = [p.recorded[0] for p in pops]
-            offsets = np.cumsum([0] + [len(f) for f in flats[:-1]])
-            self.flat = np.concatenate(flats)
-            self.start = np.stack([p.recorded[1] + o for p, o in zip(pops, offsets)])
-            self.size = np.stack([p.recorded[2] for p in pops])
+        self.true_risk = np.asarray(true_risk, dtype=np.int64)
+        shape = (len(self.seeds), len(pop.ids))
+        if not self.seeds or self.true_risk.shape != shape:
+            raise ValidationError(f"need at least one seed and a {shape} table of true labels, "
+                                  f"got {self.true_risk.shape}", field="true_risk")
+        self.everyone = np.tile(np.arange(shape[1]), (shape[0], 1))  # each seed's rows, in id order
         self._kept: dict = {}
 
     def recorded(self, stage: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A replay batch's ``(start, size)`` of the stage labels of population
-        rows ``rows`` (seeds, k); each of them needs at least one label."""
-        b = np.arange(len(rows))[:, None]
-        size = self.size[b, stage - 1, rows]
+        """A replay roster's ``(start, size)`` of the stage labels of rows
+        ``rows`` (seeds, k); each of them needs at least one label."""
+        _, start, size = self.pop.recorded
+        size = size[stage - 1, rows]
         if not size.all():
-            seed, k = np.argwhere(size == 0)[0]
-            raise ValidationError(f"individual {self.ids[seed, rows[seed, k]]} has no recorded "
+            raise ValidationError(f"individual {self.pop.ids[rows[size == 0][0]]} has no recorded "
                                   f"stage-{stage} labels", field="recorded")
-        return self.start[b, stage - 1, rows], size
+        return start[stage - 1, rows], size
 
     def rater_labels(self, rows: np.ndarray, stage: int, tag: str) -> np.ndarray:
-        """One evaluation each of population rows ``rows`` (seeds, k) by a
-        randomly assigned rater (used by baselines): what ``substream(seed, id,
-        tag)`` picks with ``.random()`` through the confusion row (synthetic) or
+        """One evaluation each of roster rows ``rows`` (seeds, k) by a randomly
+        assigned rater (used by baselines): what ``substream(seed, id, tag)``
+        picks with ``.random()`` through the confusion row (synthetic) or
         ``.integers(0, m)`` from the m recorded labels (replay)."""
-        if self.kind == "replay":
+        pop = self.pop
+        if pop.kind == "replay":
             self.recorded(stage, rows)
         if (stage, tag) not in self._kept:
-            seeds = np.array(self.seeds, dtype=object)[:, None]  # one per row of ids
-            if self.kind == "synthetic":
-                b = np.arange(len(self.seeds))[:, None]
-                labels = _confusion_labels(self.confusion[b, stage - 1, self.true_risk],
-                                           substream_random(seeds, self.ids, tag))
+            seeds = np.array(self.seeds, dtype=object)[:, None]  # broadcast over the ids
+            if pop.kind == "synthetic":
+                labels = _confusion_labels(pop.confusion[stage - 1, self.true_risk],
+                                           substream_random(seeds, pop.ids, tag))
             else:  # people without stage labels get none; recorded() keeps them unread
-                size, labels = self.size[:, stage - 1], np.full(self.ids.shape, -1)
-                picks = substream_integers(seeds, self.ids, tag, sizes=np.maximum(size, 1))
-                labels[size > 0] = self.flat[(self.start[:, stage - 1] + picks)[size > 0]]
+                flat, start, size = pop.recorded
+                start, size = start[stage - 1], size[stage - 1]
+                picks = substream_integers(seeds, pop.ids, tag, sizes=np.maximum(size, 1))
+                labels = np.full(picks.shape, -1)
+                labels[:, size > 0] = flat[(start + picks)[:, size > 0]]
             self._kept[stage, tag] = labels
         return np.take_along_axis(self._kept[stage, tag], rows, axis=1)
 
@@ -197,7 +185,7 @@ class SeedBatch:
         """Each seed's random SUB_COHORT-person cohort, as ascending rows."""
         if "cohort" not in self._kept:
             self._kept["cohort"] = np.stack([
-                np.sort(substream(seed, "cohort").choice(self.ids.shape[1], size=SUB_COHORT, replace=False))
+                np.sort(substream(seed, "cohort").choice(len(self.pop.ids), size=SUB_COHORT, replace=False))
                 for seed in self.seeds])
         return self._kept["cohort"]
 
@@ -226,8 +214,8 @@ def synth_population(
     accurate. With noise (0.45, 0.30, 0.10) a single full-coverage expert
     pass has expected sensitivity 0.9.
     """
-    _check_integer(n, "n")
-    _check_integer(n_severe, "n_severe")
+    for value, name in ((n, "n"), (n_severe, "n_severe"), (seed, "seed")):
+        _check_integer(value, name)
     if not 0 < n_severe < n:
         raise ValidationError("need 0 < n_severe < n", field="n_severe")
     if len(stage_noise) != 3 or not 1 > stage_noise[0] > stage_noise[1] > stage_noise[2] >= 0:
@@ -372,8 +360,9 @@ def allocation_budgets(total_dollars: int, scheme: str | None = None) -> tuple[i
     stage-3 entrant) and takes no scheme; $1,300 and $2,200 require a scheme
     of more3, more2 or equal.
     """
+    _check_integer(total_dollars, "total_dollars")
     try:
-        return _ALLOCATION_TABLE[int(total_dollars), _norm_scheme(scheme)]
+        return _ALLOCATION_TABLE[total_dollars, _norm_scheme(scheme)]
     except KeyError:
         raise ConfigurationError(
             f"no budget split for total ${total_dollars} scheme {scheme!r}"
@@ -458,7 +447,7 @@ def run_pipeline(
     gain-weighted encoded mean, ties toward the lower id. This is
     ``run_pipeline_batch`` with one seed.
     """
-    res = run_pipeline_batch(SeedBatch([pop], [seed]), stages, policy, encoding)
+    res = run_pipeline_batch(SeedBatch(pop, [seed], pop.true_risk[None]), stages, policy, encoding)
     outcomes = []
     for o in res.stages:
         survivors = tuple(pop.ids[o.survivors[0]].tolist())
@@ -492,7 +481,7 @@ def run_pipeline_batch(
     indices = [st.index for st in stages]
     if len(set(indices)) != len(indices):
         raise ValidationError(f"stage indices must be distinct, got {indices}", field="index")
-    seeds, n = batch.ids.shape
+    seeds, n = batch.true_risk.shape
     prev = n
     for st in stages:
         if st.cohort_out > prev:
@@ -561,12 +550,13 @@ def _stage_rule(batch: SeedBatch, stage: int, rows: np.ndarray, rngs: list, pull
     A synthetic stage draws one uniform per pull in one call per seed and reads
     a table of the label each picks for each seed and true label; a replay
     stage reads the survivor's recorded labels."""
-    b = np.arange(len(rows))[:, None]
-    if batch.kind == "replay":
+    b, pop = np.arange(len(rows))[:, None], batch.pop
+    if pop.kind == "replay":
+        flat = pop.recorded[0]
         start, size = (a.reshape(-1) for a in batch.recorded(stage, rows))
-        return lambda f, j, c: batch.flat[start[f] + c.astype(np.int64) % size[f]]
+        return lambda f, j, c: flat[start[f] + c.astype(np.int64) % size[f]]
     u = np.stack([rng.random(pulls) for rng in rngs])
-    table = _confusion_labels(batch.confusion[:, stage - 1, :, None], u[:, None]).reshape(len(rows) * 4, pulls)
+    table = _confusion_labels(pop.confusion[stage - 1, :, None], u[:, None]).reshape(len(rows) * 4, pulls)
     row = (b * 4 + batch.true_risk[b, rows]).reshape(-1)  # the table row of a survivor's seed and true label
     return lambda f, j, c: table[row[f], j]
 
@@ -590,8 +580,8 @@ class BaselineResult:
 def _nlp_labels(batch: SeedBatch, rows: np.ndarray) -> np.ndarray:
     """The automated stage's predictions: the machine argmax (replay) or one
     stage-1 evaluation each (synthetic)."""
-    if batch.kind == "replay":
-        return np.argmax(batch.machine_probs[np.arange(len(rows))[:, None], rows], axis=-1)
+    if batch.pop.kind == "replay":
+        return np.argmax(batch.pop.machine_probs[rows], axis=-1)
     return batch.rater_labels(rows, 1, "nlp")
 
 
@@ -630,8 +620,8 @@ COHORT_BASELINES = tuple(name for name, (view, _) in _BASELINE_TABLE.items() if 
 def _nlp_ranked(batch: SeedBatch) -> np.ndarray:
     """Each seed's population rows with the likeliest Severe by NLP first, ties
     toward the lower id."""
-    replay = batch.kind == "replay"
-    scores = batch.machine_probs[:, :, RiskLabel.SEVERE] if replay else _nlp_labels(batch, batch.everyone)
+    pop, rows = batch.pop, batch.everyone
+    scores = pop.machine_probs[rows, RiskLabel.SEVERE] if pop.kind == "replay" else _nlp_labels(batch, rows)
     return np.argsort(-scores, axis=1, kind="stable")
 
 
@@ -642,7 +632,7 @@ def run_baseline(name: str, pop: Population, seed: int = 0) -> BaselineResult:
     baselines rate the TOP_K people the NLP pass ranks first. This is
     ``run_baseline_batch`` with one seed.
     """
-    res = run_baseline_batch(name, SeedBatch([pop], [seed]))
+    res = run_baseline_batch(name, SeedBatch(pop, [seed], pop.true_risk[None]))
     return BaselineResult(name, _id_set(pop, res.evaluated), _id_set(pop, res.positives()), res.spend_milli,
                           res.n_evaluations)
 
@@ -653,7 +643,7 @@ def run_baseline_batch(name: str, batch: SeedBatch) -> BaselineResult:
     if name not in _BASELINE_TABLE:
         raise ConfigurationError(f"unknown baseline {name!r}; known: {BASELINES}")
     view, rater = _BASELINE_TABLE[name]
-    seeds, n = batch.ids.shape
+    seeds, n = batch.true_risk.shape
     evaluations = []  # (rater, people it rates)
     if view == "everyone":
         seen = batch.everyone

@@ -128,7 +128,7 @@ def test_criterion_05_single_state_matches_classical_ucb():
         spec = EnvironmentSpec(K=K, S=1, mu=tuple(m_vec), sigma2=0.05,
                                state_sequence=(0,) * 500, seed=trial)
         env = Environment(spec=spec, m=m_vec.reshape(K, 1))
-        _, chosen = run_sb_ucb(env, 500, 3.0, BOUNDED_UNIT, substream(SEED, trial, "cls-r"))
+        chosen = run_sb_ucb(env, 500, 3.0, BOUNDED_UNIT, substream(SEED, trial, "cls-r"))
         reference = classical_ucb_run(m_vec, 500, 3.0, substream(SEED, trial, "cls-r").random(500))
         if list(chosen) != list(reference):
             bad_runs += 1

@@ -124,6 +124,13 @@ class TestStateSequences:
         with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
             make_state_sequence(S, n, "round_robin")
 
+    def test_seed_must_be_an_integer(self):
+        # a string seed would be hashed as a tag and draw another sequence
+        for seed in ("3", 1.5, True):
+            with pytest.raises(ConfigurationError, match="seed must be an integer"):
+                make_state_sequence(3, 20, seed=seed)
+        assert np.array_equal(make_state_sequence(3, 20, seed=np.uint32(3)), make_state_sequence(3, 20, seed=3))
+
 
 class TestInstantiate:
     def test_deterministic(self):

@@ -12,7 +12,6 @@ from statebandits import (
     Environment,
     EnvironmentSpec,
     PsiFamily,
-    PullStats,
     RecommendationError,
     ScheduleError,
     SRSchedule,
@@ -42,18 +41,17 @@ from _oracles import (
 
 
 def stats_of(K, S, pulls=()):
-    """PullStats holding the given (arm, state, reward) pulls."""
-    stats = PullStats(K, S)
+    """(K, S) pull counts and reward sums holding the given (arm, state, reward) pulls."""
+    counts, sums = np.zeros((K, S), dtype=np.int64), np.zeros((K, S))
     for arm, state, reward in pulls:
-        stats.counts[arm, state] += 1
-        stats.sums[arm, state] += reward
-    return stats
+        counts[arm, state] += 1
+        sums[arm, state] += reward
+    return counts, sums
 
 
-class TestPullStats:
+class TestCellMeans:
     def test_means_nan_when_unpulled(self):
-        stats = stats_of(2, 1, [(1, 0, 0.5)])
-        means = cell_means(stats.counts, stats.sums, np.nan)
+        means = cell_means(*stats_of(2, 1, [(1, 0, 0.5)]), np.nan)
         assert np.isnan(means[0, 0])
         assert means[1, 0] == 0.5
 
@@ -61,10 +59,9 @@ class TestPullStats:
 def select(stats, state, t):
     """The arm the optimism rule plays at time t in the given state (alpha 3),
     as a batch of one run whose tables hold the given pulls."""
-    counts = stats.counts[None, :, state].astype(float)
+    counts, sums = (a[None, :, state].astype(float) for a in stats)
     scratch = (np.empty_like(counts), np.empty_like(counts))
-    choice = _optimism_pick(counts, stats.sums[None, :, state], int(counts.sum()), 3.0 * np.log(t),
-                            BOUNDED_UNIT, *scratch)
+    choice = _optimism_pick(counts, sums, int(counts.sum()), 3.0 * np.log(t), BOUNDED_UNIT, *scratch)
     return int(choice[0])
 
 
@@ -122,7 +119,7 @@ class TestUniformRotation:
 
 def recommend(stats):
     """Best state-average arm of one run's statistics."""
-    return int(_eba_pick(cell_means(stats.counts, stats.sums, np.nan)[None])[0])
+    return int(_eba_pick(cell_means(*stats, np.nan)[None])[0])
 
 
 class TestRecommendation:
@@ -247,7 +244,7 @@ class TestSuccessiveRejects:
         _, steps, _ = sr_transcript(env, sched.t_k, substream(1, "sr"))
         assert [arm for _, _, arm, _, _ in steps] == rotation_arms(spec.state_sequence, 2, 2)
         rotation = rotation_counts(state_counts(spec.state_sequence, 2), 2)
-        assert np.array_equal(res.n_table[:, 0], rotation.min(axis=0))
+        assert np.array_equal(sr_counts(spec.state_sequence, sched, 2, 2)[:, 0], rotation.min(axis=0))
 
     def test_one_run_is_row_zero_of_the_engine(self):
         spec = EnvironmentSpec(K=4, S=3, mu=(0.8, 0.6, 0.5, 0.2), sigma2=0.05,
@@ -271,10 +268,8 @@ class TestSuccessiveRejects:
             env = instantiate(spec)
             for kind in ("uniform", "reference"):
                 sched = sr_schedule(kind, 4, 90)
-                res = successive_rejects(env, sched, substream(seed, "sr-table"))
                 _, steps, rejected = sr_transcript(env, sched.t_k, substream(seed, "sr-table"))
                 assert np.array_equal(sr_table_from_steps(steps, rejected, 4, 3), sr_counts(seq, sched, 4, 3))
-                assert np.array_equal(res.n_table, sr_counts(seq, sched, 4, 3))
 
     def test_schedule_env_mismatch(self):
         env = instantiate(EnvironmentSpec(K=3, S=1, mu=(0.8, 0.5, 0.2), sigma2=0.05,
@@ -283,6 +278,19 @@ class TestSuccessiveRejects:
             successive_rejects(env, sr_schedule("uniform", 4, 28), substream(0, "sr"))
         with pytest.raises(ScheduleError):
             successive_rejects(env, sr_schedule("uniform", 3, 60), substream(0, "sr"))
+
+    @pytest.mark.parametrize("K, n, message", [
+        (2, 30, "schedule is for 2 arms, got K=3"),
+        (4, 30, "schedule is for 4 arms, got K=3"),
+        (3, 31, "schedule horizon 31 exceeds sequence length 30"),
+    ])
+    def test_sampler_checks_its_schedule(self, K, n, message):
+        # a schedule for other arms would misname the winner or fail on an index, and a
+        # longer one would run short
+        env = instantiate(EnvironmentSpec(K=3, S=2, mu=(0.8, 0.5, 0.2), sigma2=0.05,
+                                          state_sequence=make_state_sequence(2, 30, "round_robin")))
+        with pytest.raises(ScheduleError, match=message):
+            _sr_sample(env, sr_schedule("uniform", K, n), 4, substream(0, "sr"))
 
 
 class TestEliminate:
@@ -326,13 +334,20 @@ class TestRunners:
         env = noiseless_env([[0.9], [0.2]], 200)
         with pytest.raises(ConfigurationError, match="n must be an integer"):
             run_sb_ucb(env, n, 3.0, BOUNDED_UNIT, substream(5, "run"))
-        _, chosen = run_sb_ucb(env, np.int64(100), 3.0, BOUNDED_UNIT, substream(5, "run"))
+        chosen = run_sb_ucb(env, np.int64(100), 3.0, BOUNDED_UNIT, substream(5, "run"))
         assert len(chosen) == 100
+
+    @pytest.mark.parametrize("n", [0, 201])
+    def test_engine_steps_must_fit_horizon(self, n):
+        # the lockstep engine checks its own n: a longer run would stop at the horizon unannounced
+        env = noiseless_env([[0.9], [0.2]], 200)
+        with pytest.raises(ConfigurationError, match=rf"n {n} outside \[1, 200\]"):
+            next(optimism_play(env, 3.0, BOUNDED_UNIT, [substream(5, r, "run") for r in range(2)], n))
 
     def test_sb_ucb_prefers_best_arm(self):
         env = noiseless_env([[0.9], [0.2]], 200)
-        stats, chosen = run_sb_ucb(env, 200, 3.0, BOUNDED_UNIT, substream(5, "run"))
-        assert stats.counts[0, 0] > stats.counts[1, 0]
+        chosen = run_sb_ucb(env, 200, 3.0, BOUNDED_UNIT, substream(5, "run"))
+        assert chosen.count(0) > chosen.count(1)
         assert chosen[:2] == [0, 1]
 
     def test_sb_ucb_single_state_matches_classical(self):
@@ -343,7 +358,7 @@ class TestRunners:
             spec = EnvironmentSpec(K=K, S=1, mu=tuple(float(v) for v in m_vec),
                                    sigma2=0.01, state_sequence=(0,) * 200)
             env = Environment(spec=spec, m=m_vec[:, None])
-            _, chosen = run_sb_ucb(env, 200, 3.0, BOUNDED_UNIT, substream(seed, "cls-r"))
+            chosen = run_sb_ucb(env, 200, 3.0, BOUNDED_UNIT, substream(seed, "cls-r"))
             reference = classical_ucb_run(m_vec, 200, 3.0, substream(seed, "cls-r").random(200))
             assert chosen == reference
 
@@ -359,9 +374,8 @@ class TestRunners:
                                        seed=seed, reward_family=reward_family, reward_sigma2=0.04)
                 env = instantiate(spec)
                 for family, bonus in families:
-                    stats, chosen = run_sb_ucb(env, 1500, 3.0, family, substream(seed, "ucb"))
+                    chosen = run_sb_ucb(env, 1500, 3.0, family, substream(seed, "ucb"))
                     assert chosen == state_ucb_run(env, 1500, 3.0, bonus, substream(seed, "ucb"))
-                    assert stats.counts.sum() == 1500
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -390,7 +404,7 @@ def test_rotation_and_elimination_match_oracles(K, S, extra, mode, seed):
         engine_winners, engine_rejected = _sr_sample(env, sched, 6, substream(seed, "hyp"))
         assert np.array_equal(engine_winners, winners) and np.array_equal(engine_rejected, rejected)
         _, steps, transcript_rejected = sr_transcript(env, sched.t_k, substream(seed, "hyp"))
-        assert np.array_equal(res.n_table, sr_table_from_steps(steps, transcript_rejected, K, S))
+        assert np.array_equal(sr_counts(seq, sched, K, S), sr_table_from_steps(steps, transcript_rejected, K, S))
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning", "error::RuntimeWarning")
@@ -418,17 +432,13 @@ def test_lockstep_runs_match_per_state_oracle(K, S, n, runs, mode, reward_family
     family, bonus = ((PsiFamily(0.3), lambda x: math.sqrt(2.0 * 0.3 * x)) if gaussian
                      else (BOUNDED_UNIT, lambda x: math.sqrt(x / 2.0)))
     streams = [substream(seed, r, "lockstep") for r in range(runs)]
-    counts, sums = np.zeros((runs, K, S), dtype=np.int64), np.zeros((runs, K, S))
-    steps = list(optimism_play(env, alpha, family, streams, n, counts, sums))
+    steps = list(optimism_play(env, alpha, family, streams, n))
     choices = np.array([choice for _, _, choice, _ in steps])
     seq = spec.state_sequence
     assert [(t, s) for t, s, _, _ in steps] == list(zip(range(1, n + 1), seq.tolist()))
     assert np.array_equal(np.array([mean for _, _, _, mean in steps]), env.m[choices, seq[:, None]])
     for r in range(runs):
         assert choices[:, r].tolist() == state_ucb_run(env, n, alpha, bonus, substream(seed, r, "lockstep"))
-        pulls = np.zeros((K, S), dtype=np.int64)
-        np.add.at(pulls, (choices[:, r], seq), 1)
-        assert np.array_equal(counts[r], pulls)
 
 
 def test_block_log_equals_per_step_log():

@@ -118,6 +118,13 @@ class TestSynthPopulation:
         with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
             synth_population(n, n_severe)
 
+    def test_seed_must_be_an_integer(self):
+        # a string seed would be hashed as a tag and draw another population
+        for seed in ("7", 1.5, True):
+            with pytest.raises(ConfigurationError, match="seed must be an integer"):
+                synth_population(20, 5, seed=seed)
+        assert synth_population(20, 5, seed=np.int64(7)) == synth_population(20, 5, seed=7)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
             Population(ids=[1, 1], true_risk=[RiskLabel.NO, RiskLabel.NO])
@@ -149,6 +156,16 @@ class TestBudgets:
         assert allocation_budgets(553, "") == (18_000, 535_000)
         with pytest.raises(ConfigurationError, match="no budget split for total \\$553 scheme 'more3'"):
             allocation_budgets(553, "more3")
+
+    def test_total_must_be_an_integer(self):
+        # a fractional total would be truncated to the $553 split
+        for total in (553.9, 553.0, True):
+            with pytest.raises(ConfigurationError, match="total_dollars must be an integer"):
+                allocation_budgets(total)
+        with pytest.raises(ConfigurationError, match="total_dollars must be an integer"):
+            default_stages(242, total_dollars=553.9)
+        assert allocation_budgets(np.int64(553)) == (18_000, 535_000)
+        assert allocation_budgets(np.int64(2200), "more2") == (1_500_000, 700_000)
 
     def test_unknown_budget(self):
         with pytest.raises(ConfigurationError, match="no budget split"):
@@ -290,9 +307,18 @@ class TestPipeline:
             with pytest.raises(ConfigurationError, match="seed must be an integer"):
                 run_baseline("1Expert", pop, seed=seed)
             with pytest.raises(ConfigurationError, match="seed must be an integer"):
-                SeedBatch([pop, pop], [3, seed])
+                SeedBatch(pop, [3, seed], np.stack([pop.true_risk] * 2))
         assert run_pipeline(pop, stages, seed=np.int64(9)) == run_pipeline(pop, stages, seed=9)
         assert run_baseline("1Expert", pop, seed=np.uint32(9)) == run_baseline("1Expert", pop, seed=9)
+
+    def test_batch_needs_one_true_label_table_row_per_seed(self):
+        pop = synth_population(20, 5, seed=1)
+        for true_risk in (pop.true_risk, np.stack([pop.true_risk] * 3), pop.true_risk[None, :19],
+                          np.zeros((0, 20))):
+            with pytest.raises(ValidationError, match=r"^true_risk: need at least one seed and a"):
+                SeedBatch(pop, [3, 4], true_risk)
+        with pytest.raises(ValidationError, match=r"a \(0, 20\) table of true labels, got \(0, 20\)"):
+            SeedBatch(pop, [], np.zeros((0, 20)))
 
     def test_duplicate_stage_indices_rejected(self):
         pop = identity_pop(self.labels)
@@ -379,19 +405,22 @@ def replay_populations(draw, n):
 
 @st.composite
 def seed_batches(draw, n_min=2, n_max=9):
-    """1 to 3 seeds with one population each, all of one size and kind: a
-    synthetic population per seed, or replay populations (one shared by every
-    seed, or one each)."""
+    """1 to 3 seeds with one population each, all on one roster: a synthetic
+    population per seed, or one replay population shared by every seed."""
     n = draw(st.integers(n_min, n_max))
     seeds = draw(st.lists(st.integers(0, 2**62), min_size=1, max_size=3))
     if draw(st.booleans()):
         severe = draw(st.integers(1, n - 1))
         pops = [synth_population(n, severe, seed=draw(st.integers(0, 99))) for _ in seeds]
-    elif draw(st.booleans()):
-        pops = [draw(replay_populations(n))] * len(seeds)
     else:
-        pops = [draw(replay_populations(n)) for _ in seeds]
+        pops = [draw(replay_populations(n))] * len(seeds)
     return pops, seeds
+
+
+def batch_of(pops, seeds):
+    """The batch of populations on one roster (synthetic ones of one size and
+    noise share ids and confusion): the first one, with each one's true labels."""
+    return SeedBatch(pops[0], seeds, np.stack([p.true_risk for p in pops]))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -403,7 +432,7 @@ def test_pipeline_batch_rows_equal_single_runs(case, data, policy, encoding):
     stages = data.draw(stage_lists(len(pops[0].ids)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        batch = SeedBatch(pops, seeds)
+        batch = batch_of(pops, seeds)
         res = run_pipeline_batch(batch, stages, policy, encoding)
         singles = [run_pipeline(pop, stages, policy, seed, encoding) for pop, seed in zip(pops, seeds)]
     assert isinstance(res, PipelineResult) and all(isinstance(o, StageOutcome) for o in res.stages)
@@ -425,7 +454,7 @@ def test_pipeline_batch_rows_equal_single_runs(case, data, policy, encoding):
 @given(case=seed_batches(n_max=130))
 def test_baselines_match_dict_oracle(case):
     pops, seeds = case
-    batch = SeedBatch(pops, seeds)
+    batch = batch_of(pops, seeds)
     for name in BASELINES:
         if name in COHORT_BASELINES and len(pops[0].ids) < SUB_COHORT:
             with pytest.raises(ConfigurationError, match="cohort"):
@@ -478,7 +507,7 @@ def test_synthetic_label_rule_matches_walk(case, reverse):
     pop = Population(ids=np.arange(len(true_risk)) * 2, true_risk=true_risk, confusion=confusion)
     survivors = np.arange(len(true_risk))[::-1 if reverse else 1]
     draw = SimpleNamespace(random=lambda size: np.array(u[:size]))
-    batch = SeedBatch([pop], [0])
+    batch = SeedBatch(pop, [0], pop.true_risk[None])
     for stage in (1, 2, 3):
         label = triage._stage_rule(batch, stage, survivors[None], [draw], len(u))
         for k, r in enumerate(survivors.tolist()):
@@ -495,7 +524,7 @@ def test_synthetic_label_rule_matches_walk(case, reverse):
        cursors=st.lists(st.integers(0, 50), min_size=1, max_size=8))
 def test_replay_label_rule_reads_recorded_cyclically(records, cursors):
     pop = triage._replay_population({i: (0.25,) * 4 for i in records}, records)
-    batch = SeedBatch([pop], [0])
+    batch = SeedBatch(pop, [0], pop.true_risk[None])
     rows = np.arange(len(pop.ids))[None]
     for stage in (1, 2, 3):
         label = triage._stage_rule(batch, stage, rows, [substream(0, "unused")], 0)
@@ -510,7 +539,7 @@ def test_missing_recorded_stage_message():
     pop = triage._replay_population({4: (0.25,) * 4, 7: (0.25,) * 4},
                                     {4: {1: (RiskLabel.LOW,), 2: (RiskLabel.NO,)}, 7: {1: (RiskLabel.NO,)}})
     message = r"^recorded: individual 7 has no recorded stage-2 labels$"
-    batch = SeedBatch([pop], [0])
+    batch = SeedBatch(pop, [0], pop.true_risk[None])
     with pytest.raises(ValidationError, match=message):
         triage._stage_rule(batch, 2, np.arange(2)[None], [substream(0, "unused")], 0)
     with pytest.raises(ValidationError, match=message):
@@ -673,14 +702,14 @@ class TestBaselines:
         monkeypatch.setattr(rng, "substream_raw", counted_raw)
         monkeypatch.setattr(triage, "substream", lambda *path: cohorts.append(path) or real_sub(*path))
         for n, n_severe in ((242, 42), (5000, 833)):
-            batch = SeedBatch([synth_population(n, n_severe, seed=s) for s in (42, 43, 44)], [42, 43, 44])
+            batch = batch_of([synth_population(n, n_severe, seed=s) for s in (42, 43, 44)], [42, 43, 44])
             labels.clear(), cohorts.clear()
             for name in BASELINES:
                 run_baseline_batch(name, batch)
             # per seed: n NLP labels, n expert labels, each in one pass, and one cohort draw
             assert labels == [3 * n, 3 * n] and len(cohorts) == 3
         # a fresh batch derives everyone's labels of the one rater it reads
-        fresh = SeedBatch([synth_population(242, 42, seed=42)], [42])
+        fresh = batch_of([synth_population(242, 42, seed=42)], [42])
         labels.clear(), cohorts.clear()
         run_baseline_batch("1Expert-Sub", fresh)
         assert labels == [242] and len(cohorts) == 1
@@ -688,7 +717,7 @@ class TestBaselines:
     def test_batch_labels_equal_one_substream_per_label(self):
         seeds = (2**61 + 9, 5, 2**32 + 1)
         pops = [synth_population(242, 42, seed=s) for s in seeds]
-        batch = SeedBatch(pops, seeds)
+        batch = batch_of(pops, seeds)
         rows = np.tile(np.arange(242), (3, 1))
         for stage, tag in ((1, "nlp"), (3, "expert")):
             got = batch.rater_labels(rows[:, ::-3], stage, tag)  # any rows, in any order
@@ -702,7 +731,7 @@ class TestBaselines:
                    for i in (*range(60), *gen.integers(2**32, 2**62, size=20))}
         replay = triage._replay_population({i: (0.25,) * 4 for i in records}, records)
         seeds = (0, 7, 2**40 + 1)
-        got = SeedBatch([replay] * 3, seeds).rater_labels(
+        got = batch_of([replay] * 3, seeds).rater_labels(
             np.tile(np.arange(len(replay.ids)), (3, 1)), 3, "expert")
         for seed, row in zip(seeds, got.tolist()):
             for i, lab in zip(replay.ids.tolist(), row):
@@ -779,7 +808,7 @@ class TestBaselines:
         pop = load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
         result = run_baseline("NLP-Full", pop)
         assert result.positives() == frozenset({1})
-        ranked = triage._nlp_ranked(SeedBatch([pop], [0]))[0]
+        ranked = triage._nlp_ranked(SeedBatch(pop, [0], pop.true_risk[None]))[0]
         assert pop.ids[ranked].tolist() == [1, 3, 2]
 
     def test_cohort_cannot_exceed_population(self):
