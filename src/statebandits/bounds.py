@@ -15,6 +15,11 @@ Bound catalogue (names used in reports and CSV output):
   strategy pair.
 * ``thm4.1`` / ``thm4.2``: misidentification probability of the empiric /
   global best arm under successive elimination.
+
+The normal CDF in thm2.1's prior-mass term is a port of Cephes' ``ndtr``,
+``erf`` and ``erfc`` (Moshier's coefficients and branches, the algorithm
+``scipy.special.ndtr`` runs) in IEEE double arithmetic with libm's ``exp``, so
+it gives scipy's bits without importing scipy.
 """
 
 from __future__ import annotations
@@ -38,12 +43,65 @@ __all__ = [
 ]
 
 
-def normal_cdf(x):
-    """Standard normal CDF, accurate to ~1e-16 relative; scalar or array."""
-    from scipy.special import ndtr  # deferred: start-up of the studies that never call it skips scipy
+# Cephes erf (T/U) and erfc (P/Q below 8, R/S above) rational coefficients,
+# highest power first. Q, S and U carry Cephes' implicit leading 1, so one
+# Horner loop runs both polevl and p1evl in the same order of operations.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_SQRT1_2 = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2  # ln(DBL_MAX): erfc underflows to 0 past exp(-_MAXLOG)
 
-    out = ndtr(np.asarray(x, dtype=float))
-    return out if out.ndim else float(out)
+
+def _horner(x: float, coef: tuple[float, ...]) -> float:
+    acc = 0.0  # 0*x + c0 == c0 exactly, as polevl starts; 1*x + c0 == x + c0, as p1evl starts
+    for c in coef:
+        acc = acc * x + c
+    return acc
+
+
+def _erf(x: float) -> float:
+    """Cephes erf for |x| < 1."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+
+
+def _ndtr(a: float) -> float:
+    """Cephes ndtr: (1 + erf(a/sqrt2))/2 near 0, else from erfc(|a|/sqrt2)."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    if z < 1.0:
+        y = 0.5 * (1.0 - _erf(z))
+    elif z * z > _MAXLOG:
+        y = 0.0
+    else:
+        p, q = (_ERFC_P, _ERFC_Q) if z < 8.0 else (_ERFC_R, _ERFC_S)
+        y = 0.5 * (math.exp(-z * z) * _horner(z, p) / _horner(z, q))
+    return 1.0 - y if x > 0 else y
+
+
+def normal_cdf(x):
+    """Standard normal CDF, bit for bit ``scipy.special.ndtr``: a float for a
+    scalar, else an array of the input's shape."""
+    arr = np.asarray(x, dtype=float)
+    if not arr.ndim:
+        return _ndtr(float(arr))
+    return np.array([_ndtr(v) for v in arr.ravel().tolist()], dtype=float).reshape(arr.shape)
 
 
 @dataclass(frozen=True)

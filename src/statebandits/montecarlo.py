@@ -16,7 +16,6 @@ any worker count.
 from __future__ import annotations
 
 import csv
-import importlib
 import json
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
@@ -264,8 +263,6 @@ def _run_tasks(record, config, workers: int):
 
 def tightness_sweep(config: SweepConfig, workers: int = 1):
     """Run the uniform-rotation tightness study; returns (records, failures)."""
-    if workers > 1:  # each record's bounds call normal_cdf: a worker forked after this inherits scipy
-        importlib.import_module("scipy.special")
     return _run_tasks(_tightness_record, config, workers)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from statebandits import (
     BOUNDED_UNIT,
@@ -53,6 +54,57 @@ class TestNormalCdf:
     def test_vectorized(self):
         out = normal_cdf(np.array([0.0, -1.0]))
         assert out.shape == (2,)
+
+    @pytest.mark.parametrize("x", [0, -1.0, np.float64(2.5), np.array(-0.5)])
+    def test_scalar_gives_float(self, x):
+        assert type(normal_cdf(x)) is float
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (2, 3), (1, 2, 1)])
+    def test_array_keeps_shape(self, shape):
+        x = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
+        out = normal_cdf(x)
+        assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+
+
+def _neighbours(center: float, count: int = 200) -> list[float]:
+    """center and its ``count`` nearest doubles on each side."""
+    out, lo, hi = [center], center, center
+    for _ in range(count):
+        lo, hi = float(np.nextafter(lo, -np.inf)), float(np.nextafter(hi, np.inf))
+        out += [lo, hi]
+    return out
+
+
+class TestNormalCdfIsScipyNdtr:
+    """normal_cdf ports Cephes ndtr; scipy.special.ndtr is the oracle, bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(x):
+        x = np.asarray(x, dtype=float)
+        got, want = normal_cdf(x), ndtr(x)
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, f"{bad.size} of {x.size} differ, e.g. x={x[bad[:3]]}: {got[bad[:3]]} vs {want[bad[:3]]}"
+
+    def test_a_million_random_and_log_spaced(self):
+        rng = np.random.default_rng(20260521)
+        mags = np.concatenate([rng.uniform(0.0, 40.0, 250_000), np.abs(rng.normal(0.0, 4.0, 175_000)),
+                               np.logspace(-320.0, 308.0, 75_000)])
+        x = np.concatenate([mags, -mags])
+        assert x.size >= 1_000_000
+        self.assert_bitwise(x)
+
+    def test_branch_edges(self):
+        # |x|/sqrt2 crosses 1/sqrt2 (erf to erfc), 1 (erfc's 1 - erf), 8 (P/Q to R/S),
+        # and the exp underflow at x^2/2 = MAXLOG, near the 37.68 of Cephes' docs
+        centers = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.68, math.sqrt(2.0 * 7.09782712893383996843e2)]
+        x = [v for c in centers for sign in (1.0, -1.0) for v in _neighbours(sign * c)]
+        self.assert_bitwise(x)
+
+    def test_special_values(self):
+        tiny = np.finfo(float).smallest_subnormal
+        x = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 1e-310, -1e-310,
+             np.finfo(float).tiny, 1e308, -1e308, np.finfo(float).max, -np.finfo(float).max]
+        self.assert_bitwise(x)
 
 
 class TestPseudoRegretBound:

@@ -5,10 +5,10 @@ module's ``__all__`` counts as used, since it is re-exported), and every name
 an ``__all__`` lists must resolve.
 
 Start-up loads only what the study runs, checked in a fresh interpreter each:
-importing the CLI loads no ``scipy`` module and no process pool, ``triage``
-and ``regret`` run without ``scipy``, and ``tightness_sweep`` loads
-``scipy.special`` before it starts a pool, so the forked workers, whose bounds
-call the normal CDF, inherit it instead of each importing it.
+importing the CLI loads no ``scipy`` module and no process pool, and every
+study but ``sr-compare`` (whose sign test calls ``scipy.special.betainc``)
+runs without ``scipy``: the normal CDF of the ``tightness`` and ``verify``
+bounds is the package's own port, at one worker or a process pool of two.
 """
 
 import ast
@@ -99,30 +99,28 @@ def test_cli_import_leaves_out_scipy_and_the_process_pool():
     assert _fresh_python(code) == "[]"
 
 
-@pytest.mark.parametrize("command, config", [
-    ("triage", "n = 40\nn_severe = 8\nk = 20,10,5\nnum_seeds = 2\nbaselines = 1Expert\n"),
-    ("regret", "checkpoints = 20, 50\nruns = 5\n"),
-], ids=["triage", "regret"])
-def test_study_runs_without_scipy(tmp_path, command, config):
+TIGHTNESS_CONFIG = "num_envs = 3\nruns_per_env = 5\nk_max = 3\ns_max = 2\n"
+
+
+@pytest.mark.parametrize("command, config, extra", [
+    ("triage", "n = 40\nn_severe = 8\nk = 20,10,5\nnum_seeds = 2\nbaselines = 1Expert\n", []),
+    ("regret", "checkpoints = 20, 50\nruns = 5\n", []),
+    ("tightness", TIGHTNESS_CONFIG, ["--workers", "1"]),
+    ("tightness", TIGHTNESS_CONFIG, ["--workers", "2"]),
+    ("verify", "", []),
+], ids=["triage", "regret", "tightness-w1", "tightness-w2", "verify"])
+def test_study_runs_without_scipy(tmp_path, command, config, extra):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config, encoding="utf-8")
-    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra]
+    # a finder that refuses scipy, inherited by forked pool workers, so theirs count too
     code = ("import contextlib, io, sys, statebandits.cli as cli\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(name)\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    rc = cli.main({argv!r})\n"
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _fresh_python(code) == "0 []"
-
-
-def test_tightness_pool_starts_with_scipy_special_loaded():
-    code = ("import sys, concurrent.futures as cf\n"
-            "from statebandits.montecarlo import SweepConfig, tightness_sweep\n"
-            "seen = []\n"
-            "class Pool(cf.ProcessPoolExecutor):\n"
-            "    def __init__(self, *args, **kwargs):\n"
-            "        seen.append('scipy.special' in sys.modules)\n"
-            "        super().__init__(*args, **kwargs)\n"
-            "cf.ProcessPoolExecutor = Pool\n"
-            "records, failures = tightness_sweep(SweepConfig(num_envs=2, runs_per_env=5, k_max=3, s_max=2), 2)\n"
-            "print(len(records), failures, seen)")
-    assert _fresh_python(code) == "2 [] [True]"
