@@ -10,11 +10,13 @@ from statebandits import (
     Environment,
     EnvironmentSpec,
     PsiFamily,
+    SweepConfig,
     gaps,
     instantiate,
     make_state_sequence,
     normal_cdf,
     psi_star,
+    random_env,
     sr_counts,
     sr_schedule,
     thm1_bound,
@@ -23,7 +25,7 @@ from statebandits import (
     thm4_bounds,
 )
 
-from _oracles import quad_normal_cdf
+from _oracles import exact_uniform_eba, quad_normal_cdf
 
 
 def env_of(m, n=None, mu=None, sigma2=0.05):
@@ -192,6 +194,31 @@ class TestSimpleRegretBounds:
         r_bound, r_hat_bound = thm3_bounds(env, 50)
         assert (r_bound.name, r_hat_bound.name) == ("thm3.1", "thm3.2")
         assert r_bound.clamped_value <= 1.0
+
+    # seed 5's environments whose prior flips the local leader (j_star != j_hat_star);
+    # anchored at j_star, b31 read 0.189 against an exact r of 0.423 in env 7
+    @pytest.mark.parametrize("env_index", [0, 7, 8, 10, 11])
+    def test_global_bound_holds_when_the_prior_flips_the_leader(self, env_index):
+        config = SweepConfig(master_seed=5, k_min=2, k_max=3, s_min=1, s_max=1, num_envs=12)
+        env = instantiate(random_env(config, env_index))
+        assert gaps(env).j_star != gaps(env).j_hat_star
+        n = env.spec.horizon
+        r_bound, _ = thm3_bounds(env, n)
+        assert exact_uniform_eba(env, n)["r"] <= r_bound.raw_value + 1e-12
+
+    def test_global_bound_holds_on_two_state_flips(self):
+        flips = 0
+        for seed in range(10):
+            config = SweepConfig(master_seed=seed, k_min=2, k_max=3, s_min=2, s_max=2, num_envs=10)
+            for env_index in range(10):
+                env = instantiate(random_env(config, env_index))
+                if gaps(env).j_star == gaps(env).j_hat_star:
+                    continue
+                flips += 1
+                for n in (4 * env.spec.K, 6 * env.spec.K):
+                    r_bound, _ = thm3_bounds(env, n)
+                    assert exact_uniform_eba(env, n)["r"] <= r_bound.raw_value + 1e-12, (seed, env_index, n)
+        assert flips >= 10
 
 
 class TestEliminationCounts:
