@@ -83,6 +83,12 @@ def parse_label(text: str) -> RiskLabel:
         raise ValueError(f"unknown risk label {text!r}") from None
 
 
+def _check_true_labels(labels: np.ndarray) -> None:
+    bad = labels[(labels < RiskLabel.NO) | (labels > RiskLabel.SEVERE)]
+    if bad.size:
+        raise ValidationError(f"true labels must lie in 0..3, got {int(bad[0])}", field="true_risk")
+
+
 def _encoding(scheme: str) -> tuple[float, ...]:
     try:
         return ENCODINGS[scheme]
@@ -112,6 +118,7 @@ class Population:
         object.__setattr__(self, "true_risk", np.asarray(self.true_risk, dtype=np.int64))
         if np.any(np.diff(self.ids) <= 0) or self.true_risk.shape != self.ids.shape:
             raise ValidationError("need ascending ids, no duplicates, one true label each", field="ids")
+        _check_true_labels(self.true_risk)
         if self.confusion is not None:
             object.__setattr__(self, "confusion", np.asarray(self.confusion, dtype=float))
             if self.confusion.shape != (3, 4, 4):
@@ -146,6 +153,7 @@ class SeedBatch:
         if not self.seeds or self.true_risk.shape != shape:
             raise ValidationError(f"need at least one seed and a {shape} table of true labels, "
                                   f"got {self.true_risk.shape}", field="true_risk")
+        _check_true_labels(self.true_risk)
         self.everyone = np.tile(np.arange(shape[1]), (shape[0], 1))  # each seed's rows, in id order
         self._kept: dict = {}
 

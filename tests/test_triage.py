@@ -135,6 +135,12 @@ class TestSynthPopulation:
         with pytest.raises(ValidationError, match="one true label each"):
             Population(ids=[1, 2], true_risk=[RiskLabel.NO])
 
+    def test_true_labels_lie_in_0_to_3(self):
+        for true_risk in ([7, 3, -1], [0, 4, 1], [-1, 0, 0]):
+            with pytest.raises(ValidationError, match=r"^true_risk: true labels must lie in 0\.\.3"):
+                Population(ids=[1, 2, 3], true_risk=true_risk)
+        assert Population(ids=[1, 2, 3], true_risk=[0, 3, 2]).true_risk.tolist() == [0, 3, 2]
+
 
 class TestBudgets:
     def test_stage_costs(self):
@@ -319,6 +325,14 @@ class TestPipeline:
                 SeedBatch(pop, [3, 4], true_risk)
         with pytest.raises(ValidationError, match=r"a \(0, 20\) table of true labels, got \(0, 20\)"):
             SeedBatch(pop, [], np.zeros((0, 20)))
+
+    def test_batch_true_labels_lie_in_0_to_3(self):
+        pop = synth_population(20, 5, seed=1)
+        for bad in (9, -1, 4):
+            true_risk = np.stack([pop.true_risk] * 2)
+            true_risk[1, 7] = bad
+            with pytest.raises(ValidationError, match=rf"^true_risk: true labels must lie in 0\.\.3, got {bad}$"):
+                SeedBatch(pop, [3, 4], true_risk)
 
     def test_duplicate_stage_indices_rejected(self):
         pop = identity_pop(self.labels)
