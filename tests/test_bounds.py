@@ -53,19 +53,15 @@ class TestNormalCdf:
         for x in (-3.0, -1.0, -0.25, 0.5, 2.0):
             assert normal_cdf(x) == pytest.approx(quad_normal_cdf(x), abs=1e-10)
 
-    def test_vectorized(self):
-        out = normal_cdf(np.array([0.0, -1.0]))
-        assert out.shape == (2,)
+    @pytest.mark.parametrize("shape", [(2,), (0,), (2, 3), (1, 2, 1)])
+    def test_vectorized(self, shape):
+        x = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
+        out = normal_cdf(x)
+        assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
 
     @pytest.mark.parametrize("x", [0, -1.0, np.float64(2.5), np.array(-0.5)])
     def test_scalar_gives_float(self, x):
         assert type(normal_cdf(x)) is float
-
-    @pytest.mark.parametrize("shape", [(0,), (3,), (2, 3), (1, 2, 1)])
-    def test_array_keeps_shape(self, shape):
-        x = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
-        out = normal_cdf(x)
-        assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
 
 
 def _neighbours(center: float, count: int = 200) -> list[float]:
