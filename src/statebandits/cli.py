@@ -325,43 +325,28 @@ TRIAGE_SCHEMA = [
 ]
 
 
-def _mean_spread(values) -> tuple[float, float] | None:
-    """Mean and 2*SD across seeds of the values that are not None."""
+def _cell(values, decimals: int | None) -> str:
+    """One triage cell over seeds, ``None`` values dropped: the value when
+    every seed has the same one (a whole number as an integer), else
+    ``mean±2*SD``. ``decimals`` None is the dollar rule: amounts are exact
+    multiples of 0.001, print in cents or, when the mean has a mill digit, in
+    mills, and their spread prints in mills."""
     vals = [v for v in values if v is not None]
     if not vals:
-        return None
-    sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-    return float(np.mean(vals)), 2 * sd
-
-
-def _cell(values, decimals=4):
-    """Render mean with a +-2*SD spread when it varies across seeds."""
-    stats = _mean_spread(values)
-    if stats is None:
         return ""
-    mean, spread = stats
-    if spread == 0.0:
-        return str(int(mean)) if mean == int(mean) else f"{mean:.{decimals}f}"
-    return f"{mean:.{decimals}f}±{spread:.{decimals}f}"
+    constant = min(vals) == max(vals)
+    mean = vals[0] if constant else float(np.mean(vals))
+    if decimals is None:
+        decimals, text = 3, f"{mean:.2f}" if round(mean, 2) == round(mean, 3) else f"{mean:.3f}"
+    else:
+        text = str(int(mean)) if constant and mean == int(mean) else f"{mean:.{decimals}f}"
+    return text if constant else f"{text}±{2 * float(np.std(vals, ddof=1)):.{decimals}f}"
 
 
-def _money_cell(values):
-    """Dollar amounts are exact multiples of 0.001; keep the mill digit."""
-    stats = _mean_spread(values)
-    if stats is None:
-        return ""
-    mean, spread = stats
-    text = f"{mean:.2f}" if round(mean, 2) == round(mean, 3) else f"{mean:.3f}"
-    return text if spread == 0.0 else f"{text}±{spread:.3f}"
-
-
-def _count_cell(values):
-    return _cell(values, decimals=2)
-
-
-TRIAGE_COLUMNS = [("budget", _money_cell), ("evaluated", _count_cell)] + [
-    (name, _cell) for name in ("pop_sensitivity", "cohort_sensitivity", "precision", "specificity")
-] + [(name, _count_cell) for name in ("tp", "fp", "fn", "tn")]
+# each column with the decimals _cell prints it to
+TRIAGE_COLUMNS = [("budget", None), ("evaluated", 2)] + [
+    (name, 4) for name in ("pop_sensitivity", "cohort_sensitivity", "precision", "specificity")
+] + [(name, 2) for name in ("tp", "fp", "fn", "tn")]
 
 
 SEEDS_PER_BATCH = 50
@@ -412,7 +397,7 @@ def cmd_triage(args, cfg: dict, seed: int) -> int:
         for name in cfg["baselines"]:
             values[name] += _triage_values(run_baseline_batch(name, batch), batch, "mab")
     header = ["approach"] + [name for name, _ in TRIAGE_COLUMNS]
-    table = [[a] + [fmt(col) for (_, fmt), col in zip(TRIAGE_COLUMNS, zip(*values[a]))]
+    table = [[a] + [_cell(col, decimals) for (_, decimals), col in zip(TRIAGE_COLUMNS, zip(*values[a]))]
              for a in approaches]
     _write_rows(args, "triage", header, table)
     _write_manifest(args.out, "triage", seed, cfg,

@@ -62,6 +62,14 @@ class TestErrors:
         assert rc == 2
         assert "workers" in capsys.readouterr().err
 
+    def test_handler_crash_exits_1(self, tmp_path, capsys, monkeypatch):
+        def crash(args, cfg, seed):
+            raise Boom("injected")
+
+        monkeypatch.setitem(cli.COMMANDS, "verify", (crash, []))
+        assert main(["verify", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "runtime failure: Boom: injected\n"
+
     def test_manifest_command_mismatch(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", TIGHTNESS_CFG)
         out = tmp_path / "a"
@@ -179,6 +187,7 @@ class TestErrors:
         ("regret", "reward_family = foo", "reward_family: must be one of"),
         ("regret", "state_mode = nope", "state_sequence: unknown mode 'nope'"),
         ("regret", "alpha = 2", "alpha must exceed 2, got 2.0"),
+        ("regret", "m = 0.5, 0.4", "m needs K*S=6 entries, got 2"),
         ("triage", "n_severe = 0", "n_severe: need 0 < n_severe < n"),
         ("triage", "total_budget = 999", "no budget split for total $999"),
         ("triage", "total_budget = 1300\nscheme = more9", "no budget split for total $1300 scheme 'more9'"),
@@ -513,29 +522,44 @@ TRIAGE_CSV_SHA256 = {
     (553, "", "round_robin", "linear"): "65243d7bbe1725d2e00ec1ef323c60d345f66c412937d690cb8b1c8e49bdabdd",
 }
 
-# triage.csv of studies whose seeds span several batches, pinned when every
-# seed still ran on its own: the benchmark's triage-ucb inputs, stages past
-# the first pass, and the replay pair.
+# triage.csv of studies whose seeds span several batches: the benchmark's
+# triage-ucb inputs, stages past the first pass, and the replay pair. Their
+# spend columns, and most replay columns, are the same in every seed.
 TRIAGE_STUDY_SHA256 = {
     "553-ucb-100": ("policy = ucb\nnum_seeds = 100\nn = 242\nn_severe = 42\nk = 200, 100, 50\n"
                     "total_budget = 553\n", 1000,
-                    "270053b7e4f19a31011da4cd038e95f11f3e48b9a56d143caff95f7f56606f87"),
+                    "433b9be7c658b86ee543988cc37a9afdc6634f55576f0b75b0e97d3f67bf2d59"),
     "1300-more2-ucb": ("total_budget = 1300\nscheme = more2\npolicy = ucb\nnum_seeds = 60\n", 11,
-                       "560f2eac05c14297ad3e742b12c9e7e9fb09151e61edf6139145c88eff190247"),
+                       "a584455d46cca38655f34510a88655d9ad3a3e9f8b5d9fb5eca09216dc1f795d"),
     "2200-more2-round_robin-exponential": (
         "total_budget = 2200\nscheme = more2\npolicy = round_robin\nencoding = exponential\n"
-        "num_seeds = 60\n", 11, "c8675c4ca56a966a90c97506dd2da7428d30caffc65b11e0ce91be86116a34c6"),
+        "num_seeds = 60\n", 11, "c8c3c558688db15cdaf7f53915a5e6cdfcd24ac77b9214015feada7555ac89f3"),
     "2200-more2-ucb-exponential": (
         "total_budget = 2200\nscheme = more2\npolicy = ucb\nencoding = exponential\nnum_seeds = 60\n", 11,
-        "856d11b408e02663247b4619ea7b110100fb9d347a7cf200f7b16598d554233e"),
+        "1a8245bdd8e9b65cd766e620d110afab926198bbe6f5de01b4df68176309d020"),
     "replay-ucb": ("n = 150\nk = 100,60,30\npolicy = ucb\nnum_seeds = 60\n", 11,
-                   "a71ffd286ff3c098d8bfbffafb62bb1f06181f0aac9386b14a3269c3f0a89f5f"),
+                   "66e76b5a591849bd08e0c4e046a51d2113a124a1ce3a3cfd7b46dd700d65b4da"),
     "replay-round_robin": ("n = 150\nk = 100,60,30\npolicy = round_robin\nnum_seeds = 60\n", 11,
-                           "10f88e42b5bfc964cb3af0071ab109506c4ad61c9f7e761819f80990afc2b2c8"),
+                           "70a2cd9a2df3a3d334c3c6f0711bc1e6f92a4769839fb5001158ed27abac2ada"),
 }
 
 
 class TestTriage:
+    @pytest.mark.parametrize("values, decimals, cell", [
+        # every seed of the default study spends $553.242; np.std of the copies is not 0
+        ([553.242] * 100, None, "553.242"),
+        ([3210.0, 3210.0], None, "3210.00"),
+        ([0.1, 0.2], None, "0.15±0.141"),
+        ([12 / 31] * 3, 4, "0.3871"),
+        ([0.5, 0.5 + 1e-9], 4, "0.5000±0.0000"),  # values that differ keep their spread
+        ([1.0, None, 1.0], 4, "1"),
+        ([None, None], 4, ""),
+        ([242] * 100, 2, "242"),
+        ([35, 36], 2, "35.50±1.41"),
+    ])
+    def test_cell_prints_a_constant_column_without_spread(self, values, decimals, cell):
+        assert cli._cell(values, decimals) == cell
+
     def test_replay_n_must_match_roster(self, tmp_path, capsys):
         human, machine = write_replay_pair(tmp_path)
         cfg = write_cfg(tmp_path / "c.cfg", f"n = 400\nk = 100,60,30\nnum_seeds = 1\n"
@@ -646,7 +670,7 @@ class TestTriage:
                                          m.cohort.tp, m.cohort.fp, m.cohort.fn, m.cohort.tn))
         with open(out / "triage.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
-        assert rows == [[a] + [fmt(col) for (_, fmt), col in zip(cli.TRIAGE_COLUMNS, zip(*values[a]))]
+        assert rows == [[a] + [cli._cell(col, d) for (_, d), col in zip(cli.TRIAGE_COLUMNS, zip(*values[a]))]
                         for a in approaches]
 
     def test_small_run_table(self, tmp_path):
