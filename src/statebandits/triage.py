@@ -83,10 +83,10 @@ def parse_label(text: str) -> RiskLabel:
         raise ValueError(f"unknown risk label {text!r}") from None
 
 
-def _check_true_labels(labels: np.ndarray) -> None:
+def _check_labels(labels: np.ndarray, field: str, what: str) -> None:
     bad = labels[(labels < RiskLabel.NO) | (labels > RiskLabel.SEVERE)]
     if bad.size:
-        raise ValidationError(f"true labels must lie in 0..3, got {int(bad[0])}", field="true_risk")
+        raise ValidationError(f"{what} labels must lie in 0..3, got {int(bad[0])}", field=field)
 
 
 def _encoding(scheme: str) -> tuple[float, ...]:
@@ -101,7 +101,7 @@ class Population:
     """Everyone screened, as arrays in ascending id order: row r is person
     ``ids[r]`` with hidden label ``true_risk[r]``. A synthetic population
     draws evaluations from ``confusion[stage - 1][true][observed]``. A replay
-    one (``confusion`` None) has ``recorded = (flat, start, size)``: row r's
+    one (``confusion`` None) needs ``recorded = (flat, start, size)``: row r's
     stage-s labels in file order are ``size[s - 1, r]`` entries of ``flat``
     from ``start[s - 1, r]``, and ``machine_probs[r]`` is its automated
     probability vector.
@@ -118,11 +118,25 @@ class Population:
         object.__setattr__(self, "true_risk", np.asarray(self.true_risk, dtype=np.int64))
         if np.any(np.diff(self.ids) <= 0) or self.true_risk.shape != self.ids.shape:
             raise ValidationError("need ascending ids, no duplicates, one true label each", field="ids")
-        _check_true_labels(self.true_risk)
+        _check_labels(self.true_risk, "true_risk", "true")
         if self.confusion is not None:
             object.__setattr__(self, "confusion", np.asarray(self.confusion, dtype=float))
             if self.confusion.shape != (3, 4, 4):
                 raise ValidationError("need 3 stages x 4 true x 4 observed labels", field="confusion")
+            return
+        if self.recorded is None or self.machine_probs is None:
+            raise ValidationError("need a confusion table (synthetic), or recorded labels and machine "
+                                  "probabilities (replay)", field="confusion")
+        flat, start, size = (np.asarray(a, dtype=np.int64) for a in self.recorded)
+        object.__setattr__(self, "recorded", (flat, start, size))
+        object.__setattr__(self, "machine_probs", np.asarray(self.machine_probs, dtype=float))
+        n = len(self.ids)
+        if start.shape != (3, n) or size.shape != (3, n):
+            raise ValidationError(f"need (3, {n}) tables of label starts and counts, got {start.shape} "
+                                  f"and {size.shape}", field="recorded")
+        if self.machine_probs.shape != (n, 4):
+            raise ValidationError(f"need a ({n}, 4) table, got {self.machine_probs.shape}", field="machine_probs")
+        _check_labels(flat, "recorded", "recorded")
 
     def __eq__(self, other):
         if not isinstance(other, Population):
@@ -153,7 +167,7 @@ class SeedBatch:
         if not self.seeds or self.true_risk.shape != shape:
             raise ValidationError(f"need at least one seed and a {shape} table of true labels, "
                                   f"got {self.true_risk.shape}", field="true_risk")
-        _check_true_labels(self.true_risk)
+        _check_labels(self.true_risk, "true_risk", "true")
         self.everyone = np.tile(np.arange(shape[1]), (shape[0], 1))  # each seed's rows, in id order
         self._kept: dict = {}
 

@@ -31,6 +31,15 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="K: need at least 2 arms"):
             spec_of(K=1, mu=(0.5,))
 
+    def test_too_few_states(self):
+        with pytest.raises(ValidationError, match="^S: need at least 1 state$"):
+            EnvironmentSpec(K=2, S=0, mu=(0.5, 0.3), sigma2=0.01, state_sequence=(0, 0))
+
+    @pytest.mark.parametrize("reward_sigma2", [0.0, -0.1])
+    def test_truncated_gaussian_reward_sigma2_positive(self, reward_sigma2):
+        with pytest.raises(ValidationError, match="^reward_sigma2: must be positive$"):
+            spec_of(reward_family="truncated_gaussian", reward_sigma2=reward_sigma2)
+
     def test_mu_length(self):
         with pytest.raises(ValidationError, match="mu: expected 3 entries"):
             spec_of(K=3)

@@ -147,6 +147,8 @@ class TestSchedules:
     def test_log_bar(self):
         assert log_bar(3) == pytest.approx(0.5 + 0.5 + 1.0 / 3.0)
         assert log_bar(2) == pytest.approx(1.0)
+        with pytest.raises(ConfigurationError, match="^need K >= 2$"):
+            log_bar(1)
 
     def test_uniform_examples(self):
         assert sr_schedule("uniform", 4, 12).t_k == (4, 8, 12)
@@ -198,6 +200,16 @@ class TestSchedules:
     @pytest.mark.parametrize("t_k", [(10.7, 20.2), (True, 5), (10, 20.0)])
     def test_boundaries_must_be_integers(self, t_k):
         with pytest.raises(ConfigurationError, match="a boundary must be an integer"):
+            SRSchedule(t_k)
+
+    @pytest.mark.parametrize("t_k, message", [
+        ((), "need at least one phase boundary"),
+        ((10, 10), r"boundaries must be strictly increasing, got \(10, 10\)"),
+        ((20, 10), r"boundaries must be strictly increasing, got \(20, 10\)"),
+        ((0, 5), r"boundaries must be strictly increasing, got \(0, 5\)"),
+    ])
+    def test_boundaries_must_increase(self, t_k, message):
+        with pytest.raises(ScheduleError, match=f"^t_k: {message}$"):
             SRSchedule(t_k)
 
     @pytest.mark.parametrize("K, n, name", [(3, 30.5, "n"), (3, True, "n"), (3.0, 30, "K"), (True, 30, "K")])

@@ -59,6 +59,9 @@ class TestLabels:
         assert ENCODINGS["binary"][RiskLabel.MODERATE] == 0.0
 
 
+UNIFORM_CONFUSION = np.full((3, 4, 4), 0.25)
+
+
 class TestSynthPopulation:
     def test_label_counts(self):
         pop = synth_population(242, 42, seed=0)
@@ -86,7 +89,10 @@ class TestSynthPopulation:
 
     def test_kind_follows_confusion(self):
         assert synth_population(20, 5, seed=1).kind == "synthetic"
-        assert Population(ids=[1], true_risk=[RiskLabel.NO]).kind == "replay"
+        assert triage._replay_population({1: (1.0, 0, 0, 0)}, {}).kind == "replay"
+        # with neither kind's data no engine could run the population
+        with pytest.raises(ValidationError, match=r"^confusion: need a confusion table"):
+            Population(ids=[1], true_risk=[RiskLabel.NO])
         row = (0.25,) * 4
         for bad in (((row,) * 4,) * 2, ((row,) * 3,) * 3, (((0.5,) * 2,) * 4,) * 3):
             with pytest.raises(ValidationError, match="confusion"):
@@ -127,19 +133,57 @@ class TestSynthPopulation:
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            Population(ids=[1, 1], true_risk=[RiskLabel.NO, RiskLabel.NO])
+            Population(ids=[1, 1], true_risk=[RiskLabel.NO, RiskLabel.NO], confusion=UNIFORM_CONFUSION)
 
     def test_rows_ascend_with_one_true_label_each(self):
         with pytest.raises(ValidationError, match="ascending ids"):
-            Population(ids=[2, 1], true_risk=[RiskLabel.NO, RiskLabel.NO])
+            Population(ids=[2, 1], true_risk=[RiskLabel.NO, RiskLabel.NO], confusion=UNIFORM_CONFUSION)
         with pytest.raises(ValidationError, match="one true label each"):
-            Population(ids=[1, 2], true_risk=[RiskLabel.NO])
+            Population(ids=[1, 2], true_risk=[RiskLabel.NO], confusion=UNIFORM_CONFUSION)
 
     def test_true_labels_lie_in_0_to_3(self):
         for true_risk in ([7, 3, -1], [0, 4, 1], [-1, 0, 0]):
             with pytest.raises(ValidationError, match=r"^true_risk: true labels must lie in 0\.\.3"):
-                Population(ids=[1, 2, 3], true_risk=true_risk)
-        assert Population(ids=[1, 2, 3], true_risk=[0, 3, 2]).true_risk.tolist() == [0, 3, 2]
+                Population(ids=[1, 2, 3], true_risk=true_risk, confusion=UNIFORM_CONFUSION)
+        pop = Population(ids=[1, 2, 3], true_risk=[0, 3, 2], confusion=UNIFORM_CONFUSION)
+        assert pop.true_risk.tolist() == [0, 3, 2]
+
+
+def replay_fields(**changes):
+    """The fields of a valid two-person replay population, with ``changes``."""
+    pop = triage._replay_population({4: (0.1, 0.2, 0.3, 0.4), 7: (0.7, 0.1, 0.1, 0.1)},
+                                    {i: {s: [RiskLabel.LOW, RiskLabel.SEVERE] for s in (1, 2, 3)} for i in (4, 7)})
+    fields = dict(ids=pop.ids, true_risk=pop.true_risk, recorded=pop.recorded, machine_probs=pop.machine_probs)
+    return {**fields, **changes}
+
+
+class TestReplayPopulation:
+    def test_valid_fields_pass(self):
+        pop = Population(**replay_fields())
+        assert pop.kind == "replay" and pop == Population(**replay_fields())
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"recorded": None}, r"^confusion: need a confusion table"),
+        ({"machine_probs": None}, r"^confusion: need a confusion table"),
+        # with an (n, 3) table NLP-Full would flag no one
+        ({"machine_probs": np.full((2, 3), 1 / 3)}, r"^machine_probs: need a \(2, 4\) table, got \(2, 3\)$"),
+        ({"recorded": (np.zeros(12, dtype=int), np.zeros((3, 3), dtype=int), np.full((3, 2), 2))},
+         r"^recorded: need \(3, 2\) tables of label starts and counts, got \(3, 3\) and \(3, 2\)$"),
+        ({"recorded": (np.zeros(12, dtype=int), np.zeros((3, 2), dtype=int), np.full(6, 2))},
+         r"^recorded: need \(3, 2\) tables .* got \(3, 2\) and \(6,\)$"),
+    ])
+    def test_kind_data_is_checked(self, changes, message):
+        with pytest.raises(ValidationError, match=message):
+            Population(**replay_fields(**changes))
+
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_recorded_labels_lie_in_0_to_3(self, bad):
+        # the encodings would read a -1 as Severe and a 7 past their end
+        flat, start, size = replay_fields()["recorded"]
+        flat = flat.copy()
+        flat[3] = bad
+        with pytest.raises(ValidationError, match=rf"^recorded: recorded labels must lie in 0\.\.3, got {bad}$"):
+            Population(**replay_fields(recorded=(flat, start, size)))
 
 
 class TestBudgets:
@@ -190,6 +234,12 @@ class TestBudgets:
     def test_stage_index_is_one_of_the_three(self, index):
         with pytest.raises(ValidationError, match=f"^index: must be 1, 2 or 3, got {index}$"):
             StageSpec(index=index, budget_milli=0, cohort_out=1)
+
+    @pytest.mark.parametrize("fields, message", [((1, -1, 5), "^budget_milli: must be non-negative$"),
+                                                 ((1, 10, 0), "^cohort_out: must be >= 1$")])
+    def test_stage_budget_and_cohort_ranges(self, fields, message):
+        with pytest.raises(ValidationError, match=message):
+            StageSpec(*fields)
 
     def test_default_stages_validation(self):
         with pytest.raises(ValidationError, match="cohort_out"):
@@ -333,6 +383,10 @@ class TestPipeline:
             true_risk[1, 7] = bad
             with pytest.raises(ValidationError, match=rf"^true_risk: true labels must lie in 0\.\.3, got {bad}$"):
                 SeedBatch(pop, [3, 4], true_risk)
+
+    def test_needs_a_stage(self):
+        with pytest.raises(ValidationError, match="^stages: need at least one stage$"):
+            run_pipeline(identity_pop(self.labels), [])
 
     def test_duplicate_stage_indices_rejected(self):
         pop = identity_pop(self.labels)
@@ -666,6 +720,16 @@ class TestLoadEvaluations:
         (tmp_path / "human.csv").write_text("id,stage,label\n")
         with pytest.raises(ParseError, match="human header"):
             load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
+
+    def test_blank_rows_skipped_and_field_count_checked(self, tmp_path):
+        self.write_machine(tmp_path / "machine.csv", ["1,1,0,0,0", "", "2,0,0,0,1"])
+        self.write_human(tmp_path / "human.csv", [])
+        pop = load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
+        assert pop.ids.tolist() == [1, 2] and pop.true_risk.tolist() == [0, 3]
+        self.write_human(tmp_path / "human.csv", ["1,7,3,severe", "", "2,7,3"])
+        with pytest.raises(ParseError, match="expected 4 fields, got 3") as err:
+            load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
+        assert err.value.line == 4
 
     def test_duplicate_machine_id(self, tmp_path):
         self.write_machine(tmp_path / "machine.csv", ["1,1,0,0,0", "1,0,1,0,0"])
