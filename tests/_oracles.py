@@ -174,18 +174,64 @@ def state_ucb_run(env, n: int, alpha: float, bonus, rng) -> list[int]:
     return choices
 
 
+def _pulled_counts(env, n: int) -> np.ndarray:
+    """Uniform rotation's (K, S) pull counts over the first n steps; each arm needs a pull."""
+    spec = env.spec
+    counts = _rotation_counts(spec.state_sequence, n, spec.K, spec.S)
+    if any(counts[a].sum() == 0 for a in range(spec.K)):
+        raise ValueError("an arm is never pulled; no recommendation exists")
+    return counts
+
+
+def _score_law(counts: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values and probabilities of one arm's score, the mean of k/count
+    over its pulled states, by enumerating its own success counts."""
+    states = np.flatnonzero(counts)
+    succ = np.array(list(itertools.product(*(range(counts[s] + 1) for s in states))))
+    weight = np.prod([binom.pmf(succ[:, c], counts[s], m[s]) for c, s in enumerate(states)], axis=0)
+    means = np.full((len(succ), len(counts)), np.nan)
+    means[:, states] = succ / counts[states]
+    values, which = np.unique(np.nanmean(means, axis=1), return_inverse=True)
+    return values, np.bincount(which, weights=weight)
+
+
 def exact_uniform_eba(env, n: int) -> dict:
-    """Exact law of the uniform-rotation recommendation, by enumerating all
-    per-cell success counts with binomial weights.
+    """Exact law of the uniform-rotation recommendation. The arms' scores are
+    independent, so each arm's score law is enumerated on its own, and the
+    argmax, ties toward the lowest index, picks arm j with probability
+    sum over x of p_j(x) * prod_{i<j} P(S_i < x) * prod_{i>j} P(S_i <= x).
 
     Returns pick_pmf plus exact e, e_hat, r, r_hat under the usual
     best-by-utility and best-by-state-average targets.
     """
+    counts = _pulled_counts(env, n)
+    laws = [_score_law(counts[a], env.m[a]) for a in range(env.spec.K)]
+    pick_pmf = np.zeros(env.spec.K)
+    for j, (x, p) in enumerate(laws):
+        for i, (values, probs) in enumerate(laws):
+            if i != j:
+                p = p * (((values < x[:, None]) if i < j else (values <= x[:, None])) @ probs)
+        pick_pmf[j] = p.sum()
+    mu = np.asarray(env.spec.mu)
+    row = env.m.mean(axis=1)
+    j_star = int(np.argmax(mu))
+    j_hat = int(np.argmax(row))
+    return {
+        "pick_pmf": pick_pmf,
+        "e": float(1.0 - pick_pmf[j_star]),
+        "e_hat": float(1.0 - pick_pmf[j_hat]),
+        "r": float(np.sum(pick_pmf * (mu[j_star] - mu))),
+        "r_hat": float(np.sum(pick_pmf * (row[j_hat] - row))),
+    }
+
+
+def _joint_uniform_eba_pick(env, n: int) -> np.ndarray:
+    """``exact_uniform_eba``'s pick_pmf by enumerating the joint success counts
+    of every cell; exponential in the cells, so only a cross-check on small
+    environments."""
     spec = env.spec
     K, S = spec.K, spec.S
-    counts = _rotation_counts(spec.state_sequence, n, K, S)
-    if any(counts[a].sum() == 0 for a in range(K)):
-        raise ValueError("an arm is never pulled; no recommendation exists")
+    counts = _pulled_counts(env, n)
     cells = [(a, s) for a in range(K) for s in range(S) if counts[a, s] > 0]
     pmf_tables = [
         [binom.pmf(k, counts[a, s], env.m[a, s]) for k in range(counts[a, s] + 1)]
@@ -202,17 +248,7 @@ def exact_uniform_eba(env, n: int) -> dict:
             continue
         scores = np.nanmean(means, axis=1)
         pick_pmf[int(np.argmax(scores))] += w
-    mu = np.asarray(spec.mu)
-    row = env.m.mean(axis=1)
-    j_star = int(np.argmax(mu))
-    j_hat = int(np.argmax(row))
-    return {
-        "pick_pmf": pick_pmf,
-        "e": float(1.0 - pick_pmf[j_star]),
-        "e_hat": float(1.0 - pick_pmf[j_hat]),
-        "r": float(np.sum(pick_pmf * (mu[j_star] - mu))),
-        "r_hat": float(np.sum(pick_pmf * (row[j_hat] - row))),
-    }
+    return pick_pmf
 
 
 def exact_sr(env, boundaries) -> np.ndarray:

@@ -35,8 +35,8 @@ from statebandits import montecarlo, strategies
 from statebandits.env import STATE_MODES
 from statebandits.montecarlo import TIGHTNESS_HEADER
 
-from _oracles import (binomial_cell_means_per_cell, exact_sr, exact_uniform_eba, sr_sample_per_cell,
-                      state_ucb_run)
+from _oracles import (_joint_uniform_eba_pick, binomial_cell_means_per_cell, exact_sr, exact_uniform_eba,
+                      sr_sample_per_cell, state_ucb_run)
 
 
 class TestRandomEnv:
@@ -239,6 +239,26 @@ def test_batched_estimators_match_exact_laws(K, S, extra, mode, seed):
         est = estimate_bai(env, f"sr_{kind}", runs)
         assert _within_se(est.e, 1.0 - pmf[g.j_star], runs)
         assert _within_se(est.e_hat, 1.0 - pmf[g.j_hat_star], runs)
+
+
+def test_score_laws_give_the_joint_enumeration_pick_law():
+    """exact_uniform_eba's per-arm score laws give the pick law that enumerating
+    every cell's success count jointly gives, ties toward the lowest index
+    included, on the small environments of the exact-law tests."""
+    envs = [fixed_env([[0.7], [0.4]], mu=(0.7, 0.4), n=6),
+            fixed_env([[0.8, 0.6], [0.5, 0.4]], mu=(0.7, 0.45), n=10),
+            fixed_env([[0.5], [0.5], [0.5]], mu=(0.5, 0.5, 0.5), n=9)]  # alike arms, so scores often tie
+    for case in range(100):
+        rng = substream(0, case, "exact-regret")
+        K, S = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        n = int(rng.integers(K * S, 13))
+        seq = make_state_sequence(S, n, STATE_MODES[case % len(STATE_MODES)], seed=case)
+        envs.append(instantiate(EnvironmentSpec(K=K, S=S, mu=tuple(rng.random(K)), sigma2=0.05,
+                                                state_sequence=seq, seed=case)))
+    for env in envs:
+        n = env.spec.horizon
+        assert np.allclose(exact_uniform_eba(env, n)["pick_pmf"], _joint_uniform_eba_pick(env, n),
+                           rtol=0.0, atol=1e-15)
 
 
 def test_uniform_simple_regret_matches_exact_law():
@@ -483,6 +503,8 @@ class TestPseudoRegret:
         env = fixed_env([[0.7], [0.4]], mu=(0.7, 0.4), n=50)
         with pytest.raises(ConfigurationError, match="checkpoints"):
             estimate_pseudoregret(env, 3.0, (10, 60), 5)
+        with pytest.raises(ConfigurationError, match="^checkpoints must list at least one horizon$"):
+            estimate_pseudoregret(env, 3.0, (), 5)
         with pytest.raises(ConfigurationError, match="alpha"):
             estimate_pseudoregret(env, 2.0, (10,), 5)
         with pytest.raises(ConfigurationError, match=r"repeated: \[10\]"):
