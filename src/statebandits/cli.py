@@ -33,6 +33,7 @@ from .montecarlo import (
     SR_HEADER,
     TIGHTNESS_HEADER,
     SweepConfig,
+    _check_checkpoints,
     estimate_bai,
     estimate_pseudoregret,
     record_rows,
@@ -274,9 +275,7 @@ REGRET_SCHEMA = [
 
 
 def cmd_regret(args, cfg: dict, seed: int) -> int:
-    checkpoints = tuple(sorted(cfg["checkpoints"]))
-    if not checkpoints:
-        raise ConfigurationError("checkpoints must list at least one horizon")
+    checkpoints = _check_checkpoints(cfg["checkpoints"])  # the last one sizes the state sequence
     mu = cfg["mu"]
     if cfg["m"]:
         if len(cfg["m"]) != cfg["K"] * cfg["S"]:

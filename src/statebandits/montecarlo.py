@@ -305,6 +305,20 @@ def _sr_record(env: Environment, env_index: int, runs: int) -> SRRecord:
     return SRRecord(env_index=env_index, K=spec.K, S=spec.S, n=n, **cols)
 
 
+def _sign_test_p(n_pos: int, n_neg: int) -> float:
+    """The one-sided sign test's P(Binomial(n, 1/2) >= n_pos), n = n_pos + n_neg:
+    the exact integer tail over 2**n, rounded once. The shorter side is summed
+    with C(n, j + 1) = C(n, j) (n - j) / (j + 1); the upper tail is its mirror
+    j <= n_neg, and a lower side k < n_pos is taken from 2**n."""
+    n = n_pos + n_neg
+    m = min(n_neg + 1, n_pos)
+    head, term = 0, 1
+    for j in range(m):
+        head += term
+        term = term * (n - j) // (j + 1)
+    return (head if m == n_neg + 1 else (1 << n) - head) / (1 << n)
+
+
 def sr_compare(config: SweepConfig, workers: int = 1):
     """Paired comparison of the two elimination schedules.
 
@@ -322,13 +336,6 @@ def sr_compare(config: SweepConfig, workers: int = 1):
     diffs = np.array([r.e_hat_reference - r.e_hat_uniform for r in records])
     n_pos = int(np.sum(diffs > 0))
     n_neg = int(np.sum(diffs < 0))
-    if n_pos + n_neg > 0:
-        from scipy.special import betainc  # deferred: only the sign test needs scipy here
-
-        # P(Binomial(n_pos + n_neg, 1/2) >= n_pos), the one-sided sign test
-        p_value = float(betainc(n_pos, n_neg + 1, 0.5))
-    else:
-        p_value = 1.0
     mean_u = float(np.mean([r.e_hat_uniform for r in records])) if records else 0.0
     mean_r = float(np.mean([r.e_hat_reference for r in records])) if records else 0.0
     summary = {
@@ -337,7 +344,7 @@ def sr_compare(config: SweepConfig, workers: int = 1):
         "mean_e_hat_reference": mean_r,
         "mean_paired_diff": float(np.mean(diffs)) if records else 0.0,
         "sign_test": {"n_pos": n_pos, "n_neg": n_neg, "n_tie": len(records) - n_pos - n_neg,
-                      "p_value": p_value},
+                      "p_value": _sign_test_p(n_pos, n_neg)},
         "direction": "uniform_leq_reference" if mean_u <= mean_r else "reference_lt_uniform",
     }
     return records, summary, failures
@@ -353,6 +360,18 @@ class RegretCurve:
     bound: np.ndarray = field(repr=False)
 
 
+def _check_checkpoints(checkpoints) -> tuple[int, ...]:
+    """Regret checkpoints: a non-empty list of distinct integers, returned sorted as ints."""
+    checkpoints = tuple(sorted(checkpoints))
+    if not checkpoints:
+        raise ConfigurationError("checkpoints must list at least one horizon")
+    for c in checkpoints:
+        _check_integer(c, "checkpoints")
+    checkpoints = tuple(map(int, checkpoints))
+    _check_distinct(checkpoints, "checkpoints")
+    return checkpoints
+
+
 def estimate_pseudoregret(env: Environment, alpha: float, checkpoints, runs: int) -> RegretCurve:
     """Monte Carlo pseudo-regret of the optimism-index strategy, with the
     bounded-unit envelope as exploration bonus and in the bound.
@@ -363,13 +382,9 @@ def estimate_pseudoregret(env: Environment, alpha: float, checkpoints, runs: int
     """
     spec = env.spec
     _check_runs(runs)
-    checkpoints = tuple(sorted(checkpoints))
-    if not checkpoints:
-        raise ConfigurationError("checkpoints must list at least one horizon")
+    checkpoints = _check_checkpoints(checkpoints)
     for c in checkpoints:
         _check_steps(c, spec.horizon, "checkpoints")
-    checkpoints = tuple(map(int, checkpoints))
-    _check_distinct(checkpoints, "checkpoints")
     streams = [substream(spec.seed, r, "rewards") for r in range(runs)]
     m_star = gaps(env).m_star_per_state
     regret = np.zeros(runs)

@@ -74,7 +74,7 @@ def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n:
     Run r draws its reward variates from ``streams[r]`` in blocks of about
     ``_BLOCK_VARIATES / runs`` steps; they equal one draw of n. The engine
     keeps each state's counts and sums as contiguous float64 (runs, K) tables
-    and adds a one-hot mask of the chosen arms to them. Yields (t, state,
+    and adds each pull at its flat position in them. Yields (t, state,
     choice, mean) per step, the chosen arms and their local means being
     (runs,) arrays.
     """
@@ -83,8 +83,11 @@ def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n:
     _check_alpha(alpha)
     runs, K = len(streams), spec.K
     c, tot = np.zeros((2, spec.S, runs, K))
-    mask, score, bonus = np.empty((3, runs, K))
-    visits, means, onehot = [0] * spec.S, env.m.T, np.eye(K)
+    score, bonus = np.empty((2, runs, K))
+    visits, means = [0] * spec.S, env.m.T
+    # in these C-order tables the cell of run r's arm k in state s is (s * runs + r) * K + k
+    c_flat, tot_flat = c.reshape(-1), tot.reshape(-1)
+    bases = [(s * runs + np.arange(runs)) * K for s in range(spec.S)]
     block = max(1, _BLOCK_VARIATES // runs)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
@@ -97,9 +100,9 @@ def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n:
             choice = _optimism_pick(c[s], tot[s], visits[s], a, family, score, bonus)
             visits[s] += 1
             mean = means[s][choice]
-            np.take(onehot, choice, axis=0, out=mask)
-            c[s] += mask
-            tot[s] += np.multiply(mask, _rewards(spec, mean, u)[:, None], out=mask)
+            cell = bases[s] + choice
+            c_flat[cell] += 1.0
+            tot_flat[cell] += _rewards(spec, mean, u)
             yield t, s, choice, mean
 
 

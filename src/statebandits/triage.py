@@ -134,6 +134,9 @@ class Population:
         if start.shape != (3, n) or size.shape != (3, n):
             raise ValidationError(f"need (3, {n}) tables of label starts and counts, got {start.shape} "
                                   f"and {size.shape}", field="recorded")
+        if np.any(start < 0) or np.any(size < 0) or np.any(start + size > len(flat)):
+            raise ValidationError(f"need label starts and counts >= 0 that end within the {len(flat)} "
+                                  "recorded labels", field="recorded")
         if self.machine_probs.shape != (n, 4):
             raise ValidationError(f"need a ({n}, 4) table, got {self.machine_probs.shape}", field="machine_probs")
         _check_labels(flat, "recorded", "recorded")

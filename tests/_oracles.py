@@ -9,10 +9,21 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
 from scipy.stats import binom
+
+
+def sign_test_tails(n: int) -> list[float]:
+    """P(Binomial(n, 1/2) >= k) for k = 0..n: each upper tail summed term by
+    term from ``math.comb`` as an exact Fraction, then rounded once."""
+    tails, total = [], 0
+    for k in range(n, -1, -1):
+        total += math.comb(n, k)
+        tails.append(float(Fraction(total, 2**n)))
+    return tails[::-1]
 
 
 def numeric_sup_conjugate(psi_fn, eps: float, lam_hi: float = 64.0) -> float:

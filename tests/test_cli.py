@@ -102,6 +102,17 @@ class TestErrors:
         assert rc == 2
         assert "mu: expected 3 entries, got 2" in capsys.readouterr().err
 
+    def test_regret_empty_checkpoints_exit_2_from_the_library_check(self, tmp_path, capsys, monkeypatch):
+        # the handler sizes its state sequence with the library's checkpoint check
+        calls = []
+        check = montecarlo._check_checkpoints
+        monkeypatch.setattr(cli, "_check_checkpoints", lambda c: calls.append(c) or check(c))
+        cfg = write_cfg(tmp_path / "c.cfg", "runs = 5\ncheckpoints =\n")
+        out = tmp_path / "o"
+        assert main(["regret", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: checkpoints must list at least one horizon\n"
+        assert calls == [()] and not any(out.iterdir())
+
     def test_regret_repeated_checkpoints_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", "checkpoints = 100, 100, 1000\nruns = 50\n")
         out = tmp_path / "o"

@@ -6,13 +6,15 @@ an ``__all__`` lists must resolve.
 
 Start-up loads only what the study runs, checked in a fresh interpreter each:
 importing the CLI loads no ``scipy`` module and no process pool, and every
-study but ``sr-compare`` (whose sign test calls ``scipy.special.betainc``)
-runs without ``scipy``: the normal CDF of the ``tightness`` and ``verify``
-bounds is the package's own port, at one worker or a process pool of two.
+study runs without ``scipy``, the sweeps at one worker or a process pool of
+two: the normal CDF of the ``tightness`` and ``verify`` bounds is the
+package's own port, and ``sr-compare``'s sign test sums the exact binomial
+tail in integers.
 """
 
 import ast
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -100,6 +102,8 @@ def test_cli_import_leaves_out_scipy_and_the_process_pool():
 
 
 TIGHTNESS_CONFIG = "num_envs = 3\nruns_per_env = 5\nk_max = 3\ns_max = 2\n"
+# at the default seed one of these environments errs more under the reference schedule
+SIGN_TEST_CONFIG = "num_envs = 6\nruns_per_env = 20\n"
 
 
 @pytest.mark.parametrize("command, config, extra", [
@@ -107,8 +111,10 @@ TIGHTNESS_CONFIG = "num_envs = 3\nruns_per_env = 5\nk_max = 3\ns_max = 2\n"
     ("regret", "checkpoints = 20, 50\nruns = 5\n", []),
     ("tightness", TIGHTNESS_CONFIG, ["--workers", "1"]),
     ("tightness", TIGHTNESS_CONFIG, ["--workers", "2"]),
+    ("sr-compare", SIGN_TEST_CONFIG, ["--workers", "1"]),
+    ("sr-compare", SIGN_TEST_CONFIG, ["--workers", "2"]),
     ("verify", "", []),
-], ids=["triage", "regret", "tightness-w1", "tightness-w2", "verify"])
+], ids=["triage", "regret", "tightness-w1", "tightness-w2", "sr-compare-w1", "sr-compare-w2", "verify"])
 def test_study_runs_without_scipy(tmp_path, command, config, extra):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config, encoding="utf-8")
@@ -124,3 +130,6 @@ def test_study_runs_without_scipy(tmp_path, command, config, extra):
             f"    rc = cli.main({argv!r})\n"
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _fresh_python(code) == "0 []"
+    if command == "sr-compare":  # the sign test ran on an untied pair
+        sign_test = json.loads((tmp_path / "out" / "sr_compare_summary.json").read_text())["sign_test"]
+        assert sign_test["n_pos"] + sign_test["n_neg"] > 0

@@ -1,12 +1,13 @@
 import concurrent.futures
 import math
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc
 from scipy.stats import binomtest, chisquare
 
 from statebandits import (
@@ -36,7 +37,7 @@ from statebandits.env import STATE_MODES
 from statebandits.montecarlo import TIGHTNESS_HEADER
 
 from _oracles import (_joint_uniform_eba_pick, binomial_cell_means_per_cell, exact_sr, exact_uniform_eba,
-                      sr_sample_per_cell, state_ucb_run)
+                      sign_test_tails, sr_sample_per_cell, state_ucb_run)
 
 
 class TestRandomEnv:
@@ -394,14 +395,42 @@ class TestSweeps:
         assert summary["sign_test"]["n_neg"] == 0
         assert summary["sign_test"]["p_value"] == 1.0
 
-    def test_sign_test_p_value_is_binomtest(self):
-        # sr_compare's betainc(k, n - k + 1, 1/2) against scipy.stats, bit for bit:
-        # every 1 <= k <= n <= 120, then larger n on a stride
-        pairs = [(k, n) for n in range(1, 121) for k in range(1, n + 1)]
-        pairs += [(k, n) for n in range(401, 2001, 97) for k in range(1, n + 1, 7)]
-        mismatched = [(k, n) for k, n in pairs if betainc(k, n - k + 1, 0.5)
-                      != binomtest(k, n, 0.5, alternative="greater").pvalue]
-        assert not mismatched
+    def test_sign_test_p_value_is_the_exact_tail(self):
+        # P(Binomial(n, 1/2) >= k) against the exact Fraction tail, bit for bit, and
+        # against scipy.stats' binomtest to 1e-12 where scipy's tail has not
+        # underflowed (it reads 0.0 from about 1e-258 down): every 1 <= k <= n <= 120,
+        # then larger n on a stride
+        grid = {n: range(1, n + 1) for n in range(1, 121)}
+        grid.update({n: range(1, n + 1, 7) for n in range(401, 2001, 97)})
+        mismatched, far = [], []
+        for n, ks in grid.items():
+            tails = sign_test_tails(n)
+            for k in ks:
+                p = montecarlo._sign_test_p(k, n - k)
+                if p != tails[k]:
+                    mismatched.append((k, n))
+                scipy_p = binomtest(k, n, 0.5, alternative="greater").pvalue
+                if not (math.isclose(p, scipy_p, rel_tol=1e-12) or scipy_p == 0.0 and p < 1e-250):
+                    far.append((k, n))
+        assert not mismatched and not far
+
+    def test_sign_test_edges(self):
+        assert montecarlo._sign_test_p(0, 0) == 1.0  # no untied environment
+        for n in (1, 2, 7, 120, 1075):
+            tails = sign_test_tails(n)
+            assert montecarlo._sign_test_p(0, n) == tails[0] == 1.0
+            assert montecarlo._sign_test_p(n, 0) == tails[n] == 2.0**-n  # n_neg = 0: every pair one way
+        # 2**-2000 is below the smallest subnormal: the tail rounds to zero
+        assert montecarlo._sign_test_p(2000, 0) == sign_test_tails(2000)[2000] == 0.0
+
+    def test_sign_test_is_fast_at_large_n(self):
+        # P(X >= n/2) = 1/2 + C(n, n/2) / 2**(n + 1) by symmetry; the recurrence calls no math.comb
+        n = 20_000
+        start = time.perf_counter()
+        p = montecarlo._sign_test_p(n // 2, n // 2)
+        elapsed = time.perf_counter() - start
+        assert p == float(Fraction(2**n + math.comb(n, n // 2), 2 ** (n + 1)))
+        assert elapsed < 0.5
 
     def test_sr_compare_summary_fields(self):
         config = SweepConfig(num_envs=10, runs_per_env=40, master_seed=2, k_max=4, s_max=3)

@@ -176,6 +176,20 @@ class TestReplayPopulation:
         with pytest.raises(ValidationError, match=message):
             Population(**replay_fields(**changes))
 
+    @pytest.mark.parametrize("table, value", [("start", 6 + 20), ("size", -1), ("start", -1)],
+                             ids=["past-the-end", "negative-count", "negative-start"])
+    def test_recorded_spans_lie_within_the_labels(self, table, value):
+        # id 7's two stage-2 labels start at 6; a span past the end raised a bare
+        # IndexError at the first read, and a negative count or start read other labels
+        flat, start, size = replay_fields()["recorded"]
+        spans = {"start": start.copy(), "size": size.copy()}
+        assert spans["start"][1, 1] == 6
+        spans[table][1, 1] = value
+        start, size = spans["start"], spans["size"]
+        with pytest.raises(ValidationError, match=r"^recorded: need label starts and counts >= 0 that end "
+                                                  r"within the 12 recorded labels$"):
+            Population(**replay_fields(recorded=(flat, start, size)))
+
     @pytest.mark.parametrize("bad", [-1, 7])
     def test_recorded_labels_lie_in_0_to_3(self, bad):
         # the encodings would read a -1 as Severe and a 7 past their end
