@@ -186,10 +186,11 @@ def _check_steps(n: int, horizon: int, name: str = "n") -> None:
         raise ConfigurationError(f"{name} {n} outside [1, {horizon}]")
 
 
-def _variates(spec: EnvironmentSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    """The reward variates of ``size`` pulls: uniforms for bernoulli rewards,
-    standard normals for truncated_gaussian ones."""
-    return rng.random(size) if spec.reward_family == "bernoulli" else rng.standard_normal(size)
+def _variates(spec: EnvironmentSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous float64 ``out`` in place with the reward variates of
+    its pulls, the values a draw of its size gives, and return it: uniforms for
+    bernoulli rewards, standard normals for truncated_gaussian ones."""
+    return rng.random(out=out) if spec.reward_family == "bernoulli" else rng.standard_normal(out=out)
 
 
 def _rewards(spec: EnvironmentSpec, mean, u) -> np.ndarray:

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import PsiFamily, _psi_star_inv
-from .env import Environment, _check_bernoulli, _check_integer, _check_steps, _rewards, _variates
+from .env import (
+    Environment, _check_bernoulli, _check_integer, _check_runs, _check_steps, _rewards, _variates,
+)
 from .errors import ConfigurationError, RecommendationError, ScheduleError
 
 __all__ = [
@@ -65,23 +67,25 @@ def _optimism_pick(counts, sums, visit: int, alpha_log_t: float, family: PsiFami
     return np.add(mean, bonus, out=score).argmax(axis=1)
 
 
-_BLOCK_VARIATES = 1 << 18  # reward variates optimism_play holds at once: 2 MiB of float64
+_BLOCK_VARIATES = 1 << 18  # variates in optimism_play's one buffer, refilled each block: 2 MiB of float64
 
 
 def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n: int):
     """Play the optimism-index rule for n steps, one run per stream, in lockstep.
 
     Run r draws its reward variates from ``streams[r]`` in blocks of about
-    ``_BLOCK_VARIATES / runs`` steps; they equal one draw of n. The engine
-    keeps each state's counts and sums as contiguous float64 (runs, K) tables
-    and adds each pull at its flat position in them. Yields (t, state,
-    choice, mean) per step, the chosen arms and their local means being
-    (runs,) arrays.
+    ``_BLOCK_VARIATES / runs`` steps, filled in place into row r of one
+    (runs, block) buffer that every block reuses; they equal one draw of n.
+    The engine keeps each state's counts and sums as contiguous float64
+    (runs, K) tables and adds each pull at its flat position in them. Yields
+    (t, state, choice, mean) per step, the chosen arms and their local means
+    being (runs,) arrays.
     """
     spec = env.spec
     _check_steps(n, spec.horizon)
     _check_alpha(alpha)
     runs, K = len(streams), spec.K
+    _check_runs(runs)
     c, tot = np.zeros((2, spec.S, runs, K))
     score, bonus = np.empty((2, runs, K))
     visits, means = [0] * spec.S, env.m.T
@@ -89,14 +93,14 @@ def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n:
     c_flat, tot_flat = c.reshape(-1), tot.reshape(-1)
     bases = [(s * runs + np.arange(runs)) * K for s in range(spec.S)]
     block = max(1, _BLOCK_VARIATES // runs)
+    buf = np.empty((runs, min(block, n)))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        variates = np.empty((hi - lo, runs))
-        for r, stream in enumerate(streams):
-            variates[:, r] = _variates(spec, stream, hi - lo)
+        for row, stream in zip(buf, streams):
+            _variates(spec, stream, row[:hi - lo])
         alpha_log_t = (alpha * np.log(np.arange(lo + 1, hi + 1))).tolist()
         states = spec.state_sequence[lo:hi].tolist()
-        for t, s, u, a in zip(range(lo + 1, hi + 1), states, variates, alpha_log_t):
+        for t, s, u, a in zip(range(lo + 1, hi + 1), states, buf[:, :hi - lo].T, alpha_log_t):
             choice = _optimism_pick(c[s], tot[s], visits[s], a, family, score, bonus)
             visits[s] += 1
             mean = means[s][choice]

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import statebandits
-from statebandits import cli, montecarlo
+from statebandits import cli, montecarlo, strategies
 from statebandits.cli import main
 
 
@@ -443,6 +443,12 @@ REGRET_CSV_SHA256 = {
     ("truncated_gaussian", "blocks"): "3e7d16e7440577010b2afa4c5f1c00d082d277fa155a586accb87882336d75ff",
 }
 
+# 1000 runs of 600 steps: blocks of 262, 262 and 76 steps of one reused buffer
+REGRET_MULTI_BLOCK_CSV_SHA256 = {
+    "bernoulli": "dac7febc034d9d6f527eba088f27f48909c229a95a33eaaac46028e329f4615b",
+    "truncated_gaussian": "acc12399f4a0fb5e1f5b26c973f2f5951ddb702aca287ac3ad9e93211bbf0f57",
+}
+
 
 class TestRegret:
     def test_equal_arms_zero_regret(self, tmp_path):
@@ -467,6 +473,17 @@ class TestRegret:
         assert main(["regret", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "regret.csv").read_bytes()).hexdigest()
         assert digest == REGRET_CSV_SHA256[family, mode]
+
+    @pytest.mark.parametrize("family", sorted(REGRET_MULTI_BLOCK_CSV_SHA256))
+    def test_multi_block_regret_csv_bytes_pinned(self, tmp_path, family):
+        assert strategies._BLOCK_VARIATES // 1000 == 262
+        cfg = write_cfg(tmp_path / "c.cfg", "K = 4\nS = 3\nmu = 0.8, 0.7, 0.5, 0.2\n"
+                        "checkpoints = 10, 300, 600\nruns = 1000\n"
+                        f"reward_family = {family}\n")
+        out = tmp_path / "o"
+        assert main(["regret", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "regret.csv").read_bytes()).hexdigest()
+        assert digest == REGRET_MULTI_BLOCK_CSV_SHA256[family]
 
     def test_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg",

@@ -177,7 +177,7 @@ class TestInstantiate:
 
 def rewards(spec, mean, rng, size):
     """``size`` rewards of pulls with local mean ``mean``."""
-    return _rewards(spec, mean, _variates(spec, rng, size))
+    return _rewards(spec, mean, _variates(spec, rng, np.empty(size)))
 
 
 class TestPull:
@@ -202,9 +202,20 @@ class TestPull:
     @pytest.mark.parametrize("family", ["bernoulli", "truncated_gaussian"])
     def test_batch_draw_equals_one_draw_per_pull(self, family):
         spec = spec_of(reward_family=family)
-        batch = _variates(spec, substream(3, "pulls"), 50)
+        batch = _variates(spec, substream(3, "pulls"), np.empty(50))
         rng = substream(3, "pulls")
-        assert batch.tolist() == [_variates(spec, rng, 1)[0] for _ in range(50)]
+        assert batch.tolist() == [_variates(spec, rng, np.empty(1))[0] for _ in range(50)]
+
+    @pytest.mark.parametrize("family", ["bernoulli", "truncated_gaussian"])
+    def test_fill_equals_sized_draw(self, family):
+        # the regret engine fills row slices of one reused buffer in place
+        spec = spec_of(reward_family=family)
+        buf = np.full((2, 50), np.nan)
+        filled = _variates(spec, substream(3, "pulls"), buf[1, :37])
+        rng = substream(3, "pulls")
+        sized = rng.random(37) if family == "bernoulli" else rng.standard_normal(37)
+        assert filled.base is buf and filled.tolist() == sized.tolist()
+        assert np.isnan(buf[0]).all() and np.isnan(buf[1, 37:]).all()
 
 
 class TestCounts:

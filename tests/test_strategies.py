@@ -356,6 +356,11 @@ class TestRunners:
         with pytest.raises(ConfigurationError, match=rf"n {n} outside \[1, 200\]"):
             next(optimism_play(env, 3.0, BOUNDED_UNIT, [substream(5, r, "run") for r in range(2)], n))
 
+    def test_engine_needs_a_stream(self):
+        env = noiseless_env([[0.9], [0.2]], 200)
+        with pytest.raises(ConfigurationError, match="^runs must be >= 1, got 0$"):
+            next(optimism_play(env, 3.0, BOUNDED_UNIT, [], 5))
+
     def test_sb_ucb_prefers_best_arm(self):
         env = noiseless_env([[0.9], [0.2]], 200)
         chosen = run_sb_ucb(env, 200, 3.0, BOUNDED_UNIT, substream(5, "run"))
