@@ -5,148 +5,23 @@ optimism index, fixed-budget best-arm identification with uniform or
 elimination allocation, and closed-form performance guarantees evaluated
 against Monte Carlo estimates. A budgeted multi-stage screening pipeline
 applies the same machinery to a triage setting with per-evaluation costs.
+
+Each library module's ``__all__`` is the one list of what it exports; the
+package root re-exports every one of them (``cli`` is the entry point, not
+a library module).
 """
 
-from .divergence import BOUNDED_UNIT, PsiFamily, psi, psi_star, psi_star_inv
-from .env import (
-    Environment,
-    EnvironmentSpec,
-    GapReport,
-    gaps,
-    instantiate,
-    load_environment,
-    make_state_sequence,
-    save_environment,
-    state_counts,
-)
-from .errors import (
-    ConfigurationError,
-    ParseError,
-    RecommendationError,
-    ReferentialError,
-    ScheduleError,
-    ValidationError,
-)
-from .bounds import (
-    BoundReport,
-    normal_cdf,
-    thm1_bound,
-    thm2_bounds,
-    thm3_bounds,
-    thm4_bounds,
-)
-from .montecarlo import (
-    BAIEstimate,
-    RegretCurve,
-    SweepConfig,
-    estimate_bai,
-    estimate_pseudoregret,
-    random_env,
-    sr_compare,
-    tightness_sweep,
-    write_sr_csv,
-    write_sweep_csv,
-)
-from .rng import substream
-from .strategies import (
-    SRResult,
-    SRSchedule,
-    log_bar,
-    run_sb_ucb,
-    sr_counts,
-    sr_schedule,
-    successive_rejects,
-)
-from .triage import (
-    BASELINES,
-    ENCODINGS,
-    STAGE_COSTS_MILLI,
-    STAGE_GAINS,
-    BaselineResult,
-    Counts,
-    Metrics,
-    PipelineResult,
-    Population,
-    RiskLabel,
-    StageOutcome,
-    StageSpec,
-    allocation_budgets,
-    default_stages,
-    dollars,
-    load_evaluations,
-    metrics,
-    parse_label,
-    run_baseline,
-    run_pipeline,
-    synth_population,
-)
+from .divergence import *
+from .env import *
+from .errors import *
+from .bounds import *
+from .montecarlo import *
+from .rng import *
+from .strategies import *
+from .triage import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUNDED_UNIT",
-    "PsiFamily",
-    "psi",
-    "psi_star",
-    "psi_star_inv",
-    "Environment",
-    "EnvironmentSpec",
-    "GapReport",
-    "gaps",
-    "instantiate",
-    "load_environment",
-    "make_state_sequence",
-    "save_environment",
-    "state_counts",
-    "ConfigurationError",
-    "ParseError",
-    "RecommendationError",
-    "ReferentialError",
-    "ScheduleError",
-    "ValidationError",
-    "BoundReport",
-    "normal_cdf",
-    "thm1_bound",
-    "thm2_bounds",
-    "thm3_bounds",
-    "thm4_bounds",
-    "BAIEstimate",
-    "RegretCurve",
-    "SweepConfig",
-    "estimate_bai",
-    "estimate_pseudoregret",
-    "random_env",
-    "sr_compare",
-    "tightness_sweep",
-    "write_sr_csv",
-    "write_sweep_csv",
-    "substream",
-    "SRResult",
-    "SRSchedule",
-    "log_bar",
-    "run_sb_ucb",
-    "sr_counts",
-    "sr_schedule",
-    "successive_rejects",
-    "BASELINES",
-    "ENCODINGS",
-    "STAGE_COSTS_MILLI",
-    "STAGE_GAINS",
-    "BaselineResult",
-    "Counts",
-    "Metrics",
-    "PipelineResult",
-    "Population",
-    "RiskLabel",
-    "StageOutcome",
-    "StageSpec",
-    "allocation_budgets",
-    "default_stages",
-    "dollars",
-    "load_evaluations",
-    "metrics",
-    "parse_label",
-    "run_baseline",
-    "run_pipeline",
-    "synth_population",
-]
+# importing a submodule binds its name here, so each module is in scope by name
+__all__ = [name for module in (divergence, env, errors, bounds, montecarlo, rng, strategies, triage)
+           for name in module.__all__]

@@ -118,16 +118,24 @@ def resolve_config(schema: list[Field], raw: dict) -> dict:
 
 def load_config(path: str, command: str) -> tuple[dict, int | None]:
     """Read a key=value config file or a manifest JSON; returns (raw, seed)."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config is not UTF-8 text: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed JSON: {exc.msg} (column {exc.colno})", line=exc.lineno) from None
         if "config" in obj:
             if obj.get("command") not in (None, command):
                 raise ConfigurationError(
                     f"manifest is for command {obj.get('command')!r}, not {command!r}"
                 )
+            if not isinstance(obj["config"], dict):
+                raise ConfigurationError(f"manifest config is a {type(obj['config']).__name__}, not an object")
             return dict(obj["config"]), obj.get("seed")
         return dict(obj), None
     raw: dict[str, str] = {}
@@ -284,8 +292,8 @@ def cmd_regret(args, cfg: dict, seed: int) -> int:
         if ignored:
             raise ConfigurationError(f"{ignored} shape local means drawn from mu only; an explicit m cannot honour them")
         m = np.array(cfg["m"]).reshape(cfg["K"], cfg["S"])
-        # clipped so that an m outside [0, 1] is reported as m, by Environment
-        mu = tuple(np.clip(m, 0.0, 1.0).mean(axis=1))
+        # clipped, nan as 0, so that an m outside [0, 1] is reported as m, by Environment
+        mu = tuple(np.clip(np.nan_to_num(m), 0.0, 1.0).mean(axis=1))
     seq = make_state_sequence(cfg["S"], checkpoints[-1], mode=cfg["state_mode"], seed=seed)
     spec = EnvironmentSpec(
         K=cfg["K"], S=cfg["S"], mu=mu, sigma2=cfg["sigma2"],

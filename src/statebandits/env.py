@@ -128,7 +128,7 @@ class Environment:
             raise ValidationError(
                 f"expected shape {(self.spec.K, self.spec.S)}, got {m.shape}", field="m"
             )
-        if np.any(m < 0.0) or np.any(m > 1.0):
+        if not np.all((m >= 0.0) & (m <= 1.0)):  # written so that nan fails too
             raise ValidationError("entries must lie in [0, 1]", field="m")
         m_star = m.max(axis=0)
         delta_sigma, j_hat_star = _gap_vector(m.mean(axis=1))

@@ -2,6 +2,15 @@
 
 import warnings
 
+__all__ = [
+    "ValidationError",
+    "ConfigurationError",
+    "ScheduleError",
+    "RecommendationError",
+    "ParseError",
+    "ReferentialError",
+]
+
 _REGISTRY: dict = {}  # the process's: shows each warning text once
 
 

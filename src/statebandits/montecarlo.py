@@ -83,8 +83,8 @@ class SweepConfig:
             raise ConfigurationError("need 2 <= k_min <= k_max")
         if not 1 <= self.s_min <= self.s_max:
             raise ConfigurationError("need 1 <= s_min <= s_max")
-        if not 0.0 <= self.sigma2_min < self.sigma2_max:
-            raise ConfigurationError("need 0 <= sigma2_min < sigma2_max")
+        if not 0.0 <= self.sigma2_min < self.sigma2_max < np.inf:
+            raise ConfigurationError("need 0 <= sigma2_min < sigma2_max, both finite")
         if self.horizon is not None:
             _check_integer(self.horizon, "horizon")
             if self.horizon < 1:

@@ -20,6 +20,8 @@ import zlib
 
 import numpy as np
 
+__all__ = ["substream", "substream_raw", "substream_random", "substream_integers"]
+
 _MASK32 = 0xFFFFFFFF
 # SeedSequence hash constants (numpy.random.bit_generator), pool of 4 words
 _POOL_SIZE = 4

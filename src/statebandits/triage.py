@@ -29,6 +29,7 @@ from .strategies import _optimism_pick, cell_means
 
 __all__ = [
     "RiskLabel",
+    "parse_label",
     "ENCODINGS",
     "STAGE_COSTS_MILLI",
     "STAGE_GAINS",
@@ -39,6 +40,7 @@ __all__ = [
     "StageSpec",
     "allocation_budgets",
     "default_stages",
+    "StageOutcome",
     "PipelineResult",
     "run_pipeline",
     "run_pipeline_batch",

@@ -96,6 +96,19 @@ class TestErrors:
         assert f"seed must be an integer, got {seed!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{\n  "num_envs": 3,\n', "error: line 3: malformed JSON"),
+        (b'{"command": "regret", "config": [1]}', "error: manifest config is a list, not an object"),
+        (b"K = 3\n# caf\xe9\n", "error: config is not UTF-8 text"),
+    ], ids=["json-unparsed", "manifest-config-list", "not-utf8"])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(content)
+        out = tmp_path / "o"
+        assert main(["regret", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_regret_shape_mismatch(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", "K = 3\nmu = 0.5,0.4\nruns = 2\ncheckpoints = 10\n")
         rc = main(["regret", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -182,6 +195,7 @@ class TestErrors:
         ("s_max = 0", "need 1 <= s_min <= s_max"),
         ("sigma2_min = -0.1", "need 0 <= sigma2_min < sigma2_max"),
         ("sigma2_max = 0", "need 0 <= sigma2_min < sigma2_max"),
+        ("sigma2_max = inf", "need 0 <= sigma2_min < sigma2_max, both finite"),
     ])
     def test_sweep_rejects_keys_it_cannot_honour(self, tmp_path, capsys, command, line, message):
         cfg = write_cfg(tmp_path / "c.cfg", f"num_envs = 2\nruns_per_env = 5\n{line}\n")
@@ -199,6 +213,7 @@ class TestErrors:
         ("regret", "state_mode = nope", "state_sequence: unknown mode 'nope'"),
         ("regret", "alpha = 2", "alpha must exceed 2, got 2.0"),
         ("regret", "m = 0.5, 0.4", "m needs K*S=6 entries, got 2"),
+        ("regret", "K = 2\nS = 1\nm = nan, 0.5", "error: m: entries must lie in [0, 1]"),
         ("triage", "n_severe = 0", "n_severe: need 0 < n_severe < n"),
         ("triage", "total_budget = 999", "no budget split for total $999"),
         ("triage", "total_budget = 1300\nscheme = more9", "no budget split for total $1300 scheme 'more9'"),

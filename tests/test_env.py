@@ -169,6 +169,11 @@ class TestInstantiate:
         with pytest.raises(ValidationError, match="m: entries"):
             Environment(spec=spec_of(), m=np.array([[1.5], [0.5]]))
 
+    def test_m_nan_rejected(self):
+        # nan compares false both ways, so it must fail the range check rather than pass it
+        with pytest.raises(ValidationError, match="m: entries"):
+            Environment(spec=spec_of(), m=np.array([[np.nan], [0.5]]))
+
     def test_m_read_only(self):
         env = instantiate(spec_of())
         with pytest.raises(ValueError):

@@ -2,7 +2,9 @@
 
 Every name a module imports must be used in it (a name listed in the
 module's ``__all__`` counts as used, since it is re-exported), and every name
-an ``__all__`` lists must resolve.
+an ``__all__`` lists must resolve. Each library module declares its exports
+once, in a literal ``__all__``; the package root star-imports every library
+module and exports exactly the concatenation of their lists.
 
 Start-up loads only what the study runs, checked in a fresh interpreter each:
 importing the CLI loads no ``scipy`` module and no process pool, and every
@@ -28,13 +30,13 @@ PACKAGE_DIR = pathlib.Path(statebandits.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py"))
 
 
-def _declared_all(tree: ast.Module) -> set[str]:
+def _declared_all(tree: ast.Module) -> list[str]:
+    """A module's literal ``__all__`` list; empty when it has none or builds one."""
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return {elt.value for elt in node.value.elts}
-    return set()
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -45,8 +47,14 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
                 names[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                names[alias.asname or alias.name] = node.lineno
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = node.lineno
     return names
+
+
+def _star_imports(tree: ast.Module) -> list[str]:
+    return [node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and any(alias.name == "*" for alias in node.names)]
 
 
 def _used_names(tree: ast.Module) -> set[str]:
@@ -66,7 +74,7 @@ def _used_names(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
-    used = _used_names(tree) | _declared_all(tree)
+    used = _used_names(tree) | set(_declared_all(tree))
     unused = sorted(f"{name} (line {line})" for name, line in _imported_names(tree).items()
                     if name not in used)
     assert not unused, f"{module} imports names it never uses: {unused}"
@@ -78,6 +86,21 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(name)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing, f"{name}.__all__ lists names that do not exist: {missing}"
+
+
+def test_package_exports_each_modules_all():
+    trees = {m: ast.parse((PACKAGE_DIR / f"{m}.py").read_text(encoding="utf-8")) for m in MODULES}
+    starred = {m: names for m, tree in trees.items() if (names := _star_imports(tree))}
+    assert list(starred) == ["__init__"], f"only the package root star-imports: {starred}"
+    exported = starred["__init__"]
+    assert sorted(exported) == [m for m in MODULES if m not in ("__init__", "cli")]
+    expected = []
+    for module in exported:
+        declared = _declared_all(trees[module])
+        assert declared, f"{module} needs a literal __all__"
+        expected += declared
+    assert len(set(expected)) == len(expected), "a name is declared by two modules"
+    assert statebandits.__all__ == expected
 
 
 def _fresh_python(code: str) -> str:

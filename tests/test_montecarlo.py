@@ -74,6 +74,8 @@ class TestRandomEnv:
     def test_bad_sigma_range_rejected(self):
         with pytest.raises(ConfigurationError, match="sigma2"):
             SweepConfig(sigma2_min=0.4, sigma2_max=0.3)
+        with pytest.raises(ConfigurationError, match="both finite"):
+            SweepConfig(sigma2_max=np.inf)
 
     def test_keys_the_estimators_cannot_honour_rejected(self):
         with pytest.raises(ConfigurationError, match="reward_family"):
