@@ -156,6 +156,13 @@ def thm2_bounds(env: Environment, n: int, family: PsiFamily) -> tuple[BoundRepor
     return _report("thm2.1", e_raw), _report("thm2.2", e_hat_raw)
 
 
+def _pick_terms(m: np.ndarray, anchor: int, rivals, counts) -> np.ndarray:
+    """exp(-(m[anchor, s] - m[j, s])^2 * counts) for each rival j (a row) and
+    state s: the per-state terms whose sum over s bounds P(J = j). ``counts``
+    is one row of per-state pull counts for every rival, or a row per rival."""
+    return np.exp(-(m[anchor] - m[rivals]) ** 2 * counts)
+
+
 def thm3_bounds(env: Environment, n: int) -> tuple[BoundReport, BoundReport]:
     """Expected simple-regret bounds under uniform rotation, as (global, empiric).
 
@@ -168,18 +175,11 @@ def thm3_bounds(env: Environment, n: int) -> tuple[BoundReport, BoundReport]:
     supported on [0, 1], so they take no reward family.
     """
     g = gaps(env)
-    floors = _per_state_floor(env, n)
-    pick = np.exp(-(env.m[g.j_hat_star][None, :] - env.m) ** 2 * floors[None, :])  # (arm j, state s) terms
+    pick = _pick_terms(env.m, g.j_hat_star, np.arange(env.spec.K), _per_state_floor(env, n))  # (arm, state)
     return (
         _report("thm3.1", float(np.sum(g.delta_mu[:, None] * pick))),
         _report("thm3.2", float(np.sum(g.delta_sigma[:, None] * pick))),
     )
-
-
-def _elimination_ordering(best: int, delta: np.ndarray) -> list[int]:
-    rest = [i for i in range(len(delta)) if i != best]
-    rest.sort(key=lambda i: (delta[i], i))
-    return [best] + rest
 
 
 def thm4_bounds(env: Environment, schedule: SRSchedule) -> tuple[BoundReport, BoundReport]:
@@ -194,17 +194,15 @@ def thm4_bounds(env: Environment, schedule: SRSchedule) -> tuple[BoundReport, Bo
     vacuous rather than wrong whenever the prior flips the leader).
     """
     g = gaps(env)
-    table = sr_counts(env.spec.state_sequence, schedule, env.spec.K, env.spec.S)
-    m = env.m
     K = env.spec.K
-    order = _elimination_ordering(g.j_hat_star, g.delta_sigma)
+    table = sr_counts(env.spec.state_sequence, schedule, K, env.spec.S)
+    # phase k's rival is rank K+1-k: the arms other than the leader, largest gap (then index) first
+    rivals = sorted(set(range(K)) - {g.j_hat_star}, key=lambda i: (g.delta_sigma[i], i), reverse=True)
 
     def total(anchor: int) -> float:
         acc = 0.0
-        for k in range(1, K):
-            rival = order[K - k]
-            diff2 = (m[anchor] - m[rival]) ** 2
-            acc += k * float(np.sum(np.exp(-table[:, k - 1] * diff2)))
+        for k, phase in enumerate(_pick_terms(env.m, anchor, rivals, table.T).sum(axis=1).tolist(), start=1):
+            acc += k * phase
         return acc
 
     return _report("thm4.2", total(g.j_star)), _report("thm4.1", total(g.j_hat_star))

@@ -28,7 +28,7 @@ from .env import (
     EnvironmentSpec, Environment, _check_distinct, _check_integer, gaps, instantiate, make_state_sequence,
     state_counts,
 )
-from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError
+from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError, _read_text
 from .montecarlo import (
     SR_HEADER,
     TIGHTNESS_HEADER,
@@ -118,11 +118,7 @@ def resolve_config(schema: list[Field], raw: dict) -> dict:
 
 def load_config(path: str, command: str) -> tuple[dict, int | None]:
     """Read a key=value config file or a manifest JSON; returns (raw, seed)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"config is not UTF-8 text: {exc}") from None
+    text = _read_text(path, "config")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -187,25 +183,8 @@ def _write_rows(args, stem: str, header, rows) -> None:
     write_table(header, rows, os.path.join(args.out, f"{stem}.{args.format}"), args.format)
 
 
-def _sweep_outputs(args, command: str, seed: int, cfg: dict, header, records, failures,
-                   summary: dict, message: str) -> int:
-    """Write a sweep's table, summary and manifest; 1 when every environment failed."""
-    for idx, error in failures:
-        print(f"env {idx} failed: {error}", file=sys.stderr)
-    stem = command.replace("-", "_")
-    _write_rows(args, stem, header, record_rows(records, header))
-    _write_summary(args.out, f"{stem}_summary.json",
-                   {**summary, "failures": [{"env_index": i, "error": m} for i, m in failures]})
-    _write_manifest(args.out, command, seed, cfg)
-    print(message)
-    if failures and not records:
-        print(f"runtime failure: every environment failed ({len(failures)})", file=sys.stderr)
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
-# tightness
+# sweeps
 
 
 _SWEEP_FIELDS = [
@@ -227,39 +206,32 @@ SR_SCHEMA = [
     Field("num_envs", _int, 1000, "protocol", "number of randomized environments"),
 ] + _SWEEP_FIELDS[1:]
 
-
-def _violation_rates(records) -> dict:
-    checks = {
-        "thm2.1": lambda r: r.e > min(r.b21, 1.0) + 3.0 * r.e_se,
-        "thm2.2": lambda r: r.e_hat > min(r.b22, 1.0) + 3.0 * r.e_hat_se,
-        "thm3.1": lambda r: r.r > min(r.b31, 1.0) + 3.0 * r.r_se,
-        "thm3.2": lambda r: r.r_hat > min(r.b32, 1.0) + 3.0 * r.r_hat_se,
-    }
-    if not records:
-        return {name: 0.0 for name in checks}
-    return {name: sum(bool(fn(r)) for r in records) / len(records) for name, fn in checks.items()}
+# each sweep's study, table header and one-line report of its summary
+SWEEPS = {
+    "tightness": (tightness_sweep, TIGHTNESS_HEADER, lambda s: (
+        f"tightness: {s['rows']} environments, worst violation rate {max(s['violation_rate'].values()):.4f}")),
+    "sr-compare": (sr_compare, SR_HEADER, lambda s: (
+        f"sr-compare: mean empiric error uniform {s['mean_e_hat_uniform']:.4f} vs reference "
+        f"{s['mean_e_hat_reference']:.4f} (sign test p={s['sign_test']['p_value']:.4g}, {s['direction']})")),
+}
 
 
-def cmd_tightness(args, cfg: dict, seed: int) -> int:
-    records, failures = tightness_sweep(SweepConfig(master_seed=seed, **cfg), workers=args.workers)
-    rates = _violation_rates(records)
-    return _sweep_outputs(
-        args, "tightness", seed, cfg, TIGHTNESS_HEADER, records, failures,
-        {"rows": len(records), "violation_rate": rates},
-        f"tightness: {len(records)} environments, worst violation rate {max(rates.values()):.4f}")
-
-
-# ---------------------------------------------------------------------------
-# sr-compare
-
-
-def cmd_sr_compare(args, cfg: dict, seed: int) -> int:
-    records, summary, failures = sr_compare(SweepConfig(master_seed=seed, **cfg), workers=args.workers)
-    return _sweep_outputs(
-        args, "sr-compare", seed, cfg, SR_HEADER, records, failures, summary,
-        "sr-compare: mean empiric error uniform "
-        f"{summary['mean_e_hat_uniform']:.4f} vs reference {summary['mean_e_hat_reference']:.4f} "
-        f"(sign test p={summary['sign_test']['p_value']:.4g}, {summary['direction']})")
+def cmd_sweep(args, cfg: dict, seed: int) -> int:
+    """Run a sweep; write its table, summary and manifest; 1 when every environment failed."""
+    study, header, report = SWEEPS[args.command]
+    records, summary, failures = study(SweepConfig(master_seed=seed, **cfg), workers=args.workers)
+    for idx, error in failures:
+        print(f"env {idx} failed: {error}", file=sys.stderr)
+    stem = args.command.replace("-", "_")
+    _write_rows(args, stem, header, record_rows(records, header))
+    _write_summary(args.out, f"{stem}_summary.json",
+                   {**summary, "failures": [{"env_index": i, "error": m} for i, m in failures]})
+    _write_manifest(args.out, args.command, seed, cfg)
+    print(report(summary))
+    if failures and not records:
+        print(f"runtime failure: every environment failed ({len(failures)})", file=sys.stderr)
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +248,7 @@ REGRET_SCHEMA = [
     Field("env_seed", _int, 0, "tool", "environment instantiation seed"),
     Field("reward_family", _str, "bernoulli", "protocol", "bernoulli or truncated_gaussian"),
     Field("state_mode", _str, "iid_uniform", "tool", "state sequence generator"),
-    Field("alpha", _float, 3.0, "tool", "optimism exploration rate, must exceed 2"),
+    Field("alpha", _float, 3.0, "tool", "optimism exploration rate, finite and above 2"),
     Field("checkpoints", _list(_int), (100, 1000, 10000), "protocol", "horizons to report"),
     Field("runs", _int, 1000, "protocol", "Monte Carlo runs"),
 ]
@@ -551,8 +523,8 @@ def cmd_verify(args, cfg: dict, seed: int) -> int:
 
 
 COMMANDS = {
-    "tightness": (cmd_tightness, TIGHTNESS_SCHEMA),
-    "sr-compare": (cmd_sr_compare, SR_SCHEMA),
+    "tightness": (cmd_sweep, TIGHTNESS_SCHEMA),
+    "sr-compare": (cmd_sweep, SR_SCHEMA),
     "regret": (cmd_regret, REGRET_SCHEMA),
     "triage": (cmd_triage, TRIAGE_SCHEMA),
     "verify": (cmd_verify, []),
@@ -594,7 +566,10 @@ def main(argv=None) -> int:
         _check_integer(seed, "seed")  # a manifest's, which JSON may give as a string, float or bool
         if args.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):  # a file where --out or one of its parents should be
+            raise ConfigurationError(f"--out {args.out!r} is not a directory") from None
         return handler(args, cfg, seed)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,6 +53,18 @@ class ReferentialError(ValueError):
     """Cross-file identifiers do not agree."""
 
 
+def _read_text(path, kind: str) -> str:
+    """The text of the ``kind`` input file at ``path``. A directory raises
+    ConfigurationError and bytes that are not UTF-8 raise ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except IsADirectoryError:
+        raise ConfigurationError(f"{kind} {str(path)!r} is a directory, not a file") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{kind} is not UTF-8 text: {exc}") from None
+
+
 def _warn(message: str, module: str, registry: dict | None = None, category=UserWarning) -> None:
     """Warn at a module's name and line 0 rather than at a source file and
     line, so stderr depends on neither the checkout nor line numbers; like

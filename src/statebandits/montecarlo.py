@@ -262,8 +262,18 @@ def _run_tasks(record, config, workers: int):
 
 
 def tightness_sweep(config: SweepConfig, workers: int = 1):
-    """Run the uniform-rotation tightness study; returns (records, failures)."""
-    return _run_tasks(_tightness_record, config, workers)
+    """Run the uniform-rotation tightness study.
+
+    Returns (records, summary, failures); the summary holds the row count and
+    each bound's violation rate: the share of rows whose estimate exceeds the
+    bound, clamped to 1, by more than 3 standard errors.
+    """
+    records, failures = _run_tasks(_tightness_record, config, workers)
+    checks = {"thm2.1": ("e", "b21"), "thm2.2": ("e_hat", "b22"), "thm3.1": ("r", "b31"), "thm3.2": ("r_hat", "b32")}
+    rates = {name: sum(getattr(r, est) > min(getattr(r, bound), 1.0) + 3.0 * getattr(r, f"{est}_se")
+                       for r in records) / len(records) if records else 0.0
+             for name, (est, bound) in checks.items()}
+    return records, {"rows": len(records), "violation_rate": rates}, failures
 
 
 @dataclass(frozen=True)

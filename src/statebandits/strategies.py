@@ -47,8 +47,8 @@ def cell_means(counts: np.ndarray, sums: np.ndarray, fill: float) -> np.ndarray:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not alpha > 2:
-        raise ConfigurationError(f"alpha must exceed 2, got {alpha}")
+    if not 2 < alpha < math.inf:  # at inf, alpha/(alpha - 2) in thm1 is nan
+        raise ConfigurationError(f"alpha must be finite and exceed 2, got {alpha}")
 
 
 def _optimism_pick(counts, sums, visit: int, alpha_log_t: float, family: PsiFamily, score, bonus,

@@ -13,6 +13,7 @@ count). All money is accounted in integer milli-dollars.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 
 from .divergence import BOUNDED_UNIT
 from .env import _check_integer
-from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError, _warn
+from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError, _read_text, _warn
 from .rng import substream, substream_integers, substream_random
 from .strategies import _optimism_pick, cell_means
 
@@ -263,21 +264,20 @@ def synth_population(
 def _records(path, kind: str, header: list[str], parse):
     """Yield (line number, ``parse(fields)``) for each non-blank row of a CSV
     file whose first row must be ``header``; malformed rows raise ParseError."""
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise ParseError(f"bad {kind} header {found}", line=1)
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(rec)}", line=lineno)
-            try:
-                value = parse(rec)
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            yield lineno, value
+    reader = csv.reader(io.StringIO(_read_text(path, f"{kind} file")))
+    found = next(reader, None)
+    if found != header:
+        raise ParseError(f"bad {kind} header {found}", line=1)
+    for lineno, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        if len(rec) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(rec)}", line=lineno)
+        try:
+            value = parse(rec)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        yield lineno, value
 
 
 def load_evaluations(human_path, machine_path) -> Population:

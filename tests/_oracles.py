@@ -194,35 +194,51 @@ def _pulled_counts(env, n: int) -> np.ndarray:
     return counts
 
 
-def _score_law(counts: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _score_law(counts: np.ndarray, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values and probabilities of one arm's score, the mean of k/count
-    over its pulled states, by enumerating its own success counts."""
+    over its pulled states, by enumerating its own success counts; ``pmf[s, k]``
+    is the probability of k successes in state s."""
     states = np.flatnonzero(counts)
-    succ = np.array(list(itertools.product(*(range(counts[s] + 1) for s in states))))
-    weight = np.prod([binom.pmf(succ[:, c], counts[s], m[s]) for c, s in enumerate(states)], axis=0)
+    succ = np.indices(counts[states] + 1).reshape(len(states), -1).T  # every success count, the last fastest
+    weight = np.prod([pmf[s][succ[:, c]] for c, s in enumerate(states)], axis=0)
     means = np.full((len(succ), len(counts)), np.nan)
     means[:, states] = succ / counts[states]
     values, which = np.unique(np.nanmean(means, axis=1), return_inverse=True)
     return values, np.bincount(which, weights=weight)
 
 
-def exact_uniform_eba(env, n: int) -> dict:
+def _pick_pmf(laws, dense: bool) -> np.ndarray:
+    """The argmax law of independent scores, ties toward the lowest index: arm j
+    is picked with probability sum over x of p_j(x) * prod_{i<j} P(S_i < x) *
+    prod_{i>j} P(S_i <= x). P(S_i < x) is read from the cumulative sums over
+    the sorted values of S_i; ``dense`` compares every value with every x
+    instead, which is quadratic in the support, so only a cross-check on small
+    environments."""
+    cdfs = [np.concatenate(([0.0], np.cumsum(probs))) for _, probs in laws]
+    pick_pmf = np.zeros(len(laws))
+    for j, (x, p) in enumerate(laws):
+        for i, (values, probs) in enumerate(laws):
+            if i == j:
+                continue
+            if dense:
+                p = p * (((values < x[:, None]) if i < j else (values <= x[:, None])) @ probs)
+            else:
+                p = p * cdfs[i][np.searchsorted(values, x, side="left" if i < j else "right")]
+        pick_pmf[j] = p.sum()
+    return pick_pmf
+
+
+def exact_uniform_eba(env, n: int, dense: bool = False) -> dict:
     """Exact law of the uniform-rotation recommendation. The arms' scores are
-    independent, so each arm's score law is enumerated on its own, and the
-    argmax, ties toward the lowest index, picks arm j with probability
-    sum over x of p_j(x) * prod_{i<j} P(S_i < x) * prod_{i>j} P(S_i <= x).
+    independent, so each arm's score law is enumerated on its own and the pick
+    law is their argmax law (``_pick_pmf``).
 
     Returns pick_pmf plus exact e, e_hat, r, r_hat under the usual
     best-by-utility and best-by-state-average targets.
     """
     counts = _pulled_counts(env, n)
-    laws = [_score_law(counts[a], env.m[a]) for a in range(env.spec.K)]
-    pick_pmf = np.zeros(env.spec.K)
-    for j, (x, p) in enumerate(laws):
-        for i, (values, probs) in enumerate(laws):
-            if i != j:
-                p = p * (((values < x[:, None]) if i < j else (values <= x[:, None])) @ probs)
-        pick_pmf[j] = p.sum()
+    pmf = binom.pmf(np.arange(counts.max() + 1), counts[:, :, None], env.m[:, :, None])
+    pick_pmf = _pick_pmf([_score_law(counts[a], pmf[a]) for a in range(env.spec.K)], dense)
     mu = np.asarray(env.spec.mu)
     row = env.m.mean(axis=1)
     j_star = int(np.argmax(mu))

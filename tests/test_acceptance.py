@@ -54,7 +54,7 @@ def report(criterion, ok, detail):
 def test_criterion_01_identification_bounds_hold_on_random_environments():
     config = SweepConfig(num_envs=200, runs_per_env=1000, master_seed=SEED)
     t0 = time.perf_counter()
-    records, failures = tightness_sweep(config, workers=1)
+    records, _, failures = tightness_sweep(config, workers=1)
     elapsed = time.perf_counter() - t0
     assert not failures and len(records) == 200
     rates = {

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +26,8 @@ from statebandits import (
     thm3_bounds,
     thm4_bounds,
 )
+
+from statebandits.cli import main
 
 from _oracles import exact_uniform_eba, quad_normal_cdf
 
@@ -124,10 +128,12 @@ class TestPseudoRegretBound:
         diff = thm1_bound(env, 3.0, 200, BOUNDED_UNIT).raw_value - thm1_bound(env, 3.0, 100, BOUNDED_UNIT).raw_value
         assert diff == pytest.approx(expected, rel=1e-12)
 
-    def test_alpha_validation(self):
+    # at alpha = inf the alpha/(alpha - 2) term is inf/inf, a nan bound
+    @pytest.mark.parametrize("alpha", [2.0, math.inf, math.nan])
+    def test_alpha_validation(self, alpha):
         env = env_of([[0.5], [0.3]])
-        with pytest.raises(ConfigurationError, match="alpha"):
-            thm1_bound(env, 2.0, 10, BOUNDED_UNIT)
+        with pytest.raises(ConfigurationError, match=f"alpha must be finite and exceed 2, got {alpha}"):
+            thm1_bound(env, alpha, 10, BOUNDED_UNIT)
 
     def test_report_identity(self):
         env = env_of([[0.5], [0.3]], n=100)
@@ -217,6 +223,53 @@ class TestSimpleRegretBounds:
         assert flips >= 10
 
 
+# tightness sweeps of s_max = 2 environments at the default K range; with S <= 2 the exact
+# laws of all 1,000 environments of a seed take a few seconds
+EXACT_SWEEP = SweepConfig(num_envs=1000, runs_per_env=1, s_max=2)
+
+# (seed, env_index) where b31 is below the exact simple regret. Each has a flipped leader and a
+# rival whose per-state gaps to it change sign while its state-averaged gap is small, so the
+# per-state pick term undercounts P(J = j): the defect of ROADMAP item 1.
+B31_BELOW_EXACT_R = [(4, 696), (6, 610)]
+
+
+class TestBoundsAgainstExactLawsAtSweepScale:
+    @pytest.mark.parametrize("seed", [4, 6])
+    def test_tightness_bounds_hold_against_exact_laws(self, tmp_path, seed):
+        """Every bound a tightness run writes holds against its environment's
+        exact e, e_hat, r and r_hat, with no Monte Carlo slack, apart from the
+        two b31 cases of B31_BELOW_EXACT_R."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("num_envs = 1000\nruns_per_env = 1\ns_max = 2\n")  # EXACT_SWEEP
+        assert main(["tightness", "--config", str(cfg), "--seed", str(seed), "--out", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "tightness.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["env_index"]) for row in rows] == list(range(EXACT_SWEEP.num_envs))
+        config = dataclasses.replace(EXACT_SWEEP, master_seed=seed)
+        for i, row in enumerate(rows):
+            env = instantiate(random_env(config, i))
+            exact = exact_uniform_eba(env, int(row["n"]))
+            for bound, key in (("b21", "e"), ("b22", "e_hat"), ("b31", "r"), ("b32", "r_hat")):
+                if bound != "b31" or (seed, i) not in B31_BELOW_EXACT_R:
+                    assert exact[key] <= float(row[bound]) + 1e-12, (seed, i, bound)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the per-state pick term misses a rival "
+                                           "whose per-state gaps change sign")
+    @pytest.mark.parametrize("seed, env_index", B31_BELOW_EXACT_R)
+    def test_b31_holds_where_per_state_gaps_change_sign(self, seed, env_index):
+        env = instantiate(random_env(dataclasses.replace(EXACT_SWEEP, master_seed=seed), env_index))
+        b31, _ = thm3_bounds(env, env.spec.horizon)
+        assert exact_uniform_eba(env, env.spec.horizon)["r"] <= b31.raw_value + 1e-12
+
+    @pytest.mark.parametrize("seed, env_index", B31_BELOW_EXACT_R)
+    def test_sorted_and_dense_pick_laws_agree(self, seed, env_index):
+        # the sorted-CDF law the sweep test uses, against comparing every score value pair
+        env = instantiate(random_env(dataclasses.replace(EXACT_SWEEP, master_seed=seed), env_index))
+        n = env.spec.horizon
+        assert np.allclose(exact_uniform_eba(env, n)["pick_pmf"], exact_uniform_eba(env, n, dense=True)["pick_pmf"],
+                           rtol=0.0, atol=1e-14)
+
+
 class TestEliminationCounts:
     def test_single_state_example(self):
         seq = (0,) * 10
@@ -282,6 +335,22 @@ class TestEliminationBounds:
         assert e_bound.raw_value == pytest.approx(expected_global, rel=1e-12)
         assert e_bound.raw_value > 1.0
         assert e_bound.clamped_value == 1.0
+
+    def test_tied_gaps_take_rivals_by_index(self):
+        # arms 1 and 2 tie on delta_sigma; ties rank the lower index higher, so phase 1 (rank 3)
+        # is against arm 2 and phase 2 (rank 2) against arm 1, each in its own states' counts
+        m = np.array([[0.8, 0.8], [0.6, 0.4], [0.4, 0.6]])
+        seq = np.array([0] * 60 + [1] * 30)
+        spec = EnvironmentSpec(K=3, S=2, mu=tuple(m.mean(axis=1)), sigma2=0.05, state_sequence=seq)
+        env = Environment(spec=spec, m=m)
+        sched = sr_schedule("uniform", 3, 90)
+        table = sr_counts(seq, sched, 3, 2)
+        assert gaps(env).delta_sigma[1] == gaps(env).delta_sigma[2]
+        assert table[0, 0] != table[1, 0]
+        expected = sum(k * math.exp(-table[s, k - 1] * (m[0, s] - m[rival, s]) ** 2)
+                       for k, rival in ((1, 2), (2, 1)) for s in range(2))
+        _, e_hat_bound = thm4_bounds(env, sched)
+        assert e_hat_bound.raw_value == pytest.approx(expected, rel=1e-12)
 
     def test_names(self):
         env = env_of([[0.7], [0.4]], n=20)

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -109,6 +110,47 @@ class TestErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_naming_a_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["tightness", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config {str(tmp_path)!r} is a directory, not a file\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("parts", [(), ("sub",)], ids=["file", "below-a-file"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, parts):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken.joinpath(*parts)
+        assert main(["verify", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: --out {str(out)!r} is not a directory\n")
+        assert taken.read_text() == "kept\n"
+
+    def test_write_time_os_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_table", full)
+        cfg = write_cfg(tmp_path / "c.cfg", "num_envs = 1\nruns_per_env = 2\n")
+        assert main(["tightness", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "runtime failure: OSError: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("kind", ["human", "machine"])
+    @pytest.mark.parametrize("fault", ["directory", "not-utf8"])
+    def test_replay_file_fault_exits_2(self, tmp_path, capsys, kind, fault):
+        paths = dict(zip(("human", "machine"), write_replay_pair(tmp_path)))
+        if fault == "directory":
+            paths[kind] = tmp_path
+            message = f"error: {kind} file {str(tmp_path)!r} is a directory, not a file"
+        else:
+            paths[kind].write_bytes(paths[kind].read_bytes() + b"151,\xff\xfe\n")
+            message = f"error: {kind} file is not UTF-8 text"
+        cfg = write_cfg(tmp_path / "c.cfg", f"n = 150\nk = 100, 60, 30\nnum_seeds = 1\n"
+                                            f"human_csv = {paths['human']}\nmachine_pred = {paths['machine']}\n")
+        out = tmp_path / "o"
+        assert main(["triage", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not any(out.iterdir())
+
     def test_regret_shape_mismatch(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", "K = 3\nmu = 0.5,0.4\nruns = 2\ncheckpoints = 10\n")
         rc = main(["regret", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -211,7 +253,8 @@ class TestErrors:
         ("regret", "sigma2 = 0", "sigma2: must be positive"),
         ("regret", "reward_family = foo", "reward_family: must be one of"),
         ("regret", "state_mode = nope", "state_sequence: unknown mode 'nope'"),
-        ("regret", "alpha = 2", "alpha must exceed 2, got 2.0"),
+        ("regret", "alpha = 2", "alpha must be finite and exceed 2, got 2.0"),
+        ("regret", "alpha = inf", "alpha must be finite and exceed 2, got inf"),
         ("regret", "m = 0.5, 0.4", "m needs K*S=6 entries, got 2"),
         ("regret", "K = 2\nS = 1\nm = nan, 0.5", "error: m: entries must lie in [0, 1]"),
         ("triage", "n_severe = 0", "n_severe: need 0 < n_severe < n"),

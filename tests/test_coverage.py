@@ -31,6 +31,7 @@ _CURVE = MONTECARLO + "TestPseudoRegret::test_curve_matches_per_run_oracle"
 _SPEC_INTEGERS = ENV + "TestSpecValidation::test_counts_and_seed_must_be_integers"
 _JSON_LISTS = ERRORS + "test_json_list_entries_parse_like_scalars"
 _REPLAY_SYNTH_KEYS = TRIAGE_CLI + "test_replay_rejects_synthetic_keys"
+_REPLAY_FILE_FAULTS = ERRORS + "test_replay_file_fault_exits_2"
 
 # key: (oracle tests, exit-2 tests); tightness and sr-compare read the same keys, through one SweepConfig
 _SWEEP = {
@@ -92,9 +93,10 @@ COVERAGE = {
         "baselines": ((TRIAGE + "test_baselines_match_dict_oracle",),
                       (ERRORS + "test_triage_baselines_checked_up_front",)),
         "human_csv": ((_PIPELINE,), (ERRORS + "test_triage_replay_needs_both_files",
-                                     TRIAGE + "TestLoadEvaluations::test_bad_headers")),
+                                     TRIAGE + "TestLoadEvaluations::test_bad_headers", _REPLAY_FILE_FAULTS)),
         "machine_pred": ((_PIPELINE,), (ERRORS + "test_triage_replay_needs_both_files",
-                                        TRIAGE + "TestLoadEvaluations::test_probabilities_must_be_finite")),
+                                        TRIAGE + "TestLoadEvaluations::test_probabilities_must_be_finite",
+                                        _REPLAY_FILE_FAULTS)),
     },
 }
 

@@ -247,7 +247,8 @@ def test_batched_estimators_match_exact_laws(K, S, extra, mode, seed):
 def test_score_laws_give_the_joint_enumeration_pick_law():
     """exact_uniform_eba's per-arm score laws give the pick law that enumerating
     every cell's success count jointly gives, ties toward the lowest index
-    included, on the small environments of the exact-law tests."""
+    included, on the small environments of the exact-law tests, by sorted
+    cumulative sums and by the dense comparison alike."""
     envs = [fixed_env([[0.7], [0.4]], mu=(0.7, 0.4), n=6),
             fixed_env([[0.8, 0.6], [0.5, 0.4]], mu=(0.7, 0.45), n=10),
             fixed_env([[0.5], [0.5], [0.5]], mu=(0.5, 0.5, 0.5), n=9)]  # alike arms, so scores often tie
@@ -260,8 +261,9 @@ def test_score_laws_give_the_joint_enumeration_pick_law():
                                                 state_sequence=seq, seed=case)))
     for env in envs:
         n = env.spec.horizon
-        assert np.allclose(exact_uniform_eba(env, n)["pick_pmf"], _joint_uniform_eba_pick(env, n),
-                           rtol=0.0, atol=1e-15)
+        joint = _joint_uniform_eba_pick(env, n)
+        assert np.allclose(exact_uniform_eba(env, n)["pick_pmf"], joint, rtol=0.0, atol=1e-15)
+        assert np.allclose(exact_uniform_eba(env, n, dense=True)["pick_pmf"], joint, rtol=0.0, atol=1e-15)
 
 
 def test_uniform_simple_regret_matches_exact_law():
@@ -319,17 +321,18 @@ def test_batched_draws_equal_one_call_per_cell(K, S, extra, mode, runs, seed):
 
 class TestSweeps:
     def test_empty_sweep(self, tmp_path):
-        records, failures = tightness_sweep(SweepConfig(num_envs=0))
+        records, summary, failures = tightness_sweep(SweepConfig(num_envs=0))
         assert records == [] and failures == []
+        assert summary == {"rows": 0, "violation_rate": dict.fromkeys(("thm2.1", "thm2.2", "thm3.1", "thm3.2"), 0.0)}
         path = tmp_path / "tightness.csv"
         write_sweep_csv(records, path)
         assert path.read_text().strip() == ",".join(TIGHTNESS_HEADER)
 
     def test_reproducible_and_worker_invariant(self):
         config = SweepConfig(num_envs=6, runs_per_env=40, master_seed=11, k_max=4, s_max=3)
-        a, fa = tightness_sweep(config, workers=1)
-        b, fb = tightness_sweep(config, workers=3)
-        assert a == b and fa == fb
+        a, sa, fa = tightness_sweep(config, workers=1)
+        b, sb, fb = tightness_sweep(config, workers=3)
+        assert a == b and sa == sb and fa == fb
         assert [r.env_index for r in a] == list(range(6))
 
     def test_num_envs_selects_the_first_environments(self):
@@ -338,8 +341,8 @@ class TestSweeps:
         for n in (0, 1, 4):
             config = SweepConfig(num_envs=n, runs_per_env=20, master_seed=5, k_max=4, s_max=3)
             envs = [instantiate(random_env(config, i)) for i in range(n)]
-            assert tightness_sweep(config) == ([montecarlo._tightness_record(env, i, 20)
-                                                for i, env in enumerate(envs)], [])
+            records, _, failures = tightness_sweep(config)
+            assert (records, failures) == ([montecarlo._tightness_record(env, i, 20) for i, env in enumerate(envs)], [])
             assert sr_compare(config)[0] == [montecarlo._sr_record(env, i, 20) for i, env in enumerate(envs)]
 
     def test_pool_is_capped_at_num_envs(self, monkeypatch):
@@ -369,7 +372,7 @@ class TestSweeps:
 
     def test_estimates_are_probabilities(self):
         config = SweepConfig(num_envs=5, runs_per_env=30, master_seed=4, k_max=4, s_max=2)
-        records, failures = tightness_sweep(config)
+        records, _, failures = tightness_sweep(config)
         assert not failures
         for rec in records:
             for value in (rec.e, rec.e_hat):
@@ -381,10 +384,30 @@ class TestSweeps:
         config = SweepConfig(num_envs=3, runs_per_env=10, master_seed=0,
                              k_min=3, k_max=3, s_min=2, s_max=2, horizon=1)
         with pytest.warns(UserWarning):
-            records, failures = tightness_sweep(config)
-        assert records == []
+            records, summary, failures = tightness_sweep(config)
+        assert records == [] and summary["rows"] == 0
         assert len(failures) == 3
         assert all("RecommendationError" in msg for _, msg in failures)
+
+    def test_tightness_summary_rates_rows_past_the_clamped_bound_plus_3_se(self, monkeypatch):
+        zero = dict.fromkeys(("e_hat", "e_hat_se", "e", "e_se", "r", "r_se", "r_hat", "r_hat_se",
+                              "b21", "b22", "b31", "b32"), 0.0)
+        rows = [
+            {},
+            {"e": 0.5, "e_se": 0.125, "b21": 0.125},  # exactly bound + 3 SE: not a violation
+            {"e": 0.5, "e_se": 0.125, "b21": 0.0625},
+            {"r": 0.25, "b31": 0.125, "r_hat": 1.25, "b32": 2.0},  # b32 counts as 1
+        ]
+
+        def record(env, env_index, runs):
+            return montecarlo.SweepRecord(env_index=env_index, K=3, S=1, n=9, min_state_visits=9,
+                                          delta_sigma_min=0.1, **{**zero, **rows[env_index]})
+
+        monkeypatch.setattr(montecarlo, "_tightness_record", record)
+        records, summary, failures = tightness_sweep(SweepConfig(num_envs=4, runs_per_env=1, k_max=3, s_max=1))
+        assert len(records) == 4 and not failures
+        assert summary == {"rows": 4, "violation_rate": {"thm2.1": 0.25, "thm2.2": 0.0, "thm3.1": 0.25,
+                                                         "thm3.2": 0.25}}
 
     def test_sr_compare_two_arm_diff_exactly_zero(self):
         config = SweepConfig(num_envs=8, runs_per_env=50, master_seed=9,

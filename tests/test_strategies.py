@@ -80,10 +80,11 @@ class TestOptimismIndex:
         assert 0.4 + bonus1 == pytest.approx(2.2585, abs=2e-4)
         assert select(stats, 0, 10) == 1
 
-    def test_alpha_must_exceed_two(self):
+    @pytest.mark.parametrize("alpha", [2.0, math.inf, math.nan])
+    def test_alpha_must_exceed_two(self, alpha):
         env = noiseless_env([[0.9], [0.2]], 10)
-        with pytest.raises(ConfigurationError, match="alpha"):
-            run_sb_ucb(env, 10, 2.0, BOUNDED_UNIT, substream(0, "run"))
+        with pytest.raises(ConfigurationError, match=f"alpha must be finite and exceed 2, got {alpha}"):
+            run_sb_ucb(env, 10, alpha, BOUNDED_UNIT, substream(0, "run"))
 
     def test_per_state_statistics_are_separate(self):
         stats = stats_of(2, 2, [(0, 0, 1.0), (1, 0, 1.0)])

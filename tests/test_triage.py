@@ -661,6 +661,23 @@ class TestLoadEvaluations:
         assert by_id[1] is RiskLabel.NO
         assert by_id[2] is RiskLabel.SEVERE
 
+    @pytest.mark.parametrize("kind", ["human", "machine"])
+    def test_file_not_utf8_is_a_parse_error(self, tmp_path, kind):
+        self.write_machine(tmp_path / "machine.csv", ["1,0.7,0.1,0.1,0.1"])
+        self.write_human(tmp_path / "human.csv", [])
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(path.read_bytes() + b"2,\xff\xfe,0.1,0.1,0.1\n")
+        with pytest.raises(ParseError, match=f"{kind} file is not UTF-8 text"):
+            load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
+
+    @pytest.mark.parametrize("kind", ["human", "machine"])
+    def test_directory_is_a_configuration_error(self, tmp_path, kind):
+        self.write_machine(tmp_path / "machine.csv", ["1,0.7,0.1,0.1,0.1"])
+        self.write_human(tmp_path / "human.csv", [])
+        paths = {"human": tmp_path / "human.csv", "machine": tmp_path / "machine.csv", kind: tmp_path}
+        with pytest.raises(ConfigurationError, match=f"{kind} file .* is a directory, not a file"):
+            load_evaluations(paths["human"], paths["machine"])
+
     def test_expert_records_define_truth(self, tmp_path):
         self.write_machine(tmp_path / "machine.csv", [
             "1,0.7,0.1,0.1,0.1", "2,0.1,0.1,0.1,0.7",
