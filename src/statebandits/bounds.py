@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import PsiFamily, psi_star
-from .env import Environment, _check_steps, gaps, state_counts
+from .divergence import PsiFamily, _psi_star, psi_star
+from .env import Environment, _check_steps, _visits, gaps
 from .strategies import SRSchedule, _check_alpha, sr_counts
 
 __all__ = [
@@ -120,7 +120,7 @@ def _report(name: str, raw: float) -> BoundReport:
 def _per_state_floor(env: Environment, n: int) -> np.ndarray:
     """floor(visits to s within n / K) for each state."""
     _check_steps(n, env.spec.horizon)
-    return state_counts(env.spec.state_sequence, env.spec.S, n) // env.spec.K
+    return _visits(env, n) // env.spec.K
 
 
 def thm1_bound(env: Environment, alpha: float, n: int, family: PsiFamily) -> BoundReport:
@@ -145,15 +145,12 @@ def thm2_bounds(env: Environment, n: int, family: PsiFamily) -> tuple[BoundRepor
     over every arm, the best one entering through its smallest rival gap.
     """
     g = gaps(env)
-    floors = _per_state_floor(env, n)
-    e_hat_raw = float(
-        np.sum(2.0 * np.exp(-np.outer(psi_star(family, g.delta_sigma / 2.0), floors)))
-    )
-    e_raw = float(
-        np.sum(2.0 * np.exp(-np.outer(psi_star(family, g.delta_sigma / 4.0), floors)))
-        + np.sum(2.0 * env.spec.S * normal_cdf(-g.delta_mu / (4.0 * env.spec.sigma2)))
-    )
-    return _report("thm2.1", e_raw), _report("thm2.2", e_hat_raw)
+    # thm2.1's and thm2.2's (arm, state) terms; psi_star unchecked, as the gaps are non-negative
+    eps = g.delta_sigma / np.array([[4.0], [2.0]])
+    terms = 2.0 * np.exp(-(_psi_star(family, eps)[:, :, None] * _per_state_floor(env, n)))
+    e_raw, e_hat_raw = np.add.reduce(terms.reshape(2, -1), axis=1)  # np.sum of each statement's table
+    prior = np.add.reduce(2.0 * env.spec.S * normal_cdf(-g.delta_mu / (4.0 * env.spec.sigma2)))
+    return _report("thm2.1", e_raw + prior), _report("thm2.2", e_hat_raw)
 
 
 def _pick_terms(m: np.ndarray, anchor: int, rivals, counts) -> np.ndarray:
@@ -175,10 +172,10 @@ def thm3_bounds(env: Environment, n: int) -> tuple[BoundReport, BoundReport]:
     supported on [0, 1], so they take no reward family.
     """
     g = gaps(env)
-    pick = _pick_terms(env.m, g.j_hat_star, np.arange(env.spec.K), _per_state_floor(env, n))  # (arm, state)
+    pick = _pick_terms(env.m, g.j_hat_star, slice(None), _per_state_floor(env, n))  # (arm, state)
     return (
-        _report("thm3.1", float(np.sum(g.delta_mu[:, None] * pick))),
-        _report("thm3.2", float(np.sum(g.delta_sigma[:, None] * pick))),
+        _report("thm3.1", np.add.reduce(g.delta_mu[:, None] * pick, axis=None)),
+        _report("thm3.2", np.add.reduce(g.delta_sigma[:, None] * pick, axis=None)),
     )
 
 

@@ -48,11 +48,15 @@ def psi(family: PsiFamily, lam):
     return out if out.ndim else float(out)
 
 
+def _psi_star(family: PsiFamily, eps: np.ndarray) -> np.ndarray:
+    """``psi_star`` of a float array known to be non-negative, unchecked."""
+    return eps * eps / (2.0 * family.sigma2)
+
+
 def psi_star(family: PsiFamily, eps):
     """Conjugate psi_star(eps) = sup_{lam >= 0} (lam * eps - psi(lam))."""
     _check_nonneg(eps, "eps")
-    eps = np.asarray(eps, dtype=float)
-    out = eps * eps / (2.0 * family.sigma2)
+    out = _psi_star(family, np.asarray(eps, dtype=float))
     return out if out.ndim else float(out)
 
 

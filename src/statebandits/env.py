@@ -53,7 +53,7 @@ class EnvironmentSpec:
     reward_sigma2: float = 0.05
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(float(u) for u in self.mu))
+        object.__setattr__(self, "mu", tuple(map(float, self.mu)))
         for name in ("K", "S", "seed"):
             _check_integer(getattr(self, name), name)
         if self.K < 2:
@@ -69,9 +69,9 @@ class EnvironmentSpec:
         seq = np.array(self.state_sequence)
         if seq.ndim != 1 or seq.size == 0:
             raise ValidationError("must be a non-empty 1-d sequence", field="state_sequence")
-        if not np.issubdtype(seq.dtype, np.integer):
+        if seq.dtype.kind not in "iu":
             raise ValidationError(f"entries must be integers, got dtype {seq.dtype}", field="state_sequence")
-        if seq.min() < 0 or seq.max() >= self.S:
+        if np.minimum.reduce(seq) < 0 or np.maximum.reduce(seq) >= self.S:
             raise ValidationError(f"entries must lie in [0, {self.S})", field="state_sequence")
         seq = seq.astype(np.int64, copy=False)
         seq.setflags(write=False)
@@ -116,29 +116,32 @@ def make_state_sequence(S: int, n: int, mode: str = "iid_uniform", seed: int = 0
 @dataclass(frozen=True)
 class Environment:
     """A spec plus its realized local-mean matrix ``m`` of shape (K, S); its
-    gap quantities are computed once, here, and read through ``gaps``."""
+    gap quantities and its visits to each state over the horizon are
+    computed once, here, and read through ``gaps`` and ``_visits``."""
 
     spec: EnvironmentSpec
     m: np.ndarray = field(repr=False)
     _gaps: GapReport = field(init=False, repr=False, compare=False)
+    _horizon_visits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        spec = self.spec
         m = np.asarray(self.m, dtype=float)
-        if m.shape != (self.spec.K, self.spec.S):
-            raise ValidationError(
-                f"expected shape {(self.spec.K, self.spec.S)}, got {m.shape}", field="m"
-            )
-        if not np.all((m >= 0.0) & (m <= 1.0)):  # written so that nan fails too
+        if m.shape != (spec.K, spec.S):
+            raise ValidationError(f"expected shape {(spec.K, spec.S)}, got {m.shape}", field="m")
+        m_star = np.maximum.reduce(m, axis=0)
+        if not (np.minimum.reduce(m, axis=None) >= 0.0 and np.maximum.reduce(m_star) <= 1.0):  # nan fails too
             raise ValidationError("entries must lie in [0, 1]", field="m")
-        m_star = m.max(axis=0)
-        delta_sigma, j_hat_star = _gap_vector(m.mean(axis=1))
-        delta_mu, j_star = _gap_vector(np.asarray(self.spec.mu))
-        report = GapReport(delta_m=m_star[None, :] - m, delta_sigma=delta_sigma, delta_mu=delta_mu,
+        delta_sigma, j_hat_star = _gap_vector(np.add.reduce(m, axis=1) / spec.S)  # m.mean(axis=1)
+        delta_mu, j_star = _gap_vector(np.array(spec.mu))
+        report = GapReport(delta_m=m_star - m, delta_sigma=delta_sigma, delta_mu=delta_mu,
                            j_star=j_star, j_hat_star=j_hat_star, m_star_per_state=m_star)
-        for a in (m, report.delta_m, delta_sigma, delta_mu, m_star):
+        visits = state_counts(spec.state_sequence, spec.S)
+        for a in (m, report.delta_m, delta_sigma, delta_mu, m_star, visits):
             a.setflags(write=False)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_gaps", report)
+        object.__setattr__(self, "_horizon_visits", visits)
 
 
 def instantiate(spec: EnvironmentSpec) -> Environment:
@@ -206,6 +209,13 @@ def state_counts(state_sequence, S: int, n: int | None = None) -> np.ndarray:
     return np.bincount(state_sequence[:n], minlength=S)
 
 
+def _visits(env: Environment, n: int) -> np.ndarray:
+    """``state_counts`` of the first ``n`` steps; the environment keeps the horizon's."""
+    if n == env.spec.horizon:
+        return env._horizon_visits
+    return state_counts(env.spec.state_sequence, env.spec.S, n)
+
+
 @dataclass(frozen=True)
 class GapReport:
     """All gap quantities of an environment under the min-gap convention.
@@ -226,9 +236,10 @@ class GapReport:
 
 
 def _gap_vector(values: np.ndarray) -> tuple[np.ndarray, int]:
-    best = int(np.argmax(values))
+    best = int(values.argmax())
     delta = values[best] - values
-    delta[best] = float(np.min(np.delete(delta, best)))
+    delta[best] = np.inf  # the best arm's gap is then the smallest rival gap
+    delta[best] = np.minimum.reduce(delta)
     return delta, best
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -26,7 +27,7 @@ from .bounds import thm1_bound, thm2_bounds, thm3_bounds, thm4_bounds
 from .divergence import BOUNDED_UNIT
 from .env import (
     STATE_MODES, Environment, EnvironmentSpec, _check_bernoulli, _check_distinct, _check_integer, _check_runs,
-    _check_steps, gaps, instantiate, make_state_sequence, state_counts,
+    _check_steps, _visits, gaps, instantiate, make_state_sequence,
 )
 from .errors import ConfigurationError, _warn
 from .rng import substream
@@ -101,7 +102,7 @@ def random_env(config: SweepConfig, env_index: int) -> EnvironmentSpec:
     K = int(rng.integers(config.k_min, config.k_max + 1))
     S = int(rng.integers(config.s_min, config.s_max + 1))
     sigma2 = max(float(rng.uniform(config.sigma2_min, config.sigma2_max)), 1e-12)
-    mu = tuple(float(u) for u in rng.random(K))
+    mu = tuple(rng.random(K).tolist())
     n = config.horizon if config.horizon is not None else 50 * K * S
     if config.state_mode == "iid_uniform":
         seq = rng.integers(0, S, size=n)
@@ -129,21 +130,20 @@ class BAIEstimate:
 
 
 def _binomial_cell_means(counts, m, runs, rng):
-    """Sample per-run cell means: Binomial(counts, m)/counts, NaN where 0. One
-    call draws the cells in row-major order; cells without pulls draw nothing."""
+    """Sample per-run cell means: Binomial(counts, m)/counts, NaN where 0, (K, S, runs)
+    in draw order. One call draws the cells in row-major order; unpulled ones draw nothing."""
     sums = rng.binomial(counts[:, :, None], m[:, :, None], size=counts.shape + (runs,))
-    # in C order: a float sum over states, as in the state average, depends on the memory layout
-    return cell_means(counts, np.ascontiguousarray(sums.transpose(2, 0, 1)), np.nan)
-
-
-def _prob_se(p: float, runs: int) -> float:
-    return float(np.sqrt(p * (1.0 - p) / runs))
+    return cell_means(counts[:, :, None], sums, np.nan)
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    if len(x) < 2:
-        return float(np.mean(x)), 0.0
-    return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(len(x)))
+    """``np.mean(x)`` and ``np.std(x, ddof=1) / sqrt(n)`` (0 for one value), by their ufunc steps."""
+    n = len(x)
+    mean = float(np.add.reduce(x) / n)
+    if n < 2:
+        return mean, 0.0
+    d = x - mean
+    return mean, math.sqrt(float(np.add.reduce(np.multiply(d, d, out=d)) / (n - 1))) / math.sqrt(n)
 
 
 def estimate_bai(env: Environment, strategy: str, runs: int, n: int | None = None) -> BAIEstimate:
@@ -162,7 +162,7 @@ def estimate_bai(env: Environment, strategy: str, runs: int, n: int | None = Non
     if strategy == "uniform_eba":
         _check_bernoulli(spec)
         rng = substream(spec.seed, "bai", "uniform_eba")
-        counts = rotation_counts(state_counts(spec.state_sequence, spec.S, n), spec.K)
+        counts = rotation_counts(_visits(env, n), spec.K)
         picks = _eba_pick(_binomial_cell_means(counts, env.m, runs, rng))
     elif strategy in ("sr_uniform", "sr_reference"):
         schedule = sr_schedule(strategy.removeprefix("sr_"), spec.K, n)
@@ -171,14 +171,14 @@ def estimate_bai(env: Environment, strategy: str, runs: int, n: int | None = Non
     else:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
     g = gaps(env)
-    mu = np.asarray(spec.mu)
-    row_means = env.m.mean(axis=1)
-    e = float(np.mean(picks != g.j_star))
-    e_hat = float(np.mean(picks != g.j_hat_star))
+    mu = np.array(spec.mu)
+    row_means = np.add.reduce(env.m, axis=1) / spec.S  # env.m.mean(axis=1)
+    e = float(np.count_nonzero(picks != g.j_star) / runs)
+    e_hat = float(np.count_nonzero(picks != g.j_hat_star) / runs)
     r, r_se = _mean_se(mu[g.j_star] - mu[picks])
     r_hat, r_hat_se = _mean_se(row_means[g.j_hat_star] - row_means[picks])
     return BAIEstimate(
-        e=e, e_se=_prob_se(e, runs), e_hat=e_hat, e_hat_se=_prob_se(e_hat, runs),
+        e=e, e_se=math.sqrt(e * (1.0 - e) / runs), e_hat=e_hat, e_hat_se=math.sqrt(e_hat * (1.0 - e_hat) / runs),
         r=r, r_se=r_se, r_hat=r_hat, r_hat_se=r_hat_se,
     )
 
@@ -218,8 +218,8 @@ def _tightness_record(env: Environment, env_index: int, runs: int) -> SweepRecor
     b31, b32 = thm3_bounds(env, n)
     return SweepRecord(
         env_index=env_index, K=spec.K, S=spec.S, n=n,
-        min_state_visits=int(state_counts(spec.state_sequence, spec.S, n).min()),
-        delta_sigma_min=float(gaps(env).delta_sigma.min()),
+        min_state_visits=int(np.minimum.reduce(_visits(env, n))),
+        delta_sigma_min=float(np.minimum.reduce(gaps(env).delta_sigma)),
         e_hat=est.e_hat, e_hat_se=est.e_hat_se, e=est.e, e_se=est.e_se,
         r=est.r, r_se=est.r_se, r_hat=est.r_hat, r_hat_se=est.r_hat_se,
         b21=b21.raw_value, b22=b22.raw_value, b31=b31.raw_value, b32=b32.raw_value,

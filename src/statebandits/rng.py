@@ -46,10 +46,14 @@ def _coerce(part) -> int:
 
 
 def substream(*path) -> np.random.Generator:
-    """Return a Generator for the named substream. Same path, same stream."""
+    """Return a Generator for the named substream. Same path, same stream. Its
+    ``SeedSequence`` gets the 32-bit words numpy would build from the path's ints."""
     if not path:
         raise TypeError("substream needs at least one path element")
-    return np.random.default_rng(np.random.SeedSequence([_coerce(p) for p in path]))
+    words = []  # low word first; one word below 2**32
+    for value in map(_coerce, path):
+        words += (value & _MASK32, value >> 32) if value > _MASK32 else (value,)
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=_U32)))
 
 
 def _pool(entropy: list[np.ndarray]) -> list[np.ndarray]:

@@ -42,8 +42,11 @@ __all__ = [
 
 
 def cell_means(counts: np.ndarray, sums: np.ndarray, fill: float) -> np.ndarray:
-    """Per-cell sample means, ``fill`` where a cell has no pulls."""
-    return np.where(counts > 0, sums / np.maximum(counts, 1), fill)
+    """Per-cell sample means, ``fill`` where a cell has no pulls (``counts`` broadcasts)."""
+    means = sums / np.maximum(counts, 1)
+    if not counts.all():
+        np.copyto(means, fill, where=counts == 0)
+    return means
 
 
 def _check_alpha(alpha: float) -> None:
@@ -114,40 +117,62 @@ def rotation_counts(visits, A: int) -> np.ndarray:
     """Pulls per (rank, state) when each state's visits rotate over A ranks.
 
     The v-th visit to a state goes to rank v mod A, so after V visits rank r
-    holds floor(V/A) pulls plus one when 1 <= r <= V mod A. Per-state counts
-    therefore differ by at most one. Returns shape (A, len(visits)).
+    holds floor(V/A) pulls plus one when 1 <= r <= V mod A: floor((V + (-r
+    mod A)) / A). Per-state counts therefore differ by at most one. Returns
+    shape (A, len(visits)).
     """
-    q, rem = np.divmod(np.asarray(visits, dtype=np.int64), A)
-    ranks = np.arange(A)[:, None]
-    return q + ((1 <= ranks) & (ranks <= rem))
+    return (np.asarray(visits, dtype=np.int64) + (-np.arange(A) % A)[:, None]) // A
 
 
 def _eba_pick(means: np.ndarray) -> np.ndarray:
     """Arm with the best average of per-state sample means, for each run of
-    (runs, K, S) cell means, ties to the lowest index.
+    (K, S, runs) cell means, ties to the lowest index.
 
-    Cells with no pulls are NaN and left out of their arm's average. An arm
-    with no pulls at all cannot be scored and raises RecommendationError; the
-    runs share one pull pattern, so the first run is checked.
+    Cells with no pulls are NaN and left out of their arm's average (its
+    ``np.nanmean``). An arm with no pulls at all cannot be scored and raises
+    RecommendationError; the runs share one pull pattern, so one is checked.
     """
-    unpulled = np.flatnonzero(np.all(np.isnan(means[0]), axis=1))
-    if unpulled.size:
-        raise RecommendationError(f"arm {int(unpulled[0])} has no pulls in any state")
-    return np.argmax(np.nanmean(means, axis=2), axis=1)
+    unpulled = np.isnan(means[:, :, 0])
+    pulled = means.shape[1]
+    if unpulled.any():
+        pulled = pulled - np.count_nonzero(unpulled, axis=1)
+        if not pulled.all():
+            raise RecommendationError(f"arm {int(pulled.argmin())} has no pulls in any state")
+        means, pulled = np.where(np.isnan(means), 0.0, means), pulled[:, None]
+    return (_state_sum(means.transpose(1, 0, 2)) / pulled).argmax(axis=0)
 
 
 def eliminate(scores: np.ndarray, *tables: np.ndarray) -> tuple[np.ndarray, ...]:
     """Drop each run's lowest-scoring active position from every table.
 
-    ``scores`` is (runs, A) and each table (runs, A, ...), column j of both
+    ``scores`` is (A, runs) and each table (..., A, runs), position j of both
     belonging to one arm. Positions hold arms in ascending order, so ties go
     to the lowest arm index. Returns each run's dropped position, then each
-    table without that column, (runs, A-1, ...).
+    table with the later positions moved down one, (..., A-1, runs).
     """
-    runs, A = scores.shape
-    pos = np.argmin(scores, axis=1)
-    keep = np.arange(A) != pos[:, None]
-    return (pos, *(t[keep].reshape(runs, A - 1, *t.shape[2:]) for t in tables))
+    pos = scores.argmin(axis=0)
+    shift = np.arange(len(scores) - 1)[:, None] >= pos
+    return (pos, *(np.where(shift, t[..., 1:, :], t[..., :-1, :]) for t in tables))
+
+
+def _state_sum(x: np.ndarray) -> np.ndarray:
+    """``x`` summed over its leading (state) axis in the order numpy adds a contiguous
+    row: one by one below 8 states; from 8, eight running partial sums, paired, then
+    the rest one by one; past 128, two halves split at a multiple of 8, each so."""
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _state_sum(x[:half]) + _state_sum(x[half:])
+    if n < 8:
+        acc, whole = x[0].copy(), 1
+    else:
+        lanes, whole = x[:8].copy(), n - n % 8
+        for i in range(8, whole, 8):
+            lanes += x[i:i + 8]
+        acc = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+    for row in x[whole:]:
+        acc += row
+    return acc
 
 
 def log_bar(K: int) -> float:
@@ -256,33 +281,31 @@ def _sr_sample(env: Environment, schedule: SRSchedule, runs: int, rng) -> tuple[
     elimination, sampled phase-wise.
 
     Within a phase the v-th visit to a state goes to active position v mod A,
-    which is what ``rotation_counts`` counts. Arrays are indexed by active
-    position: column j of the (runs, A, S) ``counts`` and ``sums`` is arm
-    ``active[:, j]``, rows ascending. Each phase draws all (state, rotation
-    rank) cells in one binomial call, state-major with ranks ascending; a cell
-    without pulls draws nothing, so the values are those of one call per cell.
-    ``eliminate`` then drops the lowest sum of per-state means (unpulled cells
-    0, ties to the lowest arm). Cell sums are Binomials, so the environment's
-    rewards must be Bernoulli.
+    which is what ``rotation_counts`` counts. Tables are (state, active
+    position, run), the draw order: position j of run r is arm ``active[j, r]``,
+    ascending in j, with local means ``p``. Each phase draws all (state,
+    rotation rank) cells in one binomial call; a cell without pulls draws
+    nothing, so the values are those of one call per cell. ``eliminate`` then
+    drops the lowest sum of per-state means (unpulled cells 0, ties to the
+    lowest arm). Cell sums are Binomials, so rewards must be Bernoulli.
     """
     spec = env.spec
     _check_bernoulli(spec)
     _check_schedule(schedule, spec.K, spec.horizon)
     K, S = spec.K, spec.S
-    active = np.tile(np.arange(K), (runs, 1))
-    counts = np.zeros((runs, K, S), dtype=np.int64)
-    sums = np.zeros((runs, K, S))
+    active = np.repeat(np.arange(K)[:, None], runs, axis=1)
+    p = np.repeat(env.m.T[:, :, None], runs, axis=2)
+    counts, sums = np.zeros((2, S, K, runs))
     rows = np.arange(runs)
-    rejected = np.empty((runs, K - 1), dtype=np.int64)
+    rejected = np.empty((K - 1, runs), dtype=np.int64)
     for k, visits in enumerate(phase_visits(spec.state_sequence, schedule.t_k, S)):
-        pulls = rotation_counts(visits, active.shape[1])
+        pulls = rotation_counts(visits, len(active)).T[:, :, None]
         counts += pulls
-        sums += rng.binomial(pulls.T[:, :, None], env.m[active].T).T
-        scores = cell_means(counts, sums, 0.0).sum(axis=2)
-        pos, remaining, counts, sums = eliminate(scores, active, counts, sums)
-        rejected[:, k] = active[rows, pos]
-        active = remaining
-    return active[:, 0], rejected
+        sums += rng.binomial(pulls, p)
+        scores = _state_sum(cell_means(counts, sums, 0.0))
+        pos, remaining, counts, sums, p = eliminate(scores, active, counts, sums, p)
+        rejected[k], active = active[pos, rows], remaining
+    return active[0], rejected.T
 
 
 @dataclass

@@ -518,6 +518,7 @@ def run_pipeline_batch(
             )
         prev = st.cohort_out
     b = np.arange(seeds)[:, None]
+    severe_label = int(RiskLabel.SEVERE)  # numpy probes an IntEnum's type through EnumType.__getattr__
     rngs = [substream(seed, "pipeline") for seed in batch.seeds]
     rows = batch.everyone  # the survivors' population rows, in id order
     w_enc, w_sum = np.zeros((2, seeds, n))  # per-survivor gain-weighted sums
@@ -544,7 +545,7 @@ def run_pipeline_batch(
             w_enc[:, :width] += gain * values[labels]
             w_sum[:, :width] += gain
             counts[:, :width] += 1
-            severe[:, :width] |= labels == RiskLabel.SEVERE
+            severe[:, :width] |= labels == severe_label
         # past the first pass reached == m, and a pull's flat position in these C-order tables is seed * m + k
         score, bonus = np.empty((2, seeds, m))
         offsets = np.arange(seeds) * m
@@ -557,7 +558,7 @@ def run_pipeline_batch(
             pulls_of[f] = c + 1
             enc_of[f] += gain * values[lab]
             sum_of[f] += gain
-            severe_of[f] |= lab == RiskLabel.SEVERE
+            severe_of[f] |= lab == severe_label
         evaluated[b, rows[:, :reached]] = True
         if st.index == 3:
             expert_severe[b, rows] = severe

@@ -461,6 +461,20 @@ class TestTightness:
         assert set(summary["violation_rate"]) == {"thm2.1", "thm2.2", "thm3.1", "thm3.2"}
         assert summary["failures"] == []
 
+    def test_tightness_bytes_pinned(self, tmp_path):
+        # the config of the sr-compare pin: seed 7 draws S = 9 and S = 10 environments, whose
+        # state averages add eight running partial sums, so the estimator's table layout and
+        # summation order, the bounds and the record fields must not move a byte of either file
+        cfg = write_cfg(tmp_path / "c.cfg", "num_envs = 6\nruns_per_env = 20\n")
+        out = tmp_path / "o"
+        assert main(["tightness", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("tightness.csv", "tightness_summary.json")}
+        assert digests == {
+            "tightness.csv": "b495ed61896f747c18a3cfe873b8966d63b2d5a12a3dcbe89d99a6e13dbc353a",
+            "tightness_summary.json": "144764bc3642d618b176a85472de1b0c61ce53fb89183c7efbc197692a34c089",
+        }
+
 
 class TestSRCompare:
     def test_two_arm_ties(self, tmp_path, capsys):

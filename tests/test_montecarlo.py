@@ -301,11 +301,13 @@ def test_batched_draws_equal_one_call_per_cell(K, S, extra, mode, runs, seed):
                            state_sequence=make_state_sequence(S, n, mode, seed=seed), seed=seed)
     env = instantiate(spec)
     counts = strategies.rotation_counts(state_counts(spec.state_sequence, S, n), K)
-    batched = montecarlo._binomial_cell_means(counts, env.m, runs, substream(seed, "cells"))
-    per_cell = binomial_cell_means_per_cell(counts, env.m, runs, substream(seed, "cells"))
-    assert np.array_equal(batched, per_cell, equal_nan=True)
-    # the state sums behind the recommendation add in the same order (at S >= 9 the layout decides it)
-    assert np.array_equal(np.nansum(batched, axis=2), np.nansum(per_cell, axis=2))
+    batched = montecarlo._binomial_cell_means(counts, env.m, runs, substream(seed, "cells"))  # (K, S, runs)
+    per_cell = binomial_cell_means_per_cell(counts, env.m, runs, substream(seed, "cells"))  # (runs, K, S)
+    assert np.array_equal(batched.transpose(2, 0, 1), per_cell, equal_nan=True)
+    # the state sums behind the recommendation add in numpy's order for a contiguous row of states
+    # (at S >= 8 the order changes the sum)
+    state_sums = strategies._state_sum(np.nan_to_num(batched, nan=0.0).transpose(1, 0, 2))
+    assert np.array_equal(state_sums.T, np.nansum(per_cell, axis=2))
     for kind in ("uniform", "reference"):
         try:
             sched = sr_schedule(kind, K, n)

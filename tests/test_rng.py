@@ -87,3 +87,20 @@ def test_integers_follow_lemire_rejection(monkeypatch, first, m):
         [_pcg64_first_output(first).random_raw(draws) for _ in np.broadcast(*path)], dtype=np.uint64))
     expected = np.random.Generator(_pcg64_first_output(first)).integers(0, m)
     assert substream_integers(0, [1, 2], sizes=[m, m]).tolist() == [expected, expected]
+
+
+@pytest.mark.parametrize("path", [(0,), (2**32 - 1,), (2**32,), (2**64 - 1,), (-1,), ("rewards",),
+                                  (7, 2**32 - 1, "bai", 2**32, 0), (2**64 - 1, -1, "", "uniform_eba")])
+def test_substream_seeds_as_numpy_coerces_a_list(path):
+    # substream hands SeedSequence the path's 32-bit words itself; the generator state must be the
+    # one numpy builds from the list of the path's ints (negatives by two's complement, strings by crc32)
+    ints = [int(p) % 2**64 if isinstance(p, int) else rng._coerce(p) for p in path]
+    expected = np.random.default_rng(np.random.SeedSequence(ints))
+    assert substream(*path).bit_generator.state == expected.bit_generator.state
+    assert substream(*path).random(3).tolist() == expected.random(3).tolist()
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, np.float64(2.0), None])
+def test_substream_rejects_floats_and_booleans(bad):
+    with pytest.raises(TypeError, match="substream path parts must be int or str"):
+        substream(7, bad)

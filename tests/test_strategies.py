@@ -27,7 +27,7 @@ from statebandits import (
 )
 from statebandits.env import REWARD_FAMILIES, STATE_MODES
 from statebandits.strategies import (
-    _eba_pick, _optimism_pick, _sr_sample, cell_means, eliminate, optimism_play, rotation_counts,
+    _eba_pick, _optimism_pick, _sr_sample, _state_sum, cell_means, eliminate, optimism_play, rotation_counts,
 )
 
 from _oracles import (
@@ -119,8 +119,8 @@ class TestUniformRotation:
 
 
 def recommend(stats):
-    """Best state-average arm of one run's statistics."""
-    return int(_eba_pick(cell_means(*stats, np.nan)[None])[0])
+    """Best state-average arm of one run's statistics, as a (K, S, 1) table of one run."""
+    return int(_eba_pick(cell_means(*stats, np.nan)[:, :, None])[0])
 
 
 class TestRecommendation:
@@ -142,6 +142,18 @@ class TestRecommendation:
 
     def test_partial_cells_use_defined_means_only(self):
         assert recommend(stats_of(2, 2, [(0, 0, 0.2), (1, 1, 0.9)])) == 1
+
+    @pytest.mark.parametrize("S", range(1, 25))
+    def test_picks_follow_nanmean_bits(self, S):
+        # each run's three arms hold permutations of one set of means, so their state averages
+        # differ only by rounding and only an average with np.nanmean's bits picks as it does
+        rng = substream(S, "eba-bits")
+        values = rng.random((400, S)) * 10.0 ** rng.integers(-6, 6, (400, S))
+        means = np.stack([rng.permuted(values, axis=1) for _ in range(3)], axis=1)  # (runs, K, S)
+        if S > 1:
+            means[:, 1, S // 2] = np.nan  # a cell without pulls, the same in every run
+        expected = np.argmax(np.nanmean(means, axis=2), axis=1)
+        assert np.array_equal(_eba_pick(np.ascontiguousarray(means.transpose(1, 2, 0))), expected)
 
 
 class TestSchedules:
@@ -308,17 +320,48 @@ class TestSuccessiveRejects:
 
 class TestEliminate:
     def test_tie_drops_the_lower_arm_from_every_table(self):
-        # run 0 ties positions 1 and 2 (arms 2 and 5), run 1 ties positions 0 and 1 (arms 1 and 3)
-        active = np.array([[0, 2, 5], [1, 3, 4]])
-        scores = np.array([[0.7, 0.2, 0.2], [0.1, 0.1, 0.9]])
-        counts = np.arange(12).reshape(2, 3, 2)
+        # tables are (state, position, run); run 0 ties positions 1 and 2 (arms 2 and 5), run 1
+        # ties positions 0 and 1 (arms 1 and 3), and run 2 drops its last position (arm 6)
+        active = np.array([[0, 2, 5], [1, 3, 4], [4, 5, 6]]).T
+        scores = np.array([[0.7, 0.2, 0.2], [0.1, 0.1, 0.9], [0.5, 0.4, 0.3]]).T
+        counts = np.arange(18).reshape(2, 3, 3)
         sums = counts * 0.5
         pos, kept, kept_counts, kept_sums = eliminate(scores, active, counts, sums)
-        assert pos.tolist() == [1, 0]
-        assert kept.tolist() == [[0, 5], [3, 4]]
-        assert np.all(np.diff(kept, axis=1) > 0)
-        assert np.array_equal(kept_counts, np.stack([counts[0, [0, 2]], counts[1, [1, 2]]]))
-        assert np.array_equal(kept_sums, np.stack([sums[0, [0, 2]], sums[1, [1, 2]]]))
+        assert pos.tolist() == [1, 0, 2]
+        assert kept.T.tolist() == [[0, 5], [3, 4], [4, 5]]
+        assert np.all(np.diff(kept, axis=0) > 0)
+        for table, kept_table in ((counts, kept_counts), (sums, kept_sums)):
+            assert kept_table.shape == (2, 2, 3)
+            assert np.array_equal(kept_table, np.stack([table[:, [0, 2], 0], table[:, [1, 2], 1],
+                                                        table[:, [0, 1], 2]], axis=-1))
+
+    @pytest.mark.parametrize("S", [*range(1, 25), 129, 200, 300])
+    def test_state_sum_follows_numpy_row_order(self, S):
+        # the elimination score sums a (state, position, run) table over states; it must give the
+        # bits numpy's sum of each contiguous row of states gives: one by one below 8 states, then
+        # eight running partial sums, then halves past 128. Magnitudes spread over 16 decades so
+        # that any other order of additions changes the result.
+        rng = substream(S, "state-sum")
+        rows = rng.random((40, 3, S)) * 10.0 ** rng.integers(-8, 8, (40, 3, S))
+        rows[rng.random(rows.shape) < 0.1] = 0.0
+        table = np.ascontiguousarray(rows.transpose(2, 1, 0))  # (state, position, run)
+        assert np.array_equal(_state_sum(table), np.add.reduce(rows, axis=-1).T)
+        assert np.array_equal(_state_sum(rows.transpose(2, 1, 0)), np.add.reduce(rows, axis=-1).T)
+
+    @pytest.mark.parametrize("S", [8, 9, 12])
+    def test_scores_add_states_in_numpy_row_order(self, S):
+        # every cell has mean 0.5 and 3 pulls in the first phase, so two arms often hold the same
+        # per-state means in another order; their sums then differ only by rounding, and the engine
+        # eliminates as the oracle's sum of each contiguous row of states does
+        K, n = 3, 2 * 3 * 3 * S
+        spec = EnvironmentSpec(K=K, S=S, mu=(0.5,) * K, sigma2=0.05,
+                               state_sequence=make_state_sequence(S, n, "round_robin"))
+        env = Environment(spec=spec, m=np.full((K, S), 0.5))
+        sched = sr_schedule("uniform", K, n)
+        winners, rejected = _sr_sample(env, sched, 500, substream(S, "sr-ties"))
+        oracle_winners, oracle_rejected = sr_sample_per_cell(env, sched.t_k, 500, substream(S, "sr-ties"))
+        assert np.array_equal(winners, oracle_winners)
+        assert np.array_equal(rejected, oracle_rejected)
 
     def test_engines_break_a_tie_toward_the_lower_arm(self):
         # Bernoulli rewards of mean 0 or 1 are exact: arms 1 and 2 tie at 0, arm 2 then trails,
