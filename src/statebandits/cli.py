@@ -85,10 +85,6 @@ def _float(text):
     return float(str(text))
 
 
-def _str(text):
-    return str(text)
-
-
 def _opt_int(text):
     s = str(text).strip()
     return None if s in ("", "none", "None") else int(s)
@@ -197,8 +193,8 @@ _SWEEP_FIELDS = [
     Field("s_max", _int, 10, "protocol", "largest state count"),
     Field("sigma2_min", _float, 0.0, "protocol", "lower edge of the prior variance draw"),
     Field("sigma2_max", _float, 0.3, "protocol", "upper edge of the prior variance draw"),
-    Field("reward_family", _str, "bernoulli", "protocol", "bernoulli (the only family sweeps accept)"),
-    Field("state_mode", _str, "iid_uniform", "tool", "state sequence generator"),
+    Field("reward_family", str, "bernoulli", "protocol", "bernoulli (the only family sweeps accept)"),
+    Field("state_mode", str, "iid_uniform", "tool", "state sequence generator"),
 ]
 
 TIGHTNESS_SCHEMA = _SWEEP_FIELDS
@@ -246,8 +242,8 @@ REGRET_SCHEMA = [
     Field("m", _list(_float), (), "tool",
           "explicit per-(arm,state) local means, row-major; empty draws them from mu"),
     Field("env_seed", _int, 0, "tool", "environment instantiation seed"),
-    Field("reward_family", _str, "bernoulli", "protocol", "bernoulli or truncated_gaussian"),
-    Field("state_mode", _str, "iid_uniform", "tool", "state sequence generator"),
+    Field("reward_family", str, "bernoulli", "protocol", "bernoulli or truncated_gaussian"),
+    Field("state_mode", str, "iid_uniform", "tool", "state sequence generator"),
     Field("alpha", _float, 3.0, "tool", "optimism exploration rate, finite and above 2"),
     Field("checkpoints", _list(_int), (100, 1000, 10000), "protocol", "horizons to report"),
     Field("runs", _int, 1000, "protocol", "Monte Carlo runs"),
@@ -292,15 +288,15 @@ TRIAGE_SCHEMA = [
           "per-stage error probabilities, strictly decreasing"),
     Field("k", _list(_int), (200, 100, 50), "protocol", "cohort sizes after each stage"),
     Field("total_budget", _int, 553, "protocol", "named total budget in dollars"),
-    Field("scheme", _str, "", "protocol", "budget split for $1,300/$2,200: more3, more2 or equal"),
-    Field("policy", _str, "round_robin", "tool", "within-stage allocation: round_robin or ucb"),
-    Field("encoding", _str, "linear", "protocol", "label encoding: linear, binary or exponential"),
+    Field("scheme", str, "", "protocol", "budget split for $1,300/$2,200: more3, more2 or equal"),
+    Field("policy", str, "round_robin", "tool", "within-stage allocation: round_robin or ucb"),
+    Field("encoding", str, "linear", "protocol", "label encoding: linear, binary or exponential"),
     Field("num_seeds", _int, 100, "tool", "independent repetitions"),
-    Field("baselines", _list(_str), BASELINES, "protocol",
+    Field("baselines", _list(str), BASELINES, "protocol",
           f"reference approaches to run; {', '.join(COHORT_BASELINES)} evaluate a random "
           f"{SUB_COHORT}-person cohort and need n >= {SUB_COHORT}"),
-    Field("human_csv", _str, "", "tool", "recorded human evaluations for replay (optional)"),
-    Field("machine_pred", _str, "", "tool", "machine prediction vectors for replay (optional)"),
+    Field("human_csv", str, "", "tool", "recorded human evaluations for replay (optional)"),
+    Field("machine_pred", str, "", "tool", "machine prediction vectors for replay (optional)"),
 ]
 
 

@@ -64,8 +64,8 @@ class EnvironmentSpec:
             raise ValidationError(f"expected {self.K} entries, got {len(self.mu)}", field="mu")
         if any(not (0.0 <= u <= 1.0) for u in self.mu):
             raise ValidationError("entries must lie in [0, 1]", field="mu")
-        if not self.sigma2 > 0:
-            raise ValidationError("must be positive", field="sigma2")
+        if not 0 < self.sigma2 < np.inf:  # at inf every local mean is clamped to 0 or 1
+            raise ValidationError("must be positive and finite", field="sigma2")
         seq = np.array(self.state_sequence)
         if seq.ndim != 1 or seq.size == 0:
             raise ValidationError("must be a non-empty 1-d sequence", field="state_sequence")
@@ -78,8 +78,8 @@ class EnvironmentSpec:
         object.__setattr__(self, "state_sequence", seq)
         if self.reward_family not in REWARD_FAMILIES:
             raise ValidationError(f"must be one of {REWARD_FAMILIES}", field="reward_family")
-        if self.reward_family == "truncated_gaussian" and not self.reward_sigma2 > 0:
-            raise ValidationError("must be positive", field="reward_sigma2")
+        if self.reward_family == "truncated_gaussian" and not 0 < self.reward_sigma2 < np.inf:
+            raise ValidationError("must be positive and finite", field="reward_sigma2")
         if self.horizon < self.K * self.S:
             _warn(f"horizon {self.horizon} is shorter than K*S = {self.K * self.S}; "
                   "some (arm, state) cells cannot be visited", __name__)
@@ -117,7 +117,9 @@ def make_state_sequence(S: int, n: int, mode: str = "iid_uniform", seed: int = 0
 class Environment:
     """A spec plus its realized local-mean matrix ``m`` of shape (K, S); its
     gap quantities and its visits to each state over the horizon are
-    computed once, here, and read through ``gaps`` and ``_visits``."""
+    computed once, here, and read through ``gaps`` and ``_visits``. ``m`` is a
+    private read-only copy of the input; environments compare equal by spec and
+    by the values of ``m``, and are not hashable."""
 
     spec: EnvironmentSpec
     m: np.ndarray = field(repr=False)
@@ -126,7 +128,7 @@ class Environment:
 
     def __post_init__(self):
         spec = self.spec
-        m = np.asarray(self.m, dtype=float)
+        m = np.array(self.m, dtype=float)
         if m.shape != (spec.K, spec.S):
             raise ValidationError(f"expected shape {(spec.K, spec.S)}, got {m.shape}", field="m")
         m_star = np.maximum.reduce(m, axis=0)
@@ -142,6 +144,11 @@ class Environment:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_gaps", report)
         object.__setattr__(self, "_horizon_visits", visits)
+
+    def __eq__(self, other):
+        if not isinstance(other, Environment):
+            return NotImplemented
+        return self.spec == other.spec and np.array_equal(self.m, other.m)
 
 
 def instantiate(spec: EnvironmentSpec) -> Environment:

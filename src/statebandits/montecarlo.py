@@ -130,10 +130,10 @@ class BAIEstimate:
 
 
 def _binomial_cell_means(counts, m, runs, rng):
-    """Sample per-run cell means: Binomial(counts, m)/counts, NaN where 0, (K, S, runs)
+    """Sample per-run cell means: Binomial(counts, m)/counts, 0 where 0, (K, S, runs)
     in draw order. One call draws the cells in row-major order; unpulled ones draw nothing."""
     sums = rng.binomial(counts[:, :, None], m[:, :, None], size=counts.shape + (runs,))
-    return cell_means(counts[:, :, None], sums, np.nan)
+    return cell_means(counts[:, :, None], sums)
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -163,7 +163,7 @@ def estimate_bai(env: Environment, strategy: str, runs: int, n: int | None = Non
         _check_bernoulli(spec)
         rng = substream(spec.seed, "bai", "uniform_eba")
         counts = rotation_counts(_visits(env, n), spec.K)
-        picks = _eba_pick(_binomial_cell_means(counts, env.m, runs, rng))
+        picks = _eba_pick(_binomial_cell_means(counts, env.m, runs, rng), counts)
     elif strategy in ("sr_uniform", "sr_reference"):
         schedule = sr_schedule(strategy.removeprefix("sr_"), spec.K, n)
         rng = substream(spec.seed, "bai", "sr")
@@ -371,13 +371,15 @@ class RegretCurve:
 
 
 def _check_checkpoints(checkpoints) -> tuple[int, ...]:
-    """Regret checkpoints: a non-empty list of distinct integers, returned sorted as ints."""
+    """Regret checkpoints: a non-empty list of distinct integers of at least 1, returned sorted as ints."""
     checkpoints = tuple(sorted(checkpoints))
     if not checkpoints:
         raise ConfigurationError("checkpoints must list at least one horizon")
     for c in checkpoints:
         _check_integer(c, "checkpoints")
     checkpoints = tuple(map(int, checkpoints))
+    if checkpoints[0] < 1:
+        raise ConfigurationError(f"checkpoints must be >= 1, got {checkpoints[0]}")
     _check_distinct(checkpoints, "checkpoints")
     return checkpoints
 

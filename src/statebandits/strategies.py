@@ -41,12 +41,9 @@ __all__ = [
 ]
 
 
-def cell_means(counts: np.ndarray, sums: np.ndarray, fill: float) -> np.ndarray:
-    """Per-cell sample means, ``fill`` where a cell has no pulls (``counts`` broadcasts)."""
-    means = sums / np.maximum(counts, 1)
-    if not counts.all():
-        np.copyto(means, fill, where=counts == 0)
-    return means
+def cell_means(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Per-cell sample means, 0 where a cell has no pulls and so a sum of 0 (``counts`` broadcasts)."""
+    return sums / np.maximum(counts, 1)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -124,22 +121,18 @@ def rotation_counts(visits, A: int) -> np.ndarray:
     return (np.asarray(visits, dtype=np.int64) + (-np.arange(A) % A)[:, None]) // A
 
 
-def _eba_pick(means: np.ndarray) -> np.ndarray:
+def _eba_pick(means: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Arm with the best average of per-state sample means, for each run of
     (K, S, runs) cell means, ties to the lowest index.
 
-    Cells with no pulls are NaN and left out of their arm's average (its
-    ``np.nanmean``). An arm with no pulls at all cannot be scored and raises
-    RecommendationError; the runs share one pull pattern, so one is checked.
+    ``counts`` is the (K, S) pull table the runs share: an arm averages its
+    pulled states only, and an arm with no pulls at all cannot be scored and
+    raises RecommendationError.
     """
-    unpulled = np.isnan(means[:, :, 0])
-    pulled = means.shape[1]
-    if unpulled.any():
-        pulled = pulled - np.count_nonzero(unpulled, axis=1)
-        if not pulled.all():
-            raise RecommendationError(f"arm {int(pulled.argmin())} has no pulls in any state")
-        means, pulled = np.where(np.isnan(means), 0.0, means), pulled[:, None]
-    return (_state_sum(means.transpose(1, 0, 2)) / pulled).argmax(axis=0)
+    pulled = np.count_nonzero(counts, axis=1)
+    if not pulled.all():
+        raise RecommendationError(f"arm {int(pulled.argmin())} has no pulls in any state")
+    return (_state_sum(means.transpose(1, 0, 2)) / pulled[:, None]).argmax(axis=0)
 
 
 def eliminate(scores: np.ndarray, *tables: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -302,7 +295,7 @@ def _sr_sample(env: Environment, schedule: SRSchedule, runs: int, rng) -> tuple[
         pulls = rotation_counts(visits, len(active)).T[:, :, None]
         counts += pulls
         sums += rng.binomial(pulls, p)
-        scores = _state_sum(cell_means(counts, sums, 0.0))
+        scores = _state_sum(cell_means(counts, sums))
         pos, remaining, counts, sums, p = eliminate(scores, active, counts, sums, p)
         rejected[k], active = active[pos, rows], remaining
     return active[0], rejected.T

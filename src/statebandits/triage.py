@@ -562,7 +562,7 @@ def run_pipeline_batch(
         evaluated[b, rows[:, :reached]] = True
         if st.index == 3:
             expert_severe[b, rows] = severe
-        u_hat = cell_means(w_sum, w_enc, 0.0)
+        u_hat = cell_means(w_sum, w_enc)
         keep = np.sort(np.argsort(-u_hat, axis=1, kind="stable")[:, :st.cohort_out], axis=1)
         rows, w_enc, w_sum, u_hat = (np.take_along_axis(a, keep, axis=1) for a in (rows, w_enc, w_sum, u_hat))
         outcomes.append(StageOutcome(st.index, max_pulls, max_pulls * st.cost_milli, rows, u_hat))

@@ -251,6 +251,8 @@ class TestErrors:
         ("regret", "K = 1\nmu = 0.5", "K: need at least 2 arms"),
         ("regret", "S = 0", "state_sequence: need S >= 1"),
         ("regret", "sigma2 = 0", "sigma2: must be positive"),
+        ("regret", "sigma2 = inf", "error: sigma2: must be positive and finite\n"),
+        ("regret", "checkpoints = 0, 100", "error: checkpoints must be >= 1, got 0\n"),
         ("regret", "reward_family = foo", "reward_family: must be one of"),
         ("regret", "state_mode = nope", "state_sequence: unknown mode 'nope'"),
         ("regret", "alpha = 2", "alpha must be finite and exceed 2, got 2.0"),

@@ -35,9 +35,9 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="^S: need at least 1 state$"):
             EnvironmentSpec(K=2, S=0, mu=(0.5, 0.3), sigma2=0.01, state_sequence=(0, 0))
 
-    @pytest.mark.parametrize("reward_sigma2", [0.0, -0.1])
+    @pytest.mark.parametrize("reward_sigma2", [0.0, -0.1, np.inf, np.nan])
     def test_truncated_gaussian_reward_sigma2_positive(self, reward_sigma2):
-        with pytest.raises(ValidationError, match="^reward_sigma2: must be positive$"):
+        with pytest.raises(ValidationError, match="^reward_sigma2: must be positive and finite$"):
             spec_of(reward_family="truncated_gaussian", reward_sigma2=reward_sigma2)
 
     def test_mu_length(self):
@@ -48,9 +48,11 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="mu: entries must lie"):
             spec_of(mu=(0.5, 1.2))
 
-    def test_sigma2_positive(self):
-        with pytest.raises(ValidationError, match="sigma2: must be positive"):
-            spec_of(sigma2=0.0)
+    # an infinite prior variance would clamp every local mean to 0 or 1
+    @pytest.mark.parametrize("sigma2", [0.0, -0.1, np.nan, np.inf])
+    def test_sigma2_positive(self, sigma2):
+        with pytest.raises(ValidationError, match="^sigma2: must be positive and finite$"):
+            spec_of(sigma2=sigma2)
 
     def test_state_sequence_range(self):
         with pytest.raises(ValidationError, match="state_sequence: entries"):
@@ -178,6 +180,21 @@ class TestInstantiate:
         env = instantiate(spec_of())
         with pytest.raises(ValueError):
             env.m[0, 0] = 0.9
+
+    def test_m_is_copied(self):
+        mine = np.array([[0.2], [0.7]])
+        env = Environment(spec=spec_of(), m=mine)
+        assert env.m is not mine
+        mine[0, 0] = 0.5  # the caller's array stays writable, and the environment keeps its values
+        assert env.m.tolist() == [[0.2], [0.7]]
+
+    def test_equality_compares_m_values(self):
+        spec = spec_of(K=2, S=3, n=9, sigma2=0.2, seed=7)
+        assert instantiate(spec) == instantiate(spec)
+        assert Environment(spec=spec, m=instantiate(spec).m.copy()) == instantiate(spec)
+        assert instantiate(spec) != Environment(spec=spec, m=np.full((2, 3), 0.5))
+        assert instantiate(spec) != instantiate(spec_of(K=2, S=3, n=9, sigma2=0.2, seed=8))
+        assert instantiate(spec) != spec
 
 
 def rewards(spec, mean, rng, size):

@@ -50,9 +50,9 @@ def stats_of(K, S, pulls=()):
 
 
 class TestCellMeans:
-    def test_means_nan_when_unpulled(self):
-        means = cell_means(*stats_of(2, 1, [(1, 0, 0.5)]), np.nan)
-        assert np.isnan(means[0, 0])
+    def test_means_zero_when_unpulled(self):
+        means = cell_means(*stats_of(2, 1, [(1, 0, 0.5)]))
+        assert means[0, 0] == 0.0
         assert means[1, 0] == 0.5
 
 
@@ -120,7 +120,8 @@ class TestUniformRotation:
 
 def recommend(stats):
     """Best state-average arm of one run's statistics, as a (K, S, 1) table of one run."""
-    return int(_eba_pick(cell_means(*stats, np.nan)[:, :, None])[0])
+    counts, sums = stats
+    return int(_eba_pick(cell_means(counts, sums)[:, :, None], counts)[0])
 
 
 class TestRecommendation:
@@ -150,10 +151,12 @@ class TestRecommendation:
         rng = substream(S, "eba-bits")
         values = rng.random((400, S)) * 10.0 ** rng.integers(-6, 6, (400, S))
         means = np.stack([rng.permuted(values, axis=1) for _ in range(3)], axis=1)  # (runs, K, S)
+        counts = np.ones((3, S), dtype=np.int64)
         if S > 1:
-            means[:, 1, S // 2] = np.nan  # a cell without pulls, the same in every run
-        expected = np.argmax(np.nanmean(means, axis=2), axis=1)
-        assert np.array_equal(_eba_pick(np.ascontiguousarray(means.transpose(1, 2, 0))), expected)
+            counts[1, S // 2] = 0  # a cell without pulls, the same in every run: mean 0, NaN for the oracle
+            means[:, 1, S // 2] = 0.0
+        expected = np.argmax(np.nanmean(np.where(counts == 0, np.nan, means), axis=2), axis=1)
+        assert np.array_equal(_eba_pick(np.ascontiguousarray(means.transpose(1, 2, 0)), counts), expected)
 
 
 class TestSchedules:
