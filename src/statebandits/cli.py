@@ -41,7 +41,7 @@ from .montecarlo import (
     tightness_sweep,
     write_table,
 )
-from .rng import substream
+from .rng import _check_int_part, substream
 from .strategies import phase_visits, rotation_counts, sr_counts, sr_schedule, successive_rejects
 from .triage import (
     BASELINES,
@@ -560,6 +560,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(schema, raw)
         seed = args.seed if args.seed is not None else (manifest_seed if manifest_seed is not None else 0)
         _check_integer(seed, "seed")  # a manifest's, which JSON may give as a string, float or bool
+        _check_int_part(seed, "seed")  # before --out is made, so a sweep writes nothing
         if args.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         try:

@@ -10,7 +10,6 @@ sequence is known in advance and shared by every strategy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +25,6 @@ __all__ = [
     "instantiate",
     "state_counts",
     "gaps",
-    "save_environment",
-    "load_environment",
 ]
 
 REWARD_FAMILIES = ("bernoulli", "truncated_gaussian")
@@ -254,30 +251,3 @@ def gaps(env: Environment) -> GapReport:
     """Every gap quantity of a realized environment, as read-only arrays."""
     return env._gaps
 
-
-def save_environment(env: Environment, path) -> None:
-    """Write spec + realized means as JSON text; floats round-trip exactly."""
-    payload = {
-        "spec": {
-            "K": env.spec.K,
-            "S": env.spec.S,
-            "mu": list(env.spec.mu),
-            "sigma2": env.spec.sigma2,
-            "state_sequence": env.spec.state_sequence.tolist(),
-            "seed": env.spec.seed,
-            "reward_family": env.spec.reward_family,
-            "reward_sigma2": env.spec.reward_sigma2,
-        },
-        "m": [list(row) for row in env.m],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def load_environment(path) -> Environment:
-    """Inverse of save_environment."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    spec = EnvironmentSpec(**payload["spec"])
-    return Environment(spec=spec, m=np.asarray(payload["m"], dtype=float))

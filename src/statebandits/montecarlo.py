@@ -30,7 +30,7 @@ from .env import (
     _check_steps, _visits, gaps, instantiate, make_state_sequence,
 )
 from .errors import ConfigurationError, _warn
-from .rng import substream
+from .rng import _check_int_part, substream
 from .strategies import _eba_pick, _sr_sample, cell_means, optimism_play, rotation_counts, sr_schedule
 
 __all__ = [
@@ -77,6 +77,7 @@ class SweepConfig:
     def __post_init__(self):
         for name in ("num_envs", "master_seed", "k_min", "k_max", "s_min", "s_max"):
             _check_integer(getattr(self, name), name)
+        _check_int_part(self.master_seed, "master_seed")
         if self.num_envs < 0:
             raise ConfigurationError("num_envs must be non-negative")
         _check_runs(self.runs_per_env, "runs_per_env")

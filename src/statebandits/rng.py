@@ -3,8 +3,9 @@
 Every random quantity in the package is drawn from a named substream so that
 results are reproducible from a single master seed and independent of how
 work is scheduled across processes. A substream is addressed by a path of
-integers and short strings, e.g. ``substream(seed, env_index, run_index,
-"rewards")``; equal paths always yield identical generators.
+integers in [-2**63, 2**64) and short strings, e.g. ``substream(seed,
+env_index, run_index, "rewards")``; equal paths always yield identical
+generators, and an int outside that range raises ``ConfigurationError``.
 
 ``substream_raw`` computes the first raw outputs of many substreams at once,
 any of whose integer path parts may vary by row, with the same numbers as
@@ -20,6 +21,8 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = ["substream", "substream_raw", "substream_random", "substream_integers"]
 
 _MASK32 = 0xFFFFFFFF
@@ -34,12 +37,21 @@ _U32, _U64 = np.uint32, np.uint64
 _HASH_ROWS = 2048  # rows hashed at once: bounds the temporaries at about 0.5 MiB
 
 
+def _check_int_part(value: int, name: str) -> None:
+    """An int path part must lie in [-2**63, 2**64): negative ints map to uint64
+    by two's complement, so an int outside would name the stream of one inside."""
+    if not -(1 << 63) <= value < 1 << 64:
+        raise ConfigurationError(f"{name} {value} outside [-2**63, 2**64)")
+
+
 def _coerce(part) -> int:
     if isinstance(part, (bool, float)):
         raise TypeError(f"substream path parts must be int or str, got {part!r}")
     if isinstance(part, (int, np.integer)):
+        part = int(part)
+        _check_int_part(part, "substream path part")
         # SeedSequence entropy must be non-negative; map via two's complement.
-        return int(part) & ((1 << 64) - 1)
+        return part & ((1 << 64) - 1)
     if isinstance(part, str):
         return zlib.crc32(part.encode("utf-8"))
     raise TypeError(f"substream path parts must be int or str, got {part!r}")

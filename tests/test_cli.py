@@ -10,7 +10,10 @@ import sys
 import pytest
 
 import statebandits
-from statebandits import cli, montecarlo, strategies
+from statebandits import (
+    BOUNDED_UNIT, SweepConfig, cli, estimate_bai, instantiate, montecarlo, random_env, sr_schedule, strategies,
+    thm2_bounds, thm3_bounds, thm4_bounds,
+)
 from statebandits.cli import main
 
 
@@ -21,6 +24,12 @@ class Boom(Exception):
 def write_cfg(path, text):
     path.write_text(text)
     return str(path)
+
+
+def rebuilt_config(out):
+    """The sweep config a run's manifest names: with an env_index, it rebuilds that environment."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    return SweepConfig(master_seed=manifest["seed"], **manifest["config"])
 
 
 TIGHTNESS_CFG = """
@@ -86,15 +95,22 @@ class TestErrors:
         ("tightness", {"num_envs": 1, "runs_per_env": 2}),
         ("verify", {}),
     ])
-    @pytest.mark.parametrize("seed", ["5", 1.5, True])
+    @pytest.mark.parametrize("seed", ["5", 1.5, True, 2**64 + 5, -2**63 - 1])
     def test_manifest_seed_must_be_an_integer(self, tmp_path, capsys, command, config, seed):
-        # a string seed would be hashed as a tag and run the study on other numbers; the check
-        # comes before --out is made, so nothing is written
+        # a string seed would be hashed as a tag and run the study on other numbers, and an int
+        # outside [-2**63, 2**64) would run those of one inside it; the check comes before --out
+        # is made, so nothing is written
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"command": command, "seed": seed, "config": config}))
         out = tmp_path / "o"
         assert main([command, "--config", str(manifest), "--out", str(out)]) == 2
-        assert f"seed must be an integer, got {seed!r}" in capsys.readouterr().err
+        wide = type(seed) is int
+        message = f"seed {seed} outside [-2**63, 2**64)" if wide else f"seed must be an integer, got {seed!r}"
+        assert message in capsys.readouterr().err
+        if wide:  # --seed takes the same check
+            plain = write_cfg(tmp_path / "c.json", json.dumps(config))
+            assert main([command, "--config", plain, "--seed", str(seed), "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("content, message", [
@@ -259,6 +275,7 @@ class TestErrors:
         ("regret", "alpha = inf", "alpha must be finite and exceed 2, got inf"),
         ("regret", "m = 0.5, 0.4", "m needs K*S=6 entries, got 2"),
         ("regret", "K = 2\nS = 1\nm = nan, 0.5", "error: m: entries must lie in [0, 1]"),
+        ("regret", "env_seed = 18446744073709551621", "substream path part 18446744073709551621 outside"),
         ("triage", "n_severe = 0", "n_severe: need 0 < n_severe < n"),
         ("triage", "total_budget = 999", "no budget split for total $999"),
         ("triage", "total_budget = 1300\nscheme = more9", "no budget split for total $1300 scheme 'more9'"),
@@ -350,6 +367,36 @@ class TestErrors:
         assert summary["rows"] == 6 and len(summary["failures"]) == 6
         for name in ("tightness.csv", "tightness_summary.json", "manifest.json"):
             assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
+        # the manifest and an environment index rebuild that environment, failed or not: the
+        # study's calls on it raise the failure's "Type: message" or give its row's repr bytes
+        config = rebuilt_config(outs[0])
+        for failure in summary["failures"]:
+            env = instantiate(random_env(config, failure["env_index"]))
+            with pytest.raises(Exception) as info:
+                estimate_bai(env, "uniform_eba", config.runs_per_env)
+                thm2_bounds(env, env.spec.horizon, BOUNDED_UNIT)
+                thm3_bounds(env, env.spec.horizon)
+            assert f"{type(info.value).__name__}: {info.value}" == failure["error"]
+        row = next(csv.DictReader((outs[0] / "tightness.csv").read_text().splitlines()))
+        env = instantiate(random_env(config, int(row["env_index"])))
+        est = estimate_bai(env, "uniform_eba", config.runs_per_env)
+        b21, b22 = thm2_bounds(env, env.spec.horizon, BOUNDED_UNIT)
+        b31, b32 = thm3_bounds(env, env.spec.horizon)
+        expected = {**{name: getattr(est, name) for name in ("e_hat", "e_hat_se", "e", "e_se", "r", "r_se",
+                                                             "r_hat", "r_hat_se")},
+                    "b21": b21.raw_value, "b22": b22.raw_value, "b31": b31.raw_value, "b32": b32.raw_value}
+        assert {name: row[name] for name in expected} == {name: repr(v) for name, v in expected.items()}
+        # an sr-compare row, from its estimates and thm4 bounds under both schedules
+        out = tmp_path / "sr"
+        cfg = write_cfg(tmp_path / "sr.cfg", "num_envs = 2\nruns_per_env = 20\nk_max = 4\ns_max = 2\n")
+        assert main(["sr-compare", "--config", cfg, "--seed", "4", "--out", str(out)]) == 0
+        config = rebuilt_config(out)
+        row = next(csv.DictReader((out / "sr_compare.csv").read_text().splitlines()))
+        env = instantiate(random_env(config, int(row["env_index"])))
+        for kind in ("uniform", "reference"):
+            est = estimate_bai(env, f"sr_{kind}", config.runs_per_env)
+            _, b41 = thm4_bounds(env, sr_schedule(kind, env.spec.K, env.spec.horizon))
+            assert (row[f"e_hat_{kind}"], row[f"b41_{kind}"]) == (repr(est.e_hat), repr(b41.raw_value))
 
     def test_mixed_failures_stderr_is_worker_count_invariant(self, tmp_path):
         # Python shows a warning once per process; the sweep re-issues its

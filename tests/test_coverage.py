@@ -61,7 +61,7 @@ COVERAGE = {
                               _JSON_LISTS)),
         "sigma2": ((_LOCKSTEP,), (_STUDY_EXIT_2, ERRORS + "test_regret_explicit_m_rejects_sigma2")),
         "m": ((_LOCKSTEP,), (ERRORS + "test_regret_explicit_m_rejects_mu",)),
-        "env_seed": ((_LOCKSTEP, ENV + "TestInstantiate::test_deterministic"), (_SPEC_INTEGERS,)),
+        "env_seed": ((_LOCKSTEP, ENV + "TestInstantiate::test_deterministic"), (_SPEC_INTEGERS, _STUDY_EXIT_2)),
         "reward_family": ((_LOCKSTEP, _CURVE), (_STUDY_EXIT_2,)),
         "state_mode": ((_LOCKSTEP,), (_STUDY_EXIT_2,)),
         "alpha": ((_LOCKSTEP,), (_STUDY_EXIT_2,)),

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -10,9 +8,7 @@ from statebandits import (
     ValidationError,
     gaps,
     instantiate,
-    load_environment,
     make_state_sequence,
-    save_environment,
     state_counts,
     substream,
 )
@@ -294,29 +290,3 @@ class TestGaps:
             assert np.sum(g.delta_m[:, s] == 0.0) >= 1
             assert np.min(g.delta_m[:, s]) == 0.0
 
-
-class TestSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        env = instantiate(spec_of(K=3, S=2, mu=(0.8, 0.5, 0.2), sigma2=0.3, n=12, seed=42))
-        path = tmp_path / "env.json"
-        save_environment(env, path)
-        back = load_environment(path)
-        assert back.spec == env.spec
-        assert np.array_equal(back.m, env.m)
-
-    def test_non_integer_states_rejected_on_load(self, tmp_path):
-        env = instantiate(spec_of(K=2, S=2, n=4))
-        path = tmp_path / "env.json"
-        save_environment(env, path)
-        payload = json.loads(path.read_text())
-        payload["spec"]["state_sequence"] = [0, 1.5, 1.9, 0]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValidationError, match="entries must be integers"):
-            load_environment(path)
-
-    def test_file_is_plain_json(self, tmp_path):
-        env = instantiate(spec_of(n=6))
-        path = tmp_path / "env.json"
-        save_environment(env, path)
-        payload = json.loads(path.read_text())
-        assert payload["spec"]["K"] == 2

@@ -99,6 +99,9 @@ class TestRandomEnv:
         ({"num_envs": True}, "num_envs must be an integer, got True"),
         ({"horizon": 100.5}, "horizon must be an integer, got 100.5"),
         ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
+        # an int beyond 64 bits would name the stream of a smaller one
+        ({"master_seed": 2**64 + 5}, "master_seed 18446744073709551621 outside"),
+        ({"master_seed": -2**63 - 1}, "master_seed -9223372036854775809 outside"),
         ({"k_min": 2.5, "k_max": 3}, "k_min must be an integer, got 2.5"),
         ({"k_max": 10.0}, "k_max must be an integer, got 10.0"),
         ({"s_min": True}, "s_min must be an integer, got True"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statebandits import rng
+from statebandits import ConfigurationError, rng
 from statebandits.rng import substream, substream_integers, substream_random, substream_raw
 
 # path parts of one and of two 32-bit words, negatives included (two's complement)
@@ -56,6 +56,8 @@ def test_integer_arrays_and_path_parts_agree():
     for bad in ([0.5], np.array([0.5]), np.array([True]), 0.5):
         with pytest.raises(TypeError):
             substream_raw(7, bad)
+    with pytest.raises(ConfigurationError, match="substream path part 18446744073709551616 outside"):
+        substream_raw(7, [1, 2**64])
     with pytest.raises(TypeError):
         substream_raw()
 
@@ -89,7 +91,7 @@ def test_integers_follow_lemire_rejection(monkeypatch, first, m):
     assert substream_integers(0, [1, 2], sizes=[m, m]).tolist() == [expected, expected]
 
 
-@pytest.mark.parametrize("path", [(0,), (2**32 - 1,), (2**32,), (2**64 - 1,), (-1,), ("rewards",),
+@pytest.mark.parametrize("path", [(0,), (2**32 - 1,), (2**32,), (2**64 - 1,), (-1,), (-2**63,), ("rewards",),
                                   (7, 2**32 - 1, "bai", 2**32, 0), (2**64 - 1, -1, "", "uniform_eba")])
 def test_substream_seeds_as_numpy_coerces_a_list(path):
     # substream hands SeedSequence the path's 32-bit words itself; the generator state must be the
@@ -100,7 +102,10 @@ def test_substream_seeds_as_numpy_coerces_a_list(path):
     assert substream(*path).random(3).tolist() == expected.random(3).tolist()
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, np.float64(2.0), None])
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, np.float64(2.0), None, 2**64, -2**63 - 1])
 def test_substream_rejects_floats_and_booleans(bad):
-    with pytest.raises(TypeError, match="substream path parts must be int or str"):
+    # an int outside [-2**63, 2**64) would name the stream of one inside it
+    error, message = ((ConfigurationError, f"substream path part {bad} outside") if type(bad) is int
+                      else (TypeError, "substream path parts must be int or str"))
+    with pytest.raises(error, match=message):
         substream(7, bad)
