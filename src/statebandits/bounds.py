@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import PsiFamily, _psi_star, psi_star
+from .divergence import BOUNDED_UNIT, PsiFamily, _psi_star
 from .env import Environment, _check_steps, _visits, gaps
 from .strategies import SRSchedule, _check_alpha, sr_counts
 
@@ -123,15 +123,16 @@ def _per_state_floor(env: Environment, n: int) -> np.ndarray:
     return _visits(env, n) // env.spec.K
 
 
-def thm1_bound(env: Environment, alpha: float, n: int, family: PsiFamily) -> BoundReport:
+def thm1_bound(env: Environment, alpha: float, n: int) -> BoundReport:
     """Pseudo-regret bound: sum over cells with a positive per-state gap of
-    gap * (alpha ln n / psi_star(gap/2) + alpha/(alpha-2))."""
+    gap * (alpha ln n / psi_star(gap/2) + alpha/(alpha-2)), psi_star being the
+    bounded-unit envelope's, as rewards lie in [0, 1]."""
     _check_alpha(alpha)
     _check_steps(n, env.spec.horizon)
     delta = gaps(env).delta_m
     positive = delta[delta > 0]
     total = float(
-        np.sum(positive * (alpha * math.log(n) / psi_star(family, positive / 2.0) + alpha / (alpha - 2.0)))
+        np.sum(positive * (alpha * math.log(n) / _psi_star(BOUNDED_UNIT, positive / 2.0) + alpha / (alpha - 2.0)))
     )
     # Not a probability; the clamp is kept for interface uniformity only.
     return _report("thm1", total)

@@ -1,11 +1,13 @@
 """Moment-generating-function envelopes and their convex conjugates.
 
-Exploration bonuses and all closed-form error bounds in this package are
+The exploration bonus and the closed-form bounds in this package are
 written in terms of a convex envelope ``psi`` dominating the centered reward
 log-MGF, its Legendre transform ``psi_star`` and that transform's inverse.
 The envelope is the sigma^2-sub-Gaussian one, psi(l) = sigma^2 l^2/2, so
 psi_star(e) = e^2/(2 sigma^2) and psi_star_inv(x) = sqrt(2 sigma^2 x).
-Rewards supported on [0, 1] take ``BOUNDED_UNIT``, sigma^2 = 1/4.
+Rewards supported on [0, 1] take ``BOUNDED_UNIT``, sigma^2 = 1/4, and every
+reward the package draws is so: the optimism bonus and thm1 use it alone,
+while thm2 takes a family.
 
 All three maps accept scalars or numpy arrays and are defined on the
 non-negative half-line only.
@@ -60,14 +62,8 @@ def psi_star(family: PsiFamily, eps):
     return out if out.ndim else float(out)
 
 
-def _psi_star_inv(family: PsiFamily, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``psi_star_inv`` of a float array known to be non-negative, unchecked;
-    written into ``out`` when it is given."""
-    return np.sqrt(np.multiply(2.0 * family.sigma2, x, out=out), out=out)
-
-
 def psi_star_inv(family: PsiFamily, x):
     """Inverse of the conjugate on [0, inf): psi_star_inv(psi_star(e)) = e."""
     _check_nonneg(x, "x")
-    out = _psi_star_inv(family, np.asarray(x, dtype=float))
+    out = np.sqrt(2.0 * family.sigma2 * np.asarray(x, dtype=float))
     return out if out.ndim else float(out)

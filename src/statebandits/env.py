@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError, _warn
-from .rng import substream
+from .rng import _check_int_part, substream
 
 __all__ = [
     "EnvironmentSpec",
@@ -53,6 +53,7 @@ class EnvironmentSpec:
         object.__setattr__(self, "mu", tuple(map(float, self.mu)))
         for name in ("K", "S", "seed"):
             _check_integer(getattr(self, name), name)
+        _check_int_part(self.seed, "seed")
         if self.K < 2:
             raise ValidationError("need at least 2 arms", field="K")
         if self.S < 1:

@@ -386,8 +386,8 @@ def _check_checkpoints(checkpoints) -> tuple[int, ...]:
 
 
 def estimate_pseudoregret(env: Environment, alpha: float, checkpoints, runs: int) -> RegretCurve:
-    """Monte Carlo pseudo-regret of the optimism-index strategy, with the
-    bounded-unit envelope as exploration bonus and in the bound.
+    """Monte Carlo pseudo-regret of the optimism-index strategy, and its thm1
+    bound; both use the bounded-unit envelope, the one for rewards on [0, 1].
 
     All runs are advanced in lockstep by ``optimism_play``; run r consumes
     the substream (spec.seed, r, "rewards") one variate per step, so a single
@@ -402,12 +402,12 @@ def estimate_pseudoregret(env: Environment, alpha: float, checkpoints, runs: int
     m_star = gaps(env).m_star_per_state
     regret = np.zeros(runs)
     curve = []
-    for t, s, _, mean in optimism_play(env, alpha, BOUNDED_UNIT, streams, checkpoints[-1]):
+    for t, s, _, mean in optimism_play(env, alpha, streams, checkpoints[-1]):
         regret += m_star[s] - mean
         if t in checkpoints:
             curve.append(_mean_se(regret))
     mu, se = np.array(curve).T
-    bound = np.array([thm1_bound(env, alpha, c, BOUNDED_UNIT).raw_value for c in checkpoints])
+    bound = np.array([thm1_bound(env, alpha, c).raw_value for c in checkpoints])
     return RegretCurve(checkpoints=checkpoints, mean=mu, se=se, bound=bound)
 
 

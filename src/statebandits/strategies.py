@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import PsiFamily, _psi_star_inv
+from .divergence import BOUNDED_UNIT
 from .env import (
     Environment, _check_bernoulli, _check_integer, _check_runs, _check_steps, _rewards, _variates,
 )
@@ -51,18 +51,17 @@ def _check_alpha(alpha: float) -> None:
         raise ConfigurationError(f"alpha must be finite and exceed 2, got {alpha}")
 
 
-def _optimism_pick(counts, sums, visit: int, alpha_log_t: float, family: PsiFamily, score, bonus,
-                   weights=None):
+def _optimism_pick(counts, sums, visit: int, alpha_log_t: float, score, bonus, weights=None):
     """Arms played at the ``visit``-th earlier visit to a state, given its (runs,
     K) tables. Visit v < K is forced exploration: arm v, the lowest unpulled
     one, in every run. After that every cell has pulls, and the arm with the
     best mean ``sums / weights`` (the sample mean when ``weights`` is None)
-    plus the bonus on alpha*ln(t)/count (>= 0 as t >= 1) is played, ties to
-    the lowest; the index is written into the scratch tables ``score`` and
-    ``bonus``."""
+    plus the bounded-unit bonus sqrt((2 sigma^2 alpha*ln(t))/count) (>= 0 as
+    t >= 1) is played, ties to the lowest; the index is written into the
+    scratch tables ``score`` and ``bonus``."""
     if visit < counts.shape[1]:
         return np.full(counts.shape[0], visit)
-    _psi_star_inv(family, np.divide(alpha_log_t, counts, out=bonus), out=bonus)
+    np.sqrt(np.divide(2.0 * BOUNDED_UNIT.sigma2 * alpha_log_t, counts, out=bonus), out=bonus)
     mean = np.divide(sums, counts if weights is None else weights, out=score)
     return np.add(mean, bonus, out=score).argmax(axis=1)
 
@@ -70,7 +69,7 @@ def _optimism_pick(counts, sums, visit: int, alpha_log_t: float, family: PsiFami
 _BLOCK_VARIATES = 1 << 18  # variates in optimism_play's one buffer, refilled each block: 2 MiB of float64
 
 
-def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n: int):
+def optimism_play(env: Environment, alpha: float, streams, n: int):
     """Play the optimism-index rule for n steps, one run per stream, in lockstep.
 
     Run r draws its reward variates from ``streams[r]`` in blocks of about
@@ -101,7 +100,7 @@ def optimism_play(env: Environment, alpha: float, family: PsiFamily, streams, n:
         alpha_log_t = (alpha * np.log(np.arange(lo + 1, hi + 1))).tolist()
         states = spec.state_sequence[lo:hi].tolist()
         for t, s, u, a in zip(range(lo + 1, hi + 1), states, buf[:, :hi - lo].T, alpha_log_t):
-            choice = _optimism_pick(c[s], tot[s], visits[s], a, family, score, bonus)
+            choice = _optimism_pick(c[s], tot[s], visits[s], a, score, bonus)
             visits[s] += 1
             mean = means[s][choice]
             cell = bases[s] + choice
@@ -320,15 +319,9 @@ def successive_rejects(env: Environment, schedule: SRSchedule, rng: np.random.Ge
     return SRResult(winner=int(winner[0]), rejected=rejected[0].tolist())
 
 
-def run_sb_ucb(
-    env: Environment,
-    n: int,
-    alpha: float,
-    family: PsiFamily,
-    rng: np.random.Generator,
-) -> list[int]:
+def run_sb_ucb(env: Environment, n: int, alpha: float, rng: np.random.Generator) -> list[int]:
     """Optimism-index allocation for ``n`` steps; returns the arm of each step.
 
     This is ``optimism_play`` with one run.
     """
-    return [int(choice[0]) for _, _, choice, _ in optimism_play(env, alpha, family, [rng], n)]
+    return [int(choice[0]) for _, _, choice, _ in optimism_play(env, alpha, [rng], n)]

@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import BOUNDED_UNIT
 from .env import _check_integer
 from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError, _read_text, _warn
 from .rng import substream, substream_integers, substream_random
@@ -466,13 +465,13 @@ def run_pipeline(
     Each stage spends its budget on pulls until it cannot fund another. The
     first pass pulls every survivor once in id order. After it,
     ``round_robin`` keeps cycling the survivors in id order, and ``ucb``
-    pulls the survivor maximizing its current estimate plus the bounded-unit
-    optimism bonus at ``UCB_ALPHA * log t / count`` (``t`` and ``count`` are
-    the within-stage pull numbers), ties toward the lower id. Replay
-    individuals cycle their recorded labels for the stage in file order, from
-    the first in every stage. Cohort cuts keep the top ``cohort_out`` by
-    gain-weighted encoded mean, ties toward the lower id. This is
-    ``run_pipeline_batch`` with one seed.
+    pulls the survivor maximizing its current estimate plus the regret
+    engine's optimism bonus sqrt(UCB_ALPHA * log t / (2 count)) (``t`` and
+    ``count`` are the within-stage pull numbers), ties toward the lower id.
+    Replay individuals cycle their recorded labels for the stage in file
+    order, from the first in every stage. Cohort cuts keep the top
+    ``cohort_out`` by gain-weighted encoded mean, ties toward the lower id.
+    This is ``run_pipeline_batch`` with one seed.
     """
     res = run_pipeline_batch(SeedBatch(pop, [seed], pop.true_risk[None]), stages, policy, encoding)
     outcomes = []
@@ -551,8 +550,7 @@ def run_pipeline_batch(
         offsets = np.arange(seeds) * m
         pulls_of, enc_of, sum_of, severe_of = (a.reshape(-1) for a in (counts, w_enc, w_sum, severe))
         for j in range(first, max_pulls):
-            f = offsets + _optimism_pick(counts, w_enc, j, UCB_ALPHA * math.log(j + 1), BOUNDED_UNIT,
-                                         score, bonus, w_sum)
+            f = offsets + _optimism_pick(counts, w_enc, j, UCB_ALPHA * math.log(j + 1), score, bonus, w_sum)
             c = pulls_of[f]
             lab = label(f, j, c)
             pulls_of[f] = c + 1

@@ -128,11 +128,11 @@ def test_criterion_05_single_state_matches_classical_ucb():
         spec = EnvironmentSpec(K=K, S=1, mu=tuple(m_vec), sigma2=0.05,
                                state_sequence=(0,) * 500, seed=trial)
         env = Environment(spec=spec, m=m_vec.reshape(K, 1))
-        chosen = run_sb_ucb(env, 500, 3.0, BOUNDED_UNIT, substream(SEED, trial, "cls-r"))
+        chosen = run_sb_ucb(env, 500, 3.0, substream(SEED, trial, "cls-r"))
         reference = classical_ucb_run(m_vec, 500, 3.0, substream(SEED, trial, "cls-r").random(500))
         if list(chosen) != list(reference):
             bad_runs += 1
-        ours = thm1_bound(env, 3.0, 500, BOUNDED_UNIT).raw_value
+        ours = thm1_bound(env, 3.0, 500).raw_value
         classical = classical_ucb_regret_bound(m_vec, 3.0, 500)
         if abs(ours - classical) > 1e-12 * max(1.0, abs(classical)):
             bad_bounds += 1

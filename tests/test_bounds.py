@@ -112,11 +112,11 @@ class TestNormalCdfIsScipyNdtr:
 class TestPseudoRegretBound:
     def test_no_gaps_no_regret(self):
         env = env_of(np.full((3, 2), 0.4))
-        assert thm1_bound(env, 3.0, 50, BOUNDED_UNIT).raw_value == 0.0
+        assert thm1_bound(env, 3.0, 50).raw_value == 0.0
 
     def test_hand_value(self):
         env = env_of([[0.5], [0.3]], n=100)
-        got = thm1_bound(env, 3.0, 100, BOUNDED_UNIT).raw_value
+        got = thm1_bound(env, 3.0, 100).raw_value
         assert got == pytest.approx(0.2 * (3.0 * math.log(100) / 0.02 + 3.0), abs=1e-9)
         assert got == pytest.approx(138.755, abs=1e-3)
 
@@ -125,7 +125,7 @@ class TestPseudoRegretBound:
         delta = gaps(env).delta_m
         positive = delta[delta > 0]
         expected = float(np.sum(positive * 3.0 * math.log(2.0) / psi_star(BOUNDED_UNIT, positive / 2.0)))
-        diff = thm1_bound(env, 3.0, 200, BOUNDED_UNIT).raw_value - thm1_bound(env, 3.0, 100, BOUNDED_UNIT).raw_value
+        diff = thm1_bound(env, 3.0, 200).raw_value - thm1_bound(env, 3.0, 100).raw_value
         assert diff == pytest.approx(expected, rel=1e-12)
 
     # at alpha = inf the alpha/(alpha - 2) term is inf/inf, a nan bound
@@ -133,11 +133,11 @@ class TestPseudoRegretBound:
     def test_alpha_validation(self, alpha):
         env = env_of([[0.5], [0.3]])
         with pytest.raises(ConfigurationError, match=f"alpha must be finite and exceed 2, got {alpha}"):
-            thm1_bound(env, alpha, 10, BOUNDED_UNIT)
+            thm1_bound(env, alpha, 10)
 
     def test_report_identity(self):
         env = env_of([[0.5], [0.3]], n=100)
-        rep = thm1_bound(env, 3.0, 100, BOUNDED_UNIT)
+        rep = thm1_bound(env, 3.0, 100)
         assert rep.name == "thm1"
         assert rep.clamped_value == min(rep.raw_value, 1.0)
 

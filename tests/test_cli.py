@@ -275,7 +275,7 @@ class TestErrors:
         ("regret", "alpha = inf", "alpha must be finite and exceed 2, got inf"),
         ("regret", "m = 0.5, 0.4", "m needs K*S=6 entries, got 2"),
         ("regret", "K = 2\nS = 1\nm = nan, 0.5", "error: m: entries must lie in [0, 1]"),
-        ("regret", "env_seed = 18446744073709551621", "substream path part 18446744073709551621 outside"),
+        ("regret", "env_seed = 18446744073709551621", "error: seed 18446744073709551621 outside [-2**63, 2**64)\n"),
         ("triage", "n_severe = 0", "n_severe: need 0 < n_severe < n"),
         ("triage", "total_budget = 999", "no budget split for total $999"),
         ("triage", "total_budget = 1300\nscheme = more9", "no budget split for total $1300 scheme 'more9'"),

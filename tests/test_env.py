@@ -101,6 +101,10 @@ class TestSpecValidation:
             with pytest.raises(ConfigurationError, match=f"{key} must be an integer"):
                 EnvironmentSpec(**{"K": 3, "S": 2, "seed": 0, key: value}, mu=(0.1, 0.2, 0.3), sigma2=0.01,
                                 state_sequence=(0, 1) * 5)
+        # a seed outside [-2**63, 2**64) would draw the local means of one inside it
+        for seed in (2**64 + 1, -2**63 - 1):
+            with pytest.raises(ConfigurationError, match=rf"^seed {seed} outside \[-2\*\*63, 2\*\*64\)$"):
+                EnvironmentSpec(K=3, S=2, mu=(0.1, 0.2, 0.3), sigma2=0.01, state_sequence=(0, 1) * 5, seed=seed)
         spec = EnvironmentSpec(K=np.int64(3), S=np.int32(2), mu=(0.1, 0.2, 0.3), sigma2=0.01,
                                state_sequence=(0, 1) * 5, seed=np.uint64(3))
         assert np.array_equal(instantiate(spec).m, instantiate(spec_of(3, 2, (0.1, 0.2, 0.3), n=10, seed=3)).m)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest, chisquare
 
 from statebandits import (
-    BOUNDED_UNIT,
     ConfigurationError,
     Environment,
     EnvironmentSpec,
@@ -491,7 +490,7 @@ class TestPseudoRegret:
                                seed=21)
         env = instantiate(spec)
         curve = estimate_pseudoregret(env, 3.0, (150,), 1)
-        chosen = run_sb_ucb(env, 150, 3.0, BOUNDED_UNIT, substream(21, 0, "rewards"))
+        chosen = run_sb_ucb(env, 150, 3.0, substream(21, 0, "rewards"))
         m_star = env.m.max(axis=0)
         scalar_regret = sum(
             m_star[spec.state_sequence[t]] - env.m[chosen[t], spec.state_sequence[t]]
@@ -518,7 +517,7 @@ class TestPseudoRegret:
                     oracle[checkpoints.index(t), r] = total
         streams = [substream(23, r, "rewards") for r in range(runs)]
         engine, at = np.zeros(runs), []
-        for t, s, _, mean in strategies.optimism_play(env, 3.0, BOUNDED_UNIT, streams, n):
+        for t, s, _, mean in strategies.optimism_play(env, 3.0, streams, n):
             engine += m_star[s] - mean
             if t in checkpoints:
                 at.append(engine.copy())
@@ -535,14 +534,14 @@ class TestPseudoRegret:
                                seed=17, reward_family=family)
         env = instantiate(spec)
         whole = estimate_pseudoregret(env, 3.0, (37, 100, n), runs)
-        singles = [run_sb_ucb(env, n, 3.0, BOUNDED_UNIT, substream(17, r, "rewards"))
+        singles = [run_sb_ucb(env, n, 3.0, substream(17, r, "rewards"))
                    for r in range(runs)]
         # blocks of 7 steps, the last one ragged
         monkeypatch.setattr(strategies, "_BLOCK_VARIATES", 7 * runs + 3)
         blocked = estimate_pseudoregret(env, 3.0, (37, 100, n), runs)
         assert np.array_equal(blocked.mean, whole.mean) and np.array_equal(blocked.se, whole.se)
         streams = [substream(17, r, "rewards") for r in range(runs)]
-        play = strategies.optimism_play(env, 3.0, BOUNDED_UNIT, streams, n)
+        play = strategies.optimism_play(env, 3.0, streams, n)
         choices = np.array([choice for _, _, choice, _ in play])
         for r, chosen in enumerate(singles):
             assert choices[:, r].tolist() == chosen

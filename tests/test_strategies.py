@@ -7,11 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statebandits import (
-    BOUNDED_UNIT,
     ConfigurationError,
     Environment,
     EnvironmentSpec,
-    PsiFamily,
     RecommendationError,
     ScheduleError,
     SRSchedule,
@@ -61,7 +59,7 @@ def select(stats, state, t):
     as a batch of one run whose tables hold the given pulls."""
     counts, sums = (a[None, :, state].astype(float) for a in stats)
     scratch = (np.empty_like(counts), np.empty_like(counts))
-    choice = _optimism_pick(counts, sums, int(counts.sum()), 3.0 * np.log(t), BOUNDED_UNIT, *scratch)
+    choice = _optimism_pick(counts, sums, int(counts.sum()), 3.0 * np.log(t), *scratch)
     return int(choice[0])
 
 
@@ -84,11 +82,25 @@ class TestOptimismIndex:
     def test_alpha_must_exceed_two(self, alpha):
         env = noiseless_env([[0.9], [0.2]], 10)
         with pytest.raises(ConfigurationError, match=f"alpha must be finite and exceed 2, got {alpha}"):
-            run_sb_ucb(env, 10, alpha, BOUNDED_UNIT, substream(0, "run"))
+            run_sb_ucb(env, 10, alpha, substream(0, "run"))
 
     def test_per_state_statistics_are_separate(self):
         stats = stats_of(2, 2, [(0, 0, 1.0), (1, 0, 1.0)])
         assert select(stats, 1, 3) == 0
+
+    @pytest.mark.parametrize("shape, max_count", [((50, 200), 10**6), ((1000, 3), 30_000)],
+                             ids=["triage", "regret"])
+    def test_bonus_is_one_divide_of_the_halved_log_term(self, shape, max_count):
+        # the pick writes sqrt((0.5 * a) / count); halving commutes with a correctly rounded
+        # division unless the result is subnormal, so this is sqrt(0.5 * (a / count)) bit for bit
+        rng = substream(0, "bonus")
+        counts = rng.integers(1, max_count, shape, endpoint=True).astype(float)
+        sums = rng.random(shape) * counts
+        score, bonus = np.empty((2, *shape))
+        for alpha, t in zip(rng.choice([2.01, 3.0, 5.5], 200).tolist(), rng.integers(1, 10**7, 200).tolist()):
+            a = alpha * math.log(t)
+            _optimism_pick(counts, sums, shape[1], a, score, bonus)
+            assert bonus.tobytes() == np.sqrt(0.5 * (a / counts)).tobytes()
 
 
 def rotation_arms(seq, K, S):
@@ -386,14 +398,14 @@ class TestRunners:
     def test_sb_ucb_steps_must_fit_horizon(self, n):
         env = noiseless_env([[0.9], [0.2]], 200)
         with pytest.raises(ConfigurationError, match=rf"n {n} outside \[1, 200\]"):
-            run_sb_ucb(env, n, 3.0, BOUNDED_UNIT, substream(5, "run"))
+            run_sb_ucb(env, n, 3.0, substream(5, "run"))
 
     @pytest.mark.parametrize("n", [100.5, 100.0, True])
     def test_sb_ucb_steps_must_be_integers(self, n):
         env = noiseless_env([[0.9], [0.2]], 200)
         with pytest.raises(ConfigurationError, match="n must be an integer"):
-            run_sb_ucb(env, n, 3.0, BOUNDED_UNIT, substream(5, "run"))
-        chosen = run_sb_ucb(env, np.int64(100), 3.0, BOUNDED_UNIT, substream(5, "run"))
+            run_sb_ucb(env, n, 3.0, substream(5, "run"))
+        chosen = run_sb_ucb(env, np.int64(100), 3.0, substream(5, "run"))
         assert len(chosen) == 100
 
     @pytest.mark.parametrize("n", [0, 201])
@@ -401,16 +413,16 @@ class TestRunners:
         # the lockstep engine checks its own n: a longer run would stop at the horizon unannounced
         env = noiseless_env([[0.9], [0.2]], 200)
         with pytest.raises(ConfigurationError, match=rf"n {n} outside \[1, 200\]"):
-            next(optimism_play(env, 3.0, BOUNDED_UNIT, [substream(5, r, "run") for r in range(2)], n))
+            next(optimism_play(env, 3.0, [substream(5, r, "run") for r in range(2)], n))
 
     def test_engine_needs_a_stream(self):
         env = noiseless_env([[0.9], [0.2]], 200)
         with pytest.raises(ConfigurationError, match="^runs must be >= 1, got 0$"):
-            next(optimism_play(env, 3.0, BOUNDED_UNIT, [], 5))
+            next(optimism_play(env, 3.0, [], 5))
 
     def test_sb_ucb_prefers_best_arm(self):
         env = noiseless_env([[0.9], [0.2]], 200)
-        chosen = run_sb_ucb(env, 200, 3.0, BOUNDED_UNIT, substream(5, "run"))
+        chosen = run_sb_ucb(env, 200, 3.0, substream(5, "run"))
         assert chosen.count(0) > chosen.count(1)
         assert chosen[:2] == [0, 1]
 
@@ -422,24 +434,21 @@ class TestRunners:
             spec = EnvironmentSpec(K=K, S=1, mu=tuple(float(v) for v in m_vec),
                                    sigma2=0.01, state_sequence=(0,) * 200)
             env = Environment(spec=spec, m=m_vec[:, None])
-            chosen = run_sb_ucb(env, 200, 3.0, BOUNDED_UNIT, substream(seed, "cls-r"))
+            chosen = run_sb_ucb(env, 200, 3.0, substream(seed, "cls-r"))
             reference = classical_ucb_run(m_vec, 200, 3.0, substream(seed, "cls-r").random(200))
             assert chosen == reference
 
     @pytest.mark.parametrize("reward_family", ["bernoulli", "truncated_gaussian"])
     def test_sb_ucb_matches_per_state_oracle(self, reward_family):
         # n stays below 9170, the first integer where math.log and np.log differ
-        families = [(BOUNDED_UNIT, lambda x: math.sqrt(x / 2.0)),
-                    (PsiFamily(0.3), lambda x: math.sqrt(2.0 * 0.3 * x))]
         for seed in range(3):
             for S, mode in ((2, "iid_uniform"), (3, "round_robin"), (4, "blocks")):
                 spec = EnvironmentSpec(K=3, S=S, mu=(0.8, 0.6, 0.4), sigma2=0.05,
                                        state_sequence=make_state_sequence(S, 1500, mode, seed=seed),
                                        seed=seed, reward_family=reward_family, reward_sigma2=0.04)
                 env = instantiate(spec)
-                for family, bonus in families:
-                    chosen = run_sb_ucb(env, 1500, 3.0, family, substream(seed, "ucb"))
-                    assert chosen == state_ucb_run(env, 1500, 3.0, bonus, substream(seed, "ucb"))
+                chosen = run_sb_ucb(env, 1500, 3.0, substream(seed, "ucb"))
+                assert chosen == state_ucb_run(env, 1500, 3.0, lambda x: math.sqrt(x / 2.0), substream(seed, "ucb"))
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -474,14 +483,14 @@ def test_rotation_and_elimination_match_oracles(K, S, extra, mode, seed):
 @pytest.mark.filterwarnings("ignore::UserWarning", "error::RuntimeWarning")
 @settings(max_examples=40, deadline=None, derandomize=True)
 @example(K=8, S=5, n=3000, runs=20, mode="iid_uniform", reward_family="bernoulli", means="zero_one",
-         gaussian=False, alpha=3.0, seed=1)
+         alpha=3.0, seed=1)
 @example(K=8, S=1, n=3000, runs=20, mode="blocks", reward_family="truncated_gaussian", means="drawn",
-         gaussian=True, alpha=2.01, seed=2)
+         alpha=2.01, seed=2)
 @given(K=st.integers(2, 8), S=st.integers(1, 5), n=st.integers(1, 3000), runs=st.integers(1, 20),
        mode=st.sampled_from(STATE_MODES), reward_family=st.sampled_from(REWARD_FAMILIES),
-       means=st.sampled_from(["drawn", "equal", "zero_one"]), gaussian=st.booleans(),
+       means=st.sampled_from(["drawn", "equal", "zero_one"]),
        alpha=st.sampled_from([2.01, 3.0, 5.5]), seed=st.integers(0, 2**16))
-def test_lockstep_runs_match_per_state_oracle(K, S, n, runs, mode, reward_family, means, gaussian, alpha, seed):
+def test_lockstep_runs_match_per_state_oracle(K, S, n, runs, mode, reward_family, means, alpha, seed):
     # n stays below 9170, the first integer where math.log and np.log differ; equal and
     # 0/1 local means make exact index ties, which must go to the lowest arm. The index
     # only runs once every cell has pulls, so a zero-count division is an error here.
@@ -493,16 +502,15 @@ def test_lockstep_runs_match_per_state_oracle(K, S, n, runs, mode, reward_family
     else:
         m = np.full((K, S), 0.5) if means == "equal" else substream(seed, "m").integers(0, 2, (K, S))
         env = Environment(spec=spec, m=m)
-    family, bonus = ((PsiFamily(0.3), lambda x: math.sqrt(2.0 * 0.3 * x)) if gaussian
-                     else (BOUNDED_UNIT, lambda x: math.sqrt(x / 2.0)))
     streams = [substream(seed, r, "lockstep") for r in range(runs)]
-    steps = list(optimism_play(env, alpha, family, streams, n))
+    steps = list(optimism_play(env, alpha, streams, n))
     choices = np.array([choice for _, _, choice, _ in steps])
     seq = spec.state_sequence
     assert [(t, s) for t, s, _, _ in steps] == list(zip(range(1, n + 1), seq.tolist()))
     assert np.array_equal(np.array([mean for _, _, _, mean in steps]), env.m[choices, seq[:, None]])
     for r in range(runs):
-        assert choices[:, r].tolist() == state_ucb_run(env, n, alpha, bonus, substream(seed, r, "lockstep"))
+        assert choices[:, r].tolist() == state_ucb_run(env, n, alpha, lambda x: math.sqrt(x / 2.0),
+                                                       substream(seed, r, "lockstep"))
 
 
 def test_block_log_equals_per_step_log():
