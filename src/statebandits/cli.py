@@ -25,10 +25,9 @@ from . import __version__
 from .bounds import thm2_bounds
 from .divergence import BOUNDED_UNIT, PsiFamily, psi, psi_star, psi_star_inv
 from .env import (
-    EnvironmentSpec, Environment, _check_distinct, _check_integer, gaps, instantiate, make_state_sequence,
-    state_counts,
+    EnvironmentSpec, Environment, _check_distinct, gaps, instantiate, make_state_sequence, state_counts,
 )
-from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError, _read_text
+from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError, _check_integer, _read_text
 from .montecarlo import (
     SR_HEADER,
     TIGHTNESS_HEADER,
@@ -41,7 +40,7 @@ from .montecarlo import (
     tightness_sweep,
     write_table,
 )
-from .rng import _check_int_part, substream
+from .rng import substream
 from .strategies import phase_visits, rotation_counts, sr_counts, sr_schedule, successive_rejects
 from .triage import (
     BASELINES,
@@ -340,8 +339,7 @@ def _triage_values(res, batch: SeedBatch, mode: str) -> list[tuple]:
 
 
 def cmd_triage(args, cfg: dict, seed: int) -> int:
-    if cfg["num_seeds"] < 1:
-        raise ConfigurationError(f"num_seeds must be >= 1, got {cfg['num_seeds']}")
+    _check_integer(cfg["num_seeds"], "num_seeds", low=1)
     _check_distinct(cfg["baselines"], "baselines")  # a repeated name would pool its runs into one row
     stages = default_stages(cfg["n"], tuple(cfg["k"]), cfg["total_budget"], cfg["scheme"])
     replay = bool(cfg["human_csv"] or cfg["machine_pred"])
@@ -559,10 +557,8 @@ def main(argv=None) -> int:
             raw, manifest_seed = load_config(args.config, args.command)
         cfg = resolve_config(schema, raw)
         seed = args.seed if args.seed is not None else (manifest_seed if manifest_seed is not None else 0)
-        _check_integer(seed, "seed")  # a manifest's, which JSON may give as a string, float or bool
-        _check_int_part(seed, "seed")  # before --out is made, so a sweep writes nothing
-        if args.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
+        _check_integer(seed, "seed")  # a manifest's may be a string, float or bool; checked before --out is made
+        _check_integer(args.workers, "workers", low=1)
         try:
             os.makedirs(args.out, exist_ok=True)
         except (FileExistsError, NotADirectoryError):  # a file where --out or one of its parents should be

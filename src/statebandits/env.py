@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError, _warn
-from .rng import _check_int_part, substream
+from .errors import ConfigurationError, ValidationError, _check_integer, _warn
+from .rng import substream
 
 __all__ = [
     "EnvironmentSpec",
@@ -53,7 +53,6 @@ class EnvironmentSpec:
         object.__setattr__(self, "mu", tuple(map(float, self.mu)))
         for name in ("K", "S", "seed"):
             _check_integer(getattr(self, name), name)
-        _check_int_part(self.seed, "seed")
         if self.K < 2:
             raise ValidationError("need at least 2 arms", field="K")
         if self.S < 1:
@@ -159,19 +158,6 @@ def instantiate(spec: EnvironmentSpec) -> Environment:
     z = rng.standard_normal((spec.K, spec.S))
     m = np.clip(np.asarray(spec.mu)[:, None] + np.sqrt(spec.sigma2) * z, 0.0, 1.0)
     return Environment(spec=spec, m=m)
-
-
-def _check_integer(n: int, name: str) -> None:
-    """A count must be an integer, not a bool: a float is not truncated."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {n!r}")
-
-
-def _check_runs(runs: int, name: str = "runs") -> None:
-    """A Monte Carlo run count must be an integer of at least 1."""
-    _check_integer(runs, name)
-    if runs < 1:
-        raise ConfigurationError(f"{name} must be >= 1, got {runs}")
 
 
 def _check_bernoulli(spec: EnvironmentSpec) -> None:

@@ -26,11 +26,11 @@ import numpy as np
 from .bounds import thm1_bound, thm2_bounds, thm3_bounds, thm4_bounds
 from .divergence import BOUNDED_UNIT
 from .env import (
-    STATE_MODES, Environment, EnvironmentSpec, _check_bernoulli, _check_distinct, _check_integer, _check_runs,
-    _check_steps, _visits, gaps, instantiate, make_state_sequence,
+    STATE_MODES, Environment, EnvironmentSpec, _check_bernoulli, _check_distinct, _check_steps, _visits, gaps,
+    instantiate, make_state_sequence,
 )
-from .errors import ConfigurationError, _warn
-from .rng import _check_int_part, substream
+from .errors import ConfigurationError, _check_integer, _warn
+from .rng import substream
 from .strategies import _eba_pick, _sr_sample, cell_means, optimism_play, rotation_counts, sr_schedule
 
 __all__ = [
@@ -56,7 +56,8 @@ class SweepConfig:
     """Randomized-environment study configuration.
 
     ``horizon=None`` means 50*K*S per environment. Ranges are inclusive for
-    K and S; sigma2 is drawn uniformly from (sigma2_min, sigma2_max].
+    K and S; sigma2 is drawn uniformly from [sigma2_min, sigma2_max) and
+    floored at 1e-12.
     Rewards must be Bernoulli: the batched estimators sample Binomial cell
     sums.
     """
@@ -77,10 +78,9 @@ class SweepConfig:
     def __post_init__(self):
         for name in ("num_envs", "master_seed", "k_min", "k_max", "s_min", "s_max"):
             _check_integer(getattr(self, name), name)
-        _check_int_part(self.master_seed, "master_seed")
         if self.num_envs < 0:
             raise ConfigurationError("num_envs must be non-negative")
-        _check_runs(self.runs_per_env, "runs_per_env")
+        _check_integer(self.runs_per_env, "runs_per_env", low=1)
         if not 2 <= self.k_min <= self.k_max:
             raise ConfigurationError("need 2 <= k_min <= k_max")
         if not 1 <= self.s_min <= self.s_max:
@@ -159,7 +159,7 @@ def estimate_bai(env: Environment, strategy: str, runs: int, n: int | None = Non
     spec = env.spec
     n = spec.horizon if n is None else n
     _check_steps(n, spec.horizon)
-    _check_runs(runs)
+    _check_integer(runs, "runs", low=1)
     if strategy == "uniform_eba":
         _check_bernoulli(spec)
         rng = substream(spec.seed, "bai", "uniform_eba")
@@ -377,10 +377,8 @@ def _check_checkpoints(checkpoints) -> tuple[int, ...]:
     if not checkpoints:
         raise ConfigurationError("checkpoints must list at least one horizon")
     for c in checkpoints:
-        _check_integer(c, "checkpoints")
+        _check_integer(c, "checkpoints", low=1)
     checkpoints = tuple(map(int, checkpoints))
-    if checkpoints[0] < 1:
-        raise ConfigurationError(f"checkpoints must be >= 1, got {checkpoints[0]}")
     _check_distinct(checkpoints, "checkpoints")
     return checkpoints
 
@@ -394,7 +392,7 @@ def estimate_pseudoregret(env: Environment, alpha: float, checkpoints, runs: int
     run matches ``run_sb_ucb`` on that stream exactly.
     """
     spec = env.spec
-    _check_runs(runs)
+    _check_integer(runs, "runs", low=1)
     checkpoints = _check_checkpoints(checkpoints)
     for c in checkpoints:
         _check_steps(c, spec.horizon, "checkpoints")

@@ -21,7 +21,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import _check_integer
 
 __all__ = ["substream", "substream_raw", "substream_random", "substream_integers"]
 
@@ -37,24 +37,14 @@ _U32, _U64 = np.uint32, np.uint64
 _HASH_ROWS = 2048  # rows hashed at once: bounds the temporaries at about 0.5 MiB
 
 
-def _check_int_part(value: int, name: str) -> None:
-    """An int path part must lie in [-2**63, 2**64): negative ints map to uint64
-    by two's complement, so an int outside would name the stream of one inside."""
-    if not -(1 << 63) <= value < 1 << 64:
-        raise ConfigurationError(f"{name} {value} outside [-2**63, 2**64)")
-
-
 def _coerce(part) -> int:
-    if isinstance(part, (bool, float)):
-        raise TypeError(f"substream path parts must be int or str, got {part!r}")
-    if isinstance(part, (int, np.integer)):
-        part = int(part)
-        _check_int_part(part, "substream path part")
-        # SeedSequence entropy must be non-negative; map via two's complement.
-        return part & ((1 << 64) - 1)
     if isinstance(part, str):
         return zlib.crc32(part.encode("utf-8"))
-    raise TypeError(f"substream path parts must be int or str, got {part!r}")
+    if isinstance(part, bool) or not isinstance(part, (int, np.integer)):
+        raise TypeError(f"substream path parts must be int or str, got {part!r}")
+    _check_integer(part, "substream path part")
+    # SeedSequence entropy must be non-negative; map via two's complement.
+    return int(part) & ((1 << 64) - 1)
 
 
 def substream(*path) -> np.random.Generator:

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import BOUNDED_UNIT
-from .env import (
-    Environment, _check_bernoulli, _check_integer, _check_runs, _check_steps, _rewards, _variates,
-)
-from .errors import ConfigurationError, RecommendationError, ScheduleError
+from .env import Environment, _check_bernoulli, _check_steps, _rewards, _variates
+from .errors import ConfigurationError, RecommendationError, ScheduleError, _check_integer
 
 __all__ = [
     "cell_means",
@@ -84,7 +82,7 @@ def optimism_play(env: Environment, alpha: float, streams, n: int):
     _check_steps(n, spec.horizon)
     _check_alpha(alpha)
     runs, K = len(streams), spec.K
-    _check_runs(runs)
+    _check_integer(runs, "runs", low=1)
     c, tot = np.zeros((2, spec.S, runs, K))
     score, bonus = np.empty((2, runs, K))
     visits, means = [0] * spec.S, env.m.T

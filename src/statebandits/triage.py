@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import _check_integer
-from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError, _read_text, _warn
+from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError, _check_integer, _read_text, _warn
 from .rng import substream, substream_integers, substream_random
 from .strategies import _optimism_pick, cell_means
 

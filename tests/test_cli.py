@@ -254,6 +254,8 @@ class TestErrors:
         ("sigma2_min = -0.1", "need 0 <= sigma2_min < sigma2_max"),
         ("sigma2_max = 0", "need 0 <= sigma2_min < sigma2_max"),
         ("sigma2_max = inf", "need 0 <= sigma2_min < sigma2_max, both finite"),
+        ("horizon = 18446744073709551616", "error: horizon 18446744073709551616 outside [-2**63, 2**64)\n"),
+        ("k_max = 18446744073709551616", "error: k_max 18446744073709551616 outside [-2**63, 2**64)\n"),
     ])
     def test_sweep_rejects_keys_it_cannot_honour(self, tmp_path, capsys, command, line, message):
         cfg = write_cfg(tmp_path / "c.cfg", f"num_envs = 2\nruns_per_env = 5\n{line}\n")
@@ -276,11 +278,16 @@ class TestErrors:
         ("regret", "m = 0.5, 0.4", "m needs K*S=6 entries, got 2"),
         ("regret", "K = 2\nS = 1\nm = nan, 0.5", "error: m: entries must lie in [0, 1]"),
         ("regret", "env_seed = 18446744073709551621", "error: seed 18446744073709551621 outside [-2**63, 2**64)\n"),
+        ("regret", "checkpoints = 100, 18446744073709551616",
+         "error: checkpoints 18446744073709551616 outside [-2**63, 2**64)\n"),
+        ("regret", "runs = 18446744073709551616", "error: runs 18446744073709551616 outside [-2**63, 2**64)\n"),
         ("triage", "n_severe = 0", "n_severe: need 0 < n_severe < n"),
         ("triage", "total_budget = 999", "no budget split for total $999"),
         ("triage", "total_budget = 1300\nscheme = more9", "no budget split for total $1300 scheme 'more9'"),
         ("triage", "policy = greedy", "unknown policy 'greedy'"),
         ("triage", "encoding = quadratic", "unknown encoding scheme 'quadratic'"),
+        ("triage", "num_seeds = 18446744073709551616",
+         "error: num_seeds 18446744073709551616 outside [-2**63, 2**64)\n"),
     ])
     def test_study_range_exits_2(self, tmp_path, capsys, command, line, message):
         cfg = write_cfg(tmp_path / "c.cfg", f"{line}\n")

@@ -137,8 +137,10 @@ class TestStateSequences:
 
     def test_seed_must_be_an_integer(self):
         # a string seed would be hashed as a tag and draw another sequence
-        for seed in ("3", 1.5, True):
-            with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        for seed, message in [("3", "must be an integer"), (1.5, "must be an integer"),
+                              (True, "must be an integer"), (2**64 + 1, "18446744073709551617 outside"),
+                              (-2**63 - 1, "-9223372036854775809 outside")]:
+            with pytest.raises(ConfigurationError, match=f"^seed {message}"):
                 make_state_sequence(3, 20, seed=seed)
         assert np.array_equal(make_state_sequence(3, 20, seed=np.uint32(3)), make_state_sequence(3, 20, seed=3))
 

@@ -126,8 +126,10 @@ class TestSynthPopulation:
 
     def test_seed_must_be_an_integer(self):
         # a string seed would be hashed as a tag and draw another population
-        for seed in ("7", 1.5, True):
-            with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        for seed, message in [("7", "must be an integer"), (1.5, "must be an integer"),
+                              (True, "must be an integer"), (2**64 + 1, "18446744073709551617 outside"),
+                              (-2**63 - 1, "-9223372036854775809 outside")]:
+            with pytest.raises(ConfigurationError, match=f"^seed {message}"):
                 synth_population(20, 5, seed=seed)
         assert synth_population(20, 5, seed=np.int64(7)) == synth_population(20, 5, seed=7)
 
@@ -371,12 +373,14 @@ class TestPipeline:
         # a float seed would be truncated and a string one hashed as a tag
         pop = synth_population(60, 12, seed=5)
         stages = default_stages(60, k=(40, 20, 10))
-        for seed in (1.9, "7", True):
-            with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        for seed, message in [(1.9, "must be an integer"), ("7", "must be an integer"),
+                              (True, "must be an integer"), (2**64 + 1, "18446744073709551617 outside"),
+                              (-2**63 - 1, "-9223372036854775809 outside")]:
+            with pytest.raises(ConfigurationError, match=f"^seed {message}"):
                 run_pipeline(pop, stages, seed=seed)
-            with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            with pytest.raises(ConfigurationError, match=f"^seed {message}"):
                 run_baseline("1Expert", pop, seed=seed)
-            with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            with pytest.raises(ConfigurationError, match=f"^seed {message}"):
                 SeedBatch(pop, [3, seed], np.stack([pop.true_risk] * 2))
         assert run_pipeline(pop, stages, seed=np.int64(9)) == run_pipeline(pop, stages, seed=9)
         assert run_baseline("1Expert", pop, seed=np.uint32(9)) == run_baseline("1Expert", pop, seed=9)
