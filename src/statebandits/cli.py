@@ -51,11 +51,8 @@ from .triage import (
     default_stages,
     dollars,
     load_evaluations,
-    metrics,
     metrics_batch,
-    run_baseline,
     run_baseline_batch,
-    run_pipeline,
     run_pipeline_batch,
     synth_population,
 )
@@ -422,14 +419,14 @@ def _suite_allocation() -> tuple[bool, str]:
                            state_sequence=make_state_sequence(2, 90, "iid_uniform", seed=5), seed=3)
     env = instantiate(spec)
     schedule = sr_schedule("uniform", 3, 90)
-    res = successive_rejects(env, schedule, substream(1, "verify"))
+    winners, rejected = successive_rejects(env, schedule, 1, substream(1, "verify"))
     # each arm is pulled up to the phase that rejects it, so the run must name each arm once
-    if sorted([res.winner, *res.rejected]) != [0, 1, 2]:
+    if sorted([*winners, *rejected[0]]) != [0, 1, 2]:
         return False, "SR pull count mismatch"
     pulls, fewest = 0, []
     for k, visits in enumerate(phase_visits(spec.state_sequence, schedule.t_k, 2)):
         # phase k+1 rotates each state's visits over the arms not yet rejected
-        active = [a for a in range(3) if a not in res.rejected[:k]]
+        active = [a for a in range(3) if a not in rejected[0, :k]]
         table = rotation_counts(visits, len(active))
         pulls += table.sum(axis=0)
         # the evenly-allocated count of a phase is the fewest pulls any active arm got
@@ -472,17 +469,18 @@ def _suite_estimators() -> tuple[bool, str]:
 
 def _suite_triage() -> tuple[bool, str]:
     pop = synth_population(242, 42, seed=4)
-    four = run_baseline("4Experts", pop)
+    batch = SeedBatch(pop, [4], pop.true_risk[None])
+    four = run_baseline_batch("4Experts", batch)
     if four.spend_milli != 968 * STAGE_COSTS_MILLI[2]:
         return False, "full-consensus cost accounting off"
     stages = default_stages(242)
-    result = run_pipeline(pop, stages, seed=4)
+    result = run_pipeline_batch(batch, stages)
     for st, outcome in zip(stages, result.stages):
         if outcome.spend_milli > st.budget_milli:
             return False, "stage overspent its budget"
-        if len(outcome.survivors) != st.cohort_out:
+        if outcome.survivors.shape[1] != st.cohort_out:
             return False, "cohort size not exact"
-    m = metrics(four, pop)
+    [m] = metrics_batch(four, batch)
     if (m.pop_sensitivity, m.pop_precision, m.pop_specificity) != (1.0, 1.0, 1.0):
         return False, "consensus baseline not perfect"
     return True, "budgets, cohort sizes and consensus metrics hold"

@@ -31,7 +31,7 @@ from .env import (
 )
 from .errors import ConfigurationError, _check_integer, _warn
 from .rng import substream
-from .strategies import _eba_pick, _sr_sample, cell_means, optimism_play, rotation_counts, sr_schedule
+from .strategies import _eba_pick, cell_means, optimism_play, rotation_counts, sr_schedule, successive_rejects
 
 __all__ = [
     "SweepConfig",
@@ -78,6 +78,9 @@ class SweepConfig:
     def __post_init__(self):
         for name in ("num_envs", "master_seed", "k_min", "k_max", "s_min", "s_max"):
             _check_integer(getattr(self, name), name)
+        for name in ("k_max", "s_max"):  # random_env draws K and S as int64, up to the max
+            if getattr(self, name) >= 1 << 63:
+                raise ConfigurationError(f"{name} must be < 2**63, got {getattr(self, name)}")
         if self.num_envs < 0:
             raise ConfigurationError("num_envs must be non-negative")
         _check_integer(self.runs_per_env, "runs_per_env", low=1)
@@ -168,7 +171,7 @@ def estimate_bai(env: Environment, strategy: str, runs: int, n: int | None = Non
     elif strategy in ("sr_uniform", "sr_reference"):
         schedule = sr_schedule(strategy.removeprefix("sr_"), spec.K, n)
         rng = substream(spec.seed, "bai", "sr")
-        picks, _ = _sr_sample(env, schedule, runs, rng)
+        picks, _ = successive_rejects(env, schedule, runs, rng)
     else:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
     g = gaps(env)
@@ -388,8 +391,8 @@ def estimate_pseudoregret(env: Environment, alpha: float, checkpoints, runs: int
     bound; both use the bounded-unit envelope, the one for rewards on [0, 1].
 
     All runs are advanced in lockstep by ``optimism_play``; run r consumes
-    the substream (spec.seed, r, "rewards") one variate per step, so a single
-    run matches ``run_sb_ucb`` on that stream exactly.
+    the substream (spec.seed, r, "rewards") one variate per step, so a run's
+    choices do not depend on how many runs share the batch.
     """
     spec = env.spec
     _check_integer(runs, "runs", low=1)

@@ -6,10 +6,11 @@ phased successive elimination (for best-arm identification). Recommendation
 is by empirical best state-average. All tie-breaks are toward the lowest arm
 index, and forced exploration always picks the lowest-index unpulled arm.
 
-Each rule is written once: the single runs here and the batched
-estimators in ``montecarlo`` share the count, recommendation, elimination and
-index functions; ``successive_rejects`` is the phase-batched elimination
-sampler with one run, and ``run_sb_ucb`` the lockstep engine with one run.
+Each rule is written once, as one engine over a batch of runs:
+``optimism_play`` plays the optimism index in lockstep, one run per stream,
+and ``successive_rejects`` samples elimination phase by phase. A single run
+is a batch of one, and the estimators in ``montecarlo`` call the same
+engines and share the count, recommendation and elimination functions.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ __all__ = [
     "sr_schedule",
     "phase_visits",
     "sr_counts",
-    "SRResult",
     "successive_rejects",
-    "run_sb_ucb",
 ]
 
 
@@ -266,9 +265,10 @@ def sr_counts(state_sequence, schedule: SRSchedule, K: int, S: int) -> np.ndarra
     return np.cumsum(phase_visits(state_sequence, schedule.t_k, S) // active, axis=0).T
 
 
-def _sr_sample(env: Environment, schedule: SRSchedule, runs: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Per-run surviving arm and (runs, K-1) rejected arms of successive
-    elimination, sampled phase-wise.
+def successive_rejects(env: Environment, schedule: SRSchedule, runs: int,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``runs`` runs of successive elimination phase-wise: each run's
+    surviving arm, shape (runs,), and its rejected arms in order, (runs, K-1).
 
     Within a phase the v-th visit to a state goes to active position v mod A,
     which is what ``rotation_counts`` counts. Tables are (state, active
@@ -282,6 +282,7 @@ def _sr_sample(env: Environment, schedule: SRSchedule, runs: int, rng) -> tuple[
     spec = env.spec
     _check_bernoulli(spec)
     _check_schedule(schedule, spec.K, spec.horizon)
+    _check_integer(runs, "runs", low=1)
     K, S = spec.K, spec.S
     active = np.repeat(np.arange(K)[:, None], runs, axis=1)
     p = np.repeat(env.m.T[:, :, None], runs, axis=2)
@@ -296,30 +297,3 @@ def _sr_sample(env: Environment, schedule: SRSchedule, runs: int, rng) -> tuple[
         pos, remaining, counts, sums, p = eliminate(scores, active, counts, sums, p)
         rejected[k], active = active[pos, rows], remaining
     return active[0], rejected.T
-
-
-@dataclass
-class SRResult:
-    """Outcome of a successive-elimination run: the surviving arm and the arms
-    dropped at each boundary in order. Its evenly-allocated pull counts do not
-    depend on the run; ``sr_counts`` gives them."""
-
-    winner: int
-    rejected: list[int]
-
-
-def successive_rejects(env: Environment, schedule: SRSchedule, rng: np.random.Generator) -> SRResult:
-    """Run phased elimination on ``env`` and return the surviving arm.
-
-    This is ``_sr_sample`` with one run, so the rewards must be Bernoulli.
-    """
-    winner, rejected = _sr_sample(env, schedule, 1, rng)
-    return SRResult(winner=int(winner[0]), rejected=rejected[0].tolist())
-
-
-def run_sb_ucb(env: Environment, n: int, alpha: float, rng: np.random.Generator) -> list[int]:
-    """Optimism-index allocation for ``n`` steps; returns the arm of each step.
-
-    This is ``optimism_play`` with one run.
-    """
-    return [int(choice[0]) for _, _, choice, _ in optimism_play(env, alpha, [rng], n)]

@@ -327,6 +327,41 @@ def exact_sr(env, boundaries) -> np.ndarray:
     return pmf
 
 
+def _sum_score_law(counts: np.ndarray, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values and probabilities of one arm's elimination score, its
+    sum of per-state means k/count (0 in an unpulled state), by enumerating
+    its own success counts; ``pmf[s, k]`` is the probability of k successes in
+    state s. Each score adds its states as numpy adds a contiguous row, the
+    order the sampler's state sum follows."""
+    succ = np.indices(counts + 1).reshape(len(counts), -1).T  # every success count, the last fastest
+    weight = np.prod([pmf[s][succ[:, s]] for s in range(len(counts))], axis=0)
+    values, which = np.unique(np.add.reduce(succ / np.maximum(counts, 1), axis=1), return_inverse=True)
+    return values, np.bincount(which, weights=weight)
+
+
+def exact_sr_two_arms(env, n: int) -> dict:
+    """Exact law of two-arm successive elimination over the first n steps,
+    factored by arm. With K = 2 elimination is one phase of the uniform
+    rotation, so the arms' scores are independent; arm 0 is dropped on a
+    tie, so arm 1 survives when S_1 >= S_0.
+
+    Returns the winner law as pick_pmf, plus exact e and e_hat under the
+    best-by-utility and best-by-state-average targets.
+    """
+    if env.spec.K != 2:
+        raise ValueError("the factored law needs two arms")
+    counts = _rotation_counts(env.spec.state_sequence, n, 2, env.spec.S)
+    pmf = binom.pmf(np.arange(counts.max() + 1), counts[:, :, None], env.m[:, :, None])
+    (v0, p0), (v1, p1) = (_sum_score_law(counts[a], pmf[a]) for a in range(2))
+    at = np.searchsorted(v1, v0, side="left")  # how many of arm 1's values lie below each of arm 0's
+    below = np.concatenate(([0.0], np.cumsum(p1)))[at]  # P(S_1 < v)
+    at_or_above = np.concatenate((np.cumsum(p1[::-1])[::-1], [0.0]))[at]  # P(S_1 >= v)
+    pick_pmf = np.array([p0 @ below, p0 @ at_or_above])
+    j_star, j_hat = int(np.argmax(env.spec.mu)), int(np.argmax(env.m.mean(axis=1)))
+    # with two arms, missing the target is picking the other arm
+    return {"pick_pmf": pick_pmf, "e": float(pick_pmf[1 - j_star]), "e_hat": float(pick_pmf[1 - j_hat])}
+
+
 def binomial_cell_means_per_cell(counts, m, runs, rng):
     """Per-run cell means of a fixed pull table, with one binomial call per
     pulled (arm, state) cell in row-major order; NaN where a cell has no

@@ -21,12 +21,12 @@ from statebandits import (
     gaps,
     make_state_sequence,
     metrics,
+    optimism_play,
     psi,
     psi_star,
     psi_star_inv,
     run_baseline,
     run_pipeline,
-    run_sb_ucb,
     sr_compare,
     substream,
     synth_population,
@@ -128,7 +128,8 @@ def test_criterion_05_single_state_matches_classical_ucb():
         spec = EnvironmentSpec(K=K, S=1, mu=tuple(m_vec), sigma2=0.05,
                                state_sequence=(0,) * 500, seed=trial)
         env = Environment(spec=spec, m=m_vec.reshape(K, 1))
-        chosen = run_sb_ucb(env, 500, 3.0, substream(SEED, trial, "cls-r"))
+        play = optimism_play(env, 3.0, [substream(SEED, trial, "cls-r")], 500)
+        chosen = [int(choice[0]) for _, _, choice, _ in play]
         reference = classical_ucb_run(m_vec, 500, 3.0, substream(SEED, trial, "cls-r").random(500))
         if list(chosen) != list(reference):
             bad_runs += 1

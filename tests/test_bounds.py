@@ -29,7 +29,7 @@ from statebandits import (
 
 from statebandits.cli import main
 
-from _oracles import exact_uniform_eba, quad_normal_cdf
+from _oracles import exact_sr_two_arms, exact_uniform_eba, quad_normal_cdf
 
 
 def env_of(m, n=None, mu=None, sigma2=0.05):
@@ -260,6 +260,25 @@ class TestBoundsAgainstExactLawsAtSweepScale:
         env = instantiate(random_env(dataclasses.replace(EXACT_SWEEP, master_seed=seed), env_index))
         b31, _ = thm3_bounds(env, env.spec.horizon)
         assert exact_uniform_eba(env, env.spec.horizon)["r"] <= b31.raw_value + 1e-12
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: the per-state pick term misses a rival whose per-state gaps "
+                              "change sign")
+    def test_b41_holds_against_the_exact_two_arm_law(self, tmp_path):
+        """Every row of a two-arm sr-compare run has b41_uniform at or above
+        its environment's exact e_hat, with no slack. Both schedules are one
+        phase with two arms, so the factored law is exact for both."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("num_envs = 2000\nruns_per_env = 1\nk_min = 2\nk_max = 2\ns_max = 2\n")
+        assert main(["sr-compare", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "sr_compare.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["env_index"]) for row in rows] == list(range(2000))
+        config = SweepConfig(num_envs=2000, runs_per_env=1, k_min=2, k_max=2, s_max=2, master_seed=1)
+        below = [i for i, row in enumerate(rows)
+                 if float(row["b41_uniform"]) < exact_sr_two_arms(instantiate(random_env(config, i)),
+                                                                  int(row["n"]))["e_hat"]]
+        assert not below, f"b41_uniform is below the exact e_hat in {len(below)} rows, first {below[:5]}"
 
     @pytest.mark.parametrize("seed, env_index", B31_BELOW_EXACT_R)
     def test_sorted_and_dense_pick_laws_agree(self, seed, env_index):

@@ -256,6 +256,9 @@ class TestErrors:
         ("sigma2_max = inf", "need 0 <= sigma2_min < sigma2_max, both finite"),
         ("horizon = 18446744073709551616", "error: horizon 18446744073709551616 outside [-2**63, 2**64)\n"),
         ("k_max = 18446744073709551616", "error: k_max 18446744073709551616 outside [-2**63, 2**64)\n"),
+        # each environment draws K and S as int64, which stops below 2**63
+        ("k_max = 9223372036854775808", "error: k_max must be < 2**63, got 9223372036854775808\n"),
+        ("s_max = 9223372036854775808", "error: s_max must be < 2**63, got 9223372036854775808\n"),
     ])
     def test_sweep_rejects_keys_it_cannot_honour(self, tmp_path, capsys, command, line, message):
         cfg = write_cfg(tmp_path / "c.cfg", f"num_envs = 2\nruns_per_env = 5\n{line}\n")

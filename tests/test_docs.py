@@ -12,5 +12,6 @@ def test_readme_library_snippet_runs():
     namespace = {}
     exec(compile(code, f"{README}:Library", "exec"), namespace)
     assert len(namespace["choices"]) == 600
-    assert namespace["result"].winner in range(3)
+    assert namespace["winners"].tolist()[0] in range(3)
+    assert namespace["rejected"].shape == (1, 2)
     assert 0.0 <= namespace["est"].e_hat <= 1.0

@@ -23,7 +23,6 @@ from statebandits import (
     instantiate,
     make_state_sequence,
     random_env,
-    run_sb_ucb,
     sr_compare,
     sr_schedule,
     state_counts,
@@ -35,8 +34,8 @@ from statebandits import montecarlo, strategies
 from statebandits.env import STATE_MODES
 from statebandits.montecarlo import TIGHTNESS_HEADER
 
-from _oracles import (_joint_uniform_eba_pick, binomial_cell_means_per_cell, exact_sr, exact_uniform_eba,
-                      sign_test_tails, sr_sample_per_cell, state_ucb_run)
+from _oracles import (_joint_uniform_eba_pick, binomial_cell_means_per_cell, exact_sr, exact_sr_two_arms,
+                      exact_uniform_eba, sign_test_tails, sr_sample_per_cell, state_ucb_run)
 
 
 class TestRandomEnv:
@@ -268,6 +267,27 @@ def test_score_laws_give_the_joint_enumeration_pick_law():
         assert np.allclose(exact_uniform_eba(env, n, dense=True)["pick_pmf"], joint, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_factored_two_arm_law_equals_elimination_enumeration():
+    """exact_sr_two_arms, which enumerates each arm's score on its own, gives
+    the winner law that exact_sr's enumeration of every cell's success count
+    gives, ties to arm 1 included, on small two-arm environments."""
+    envs = [fixed_env([[0.5, 0.5], [0.5, 0.5]], mu=(0.5, 0.5), n=8),  # alike arms, so scores often tie
+            fixed_env([[0.8, 0.2], [0.3, 0.6]], mu=(0.5, 0.45), n=9)]  # per-state gaps change sign
+    for case in range(60):
+        rng = substream(0, case, "exact-two-arms")
+        S = int(rng.integers(1, 3))
+        n = int(rng.integers(2, 13))
+        seq = make_state_sequence(S, n, STATE_MODES[case % len(STATE_MODES)], seed=case)
+        envs.append(instantiate(EnvironmentSpec(K=2, S=S, mu=tuple(rng.random(2)), sigma2=0.05,
+                                                state_sequence=seq, seed=case)))
+    for env in envs:
+        n = env.spec.horizon
+        law = exact_sr_two_arms(env, n)
+        assert np.allclose(law["pick_pmf"], exact_sr(env, (n,)), rtol=0.0, atol=1e-12)
+        assert law["e_hat"] == pytest.approx(1.0 - law["pick_pmf"][gaps(env).j_hat_star], abs=1e-12)
+
+
 def test_uniform_simple_regret_matches_exact_law():
     """r and r_hat of uniform rotation agree with the enumerated pick law on
     small environments with drawn mu, prior-flipped ones among them, within 4
@@ -318,7 +338,7 @@ def test_batched_draws_equal_one_call_per_cell(K, S, extra, mode, runs, seed):
             assert kind == "reference"
             continue
         for r in (1, runs):
-            picks, rejected = strategies._sr_sample(env, sched, r, substream(seed, "sr"))
+            picks, rejected = strategies.successive_rejects(env, sched, r, substream(seed, "sr"))
             oracle_picks, oracle_rejected = sr_sample_per_cell(env, sched.t_k, r, substream(seed, "sr"))
             assert np.array_equal(picks, oracle_picks)
             assert np.array_equal(rejected, oracle_rejected)
@@ -490,7 +510,8 @@ class TestPseudoRegret:
                                seed=21)
         env = instantiate(spec)
         curve = estimate_pseudoregret(env, 3.0, (150,), 1)
-        chosen = run_sb_ucb(env, 150, 3.0, substream(21, 0, "rewards"))
+        play = strategies.optimism_play(env, 3.0, [substream(21, 0, "rewards")], 150)
+        chosen = [int(choice[0]) for _, _, choice, _ in play]
         m_star = env.m.max(axis=0)
         scalar_regret = sum(
             m_star[spec.state_sequence[t]] - env.m[chosen[t], spec.state_sequence[t]]
@@ -534,8 +555,10 @@ class TestPseudoRegret:
                                seed=17, reward_family=family)
         env = instantiate(spec)
         whole = estimate_pseudoregret(env, 3.0, (37, 100, n), runs)
-        singles = [run_sb_ucb(env, n, 3.0, substream(17, r, "rewards"))
-                   for r in range(runs)]
+        singles = []  # each run alone, a batch of one
+        for r in range(runs):
+            play = strategies.optimism_play(env, 3.0, [substream(17, r, "rewards")], n)
+            singles.append([int(choice[0]) for _, _, choice, _ in play])
         # blocks of 7 steps, the last one ragged
         monkeypatch.setattr(strategies, "_BLOCK_VARIATES", 7 * runs + 3)
         blocked = estimate_pseudoregret(env, 3.0, (37, 100, n), runs)

@@ -16,7 +16,7 @@ from statebandits import (
     instantiate,
     log_bar,
     make_state_sequence,
-    run_sb_ucb,
+    optimism_play,
     sr_counts,
     sr_schedule,
     state_counts,
@@ -24,9 +24,7 @@ from statebandits import (
     successive_rejects,
 )
 from statebandits.env import REWARD_FAMILIES, STATE_MODES
-from statebandits.strategies import (
-    _eba_pick, _optimism_pick, _sr_sample, _state_sum, cell_means, eliminate, optimism_play, rotation_counts,
-)
+from statebandits.strategies import _eba_pick, _optimism_pick, _state_sum, cell_means, eliminate, rotation_counts
 
 from _oracles import (
     _rotation_counts,
@@ -52,6 +50,11 @@ class TestCellMeans:
         means = cell_means(*stats_of(2, 1, [(1, 0, 0.5)]))
         assert means[0, 0] == 0.0
         assert means[1, 0] == 0.5
+
+
+def play(env, n, alpha, rng) -> list[int]:
+    """The arms a single optimism-index run plays: ``optimism_play`` with one stream."""
+    return [int(choice[0]) for _, _, choice, _ in optimism_play(env, alpha, [rng], n)]
 
 
 def select(stats, state, t):
@@ -82,7 +85,7 @@ class TestOptimismIndex:
     def test_alpha_must_exceed_two(self, alpha):
         env = noiseless_env([[0.9], [0.2]], 10)
         with pytest.raises(ConfigurationError, match=f"alpha must be finite and exceed 2, got {alpha}"):
-            run_sb_ucb(env, 10, alpha, substream(0, "run"))
+            play(env, 10, alpha, substream(0, "run"))
 
     def test_per_state_statistics_are_separate(self):
         stats = stats_of(2, 2, [(0, 0, 1.0), (1, 0, 1.0)])
@@ -269,9 +272,9 @@ class TestSuccessiveRejects:
         spec = EnvironmentSpec(K=3, S=2, mu=(1.0, 0.5, 0.0), sigma2=0.05,
                                state_sequence=make_state_sequence(2, 30, "round_robin"))
         env = Environment(spec=spec, m=np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]]))
-        res = successive_rejects(env, sr_schedule("uniform", 3, 30), substream(0, "sr"))
-        assert res.rejected == [2, 1]
-        assert res.winner == 0
+        winners, rejected = successive_rejects(env, sr_schedule("uniform", 3, 30), 1, substream(0, "sr"))
+        assert rejected.tolist() == [[2, 1]]
+        assert winners.tolist() == [0]
 
     def test_two_arms_match_uniform_rotation(self):
         # with two arms elimination is a single phase of the uniform rotation
@@ -279,26 +282,27 @@ class TestSuccessiveRejects:
                                state_sequence=make_state_sequence(2, 40, "iid_uniform", seed=2))
         env = instantiate(spec)
         sched = sr_schedule("uniform", 2, 40)
-        res = successive_rejects(env, sched, substream(1, "sr"))
-        assert len(res.rejected) == 1
+        winners, rejected = successive_rejects(env, sched, 1, substream(1, "sr"))
+        assert winners.shape == (1,) and rejected.shape == (1, 1)
         _, steps, _ = sr_transcript(env, sched.t_k, substream(1, "sr"))
         assert [arm for _, _, arm, _, _ in steps] == rotation_arms(spec.state_sequence, 2, 2)
         rotation = rotation_counts(state_counts(spec.state_sequence, 2), 2)
         assert np.array_equal(sr_counts(spec.state_sequence, sched, 2, 2)[:, 0], rotation.min(axis=0))
 
-    def test_one_run_is_row_zero_of_the_engine(self):
+    def test_sampler_needs_bernoulli_rewards(self):
         spec = EnvironmentSpec(K=4, S=3, mu=(0.8, 0.6, 0.5, 0.2), sigma2=0.05,
                                state_sequence=make_state_sequence(3, 120, "iid_uniform", seed=4), seed=11)
-        env = instantiate(spec)
-        for kind in ("uniform", "reference"):
-            sched = sr_schedule(kind, 4, 120)
-            res = successive_rejects(env, sched, substream(9, "sr-test"))
-            winners, rejected = _sr_sample(env, sched, 1, substream(9, "sr-test"))
-            assert (res.winner, res.rejected) == (winners[0], rejected[0].tolist())
-            assert type(res.winner) is int and all(type(a) is int for a in res.rejected)
-        gaussian = Environment(spec=replace(spec, reward_family="truncated_gaussian"), m=env.m)
+        gaussian = Environment(spec=replace(spec, reward_family="truncated_gaussian"), m=instantiate(spec).m)
         with pytest.raises(ConfigurationError, match="bernoulli"):
-            successive_rejects(gaussian, sched, substream(9, "sr-test"))
+            successive_rejects(gaussian, sr_schedule("reference", 4, 120), 1, substream(9, "sr-test"))
+
+    @pytest.mark.parametrize("runs, message", [(0, "runs must be >= 1, got 0"),
+                                               (2.0, "runs must be an integer, got 2.0")])
+    def test_sampler_needs_a_whole_number_of_runs(self, runs, message):
+        env = instantiate(EnvironmentSpec(K=3, S=2, mu=(0.8, 0.5, 0.2), sigma2=0.05,
+                                          state_sequence=make_state_sequence(2, 30, "round_robin")))
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            successive_rejects(env, sr_schedule("uniform", 3, 30), runs, substream(0, "sr"))
 
     def test_count_table_matches_closed_form(self):
         for seed in range(5):
@@ -315,9 +319,9 @@ class TestSuccessiveRejects:
         env = instantiate(EnvironmentSpec(K=3, S=1, mu=(0.8, 0.5, 0.2), sigma2=0.05,
                                           state_sequence=(0,) * 30))
         with pytest.raises(ScheduleError):
-            successive_rejects(env, sr_schedule("uniform", 4, 28), substream(0, "sr"))
+            successive_rejects(env, sr_schedule("uniform", 4, 28), 1, substream(0, "sr"))
         with pytest.raises(ScheduleError):
-            successive_rejects(env, sr_schedule("uniform", 3, 60), substream(0, "sr"))
+            successive_rejects(env, sr_schedule("uniform", 3, 60), 1, substream(0, "sr"))
 
     @pytest.mark.parametrize("K, n, message", [
         (2, 30, "schedule is for 2 arms, got K=3"),
@@ -330,7 +334,7 @@ class TestSuccessiveRejects:
         env = instantiate(EnvironmentSpec(K=3, S=2, mu=(0.8, 0.5, 0.2), sigma2=0.05,
                                           state_sequence=make_state_sequence(2, 30, "round_robin")))
         with pytest.raises(ScheduleError, match=message):
-            _sr_sample(env, sr_schedule("uniform", K, n), 4, substream(0, "sr"))
+            successive_rejects(env, sr_schedule("uniform", K, n), 4, substream(0, "sr"))
 
 
 class TestEliminate:
@@ -373,7 +377,7 @@ class TestEliminate:
                                state_sequence=make_state_sequence(S, n, "round_robin"))
         env = Environment(spec=spec, m=np.full((K, S), 0.5))
         sched = sr_schedule("uniform", K, n)
-        winners, rejected = _sr_sample(env, sched, 500, substream(S, "sr-ties"))
+        winners, rejected = successive_rejects(env, sched, 500, substream(S, "sr-ties"))
         oracle_winners, oracle_rejected = sr_sample_per_cell(env, sched.t_k, 500, substream(S, "sr-ties"))
         assert np.array_equal(winners, oracle_winners)
         assert np.array_equal(rejected, oracle_rejected)
@@ -386,9 +390,9 @@ class TestEliminate:
                                state_sequence=make_state_sequence(2, 60, "round_robin"))
         env = Environment(spec=spec, m=m)
         sched = sr_schedule("uniform", 4, 60)
-        res = successive_rejects(env, sched, substream(0, "sr"))
-        assert (res.rejected, res.winner) == ([1, 2, 0], 3)
-        winners, rejected = _sr_sample(env, sched, 7, substream(0, "sr"))
+        winners, rejected = successive_rejects(env, sched, 1, substream(0, "sr"))
+        assert (rejected.tolist(), winners.tolist()) == ([[1, 2, 0]], [3])
+        winners, rejected = successive_rejects(env, sched, 7, substream(0, "sr"))
         assert winners.tolist() == [3] * 7
         assert rejected.tolist() == [[1, 2, 0]] * 7
 
@@ -398,14 +402,14 @@ class TestRunners:
     def test_sb_ucb_steps_must_fit_horizon(self, n):
         env = noiseless_env([[0.9], [0.2]], 200)
         with pytest.raises(ConfigurationError, match=rf"n {n} outside \[1, 200\]"):
-            run_sb_ucb(env, n, 3.0, substream(5, "run"))
+            play(env, n, 3.0, substream(5, "run"))
 
     @pytest.mark.parametrize("n", [100.5, 100.0, True])
     def test_sb_ucb_steps_must_be_integers(self, n):
         env = noiseless_env([[0.9], [0.2]], 200)
         with pytest.raises(ConfigurationError, match="n must be an integer"):
-            run_sb_ucb(env, n, 3.0, substream(5, "run"))
-        chosen = run_sb_ucb(env, np.int64(100), 3.0, substream(5, "run"))
+            play(env, n, 3.0, substream(5, "run"))
+        chosen = play(env, np.int64(100), 3.0, substream(5, "run"))
         assert len(chosen) == 100
 
     @pytest.mark.parametrize("n", [0, 201])
@@ -422,7 +426,7 @@ class TestRunners:
 
     def test_sb_ucb_prefers_best_arm(self):
         env = noiseless_env([[0.9], [0.2]], 200)
-        chosen = run_sb_ucb(env, 200, 3.0, substream(5, "run"))
+        chosen = play(env, 200, 3.0, substream(5, "run"))
         assert chosen.count(0) > chosen.count(1)
         assert chosen[:2] == [0, 1]
 
@@ -434,7 +438,7 @@ class TestRunners:
             spec = EnvironmentSpec(K=K, S=1, mu=tuple(float(v) for v in m_vec),
                                    sigma2=0.01, state_sequence=(0,) * 200)
             env = Environment(spec=spec, m=m_vec[:, None])
-            chosen = run_sb_ucb(env, 200, 3.0, substream(seed, "cls-r"))
+            chosen = play(env, 200, 3.0, substream(seed, "cls-r"))
             reference = classical_ucb_run(m_vec, 200, 3.0, substream(seed, "cls-r").random(200))
             assert chosen == reference
 
@@ -447,7 +451,7 @@ class TestRunners:
                                        state_sequence=make_state_sequence(S, 1500, mode, seed=seed),
                                        seed=seed, reward_family=reward_family, reward_sigma2=0.04)
                 env = instantiate(spec)
-                chosen = run_sb_ucb(env, 1500, 3.0, substream(seed, "ucb"))
+                chosen = play(env, 1500, 3.0, substream(seed, "ucb"))
                 assert chosen == state_ucb_run(env, 1500, 3.0, lambda x: math.sqrt(x / 2.0), substream(seed, "ucb"))
 
 
@@ -470,12 +474,10 @@ def test_rotation_and_elimination_match_oracles(K, S, extra, mode, seed):
             # the reference budget has empty phases when n is close to K
             assert kind == "reference"
             continue
-        res = successive_rejects(env, sched, substream(seed, "hyp"))
-        winners, rejected = sr_sample_per_cell(env, sched.t_k, 1, substream(seed, "hyp"))
-        assert (res.winner, res.rejected) == (winners[0], rejected[0].tolist())
-        winners, rejected = sr_sample_per_cell(env, sched.t_k, 6, substream(seed, "hyp"))
-        engine_winners, engine_rejected = _sr_sample(env, sched, 6, substream(seed, "hyp"))
-        assert np.array_equal(engine_winners, winners) and np.array_equal(engine_rejected, rejected)
+        for runs in (1, 6):
+            winners, rejected = sr_sample_per_cell(env, sched.t_k, runs, substream(seed, "hyp"))
+            engine_winners, engine_rejected = successive_rejects(env, sched, runs, substream(seed, "hyp"))
+            assert np.array_equal(engine_winners, winners) and np.array_equal(engine_rejected, rejected)
         _, steps, transcript_rejected = sr_transcript(env, sched.t_k, substream(seed, "hyp"))
         assert np.array_equal(sr_counts(seq, sched, K, S), sr_table_from_steps(steps, transcript_rejected, K, S))
 
