@@ -55,17 +55,18 @@ class ReferentialError(ValueError):
     """Cross-file identifiers do not agree."""
 
 
-def _check_integer(value, name: str, low: int | None = None) -> None:
-    """A count, seed or stream path part must be an int or numpy integer, not a
-    bool or a float (a float is not truncated), at least ``low`` when given,
-    and in [-2**63, 2**64): a stream maps a negative int to uint64 by two's
-    complement, so an int outside would name the stream of one inside."""
+def _check_integer(value, name: str, low: int | None = None) -> int:
+    """A count, seed or stream path part as an int: it must be an int or numpy
+    integer, not a bool or a float (a float is not truncated), at least ``low``
+    when given, and an int64. A stream maps an int64 to the uint64 word of its
+    two's complement, so each int64 names one stream and no other int does."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ConfigurationError(f"{name} must be >= {low}, got {value}")
-    if not -(1 << 63) <= int(value) < 1 << 64:
-        raise ConfigurationError(f"{name} {value} outside [-2**63, 2**64)")
+    if not -(1 << 63) <= int(value) < 1 << 63:
+        raise ConfigurationError(f"{name} {value} outside [-2**63, 2**63)")
+    return int(value)
 
 
 def _read_text(path, kind: str) -> str:

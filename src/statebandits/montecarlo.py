@@ -77,10 +77,7 @@ class SweepConfig:
 
     def __post_init__(self):
         for name in ("num_envs", "master_seed", "k_min", "k_max", "s_min", "s_max"):
-            _check_integer(getattr(self, name), name)
-        for name in ("k_max", "s_max"):  # random_env draws K and S as int64, up to the max
-            if getattr(self, name) >= 1 << 63:
-                raise ConfigurationError(f"{name} must be < 2**63, got {getattr(self, name)}")
+            _check_integer(getattr(self, name), name)  # an int64, as random_env draws K and S up to the max
         if self.num_envs < 0:
             raise ConfigurationError("num_envs must be non-negative")
         _check_integer(self.runs_per_env, "runs_per_env", low=1)
@@ -379,9 +376,7 @@ def _check_checkpoints(checkpoints) -> tuple[int, ...]:
     checkpoints = tuple(sorted(checkpoints))
     if not checkpoints:
         raise ConfigurationError("checkpoints must list at least one horizon")
-    for c in checkpoints:
-        _check_integer(c, "checkpoints", low=1)
-    checkpoints = tuple(map(int, checkpoints))
+    checkpoints = tuple(_check_integer(c, "checkpoints", low=1) for c in checkpoints)
     _check_distinct(checkpoints, "checkpoints")
     return checkpoints
 

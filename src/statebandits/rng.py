@@ -3,9 +3,9 @@
 Every random quantity in the package is drawn from a named substream so that
 results are reproducible from a single master seed and independent of how
 work is scheduled across processes. A substream is addressed by a path of
-integers in [-2**63, 2**64) and short strings, e.g. ``substream(seed,
-env_index, run_index, "rewards")``; equal paths always yield identical
-generators, and an int outside that range raises ``ConfigurationError``.
+int64 integers and short strings, e.g. ``substream(seed, env_index,
+run_index, "rewards")``; equal paths always yield identical generators, and
+an int outside the int64 range raises ``ConfigurationError``.
 
 ``substream_raw`` computes the first raw outputs of many substreams at once,
 any of whose integer path parts may vary by row, with the same numbers as
@@ -42,9 +42,8 @@ def _coerce(part) -> int:
         return zlib.crc32(part.encode("utf-8"))
     if isinstance(part, bool) or not isinstance(part, (int, np.integer)):
         raise TypeError(f"substream path parts must be int or str, got {part!r}")
-    _check_integer(part, "substream path part")
     # SeedSequence entropy must be non-negative; map via two's complement.
-    return int(part) & ((1 << 64) - 1)
+    return _check_integer(part, "substream path part") & ((1 << 64) - 1)
 
 
 def substream(*path) -> np.random.Generator:
@@ -138,6 +137,8 @@ def _part(part) -> np.ndarray:
     """A path part as uint64: a scalar (int or str), or an array or nested
     sequence of per-row ones."""
     if isinstance(part, np.ndarray) and part.dtype.kind in "iu":
+        if part.dtype.kind == "u" and part.size:  # a uint64 of 2**63 or more is no int64
+            _check_integer(part.max(), "substream path part")
         return part.astype(_U64)  # a negative int64 maps by two's complement, as _coerce does
     return np.asarray(np.frompyfunc(_coerce, 1, 1)(np.array(part, dtype=object)), dtype=_U64)
 
@@ -200,7 +201,7 @@ def substream_integers(*path, sizes) -> np.ndarray:
     out = np.full(m.size, -1, dtype=np.int64)
     todo, draws = np.arange(m.size), 1
     while todo.size:
-        raw = substream_raw(*(r[todo] for r in rows), draws=draws)
+        raw = substream_raw(*(r[todo].view(np.int64) for r in rows), draws=draws)  # the words' int64 twins
         for word in np.stack([raw & low, raw >> shift], axis=2).reshape(len(todo), -1).T:
             scaled = word * m[todo]
             accept = (out[todo] < 0) & ((scaled & low) >= threshold[todo])

@@ -179,9 +179,7 @@ class SRSchedule:
     t_k: tuple[int, ...]
 
     def __post_init__(self):
-        for t in self.t_k:
-            _check_integer(t, "a boundary")
-        object.__setattr__(self, "t_k", tuple(map(int, self.t_k)))
+        object.__setattr__(self, "t_k", tuple(_check_integer(t, "a boundary") for t in self.t_k))
         if len(self.t_k) < 1:
             raise ScheduleError("need at least one phase boundary", field="t_k")
         prev = 0

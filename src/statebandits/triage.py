@@ -115,9 +115,12 @@ class Population:
     machine_probs: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "ids", np.asarray(self.ids, dtype=np.int64))
+        try:
+            object.__setattr__(self, "ids", np.asarray(self.ids, dtype=np.int64))
+        except OverflowError:
+            raise ValidationError("need int64 ids", field="ids") from None
         object.__setattr__(self, "true_risk", np.asarray(self.true_risk, dtype=np.int64))
-        if np.any(np.diff(self.ids) <= 0) or self.true_risk.shape != self.ids.shape:
+        if np.any(self.ids[1:] <= self.ids[:-1]) or self.true_risk.shape != self.ids.shape:  # no np.diff: it wraps
             raise ValidationError("need ascending ids, no duplicates, one true label each", field="ids")
         _check_labels(self.true_risk, "true_risk", "true")
         if self.confusion is not None:
@@ -163,9 +166,7 @@ class SeedBatch:
     """
 
     def __init__(self, pop: Population, seeds, true_risk):
-        self.pop, self.seeds = pop, list(seeds)
-        for seed in self.seeds:
-            _check_integer(seed, "seed")
+        self.pop, self.seeds = pop, [_check_integer(seed, "seed") for seed in seeds]
         self.true_risk = np.asarray(true_risk, dtype=np.int64)
         shape = (len(self.seeds), len(pop.ids))
         if not self.seeds or self.true_risk.shape != shape:
@@ -194,7 +195,7 @@ class SeedBatch:
         if pop.kind == "replay":
             self.recorded(stage, rows)
         if (stage, tag) not in self._kept:
-            seeds = np.array(self.seeds, dtype=object)[:, None]  # broadcast over the ids
+            seeds = np.array(self.seeds, dtype=np.int64)[:, None]  # broadcast over the ids
             if pop.kind == "synthetic":
                 labels = _confusion_labels(pop.confusion[stage - 1, self.true_risk],
                                            substream_random(seeds, pop.ids, tag))
@@ -290,12 +291,10 @@ def load_evaluations(human_path, machine_path) -> Population:
     """
     probs: dict[int, tuple[float, ...]] = {}
     machine = _records(machine_path, "machine", ["id", "p_no", "p_low", "p_mod", "p_sev"],
-                       lambda rec: (int(rec[0]), tuple(float(x) for x in rec[1:])))
+                       lambda rec: (_check_integer(int(rec[0]), "id"), tuple(float(x) for x in rec[1:])))
     for lineno, (ind_id, vec) in machine:
         if ind_id in probs:
             raise ParseError(f"duplicate id {ind_id}", line=lineno)
-        if not -2**63 <= ind_id < 2**63:
-            raise ParseError(f"id {ind_id} does not fit in 64 bits", line=lineno)
         # a NaN fails p >= 0 and an infinity the sum
         if not all(p >= 0 for p in vec) or abs(sum(vec) - 1.0) > 1e-6:
             raise ParseError(f"probabilities for id {ind_id} must be finite, non-negative and sum to 1",

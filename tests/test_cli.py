@@ -2,19 +2,26 @@ import csv
 import errno
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import statebandits
 from statebandits import (
-    BOUNDED_UNIT, SweepConfig, cli, estimate_bai, instantiate, montecarlo, random_env, sr_schedule, strategies,
-    thm2_bounds, thm3_bounds, thm4_bounds,
+    BOUNDED_UNIT, EnvironmentSpec, SweepConfig, cli, estimate_bai, instantiate, make_state_sequence, montecarlo,
+    random_env, sr_schedule, strategies, substream, thm1_bound, thm2_bounds, thm3_bounds, thm4_bounds,
 )
 from statebandits.cli import main
+from statebandits.env import REWARD_FAMILIES, STATE_MODES
+
+from _oracles import state_ucb_run
 
 
 class Boom(Exception):
@@ -95,17 +102,17 @@ class TestErrors:
         ("tightness", {"num_envs": 1, "runs_per_env": 2}),
         ("verify", {}),
     ])
-    @pytest.mark.parametrize("seed", ["5", 1.5, True, 2**64 + 5, -2**63 - 1])
+    @pytest.mark.parametrize("seed", ["5", 1.5, True, 2**64 + 5, -2**63 - 1, 2**63, 2**64 - 1])
     def test_manifest_seed_must_be_an_integer(self, tmp_path, capsys, command, config, seed):
         # a string seed would be hashed as a tag and run the study on other numbers, and an int
-        # outside [-2**63, 2**64) would run those of one inside it; the check comes before --out
-        # is made, so nothing is written
+        # outside [-2**63, 2**63) would run those of one inside it (2**64 - 1 those of -1); the check
+        # comes before --out is made, so nothing is written
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"command": command, "seed": seed, "config": config}))
         out = tmp_path / "o"
         assert main([command, "--config", str(manifest), "--out", str(out)]) == 2
         wide = type(seed) is int
-        message = f"seed {seed} outside [-2**63, 2**64)" if wide else f"seed must be an integer, got {seed!r}"
+        message = f"seed {seed} outside [-2**63, 2**63)" if wide else f"seed must be an integer, got {seed!r}"
         assert message in capsys.readouterr().err
         if wide:  # --seed takes the same check
             plain = write_cfg(tmp_path / "c.json", json.dumps(config))
@@ -254,11 +261,11 @@ class TestErrors:
         ("sigma2_min = -0.1", "need 0 <= sigma2_min < sigma2_max"),
         ("sigma2_max = 0", "need 0 <= sigma2_min < sigma2_max"),
         ("sigma2_max = inf", "need 0 <= sigma2_min < sigma2_max, both finite"),
-        ("horizon = 18446744073709551616", "error: horizon 18446744073709551616 outside [-2**63, 2**64)\n"),
-        ("k_max = 18446744073709551616", "error: k_max 18446744073709551616 outside [-2**63, 2**64)\n"),
+        ("horizon = 18446744073709551616", "error: horizon 18446744073709551616 outside [-2**63, 2**63)\n"),
+        ("k_max = 18446744073709551616", "error: k_max 18446744073709551616 outside [-2**63, 2**63)\n"),
         # each environment draws K and S as int64, which stops below 2**63
-        ("k_max = 9223372036854775808", "error: k_max must be < 2**63, got 9223372036854775808\n"),
-        ("s_max = 9223372036854775808", "error: s_max must be < 2**63, got 9223372036854775808\n"),
+        ("k_max = 9223372036854775808", "error: k_max 9223372036854775808 outside [-2**63, 2**63)\n"),
+        ("s_max = 9223372036854775808", "error: s_max 9223372036854775808 outside [-2**63, 2**63)\n"),
     ])
     def test_sweep_rejects_keys_it_cannot_honour(self, tmp_path, capsys, command, line, message):
         cfg = write_cfg(tmp_path / "c.cfg", f"num_envs = 2\nruns_per_env = 5\n{line}\n")
@@ -280,17 +287,17 @@ class TestErrors:
         ("regret", "alpha = inf", "alpha must be finite and exceed 2, got inf"),
         ("regret", "m = 0.5, 0.4", "m needs K*S=6 entries, got 2"),
         ("regret", "K = 2\nS = 1\nm = nan, 0.5", "error: m: entries must lie in [0, 1]"),
-        ("regret", "env_seed = 18446744073709551621", "error: seed 18446744073709551621 outside [-2**63, 2**64)\n"),
+        ("regret", "env_seed = 18446744073709551621", "error: seed 18446744073709551621 outside [-2**63, 2**63)\n"),
         ("regret", "checkpoints = 100, 18446744073709551616",
-         "error: checkpoints 18446744073709551616 outside [-2**63, 2**64)\n"),
-        ("regret", "runs = 18446744073709551616", "error: runs 18446744073709551616 outside [-2**63, 2**64)\n"),
+         "error: checkpoints 18446744073709551616 outside [-2**63, 2**63)\n"),
+        ("regret", "runs = 18446744073709551616", "error: runs 18446744073709551616 outside [-2**63, 2**63)\n"),
         ("triage", "n_severe = 0", "n_severe: need 0 < n_severe < n"),
         ("triage", "total_budget = 999", "no budget split for total $999"),
         ("triage", "total_budget = 1300\nscheme = more9", "no budget split for total $1300 scheme 'more9'"),
         ("triage", "policy = greedy", "unknown policy 'greedy'"),
         ("triage", "encoding = quadratic", "unknown encoding scheme 'quadratic'"),
         ("triage", "num_seeds = 18446744073709551616",
-         "error: num_seeds 18446744073709551616 outside [-2**63, 2**64)\n"),
+         "error: num_seeds 18446744073709551616 outside [-2**63, 2**63)\n"),
     ])
     def test_study_range_exits_2(self, tmp_path, capsys, command, line, message):
         cfg = write_cfg(tmp_path / "c.cfg", f"{line}\n")
@@ -615,6 +622,49 @@ class TestRegret:
         assert main(["regret", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "regret.csv").read_bytes()).hexdigest()
         assert digest == REGRET_MULTI_BLOCK_CSV_SHA256[family]
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data(), K=st.integers(2, 3), S=st.integers(1, 3),
+           sigma2=st.floats(0.0, 1.0, exclude_min=True), env_seed=st.integers(-2**63, 2**63 - 1),
+           seed=st.integers(-2**63, 2**63 - 1), family=st.sampled_from(REWARD_FAMILIES),
+           mode=st.sampled_from(STATE_MODES), alpha=st.floats(2.0, 6.0, exclude_min=True),
+           # below 9170, the first step where math.log and np.log differ
+           checkpoints=st.lists(st.integers(1, 400), min_size=2, max_size=3, unique=True),
+           runs=st.integers(1, 4))
+    def test_rows_match_per_run_oracle(self, tmp_path_factory, data, K, S, sigma2, env_seed, seed, family, mode,
+                                       alpha, checkpoints, runs):
+        """Each row of regret.csv, for a tiny config drawn from the admissible
+        values, against runs of the dict-statistics oracle on the environment
+        the config names: the mean and standard error of the runs'
+        pseudo-regret within 1e-12, and thm1_bound exactly."""
+        mu = data.draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
+        out = tmp_path_factory.mktemp("regret")
+        cfg = write_cfg(out / "c.cfg", f"K = {K}\nS = {S}\nmu = {', '.join(map(repr, mu))}\n"
+                        f"sigma2 = {sigma2!r}\nenv_seed = {env_seed}\nreward_family = {family}\n"
+                        f"state_mode = {mode}\nalpha = {alpha!r}\n"
+                        f"checkpoints = {', '.join(map(str, checkpoints))}\nruns = {runs}\n")
+        assert main(["regret", "--config", cfg, "--seed", str(seed), "--out", str(out / "o")]) == 0
+        with open(out / "o" / "regret.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        checkpoints, n = sorted(checkpoints), max(checkpoints)
+        spec = EnvironmentSpec(K=K, S=S, mu=mu, sigma2=sigma2, state_sequence=make_state_sequence(S, n, mode, seed),
+                               seed=env_seed, reward_family=family)
+        env = instantiate(spec)
+        m_star = env.m.max(axis=0)
+        totals = np.zeros((len(checkpoints), runs))  # each run's pseudo-regret at each checkpoint
+        for r in range(runs):
+            chosen = state_ucb_run(env, n, alpha, lambda x: math.sqrt(x / 2.0), substream(env_seed, r, "rewards"))
+            total = 0.0
+            for t, (s, arm) in enumerate(zip(spec.state_sequence.tolist(), chosen), start=1):
+                total += m_star[s] - env.m[arm, s]
+                if t in checkpoints:
+                    totals[checkpoints.index(t), r] = total
+        assert [int(row["checkpoint"]) for row in rows] == checkpoints
+        for row, c, regret in zip(rows, checkpoints, totals):
+            se = np.std(regret, ddof=1) / math.sqrt(runs) if runs > 1 else 0.0
+            assert float(row["regret"]) == pytest.approx(np.mean(regret), rel=0.0, abs=1e-12)
+            assert float(row["regret_se"]) == pytest.approx(se, rel=0.0, abs=1e-12)
+            assert float(row["thm1_bound"]) == thm1_bound(env, alpha, c).raw_value
 
     def test_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg",

@@ -28,6 +28,7 @@ _STUDY_EXIT_2 = ERRORS + "test_study_range_exits_2"
 _LOCKSTEP = STRATEGIES + "test_lockstep_runs_match_per_state_oracle"
 _PIPELINE = TRIAGE + "test_pipeline_matches_dict_oracle"
 _CURVE = MONTECARLO + "TestPseudoRegret::test_curve_matches_per_run_oracle"
+_REGRET_MAIN = "tests/test_cli.py::TestRegret::test_rows_match_per_run_oracle"  # a drawn config through main
 _SPEC_INTEGERS = ENV + "TestSpecValidation::test_counts_and_seed_must_be_integers"
 _JSON_LISTS = ERRORS + "test_json_list_entries_parse_like_scalars"
 _REPLAY_SYNTH_KEYS = TRIAGE_CLI + "test_replay_rejects_synthetic_keys"
@@ -55,20 +56,22 @@ COVERAGE = {
     "tightness": _SWEEP,
     "sr-compare": _SWEEP,
     "regret": {
-        "K": ((_LOCKSTEP,), (ERRORS + "test_regret_shape_mismatch", _STUDY_EXIT_2, _SPEC_INTEGERS)),
-        "S": ((_LOCKSTEP,), (_STUDY_EXIT_2, _SPEC_INTEGERS)),
-        "mu": ((_LOCKSTEP,), (ERRORS + "test_regret_shape_mismatch", ERRORS + "test_regret_explicit_m_rejects_mu",
-                              _JSON_LISTS)),
-        "sigma2": ((_LOCKSTEP,), (_STUDY_EXIT_2, ERRORS + "test_regret_explicit_m_rejects_sigma2")),
+        "K": ((_REGRET_MAIN, _LOCKSTEP), (ERRORS + "test_regret_shape_mismatch", _STUDY_EXIT_2, _SPEC_INTEGERS)),
+        "S": ((_REGRET_MAIN, _LOCKSTEP), (_STUDY_EXIT_2, _SPEC_INTEGERS)),
+        "mu": ((_REGRET_MAIN, _LOCKSTEP), (ERRORS + "test_regret_shape_mismatch",
+                                           ERRORS + "test_regret_explicit_m_rejects_mu", _JSON_LISTS)),
+        "sigma2": ((_REGRET_MAIN, _LOCKSTEP), (_STUDY_EXIT_2, ERRORS + "test_regret_explicit_m_rejects_sigma2")),
+        # the through-main test draws m from mu; an explicit m is checked by the library test alone
         "m": ((_LOCKSTEP,), (ERRORS + "test_regret_explicit_m_rejects_mu",)),
-        "env_seed": ((_LOCKSTEP, ENV + "TestInstantiate::test_deterministic"), (_SPEC_INTEGERS, _STUDY_EXIT_2)),
-        "reward_family": ((_LOCKSTEP, _CURVE), (_STUDY_EXIT_2,)),
-        "state_mode": ((_LOCKSTEP,), (_STUDY_EXIT_2,)),
-        "alpha": ((_LOCKSTEP,), (_STUDY_EXIT_2,)),
-        "checkpoints": ((_CURVE, MONTECARLO + "TestPseudoRegret::test_single_run_matches_scalar_loop"),
+        "env_seed": ((_REGRET_MAIN, _LOCKSTEP, ENV + "TestInstantiate::test_deterministic"),
+                     (_SPEC_INTEGERS, _STUDY_EXIT_2)),
+        "reward_family": ((_REGRET_MAIN, _LOCKSTEP, _CURVE), (_STUDY_EXIT_2,)),
+        "state_mode": ((_REGRET_MAIN, _LOCKSTEP), (_STUDY_EXIT_2,)),
+        "alpha": ((_REGRET_MAIN, _LOCKSTEP), (_STUDY_EXIT_2,)),
+        "checkpoints": ((_REGRET_MAIN, _CURVE, MONTECARLO + "TestPseudoRegret::test_single_run_matches_scalar_loop"),
                         (ERRORS + "test_regret_repeated_checkpoints_exit_2",
                          ERRORS + "test_empty_monte_carlo_count_exits_2", _JSON_LISTS)),
-        "runs": ((_LOCKSTEP, _CURVE), (ERRORS + "test_empty_monte_carlo_count_exits_2",)),
+        "runs": ((_REGRET_MAIN, _LOCKSTEP, _CURVE), (ERRORS + "test_empty_monte_carlo_count_exits_2",)),
     },
     "triage": {
         "n": ((_PIPELINE,), (TRIAGE_CLI + "test_replay_n_must_match_roster",

@@ -13,6 +13,7 @@ from statebandits import (
     substream,
 )
 from statebandits.env import _rewards, _variates
+from statebandits.errors import _check_integer
 
 
 def spec_of(K=2, S=1, mu=(0.5, 0.3), sigma2=0.01, n=100, seed=0, **kw):
@@ -101,13 +102,18 @@ class TestSpecValidation:
             with pytest.raises(ConfigurationError, match=f"{key} must be an integer"):
                 EnvironmentSpec(**{"K": 3, "S": 2, "seed": 0, key: value}, mu=(0.1, 0.2, 0.3), sigma2=0.01,
                                 state_sequence=(0, 1) * 5)
-        # a seed outside [-2**63, 2**64) would draw the local means of one inside it
+        # a seed outside [-2**63, 2**63) would draw the local means of one inside it
         for seed in (2**64 + 1, -2**63 - 1):
-            with pytest.raises(ConfigurationError, match=rf"^seed {seed} outside \[-2\*\*63, 2\*\*64\)$"):
+            with pytest.raises(ConfigurationError, match=rf"^seed {seed} outside \[-2\*\*63, 2\*\*63\)$"):
                 EnvironmentSpec(K=3, S=2, mu=(0.1, 0.2, 0.3), sigma2=0.01, state_sequence=(0, 1) * 5, seed=seed)
         spec = EnvironmentSpec(K=np.int64(3), S=np.int32(2), mu=(0.1, 0.2, 0.3), sigma2=0.01,
                                state_sequence=(0, 1) * 5, seed=np.uint64(3))
         assert np.array_equal(instantiate(spec).m, instantiate(spec_of(3, 2, (0.1, 0.2, 0.3), n=10, seed=3)).m)
+
+    def test_integer_rule_returns_the_int(self):
+        for value in (np.int64(-3), np.uint64(2**63 - 1), np.int32(7), np.int64(-2**63), 5):
+            checked = _check_integer(value, "n")
+            assert type(checked) is int and checked == int(value)
 
     def test_horizon_property(self):
         assert spec_of(n=64).horizon == 64

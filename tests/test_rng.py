@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from statebandits import ConfigurationError, rng
 from statebandits.rng import substream, substream_integers, substream_random, substream_raw
 
-# path parts of one and of two 32-bit words, negatives included (two's complement)
-seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1), st.integers(-2**63, -1))
-ids = st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+# path parts of one and of two 32-bit words, negatives included (two's complement: a negative int64
+# hashes the uint64 word 2**64 above it, so the upper half of the words is covered too)
+seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**63 - 1), st.integers(-2**63, -1))
+ids = st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**63 - 1),
                 st.integers(-2**63, -1))
 tags = st.sampled_from(["nlp", "expert", "cohort", "rewards", ""])
 
@@ -34,7 +35,7 @@ def test_batch_matches_substream(prefix, suffix, batch, m):
        tag=tags, m=st.integers(1, 8))
 def test_several_per_row_parts_broadcast(rows, cols, tag, m):
     # a (seed, id) column against a row of ids, as rater labels of many seeds take them
-    seed_col, id_col = (np.array([r[i] % 2**64 for r in rows], dtype=np.uint64)[:, None] for i in (0, 1))
+    seed_col, id_col = (np.array([r[i] for r in rows], dtype=np.int64)[:, None] for i in (0, 1))
     raw = substream_raw(seed_col, id_col, tag, cols, draws=2)
     sizes = np.arange(len(cols)) % m + 1
     picks = substream_integers(seed_col, id_col, tag, cols, sizes=sizes)
@@ -46,10 +47,10 @@ def test_several_per_row_parts_broadcast(rows, cols, tag, m):
 
 
 def test_integer_arrays_and_path_parts_agree():
-    values = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, -1, -2**40]
+    values = [0, 1, 2**32 - 1, 2**32, -2**63 + 5, -1, -2**40]
     as_parts = substream_raw(7, values, "t")
-    assert np.array_equal(substream_raw(7, np.array(values[:5], dtype=np.uint64), "t"), as_parts[:5])
-    assert np.array_equal(substream_raw(7, np.array(values[5:], dtype=np.int64), "t"), as_parts[5:])
+    assert np.array_equal(substream_raw(7, np.array(values[:4], dtype=np.uint64), "t"), as_parts[:4])
+    assert np.array_equal(substream_raw(7, np.array(values[4:], dtype=np.int64), "t"), as_parts[4:])
     # scalars alone are one row
     assert np.array_equal(substream_raw(7, values[3], "t"), as_parts[3])
     assert substream_raw(7, [], "t", draws=2).shape == (0, 2)
@@ -58,6 +59,11 @@ def test_integer_arrays_and_path_parts_agree():
             substream_raw(7, bad)
     with pytest.raises(ConfigurationError, match="substream path part 18446744073709551616 outside"):
         substream_raw(7, [1, 2**64])
+    # a uint64 entry of 2**63 or more is refused as the same int in a list is: it is no int64
+    for bad in ([1, 2**63], np.array([1, 2**63], dtype=np.uint64)):
+        with pytest.raises(ConfigurationError, match=r"substream path part 9223372036854775808 outside "
+                                                     r"\[-2\*\*63, 2\*\*63\)"):
+            substream_raw(7, bad)
     with pytest.raises(TypeError):
         substream_raw()
 
@@ -91,8 +97,16 @@ def test_integers_follow_lemire_rejection(monkeypatch, first, m):
     assert substream_integers(0, [1, 2], sizes=[m, m]).tolist() == [expected, expected]
 
 
-@pytest.mark.parametrize("path", [(0,), (2**32 - 1,), (2**32,), (2**64 - 1,), (-1,), (-2**63,), ("rewards",),
-                                  (7, 2**32 - 1, "bai", 2**32, 0), (2**64 - 1, -1, "", "uniform_eba")])
+def test_integers_redraw_rows_with_negative_parts():
+    # at m = 2**31 + 1 about half the words are rejected, so many rows derive more outputs from their
+    # paths' uint64 words, the words of negative parts included
+    m, seeds, ids = 2**31 + 1, np.array([-1, -2**63, 5], dtype=np.int64)[:, None], np.arange(-20, 20)
+    expected = [[substream(int(s), int(i), "x").integers(0, m) for i in ids] for s in seeds[:, 0]]
+    assert substream_integers(seeds, ids, "x", sizes=m).tolist() == expected
+
+
+@pytest.mark.parametrize("path", [(0,), (2**32 - 1,), (2**32,), (-1,), (-1,), (-2**63,), ("rewards",),
+                                  (7, 2**32 - 1, "bai", 2**32, 0), (-1, -1, "", "uniform_eba")])
 def test_substream_seeds_as_numpy_coerces_a_list(path):
     # substream hands SeedSequence the path's 32-bit words itself; the generator state must be the
     # one numpy builds from the list of the path's ints (negatives by two's complement, strings by crc32)
@@ -102,9 +116,10 @@ def test_substream_seeds_as_numpy_coerces_a_list(path):
     assert substream(*path).random(3).tolist() == expected.random(3).tolist()
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, np.float64(2.0), None, 2**64, -2**63 - 1])
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, np.float64(2.0), None, 2**64, -2**63 - 1, 2**63,
+                                 2**64 - 1])
 def test_substream_rejects_floats_and_booleans(bad):
-    # an int outside [-2**63, 2**64) would name the stream of one inside it
+    # an int outside [-2**63, 2**63) would name the stream of one inside it
     error, message = ((ConfigurationError, f"substream path part {bad} outside") if type(bad) is int
                       else (TypeError, "substream path parts must be int or str"))
     with pytest.raises(error, match=message):

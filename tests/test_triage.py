@@ -137,6 +137,15 @@ class TestSynthPopulation:
         with pytest.raises(ValidationError, match="duplicate"):
             Population(ids=[1, 1], true_risk=[RiskLabel.NO, RiskLabel.NO], confusion=UNIFORM_CONFUSION)
 
+    def test_ids_must_be_int64(self):
+        # load_evaluations refuses such ids; a library caller gets a ValidationError, not an OverflowError
+        for ids in ([0, 1, 2, 3, 2**63], [-2**63 - 1, 0, 1, 2, 3]):
+            with pytest.raises(ValidationError, match="^ids: need int64 ids$"):
+                Population(ids=ids, true_risk=[0] * 5, confusion=UNIFORM_CONFUSION)
+        # the int64 extremes ascend, though their difference does not fit in int64
+        pop = Population(ids=[-2**63, 2**63 - 1], true_risk=[0, 0], confusion=UNIFORM_CONFUSION)
+        assert pop.ids.tolist() == [-2**63, 2**63 - 1]
+
     def test_rows_ascend_with_one_true_label_each(self):
         with pytest.raises(ValidationError, match="ascending ids"):
             Population(ids=[2, 1], true_risk=[RiskLabel.NO, RiskLabel.NO], confusion=UNIFORM_CONFUSION)
@@ -784,7 +793,7 @@ class TestLoadEvaluations:
     def test_ids_must_fit_64_bits(self, tmp_path):
         self.write_machine(tmp_path / "machine.csv", [f"{2**63 - 1},1,0,0,0", f"{2**63},1,0,0,0"])
         self.write_human(tmp_path / "human.csv", [])
-        with pytest.raises(ParseError, match="does not fit in 64 bits") as err:
+        with pytest.raises(ParseError, match="id 9223372036854775808 outside") as err:
             load_evaluations(tmp_path / "human.csv", tmp_path / "machine.csv")
         assert err.value.line == 3
 
