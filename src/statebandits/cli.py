@@ -19,6 +19,9 @@ import os
 import sys
 from dataclasses import dataclass
 
+if "numpy" not in sys.modules:  # no study calls BLAS, and each idle OpenBLAS thread spins ~0.1 s of CPU
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError, _check_integer, _warn
+from .errors import ConfigurationError, ValidationError, _check_integer, _check_integers, _warn
 from .rng import substream
 
 __all__ = [
@@ -63,14 +63,11 @@ class EnvironmentSpec:
             raise ValidationError("entries must lie in [0, 1]", field="mu")
         if not 0 < self.sigma2 < np.inf:  # at inf every local mean is clamped to 0 or 1
             raise ValidationError("must be positive and finite", field="sigma2")
-        seq = np.array(self.state_sequence)
+        seq = _check_integers(self.state_sequence, "state_sequence")
         if seq.ndim != 1 or seq.size == 0:
             raise ValidationError("must be a non-empty 1-d sequence", field="state_sequence")
-        if seq.dtype.kind not in "iu":
-            raise ValidationError(f"entries must be integers, got dtype {seq.dtype}", field="state_sequence")
         if np.minimum.reduce(seq) < 0 or np.maximum.reduce(seq) >= self.S:
             raise ValidationError(f"entries must lie in [0, {self.S})", field="state_sequence")
-        seq = seq.astype(np.int64, copy=False)
         seq.setflags(write=False)
         object.__setattr__(self, "state_sequence", seq)
         if self.reward_family not in REWARD_FAMILIES:

@@ -69,6 +69,14 @@ def _check_integer(value, name: str, low: int | None = None) -> int:
     return int(value)
 
 
+def _check_integers(values, name: str) -> np.ndarray:
+    """Ints as a new int64 array. Unless the array is of a signed int dtype, each entry passes
+    the integer rule: a float, bool or other entry is refused, not cast, as is a uint64 of 2**63."""
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    ints = arr if arr.dtype.kind == "i" else np.frompyfunc(lambda value: _check_integer(value, name), 1, 1)(arr)
+    return np.array(ints, dtype=np.int64)
+
+
 def _read_text(path, kind: str) -> str:
     """The text of the ``kind`` input file at ``path``. A directory raises
     ConfigurationError and bytes that are not UTF-8 raise ParseError."""

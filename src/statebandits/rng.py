@@ -21,7 +21,7 @@ import zlib
 
 import numpy as np
 
-from .errors import _check_integer
+from .errors import _check_integer, _check_integers
 
 __all__ = ["substream", "substream_raw", "substream_random", "substream_integers"]
 
@@ -136,10 +136,8 @@ def _raw_outputs(entropy: list[np.ndarray], draws: int) -> np.ndarray:
 def _part(part) -> np.ndarray:
     """A path part as uint64: a scalar (int or str), or an array or nested
     sequence of per-row ones."""
-    if isinstance(part, np.ndarray) and part.dtype.kind in "iu":
-        if part.dtype.kind == "u" and part.size:  # a uint64 of 2**63 or more is no int64
-            _check_integer(part.max(), "substream path part")
-        return part.astype(_U64)  # a negative int64 maps by two's complement, as _coerce does
+    if isinstance(part, np.ndarray) and part.dtype.kind in "iu":  # a negative int maps by two's complement
+        return _check_integers(part, "substream path part").view(_U64)
     return np.asarray(np.frompyfunc(_coerce, 1, 1)(np.array(part, dtype=object)), dtype=_U64)
 
 

@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, ReferentialError, ValidationError, _check_integer, _read_text, _warn
+from .errors import (ConfigurationError, ParseError, ReferentialError, ValidationError, _check_integer,
+                     _check_integers, _read_text, _warn)
 from .rng import substream, substream_integers, substream_random
 from .strategies import _optimism_pick, cell_means
 
@@ -115,11 +116,8 @@ class Population:
     machine_probs: np.ndarray | None = None
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "ids", np.asarray(self.ids, dtype=np.int64))
-        except OverflowError:
-            raise ValidationError("need int64 ids", field="ids") from None
-        object.__setattr__(self, "true_risk", np.asarray(self.true_risk, dtype=np.int64))
+        object.__setattr__(self, "ids", _check_integers(self.ids, "ids"))
+        object.__setattr__(self, "true_risk", _check_integers(self.true_risk, "true_risk"))
         if np.any(self.ids[1:] <= self.ids[:-1]) or self.true_risk.shape != self.ids.shape:  # no np.diff: it wraps
             raise ValidationError("need ascending ids, no duplicates, one true label each", field="ids")
         _check_labels(self.true_risk, "true_risk", "true")
@@ -131,7 +129,7 @@ class Population:
         if self.recorded is None or self.machine_probs is None:
             raise ValidationError("need a confusion table (synthetic), or recorded labels and machine "
                                   "probabilities (replay)", field="confusion")
-        flat, start, size = (np.asarray(a, dtype=np.int64) for a in self.recorded)
+        flat, start, size = (_check_integers(a, "recorded") for a in self.recorded)
         object.__setattr__(self, "recorded", (flat, start, size))
         object.__setattr__(self, "machine_probs", np.asarray(self.machine_probs, dtype=float))
         n = len(self.ids)
@@ -166,10 +164,10 @@ class SeedBatch:
     """
 
     def __init__(self, pop: Population, seeds, true_risk):
-        self.pop, self.seeds = pop, [_check_integer(seed, "seed") for seed in seeds]
-        self.true_risk = np.asarray(true_risk, dtype=np.int64)
+        self.pop, self.seeds = pop, _check_integers(seeds, "seed")
+        self.true_risk = _check_integers(true_risk, "true_risk")
         shape = (len(self.seeds), len(pop.ids))
-        if not self.seeds or self.true_risk.shape != shape:
+        if not len(self.seeds) or self.true_risk.shape != shape:
             raise ValidationError(f"need at least one seed and a {shape} table of true labels, "
                                   f"got {self.true_risk.shape}", field="true_risk")
         _check_labels(self.true_risk, "true_risk", "true")
@@ -195,14 +193,13 @@ class SeedBatch:
         if pop.kind == "replay":
             self.recorded(stage, rows)
         if (stage, tag) not in self._kept:
-            seeds = np.array(self.seeds, dtype=np.int64)[:, None]  # broadcast over the ids
             if pop.kind == "synthetic":
                 labels = _confusion_labels(pop.confusion[stage - 1, self.true_risk],
-                                           substream_random(seeds, pop.ids, tag))
+                                           substream_random(self.seeds[:, None], pop.ids, tag))
             else:  # people without stage labels get none; recorded() keeps them unread
                 flat, start, size = pop.recorded
                 start, size = start[stage - 1], size[stage - 1]
-                picks = substream_integers(seeds, pop.ids, tag, sizes=np.maximum(size, 1))
+                picks = substream_integers(self.seeds[:, None], pop.ids, tag, sizes=np.maximum(size, 1))
                 labels = np.full(picks.shape, -1)
                 labels[:, size > 0] = flat[(start + picks)[:, size > 0]]
             self._kept[stage, tag] = labels

@@ -55,9 +55,11 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="state_sequence: entries"):
             EnvironmentSpec(K=2, S=1, mu=(0.5, 0.3), sigma2=0.01, state_sequence=(0, 1))
 
-    @pytest.mark.parametrize("seq", [(0, 1.5, 1.9, 0), np.array([0.0, 1.0]), (True, False)])
+    @pytest.mark.parametrize("seq", [(0, 1.5, 1.9, 0), np.array([0.0, 1.0]), (True, False), (0, np.True_),
+                                     np.array([0, 2**63], dtype=np.uint64)])
     def test_state_sequence_must_be_integers(self, seq):
-        with pytest.raises(ValidationError, match="state_sequence: entries must be integers"):
+        message = "^state_sequence (must be an integer|9223372036854775808 outside)"
+        with pytest.raises(ConfigurationError, match=message):
             EnvironmentSpec(K=2, S=2, mu=(0.5, 0.3), sigma2=0.01, state_sequence=seq)
 
     @pytest.mark.parametrize("seq", [(), [[0, 1], [1, 0]]])

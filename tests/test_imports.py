@@ -3,15 +3,17 @@
 Every name a module imports must be used in it (a name listed in the
 module's ``__all__`` counts as used, since it is re-exported), and every name
 an ``__all__`` lists must resolve. Each library module declares its exports
-once, in a literal ``__all__``; the package root star-imports every library
-module and exports exactly the concatenation of their lists.
+once, in a literal ``__all__``; the package root names every library module
+once, in a literal tuple, and exports exactly the concatenation of their
+lists. No module star-imports, and no module calls BLAS-backed numpy.
 
 Start-up loads only what the study runs, checked in a fresh interpreter each:
-importing the CLI loads no ``scipy`` module and no process pool, and every
-study runs without ``scipy``, the sweeps at one worker or a process pool of
-two: the normal CDF of the ``tightness`` and ``verify`` bounds is the
-package's own port, and ``sr-compare``'s sign test sums the exact binomial
-tail in integers.
+importing the package root loads no library module and no numpy; importing
+the CLI loads no ``scipy`` module and no process pool, and starts no BLAS
+thread unless the user asked for them; and every study runs without
+``scipy``, the sweeps at one worker or a process pool of two: the normal CDF
+of the ``tightness`` and ``verify`` bounds is the package's own port, and
+``sr-compare``'s sign test sums the exact binomial tail in integers.
 """
 
 import ast
@@ -30,11 +32,11 @@ PACKAGE_DIR = pathlib.Path(statebandits.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py"))
 
 
-def _declared_all(tree: ast.Module) -> list[str]:
-    """A module's literal ``__all__`` list; empty when it has none or builds one."""
+def _literal(tree: ast.Module, name: str) -> list[str]:
+    """A module's literal list or tuple ``name``; empty when it has none or builds one."""
     for node in tree.body:
-        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)):
             return [elt.value for elt in node.value.elts]
     return []
 
@@ -74,7 +76,7 @@ def _used_names(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
-    used = _used_names(tree) | set(_declared_all(tree))
+    used = _used_names(tree) | set(_literal(tree, "__all__"))
     unused = sorted(f"{name} (line {line})" for name, line in _imported_names(tree).items()
                     if name not in used)
     assert not unused, f"{module} imports names it never uses: {unused}"
@@ -91,24 +93,76 @@ def test_all_names_resolve(module):
 def test_package_exports_each_modules_all():
     trees = {m: ast.parse((PACKAGE_DIR / f"{m}.py").read_text(encoding="utf-8")) for m in MODULES}
     starred = {m: names for m, tree in trees.items() if (names := _star_imports(tree))}
-    assert list(starred) == ["__init__"], f"only the package root star-imports: {starred}"
-    exported = starred["__init__"]
-    assert sorted(exported) == [m for m in MODULES if m not in ("__init__", "cli")]
+    assert not starred, f"no module star-imports: {starred}"
+    listed = _literal(trees["__init__"], "_MODULES")
+    assert len(set(listed)) == len(listed), f"the root lists a module twice: {listed}"
+    assert sorted(listed) == [m for m in MODULES if m not in ("__init__", "cli")]
     expected = []
-    for module in exported:
-        declared = _declared_all(trees[module])
+    for module in listed:
+        declared = _literal(trees[module], "__all__")
         assert declared, f"{module} needs a literal __all__"
         expected += declared
     assert len(set(expected)) == len(expected), "a name is declared by two modules"
     assert statebandits.__all__ == expected
+    starred_names = {}
+    exec("from statebandits import *", starred_names)
+    assert sorted(set(starred_names) - {"__builtins__"}) == sorted(expected)
+    for module in listed:
+        owner = importlib.import_module(f"statebandits.{module}")
+        for name in owner.__all__:
+            assert getattr(statebandits, name) is getattr(owner, name) is starred_names[name], name
+    assert set(expected) <= set(dir(statebandits))
 
 
-def _fresh_python(code: str) -> str:
-    """Run ``code`` in a new interpreter that imports this package; its stdout."""
+def _fresh_python(code: str, **env) -> str:
+    """Run ``code`` in a new interpreter that imports this package, with the
+    environment variables ``env`` set (or unset where None); its stdout."""
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                             [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])})
+                         env={name: value for name, value in env.items() if value is not None})
     return out.stdout.strip()
+
+
+def test_package_import_loads_no_module_and_no_numpy():
+    code = ("import sys, statebandits; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('statebandits.')))")
+    assert _fresh_python(code) == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in Linux's /proc/self/task")
+def test_cli_import_starts_one_thread():
+    # numpy's OpenBLAS would start one spin-waiting thread per extra core
+    code = ("import os, statebandits.cli; "
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == "1 1"
+
+
+def test_cli_import_keeps_the_users_blas_threads():
+    code = "import os, statebandits.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_blas_calls(module):
+    # the CLI gives OpenBLAS one thread, which slows no study only while none calls BLAS
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"@ (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in BLAS_NAMES:
+            found.append(f"{node.func.id} (line {node.lineno})")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # from numpy.linalg import norm, say
+            parts = {*(getattr(node, "module", None) or "").split("."),
+                     *(part for alias in node.names for part in alias.name.split("."))}
+            found += [f"import of {part} (line {node.lineno})" for part in sorted(parts & BLAS_NAMES)]
+    assert not found, f"{module} calls BLAS-backed numpy: {found}"
 
 
 def test_cli_import_leaves_out_scipy_stats():

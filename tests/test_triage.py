@@ -138,13 +138,37 @@ class TestSynthPopulation:
             Population(ids=[1, 1], true_risk=[RiskLabel.NO, RiskLabel.NO], confusion=UNIFORM_CONFUSION)
 
     def test_ids_must_be_int64(self):
-        # load_evaluations refuses such ids; a library caller gets a ValidationError, not an OverflowError
-        for ids in ([0, 1, 2, 3, 2**63], [-2**63 - 1, 0, 1, 2, 3]):
-            with pytest.raises(ValidationError, match="^ids: need int64 ids$"):
+        # load_evaluations refuses such ids; a library caller gets the integer rule's error, not an OverflowError
+        for ids, bad in (([0, 1, 2, 3, 2**63], "9223372036854775808"),
+                         ([-2**63 - 1, 0, 1, 2, 3], "-9223372036854775809")):
+            with pytest.raises(ConfigurationError, match=rf"^ids {bad} outside \[-2\*\*63, 2\*\*63\)$"):
                 Population(ids=ids, true_risk=[0] * 5, confusion=UNIFORM_CONFUSION)
         # the int64 extremes ascend, though their difference does not fit in int64
         pop = Population(ids=[-2**63, 2**63 - 1], true_risk=[0, 0], confusion=UNIFORM_CONFUSION)
         assert pop.ids.tolist() == [-2**63, 2**63 - 1]
+
+    def test_float_ids_and_labels_are_refused_not_truncated(self):
+        # they were read as ids [0, 1, 2] and true labels [0, 1, 2]
+        with pytest.raises(ConfigurationError, match=r"^ids must be an integer, got 0\.5$"):
+            Population(ids=[0.5, 1.5, 2.5], true_risk=[0, 1, 2.9], confusion=UNIFORM_CONFUSION)
+        with pytest.raises(ConfigurationError, match=r"^true_risk must be an integer, got 2\.9$"):
+            Population(ids=[0, 1, 2], true_risk=[0, 1, 2.9], confusion=UNIFORM_CONFUSION)
+        for true_risk in (np.array([0.0, 1.0, 2.0]), [0, True, 2]):
+            with pytest.raises(ConfigurationError, match=r"^true_risk must be an integer"):
+                Population(ids=[0, 1, 2], true_risk=true_risk, confusion=UNIFORM_CONFUSION)
+
+    def test_unsigned_ids_of_2_63_are_refused_not_wrapped(self):
+        # a uint64 id of 2**63 was read as id -2**63, whose rater streams it then drew
+        ids = np.array([1, 2**63], dtype=np.uint64)
+        with pytest.raises(ConfigurationError, match=r"^ids 9223372036854775808 outside \[-2\*\*63, 2\*\*63\)$"):
+            Population(ids=ids, true_risk=[0, 0], confusion=UNIFORM_CONFUSION)
+        pop = Population(ids=np.array([1, 2**63 - 1], dtype=np.uint64), true_risk=[0, 0], confusion=UNIFORM_CONFUSION)
+        assert pop.ids.dtype == np.int64 and pop.ids.tolist() == [1, 2**63 - 1]
+
+    def test_true_label_of_2_63_is_refused_by_the_integer_rule(self):
+        # it raised a bare OverflowError
+        with pytest.raises(ConfigurationError, match=r"^true_risk 9223372036854775808 outside"):
+            Population(ids=[1], true_risk=[2**63], confusion=UNIFORM_CONFUSION)
 
     def test_rows_ascend_with_one_true_label_each(self):
         with pytest.raises(ValidationError, match="ascending ids"):
@@ -200,6 +224,14 @@ class TestReplayPopulation:
         with pytest.raises(ValidationError, match=r"^recorded: need label starts and counts >= 0 that end "
                                                   r"within the 12 recorded labels$"):
             Population(**replay_fields(recorded=(flat, start, size)))
+
+    @pytest.mark.parametrize("part", [0, 1, 2])
+    def test_recorded_tables_must_be_integers(self, part):
+        # a float label, start or count was truncated
+        recorded = list(replay_fields()["recorded"])
+        recorded[part] = recorded[part] + 0.5
+        with pytest.raises(ConfigurationError, match=r"^recorded must be an integer, got \d+\.5$"):
+            Population(**replay_fields(recorded=tuple(recorded)))
 
     @pytest.mark.parametrize("bad", [-1, 7])
     def test_recorded_labels_lie_in_0_to_3(self, bad):
@@ -402,6 +434,12 @@ class TestPipeline:
                 SeedBatch(pop, [3, 4], true_risk)
         with pytest.raises(ValidationError, match=r"a \(0, 20\) table of true labels, got \(0, 20\)"):
             SeedBatch(pop, [], np.zeros((0, 20)))
+
+    def test_batch_true_labels_must_be_integers(self):
+        pop = synth_population(20, 5, seed=1)
+        for true_risk in (np.stack([pop.true_risk] * 2) + 0.0, np.stack([pop.true_risk] * 2).astype(np.uint64) + 2**63):
+            with pytest.raises(ConfigurationError, match=r"^true_risk (must be an integer|\d+ outside)"):
+                SeedBatch(pop, [3, 4], true_risk)
 
     def test_batch_true_labels_lie_in_0_to_3(self):
         pop = synth_population(20, 5, seed=1)
