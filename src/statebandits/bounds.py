@@ -99,9 +99,8 @@ def normal_cdf(x):
     """Standard normal CDF, bit for bit ``scipy.special.ndtr``: a float for a
     scalar, else an array of the input's shape."""
     arr = np.asarray(x, dtype=float)
-    if not arr.ndim:
-        return _ndtr(float(arr))
-    return np.array([_ndtr(v) for v in arr.ravel().tolist()], dtype=float).reshape(arr.shape)
+    out = np.array([_ndtr(v) for v in arr.ravel().tolist()], dtype=float).reshape(arr.shape)
+    return out if arr.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -128,12 +128,13 @@ class Environment:
         m_star = np.maximum.reduce(m, axis=0)
         if not (np.minimum.reduce(m, axis=None) >= 0.0 and np.maximum.reduce(m_star) <= 1.0):  # nan fails too
             raise ValidationError("entries must lie in [0, 1]", field="m")
-        delta_sigma, j_hat_star = _gap_vector(np.add.reduce(m, axis=1) / spec.S)  # m.mean(axis=1)
+        state_means = np.add.reduce(m, axis=1) / spec.S  # m.mean(axis=1)
+        delta_sigma, j_hat_star = _gap_vector(state_means)
         delta_mu, j_star = _gap_vector(np.array(spec.mu))
-        report = GapReport(delta_m=m_star - m, delta_sigma=delta_sigma, delta_mu=delta_mu,
-                           j_star=j_star, j_hat_star=j_hat_star, m_star_per_state=m_star)
+        report = GapReport(delta_m=m_star - m, delta_sigma=delta_sigma, delta_mu=delta_mu, j_star=j_star,
+                           j_hat_star=j_hat_star, m_star_per_state=m_star, state_means=state_means)
         visits = state_counts(spec.state_sequence, spec.S)
-        for a in (m, report.delta_m, delta_sigma, delta_mu, m_star, visits):
+        for a in (m, report.delta_m, delta_sigma, delta_mu, m_star, state_means, visits):
             a.setflags(write=False)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_gaps", report)
@@ -209,8 +210,8 @@ class GapReport:
     """All gap quantities of an environment under the min-gap convention.
 
     * ``delta_m[i, s]``: per-state gap to the state's best local mean.
-    * ``delta_sigma[i]``: gap of arm i's state-average to the best
-      state-average; the best arm gets the smallest rival gap.
+    * ``delta_sigma[i]``: gap of arm i's state-average ``state_means[i]``
+      (``m.mean(axis=1)``) to the best one; the best arm gets the smallest rival gap.
     * ``delta_mu[i]``: same for global utilities.
     * ``j_star`` / ``j_hat_star``: best arm by mu / by state-average of m.
     """
@@ -221,6 +222,7 @@ class GapReport:
     j_star: int
     j_hat_star: int
     m_star_per_state: np.ndarray
+    state_means: np.ndarray
 
 
 def _gap_vector(values: np.ndarray) -> tuple[np.ndarray, int]:

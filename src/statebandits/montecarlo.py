@@ -173,11 +173,10 @@ def estimate_bai(env: Environment, strategy: str, runs: int, n: int | None = Non
         raise ConfigurationError(f"unknown strategy {strategy!r}")
     g = gaps(env)
     mu = np.array(spec.mu)
-    row_means = np.add.reduce(env.m, axis=1) / spec.S  # env.m.mean(axis=1)
     e = float(np.count_nonzero(picks != g.j_star) / runs)
     e_hat = float(np.count_nonzero(picks != g.j_hat_star) / runs)
     r, r_se = _mean_se(mu[g.j_star] - mu[picks])
-    r_hat, r_hat_se = _mean_se(row_means[g.j_hat_star] - row_means[picks])
+    r_hat, r_hat_se = _mean_se(g.state_means[g.j_hat_star] - g.state_means[picks])
     return BAIEstimate(
         e=e, e_se=math.sqrt(e * (1.0 - e) / runs), e_hat=e_hat, e_hat_se=math.sqrt(e_hat * (1.0 - e_hat) / runs),
         r=r, r_se=r_se, r_hat=r_hat, r_hat_se=r_hat_se,

@@ -13,15 +13,15 @@ any of whose integer path parts may vary by row, with the same numbers as
 numpy's ``SeedSequence`` hash of the path, PCG64 seeding from its state words,
 then the XSL-RR output function (O'Neill, *PCG*, 2014), in uint64 arithmetic.
 ``substream_random`` and ``substream_integers`` map those outputs the way
-numpy's ``.random()`` and ``.integers(0, m)`` do; every numpy stream format
-the package relies on is written here.
+numpy's ``.random()`` and ``.integers(0, m)`` (m in [1, 2**32]) do; every
+numpy stream format the package relies on is written here.
 """
 
 import zlib
 
 import numpy as np
 
-from .errors import _check_integer, _check_integers
+from .errors import ConfigurationError, _check_integer, _check_integers
 
 __all__ = ["substream", "substream_raw", "substream_random", "substream_integers"]
 
@@ -188,12 +188,15 @@ def substream_random(*path) -> np.ndarray:
 
 def substream_integers(*path, sizes) -> np.ndarray:
     """``substream(*row).integers(0, m)`` for each row of the path (as
-    ``substream_raw`` takes it) and size ``m`` of ``sizes`` (m < 2**32, broadcast
-    with the rows), by numpy's Lemire rule: the stream's 32-bit words (low half
-    of each raw output, then the high half) are scaled by m, and the first
-    ``w`` with ``(w * m) mod 2**32 >= (2**32 - m) % m`` gives ``(w * m) >> 32``.
-    Rows whose words are all rejected derive more outputs."""
-    (m, *rows), shape = _rows((np.asarray(sizes, dtype=_U64), *path))
+    ``substream_raw`` takes it) and size ``m`` of ``sizes`` (ints in [1, 2**32], which numpy
+    draws from 32-bit words; broadcast with the rows), by numpy's Lemire rule: the stream's
+    32-bit words (low half of each raw output, then the high half) are scaled by m, and the
+    first ``w`` with ``(w * m) mod 2**32 >= (2**32 - m) % m`` gives ``(w * m) >> 32``.
+    Rows whose words are all rejected derive more outputs; another size raises ConfigurationError."""
+    sizes = _check_integers(sizes, "sizes")
+    if np.any((sizes < 1) | (sizes > 2**32)):
+        raise ConfigurationError(f"sizes must lie in [1, 2**32], got {sizes[(sizes < 1) | (sizes > 2**32)][0]}")
+    (m, *rows), shape = _rows((sizes, *path))
     low, shift = _U64(_MASK32), _U64(32)
     threshold = (_U64(2**32) - m) % m
     out = np.full(m.size, -1, dtype=np.int64)

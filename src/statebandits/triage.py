@@ -155,12 +155,13 @@ class Population:
 
 
 class SeedBatch:
-    """One roster ``pop`` run under many seeds as one batch: row b of every
-    ``(seeds, n)`` table is the roster under ``seeds[b]``, whose hidden labels
-    are ``true_risk[b]``. Rater labels are derived for everyone in one pass
-    the first time a baseline reads them, and the baselines' random cohort is
-    drawn once per seed; both are kept while the batch lives, so every
-    baseline of a batch reads the same ones.
+    """One roster ``pop`` run under many seeds as one batch: row b of every ``(seeds, n)``
+    table is the roster under ``seeds[b]``, whose hidden labels are ``true_risk[b]``. A
+    rater's draws for everyone are derived in one pass the first time a baseline reads
+    them and kept while the batch lives, as is each seed's random cohort, so every
+    baseline of a batch reads the same ones: labels for a synthetic roster, cursors for a
+    replay one, read through ``recorded`` like a pipeline label, so a replay person without
+    stage labels raises only when a baseline reads them.
     """
 
     def __init__(self, pop: Population, seeds, true_risk):
@@ -190,20 +191,15 @@ class SeedBatch:
         picks with ``.random()`` through the confusion row (synthetic) or
         ``.integers(0, m)`` from the m recorded labels (replay)."""
         pop = self.pop
-        if pop.kind == "replay":
-            self.recorded(stage, rows)
         if (stage, tag) not in self._kept:
             if pop.kind == "synthetic":
-                labels = _confusion_labels(pop.confusion[stage - 1, self.true_risk],
-                                           substream_random(self.seeds[:, None], pop.ids, tag))
-            else:  # people without stage labels get none; recorded() keeps them unread
-                flat, start, size = pop.recorded
-                start, size = start[stage - 1], size[stage - 1]
-                picks = substream_integers(self.seeds[:, None], pop.ids, tag, sizes=np.maximum(size, 1))
-                labels = np.full(picks.shape, -1)
-                labels[:, size > 0] = flat[(start + picks)[:, size > 0]]
-            self._kept[stage, tag] = labels
-        return np.take_along_axis(self._kept[stage, tag], rows, axis=1)
+                self._kept[stage, tag] = _confusion_labels(pop.confusion[stage - 1, self.true_risk],
+                                                           substream_random(self.seeds[:, None], pop.ids, tag))
+            else:  # each person's cursor into its stage labels; recorded() refuses a person with none
+                size = np.maximum(pop.recorded[2][stage - 1], 1)
+                self._kept[stage, tag] = substream_integers(self.seeds[:, None], pop.ids, tag, sizes=size)
+        kept = np.take_along_axis(self._kept[stage, tag], rows, axis=1)
+        return kept if pop.kind == "synthetic" else pop.recorded[0][self.recorded(stage, rows)[0] + kept]
 
     def cohort(self) -> np.ndarray:
         """Each seed's random SUB_COHORT-person cohort, as ascending rows."""

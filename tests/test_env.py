@@ -297,6 +297,13 @@ class TestGaps:
         assert g.j_star == 1
         assert g.j_hat_star == 0
 
+    def test_state_means_are_the_read_only_row_means(self):
+        env = instantiate(spec_of(K=5, S=3, mu=(0.1, 0.3, 0.5, 0.7, 0.9), sigma2=0.1, n=30, seed=21))
+        means = gaps(env).state_means
+        assert means.tobytes() == env.m.mean(axis=1).tobytes()  # bit for bit
+        with pytest.raises(ValueError, match="read-only"):
+            means[0] = 0.0
+
     def test_one_zero_gap_per_state(self):
         spec = spec_of(K=5, S=3, mu=(0.1, 0.3, 0.5, 0.7, 0.9), sigma2=0.1, n=30, seed=21)
         g = gaps(instantiate(spec))

@@ -88,6 +88,8 @@ def _pcg64_first_output(first: int) -> np.random.PCG64:
     (715827883, 6),                # (w * 6) mod 2**32 = 2 < 4 rejects a would-be 1
     ((715827883 << 32) | 0, 6),    # both rejected
     (2**64 - 1, 7), (2**63, 5), (123456789, 1), (2**40 + 17, 8),
+    (0, 2**32 - 1), (7, 2**32 - 1),                # at 2**32 - 1 only the word 0 is rejected
+    (2**64 - 1, 2**32), ((5 << 32) | 9, 2**32),    # the largest size: no word is rejected
 ])
 def test_integers_follow_lemire_rejection(monkeypatch, first, m):
     assert _pcg64_first_output(first).random_raw() == first
@@ -95,6 +97,17 @@ def test_integers_follow_lemire_rejection(monkeypatch, first, m):
         [_pcg64_first_output(first).random_raw(draws) for _ in np.broadcast(*path)], dtype=np.uint64))
     expected = np.random.Generator(_pcg64_first_output(first)).integers(0, m)
     assert substream_integers(0, [1, 2], sizes=[m, m]).tolist() == [expected, expected]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0, "must lie in .*, got 0"), (-3, "must lie in .*, got -3"), ([1, 0], "must lie in .*, got 0"),
+    (2**32 + 1, "must lie in .*, got 4294967297"), (2**40, "must lie in .*, got 1099511627776"),
+    (np.array([2**40], dtype=np.uint64), "must lie in .*, got 1099511627776"), (1.5, "must be an integer, got 1.5"),
+])
+def test_integers_refuse_sizes_outside_1_to_2_32(bad, message):
+    # numpy refuses a size below 1, and draws a size above 2**32 from 64-bit words, not by this rule
+    with pytest.raises(ConfigurationError, match=rf"^sizes {message}$"):
+        substream_integers(9, [1, 2], sizes=bad)
 
 
 def test_integers_redraw_rows_with_negative_parts():

@@ -689,6 +689,26 @@ def test_missing_recorded_stage_message():
     assert result.evaluated == frozenset({4})
 
 
+def test_baseline_reads_recorded_labels_only_of_the_people_it_rates():
+    # 120 people with 1 to 3 recorded labels per stage; person 61 has no expert (stage-3) labels
+    records = {i: {s: tuple(RiskLabel((i * s + r) % 4) for r in range(1 + (i + s) % 3)) for s in (1, 2, 3)}
+               for i in range(1, 121)}
+    del records[61][3]
+    pop = triage._replay_population({i: (0.25,) * 4 for i in records}, records)
+    row = int(np.flatnonzero(pop.ids == 61)[0])
+    seed = next(s for s in range(50) if row not in SeedBatch(pop, [s], pop.true_risk[None]).cohort()[0])
+    batch = SeedBatch(pop, [seed], pop.true_risk[None])
+    result = run_baseline_batch("1Expert-Sub", batch)
+    rated = batch.cohort()[0]
+    assert result.evaluated[0].tolist() == np.isin(np.arange(120), rated).tolist()
+    for r in rated.tolist():
+        labels = records[int(pop.ids[r])][3]
+        label = labels[int(substream(seed, int(pop.ids[r]), "expert").integers(0, len(labels)))]
+        assert result.positives()[0, r] == (label == RiskLabel.SEVERE)
+    with pytest.raises(ValidationError, match=r"^recorded: individual 61 has no recorded stage-3 labels$"):
+        run_baseline_batch("1Expert", batch)
+
+
 class TestLoadEvaluations:
     @staticmethod
     def write_machine(path, rows):
